@@ -37,6 +37,11 @@ EXIT_FAIL = 1
 EXIT_UNDETERMINED = 2
 EXIT_USAGE = 64
 
+# names accepted by --tol-override: the classifier's Tolerances, then the
+# tolerances of the verifier checks and of geodesic --both
+TOLERANCE_NAMES = ("zero", "nonzero", "rank_svd", "ricci", "horiz", "lc_roundtrip",
+                   "hessian_det", "berwald", "geodesic")
+
 
 class ConfigError(ValueError):
     def __init__(self, path: str, line_no: int, message: str):
@@ -224,14 +229,14 @@ def _grid_table(form, grid) -> dict:
             vals["arr"].append(arr.value)
             vals["aw"].append(aw.value)
         out["coefficients"] = vals
-    elif hasattr(form, "scale_pot"):
+    elif form.scale_pot.names == ["psi"]:
         out["scale"] = [math.exp(form.scale_pot.values(t, r)["psi"] + form.log_scale)
                         for (t, r) in grid]
-    elif hasattr(form, "pots"):
-        vals = {n: [] for n in form.pots.names}
+    else:
+        vals = {n: [] for n in form.scale_pot.names}
         for (t, r) in grid:
-            v = form.pots.values(t, r)
-            for n in form.pots.names:
+            v = form.scale_pot.values(t, r)
+            for n in form.scale_pot.names:
                 vals[n].append(v[n])
         out["potentials"] = vals
     return out
@@ -393,7 +398,9 @@ def cmd_metrize(cfg: JobConfig, args, overrides: dict, deep: bool = False,
 
 
 def cmd_verify(cfg: JobConfig, args, overrides: dict) -> int:
-    return cmd_metrize(cfg, args, overrides, deep=True, command="verify")
+    """``verify`` and ``report``: metrize plus the deeper checks, reported
+    under the command that was invoked."""
+    return cmd_metrize(cfg, args, overrides, deep=True, command=args.command)
 
 
 def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
@@ -456,10 +463,6 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
     return EXIT_OK
 
 
-def cmd_report(cfg: JobConfig, args, overrides: dict) -> int:
-    return cmd_metrize(cfg, args, overrides, deep=True, command="report")
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
@@ -506,8 +509,13 @@ def main(argv=None) -> int:
             print("error: --tol-override needs NAME=VALUE", file=sys.stderr)
             return EXIT_USAGE
         name, value = item.split("=", 1)
+        name = name.strip()
+        if name not in TOLERANCE_NAMES:
+            print("error: unknown tolerance %r (valid: %s)"
+                  % (name, ", ".join(TOLERANCE_NAMES)), file=sys.stderr)
+            return EXIT_USAGE
         try:
-            overrides[name.strip()] = float(value)
+            overrides[name] = float(value)
         except ValueError:
             print("error: bad tolerance value %r" % value, file=sys.stderr)
             return EXIT_USAGE
@@ -520,12 +528,15 @@ def main(argv=None) -> int:
             except ValueError:
                 print("error: --grid needs NxM", file=sys.stderr)
                 return EXIT_USAGE
+            if n < 2 or m < 2:
+                print("error: --grid needs at least 2 points per side", file=sys.stderr)
+                return EXIT_USAGE
             cfg.t_n, cfg.r_n = n, m
         if args.seed is not None:
             cfg.seed = args.seed
         handler = {"classify": cmd_classify, "metrize": cmd_metrize,
                    "verify": cmd_verify, "geodesic": cmd_geodesic,
-                   "report": cmd_report}[args.command]
+                   "report": cmd_verify}[args.command]
         return handler(cfg, args, overrides)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

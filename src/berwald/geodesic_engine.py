@@ -171,9 +171,14 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
     return Trajectory(s_eval, states, stats.steps, stats.rejected, stats.max_error_estimate)
 
 
-def finsler_spray(evaluator, p: TangentPoint) -> np.ndarray:
-    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from exact jets of L."""
-    jet = evaluator.jet(p)
+def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> np.ndarray:
+    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from exact jets of L.
+
+    ``vals`` are the values of the evaluator's potentials at (t, r), as
+    carried in the state by `integrate_finsler`; without them the evaluator
+    looks its potentials up itself.
+    """
+    jet = evaluator.jet(p) if vals is None else evaluator.jet(p, vals)
     gmat = jet.metric_tensor()
     mixed = jet.mixed_block()
     xd = p.velocity
@@ -184,18 +189,36 @@ def finsler_spray(evaluator, p: TangentPoint) -> np.ndarray:
 def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100,
                       rtol: float = 1e-10, atol: float = 1e-10,
                       r_min: float = 1e-3, sin_min: float = 1e-3) -> Trajectory:
-    """Euler-Lagrange flow of a pseudo-Finsler function L."""
+    """Euler-Lagrange flow of a pseudo-Finsler function L.
+
+    The potentials that L reads (``evaluator.scale_pot``, a PotentialSystem,
+    or None when there are none) ride in the ODE state after the 8 chart
+    components: their values are looked up once at the start point and then
+    advanced with d(psi_i)/ds = P_i tdot + Q_i rdot, so no right-hand-side
+    call transports them afresh.  This relies on the certificate that the
+    form's constructor ran (closed one-forms, path-independent transport).
+    The potentials take part in the step-size control; the trajectory keeps
+    the 8 chart components.
+    """
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
+    pots = evaluator.scale_pot
+    names = pots.names if pots is not None else []
+    start = pots.values(p0.t, p0.r) if names else {}
+    y0 = np.concatenate([p0.state(), [start[n] for n in names]])
 
     def rhs(s, y):
-        reason = _guard(y, r_min, sin_min)
+        x = y[:8]
+        reason = _guard(x, r_min, sin_min)
         if reason is not None:
-            raise ChartExit(s, y, reason)
-        p = TangentPoint(*y)
-        G = finsler_spray(evaluator, p)
-        return np.concatenate([y[4:], -2.0 * G])
+            raise ChartExit(s, x, reason)
+        p = TangentPoint(*x)
+        vals = dict(zip(names, y[8:])) if names else None
+        G = finsler_spray(evaluator, p, vals)
+        dpsi = pots.rates(p.t, p.r, vals, p.tdot, p.rdot) if names else []
+        return np.concatenate([x[4:], -2.0 * G, dpsi])
 
     s_eval = np.linspace(0.0, T, n_out)
-    states, stats = integrate_ode(rhs, p0.state(), s_eval, rtol, atol)
-    return Trajectory(s_eval, states, stats.steps, stats.rejected, stats.max_error_estimate)
+    states, stats = integrate_ode(rhs, y0, s_eval, rtol, atol)
+    return Trajectory(s_eval, states[:, :8], stats.steps, stats.rejected,
+                      stats.max_error_estimate)

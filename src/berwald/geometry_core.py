@@ -103,10 +103,6 @@ class Jet1:
         return "Jet1(%g; dt=%g, dr=%g)" % (self.value, self.dt, self.dr)
 
 
-def value_of(j: Jet1) -> float:
-    return j.value
-
-
 def _J(k: Jet2) -> Jet1:
     return Jet1(k.value, k.dt, k.dr)
 

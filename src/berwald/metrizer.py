@@ -177,6 +177,12 @@ class PotentialSystem:
         return Jet2(vals[name], pj.value, qj.value,
                     pj.dt, 0.5 * (pj.dr + qj.dt), qj.dr)
 
+    def rates(self, t: float, r: float, vals: dict, tdot: float, rdot: float) -> np.ndarray:
+        """d(psi_i)/ds = P_i tdot + Q_i rdot along a curve through (t, r)
+        with velocity (tdot, rdot), at the component values ``vals``."""
+        return np.array([p(t, r, vals).value * tdot + q(t, r, vals).value * rdot
+                         for p, q in zip(self.P, self.Q)])
+
     def closedness_residual(self, probes: Sequence[tuple]) -> float:
         """max_i max_probes |d_t Q_i - d_r P_i|, derivatives from the Jet1s."""
         worst = 0.0
@@ -319,9 +325,9 @@ class PowerLawForm:
             return False
         return u.value > self.domain_floor and base.value > self.domain_floor
 
-    def jet(self, p: TangentPoint) -> MultiJet:
+    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, base = self._pieces(p)
-        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r)) + self.log_scale
+        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
         return psi.exp() * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
     def scaled(self, c: float) -> "PowerLawForm":
@@ -353,10 +359,10 @@ class ExponentialForm:
             return False
         return abs(u.value) > self.domain_floor
 
-    def jet(self, p: TangentPoint) -> MultiJet:
+    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
         mu_j = lift_jet1(self.mu(p.t, p.r))
-        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r)) + self.log_scale
+        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
         return psi.exp() * u * u * (mu_j * v / (u * u)).exp()
 
     def scaled(self, c: float) -> "ExponentialForm":
@@ -378,7 +384,7 @@ class Class3FinslerForm:
     """L = e^G u^2 Theta(z e^{-(G - 2K)} + M), z = v / u^2 (Class 3)."""
 
     conn: ConnectionProfile
-    pots: PotentialSystem               # components "G", "K", "M"
+    scale_pot: PotentialSystem          # components "G", "K", "M"; e^G scales L
     m_shift: float
     theta_expr: Expression
     log_scale: float = 0.0
@@ -392,12 +398,13 @@ class Class3FinslerForm:
             return False
         return abs(u.value) > self.domain_floor
 
-    def jet(self, p: TangentPoint) -> MultiJet:
+    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
-        vals = self.pots.values(p.t, p.r)
-        Gj = MultiJet.from_jet2(self.pots.jet2("G", p.t, p.r, vals))
-        Kj = MultiJet.from_jet2(self.pots.jet2("K", p.t, p.r, vals))
-        Mj = MultiJet.from_jet2(self.pots.jet2("M", p.t, p.r, vals)) + self.m_shift
+        if vals is None:
+            vals = self.scale_pot.values(p.t, p.r)
+        Gj = MultiJet.from_jet2(self.scale_pot.jet2("G", p.t, p.r, vals))
+        Kj = MultiJet.from_jet2(self.scale_pot.jet2("K", p.t, p.r, vals))
+        Mj = MultiJet.from_jet2(self.scale_pot.jet2("M", p.t, p.r, vals)) + self.m_shift
         z = v / (u * u)
         arg = z * (-(Gj - 2.0 * Kj)).exp() + Mj
         theta = evaluate(self.theta_expr, {"z": arg})
@@ -424,6 +431,7 @@ class RiemannForm:
     tag: str = "riemann"
     signature_hint: str = ""
     meta: dict = dc_field(default_factory=dict)
+    scale_pot = None    # jet reads its potentials through the coefficient fields
 
     def admissible(self, p: TangentPoint) -> bool:
         return True

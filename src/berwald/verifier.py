@@ -387,13 +387,3 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
                         "kernel_max_det": kernel_det,
                         "comparison": "residual is the cheapest nondegenerate "
                                       "candidate's defect"})
-
-
-def riemann_admissibility_floor(conn: ConnectionProfile, points: Sequence[tuple],
-                                rng: np.random.Generator, n_velocities: int = 40) -> float:
-    """min over (t, r, theta) points of the quadratic-fit residual."""
-    vals = []
-    for (t, r, theta) in points:
-        res = riemann_falsification(conn, t, r, theta, rng, n_velocities)
-        vals.append(res.residual)
-    return min(vals)

@@ -198,6 +198,21 @@ class TestMetrizeCommand:
         assert main(["metrize", cfg_file(FLAT_CFG), "--tol-override", "nonsense",
                      "--quiet"]) == EXIT_USAGE
 
+    def test_tol_override_unknown_name(self, cfg_file, capsys):
+        assert main(["metrize", cfg_file(FLAT_CFG), "--tol-override", "zer0=1",
+                     "--quiet"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "zer0" in err
+        for name in ("zero", "nonzero", "rank_svd", "ricci", "horiz", "lc_roundtrip",
+                     "hessian_det", "berwald", "geodesic"):
+            assert name in err
+
+    def test_grid_side_below_two(self, cfg_file):
+        assert main(["classify", cfg_file(EX1_CFG), "--grid", "1x1",
+                     "--quiet"]) == EXIT_USAGE
+        assert main(["classify", cfg_file(EX1_CFG), "--grid", "5x1",
+                     "--quiet"]) == EXIT_USAGE
+
 
 class TestGeodesicCommand:
     def test_flat_endpoint(self, cfg_file, tmp_path):
@@ -243,3 +258,9 @@ class TestReportCommand:
         names = [c["name"] for c in doc["checks"]["checks"]]
         assert "levi-civita-roundtrip" in names
         assert doc["forms"]["riemann"]["description"]["kind"] == "class-4"
+
+    def test_verify_document_names_verify(self, cfg_file, tmp_path):
+        out = tmp_path / "ver.json"
+        rc = main(["verify", cfg_file(FLAT_CFG), "--json", str(out), "--quiet"])
+        assert rc == EXIT_OK
+        assert json.loads(out.read_text())["command"] == "verify"

@@ -6,9 +6,10 @@ import pytest
 from berwald.geodesic_engine import (ChartExit, Trajectory, integrate_finsler,
                                      integrate_ode, integrate_spray)
 from berwald.geometry_core import ConnectionProfile, TangentPoint
-from berwald.metrizer import build_power_law
+from berwald.metrizer import build_class3, build_power_law
 
 from conftest import default_grid, flat_cartesian, power_law_nonsymmetric
+from generators import make_class3
 
 
 class TestIntegrator:
@@ -104,6 +105,37 @@ class TestFinslerFlow:
         tr_f = integrate_finsler(form, p0, 0.5, 40)
         scale = 1 + np.max(np.abs(tr_a.states))
         assert np.max(np.abs(tr_a.states - tr_f.states)) / scale < 1e-6
+
+    def test_potentials_carried_not_transported(self, ex1):
+        # the scale potential rides in the ODE state: only the start value is
+        # looked up, so the value cache gains at most that one entry
+        conn, form = ex1
+        p0 = TangentPoint(1.0, 2.0, math.pi / 2, 0.0, 0.2, 0.02, 0.01, 0.004)
+        cached = len(form.scale_pot._value_cache)
+        tr_f = integrate_finsler(form, p0, 0.5, 100)
+        assert len(form.scale_pot._value_cache) <= cached + 1
+        tr_a = integrate_spray(conn, p0, 0.5, 100)
+        assert tr_f.states.shape == tr_a.states.shape
+        scale = 1 + np.max(np.abs(tr_a.states))
+        assert np.max(np.abs(tr_a.states - tr_f.states)) / scale < 1e-6
+
+    def test_class3_coupled_potentials(self):
+        # theta = identity: the carried M is advanced at the carried G and K
+        conn, _ = make_class3(101)
+        form, _ = build_class3(conn, default_grid(5), "identity")
+        p0 = TangentPoint(1.5, 1.5, math.pi / 2, 0.0, 1.0, 0.1, 0.05, 0.02)
+        tr_f = integrate_finsler(form, p0, 0.2, 21)
+        tr_a = integrate_spray(conn, p0, 0.2, 21)
+        scale = 1 + np.max(np.abs(tr_a.states))
+        assert np.max(np.abs(tr_a.states - tr_f.states)) / scale < 1e-6
+
+    def test_finsler_chart_exit_reports_chart_state(self, ex1):
+        _, form = ex1
+        p0 = TangentPoint(1.0, 2.0, math.pi / 2, 0.0, 1.0, 0.1, 0.05, 0.02)
+        with pytest.raises(ChartExit) as exc:
+            integrate_finsler(form, p0, 0.5, 21)
+        assert exc.value.state.shape == (8,)
+        assert exc.value.state[1] <= 2e-3
 
     def test_trajectory_text_format(self, ex1):
         conn, _ = ex1
