@@ -2,7 +2,7 @@
 
 Decision pipeline:
 
-1. reject k11/k12 (outside the classified family);
+1. reject non-finite coefficients and k11/k12 (outside the classified family);
 2. establish the w-corner regime (k7, k8, k9, k10 all zero, or k10 generic);
 3. check the algebraic metrizability constraints: in the generic regime the
    three scalar constraints and the six product relations tying the angular
@@ -260,6 +260,8 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     grid = list(grid)
     report = ClassificationReport()
     profiles = {q: curvature_profile(conn, *q) for q in grid}
+    for cp in profiles.values():
+        cp.require_finite()
 
     res = check_finsler_constraints(conn, grid, profiles)
     regime = res.pop("__regime__").at[0]

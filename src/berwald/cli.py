@@ -25,7 +25,7 @@ from .geometry_core import (ConnectionProfile, GeometryError, TangentPoint,
                             sample_tangent_points)
 from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
                        build_class5, build_exponential, build_power_law)
-from .scalar_field import ExpressionError, ScalarField, evaluate, parse
+from .scalar_field import ExpressionError, compile_expression, parse
 from .verifier import (VerificationError, berwald_check, check_hessian,
                        check_homogeneity, check_horizontal_constancy,
                        geodesic_agreement, levi_civita_roundtrip, ResidualReport)
@@ -80,7 +80,7 @@ class JobConfig:
     def predicate(self):
         if not self.requires:
             return None
-        asts = [parse(src) for src in self.requires]
+        fns = [compile_expression(parse(src)) for src in self.requires]
 
         def pred(p: TangentPoint) -> bool:
             env = dict(self.params)
@@ -88,7 +88,7 @@ class JobConfig:
                         "tdot": p.tdot, "rdot": p.rdot, "thetadot": p.thetadot,
                         "phidot": p.phidot})
             try:
-                return all(evaluate(a, env) > 0.0 for a in asts)
+                return all(f(env) > 0.0 for f in fns)
             except ExpressionError:
                 return False
         return pred
@@ -158,6 +158,8 @@ def load_config(path: str) -> JobConfig:
             elif section == "samples":
                 if key == "count":
                     cfg.sample_count = int(value)
+                    if cfg.sample_count < 1:
+                        raise ValueError("sample count must be at least 1")
                 elif key == "seed":
                     cfg.seed = int(value)
                 elif key == "require":

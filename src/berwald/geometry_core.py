@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import Jet2, ScalarField
+from .scalar_field import DomainError, Jet2, ScalarField
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -41,6 +41,10 @@ class K10Degenerate(GeometryError):
 
 class InsufficientSamples(GeometryError):
     pass
+
+
+class NonFiniteData(GeometryError):
+    """A coefficient is infinite, NaN or overflows at a grid node."""
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +194,30 @@ class ConnectionProfile:
         return self.k[i - 1]
 
     def k_jets(self, t: float, r: float) -> list:
-        return [f.jet(t, r) for f in self.k]
+        try:
+            return [f.jet(t, r) for f in self.k]
+        except (DomainError, OverflowError):
+            self._raise_located("jet", t, r)
+            raise
 
     def k_values(self, t: float, r: float) -> np.ndarray:
-        return np.array([f.value(t, r) for f in self.k])
+        try:
+            return np.array([f.value(t, r) for f in self.k])
+        except (DomainError, OverflowError):
+            self._raise_located("value", t, r)
+            raise
+
+    def _raise_located(self, method: str, t: float, r: float):
+        """Raise the failure of the first k_i whose ``method`` fails at
+        (t, r) again, naming the coefficient and the point."""
+        for i, f in enumerate(self.k, start=1):
+            try:
+                getattr(f, method)(t, r)
+            except DomainError as exc:
+                raise DomainError("k%d at (t, r) = (%g, %g): %s" % (i, t, r, exc)) from None
+            except OverflowError as exc:
+                raise NonFiniteData("k%d overflows at (t, r) = (%g, %g): %s"
+                                    % (i, t, r, exc)) from None
 
     def has_angular_rotation(self) -> bool:
         """True when k11 or k12 is structurally present."""
@@ -253,6 +277,14 @@ class CurvatureProfile:
 
     def ricci_asymmetry(self) -> float:
         return self.a[1].value + self.a[4].value + 2.0 * self.a[5].value
+
+    def require_finite(self):
+        """Raise NonFiniteData unless every k_i jet at this point is finite;
+        a non-finite one would reach the bracket SVD."""
+        for i, j in enumerate(self.k_jets, start=1):
+            if not all(map(math.isfinite, (j.value, j.dt, j.dr, j.dtt, j.dtr, j.drr))):
+                raise NonFiniteData("k%d is not finite at (t, r) = (%g, %g): %r"
+                                    % (i, self.t, self.r, j))
 
 
 def curvature_profile(conn: ConnectionProfile, t: float, r: float,

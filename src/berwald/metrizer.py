@@ -14,16 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _gk_quad
 
 from .geometry_core import (ConnectionProfile, CurvatureProfile, Jet1, TangentPoint,
                             W_CORNER_GENERIC, curvature_profile)
 from .geodesic_engine import integrate_ode
 from .multijet import MultiJet, w2_jet
-from .scalar_field import DomainError, Expression, Jet2, evaluate, parse
+from .scalar_field import DomainError, Expression, Jet2, compile_expression, parse
 
 
 class MetrizerError(RuntimeError):
@@ -70,6 +70,9 @@ class GradientNotClosed(NotClosed):
 # Potential transport
 # ---------------------------------------------------------------------------
 
+_TRANSPORT_TOL = 1e-12   # rtol and atol of every transport leg
+
+
 class PotentialSystem:
     """Named scalar quantities defined by one-forms d(psi_i) = P_i dt + Q_i dr.
 
@@ -87,16 +90,13 @@ class PotentialSystem:
     """
 
     def __init__(self, names: Sequence[str], P: Sequence[Callable], Q: Sequence[Callable],
-                 base: tuple, base_values: Sequence[float] | None = None,
-                 rtol: float = 1e-12, atol: float = 1e-12):
+                 base: tuple, base_values: Sequence[float] | None = None):
         self.names = list(names)
         self.P = list(P)
         self.Q = list(Q)
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
                                     else [0.0] * len(self.names), dtype=float)
-        self.rtol = rtol
-        self.atol = atol
         self._value_cache = {self.base: self.base_values.copy()}
         self._keys_t = [self.base[0]]
         self._keys_r = [self.base[1]]
@@ -149,7 +149,7 @@ class PotentialSystem:
         for nodes in (above, below):
             if nodes:
                 states, _ = integrate_ode(rhs, y0, [s0] + nodes,
-                                          rtol=self.rtol, atol=self.atol)
+                                          rtol=_TRANSPORT_TOL, atol=_TRANSPORT_TOL)
                 out.update(zip(nodes, states[1:]))
         return out
 
@@ -224,14 +224,26 @@ class PotentialSystem:
         return path_res
 
 
+def _fd_curl(P, Q, probes) -> float:
+    """max over the probes of |d_t Q - d_r P| by central differences of the
+    plain-value callables P, Q: (t, r) -> float."""
+    h = 1e-5
+    worst = 0.0
+    for (t, r) in probes:
+        qt = (Q(t + h, r) - Q(t - h, r)) / (2 * h)
+        pr = (P(t, r + h) - P(t, r - h)) / (2 * h)
+        worst = max(worst, abs(qt - pr))
+    return worst
+
+
 def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
-                  closed_tol: float = 1e-8, agree_tol: float = 1e-8,
-                  quad_tol: float = 1e-10) -> float:
+                  closed_tol: float = 1e-8, agree_tol: float = 1e-8) -> float:
     """Integral of P dt + Q dr from ``frm`` to ``to`` along the L-shaped path.
 
     P, Q are plain-value callables (t, r) -> float.  Closedness is checked by
-    central differences on the probe set (default: corners and midpoints of
-    the bounding box); the result is certified against the transposed path.
+    central differences on the probe set (default: a 5 x 5 lattice over the
+    bounding box); the value is a `PotentialSystem` transport certified
+    against the transposed path.
     """
     t0, r0 = frm
     t1, r1 = to
@@ -239,27 +251,13 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
         ts = np.linspace(min(t0, t1), max(t0, t1), 5)
         rs = np.linspace(min(r0, r1), max(r0, r1), 5)
         closedness_probes = [(a, b) for a in ts for b in rs]
-    h = 1e-5
-    worst = 0.0
-    for (a, b) in closedness_probes:
-        qt = (Q(a + h, b) - Q(a - h, b)) / (2 * h)
-        pr = (P(a, b + h) - P(a, b - h)) / (2 * h)
-        worst = max(worst, abs(qt - pr))
+    worst = _fd_curl(P, Q, closedness_probes)
     if worst > closed_tol:
         raise NotClosed("one-form not closed: curl residual %.3g > %.3g" % (worst, closed_tol))
-
-    def seg(f, a, b):
-        if a == b:
-            return 0.0
-        val, _err = _gk_quad(f, a, b, epsabs=quad_tol, epsrel=1e-12, limit=200)
-        return val
-
-    first = seg(lambda x: P(x, r0), t0, t1) + seg(lambda y: Q(t1, y), r0, r1)
-    second = seg(lambda y: Q(t0, y), r0, r1) + seg(lambda x: P(x, r1), t0, t1)
-    if abs(first - second) > agree_tol * (1.0 + abs(first)):
-        raise NotClosed("path integral disagrees between leg orders: %.3g vs %.3g"
-                        % (first, second))
-    return first
+    pot = PotentialSystem(["psi"], [lambda t, r, v: Jet1(P(t, r))],
+                          [lambda t, r, v: Jet1(Q(t, r))], frm)
+    pot.certify([to], path_tol=agree_tol, label="path integral", analytic=False)
+    return pot.values(*to)["psi"]
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +280,10 @@ def _uv_jets(conn: ConnectionProfile, p: TangentPoint):
     return u, v
 
 
-class _CurvatureCache:
-    def __init__(self, conn: ConnectionProfile):
-        self.conn = conn
-        self._cache = {}
-
-    def __call__(self, t: float, r: float) -> CurvatureProfile:
-        key = (t, r)
-        cp = self._cache.get(key)
-        if cp is None:
-            cp = curvature_profile(self.conn, t, r)
-            self._cache[key] = cp
-        return cp
+def _curvature_memo(conn: ConnectionProfile):
+    """``(t, r) -> curvature_profile(conn, t, r)`` remembering the last point,
+    which every P_i / Q_i of a potential reads in turn."""
+    return lru_cache(maxsize=1)(partial(curvature_profile, conn))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +376,7 @@ class Class3FinslerForm:
     conn: ConnectionProfile
     scale_pot: PotentialSystem          # components "G", "K", "M"; e^G scales L
     m_shift: float
-    theta_expr: Expression
+    theta: Callable                     # compiled Theta: {"z": arg} -> value
     log_scale: float = 0.0
     tag: str = "class-3"
     domain_floor: float = 1e-6
@@ -407,7 +397,7 @@ class Class3FinslerForm:
         Mj = MultiJet.from_jet2(self.scale_pot.jet2("M", p.t, p.r, vals)) + self.m_shift
         z = v / (u * u)
         arg = z * (-(Gj - 2.0 * Kj)).exp() + Mj
-        theta = evaluate(self.theta_expr, {"z": arg})
+        theta = self.theta({"z": arg})
         if not isinstance(theta, MultiJet):
             theta = MultiJet.constant(theta)
         return (Gj + self.log_scale).exp() * u * u * theta
@@ -422,6 +412,9 @@ class RiemannForm:
 
     Coefficients are (t, r) fields with jets; ``christoffels`` recovers the
     Levi-Civita coefficients in the k-table layout for round-trip checks.
+    A built form carries the builder's potentials as ``scale_pot``; its
+    coefficient fields then also take ``(t, r, vals)`` with the potential
+    values ``vals`` at (t, r), as `integrate_finsler` carries them.
     """
 
     att: Callable[[float, float], Jet2]
@@ -431,16 +424,19 @@ class RiemannForm:
     tag: str = "riemann"
     signature_hint: str = ""
     meta: dict = dc_field(default_factory=dict)
-    scale_pot = None    # jet reads its potentials through the coefficient fields
+    scale_pot: PotentialSystem | None = None
 
     def admissible(self, p: TangentPoint) -> bool:
         return True
 
-    def coefficient_jets(self, t: float, r: float):
-        return self.att(t, r), self.atr(t, r), self.arr(t, r), self.aw(t, r)
+    def coefficient_jets(self, t: float, r: float, vals: dict | None = None):
+        fields = (self.att, self.atr, self.arr, self.aw)
+        if vals is None:
+            return tuple(f(t, r) for f in fields)
+        return tuple(f(t, r, vals) for f in fields)
 
-    def jet(self, p: TangentPoint) -> MultiJet:
-        att, atr, arr, aw = self.coefficient_jets(p.t, p.r)
+    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
+        att, atr, arr, aw = self.coefficient_jets(p.t, p.r, vals)
         _, _, th, td, rd, thd, phd = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
                                                          p.rdot, p.thetadot, p.phidot)
         att_j, atr_j, arr_j, aw_j = (MultiJet.from_jet2(x) for x in (att, atr, arr, aw))
@@ -493,7 +489,7 @@ class RiemannForm:
 
 
 def constant_field(v: float) -> Callable[[float, float], Jet2]:
-    def f(t, r):
+    def f(t, r, vals=None):
         return Jet2(v)
     return f
 
@@ -518,7 +514,7 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
                     lam_var_tol: float = 1e-8) -> PowerLawForm:
     """Class-1 constructor: lambda = F/D (grid-constant), rho = E/D field,
     conformal factor from the (G - lambda Gt, H - lambda Ht) one-form."""
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
     lams = []
     for (t, r) in grid:
         cp = cpc(t, r)
@@ -557,7 +553,7 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
 def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> ExponentialForm:
     """Class-2 constructor: mu = F/E (accepted as a field; the paper's own
     example has mu depending on (t, r)), scale from (G + 2 k4 b mu, H + 2 k6 b mu)."""
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
     for (t, r) in grid:
         cp = cpc(t, r)
         if cp.corner != W_CORNER_GENERIC:
@@ -596,7 +592,7 @@ def _k_jet1(cp: CurvatureProfile, i: int) -> Jet1:
 
 def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> PotentialSystem:
     """G from (G, H), K from (k8, k9), M from the e^{-(G-2K)} b (k4, k6) form."""
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
 
     def P_G(t, r, vals) -> Jet1:
         return cpc(t, r).GH[0]
@@ -674,7 +670,7 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     The Riemannian member is A = v e^{2K} + (e^G M) u^2; the Finsler member
     carries the chosen free function Theta (identity reproduces A exactly).
     """
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
     for (t, r) in grid:
         if cpc(t, r).corner != W_CORNER_GENERIC:
             raise NotClosed("w-corner degenerate at (%g, %g): not a Class-3 input" % (t, r))
@@ -692,8 +688,9 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     a_f, b_f, c_f = conn.field_a(), conn.field_b(), conn.field_c()
 
     def _coeff(which: str):
-        def f(t, r) -> Jet2:
-            vals = pots.values(t, r)
+        def f(t, r, vals=None) -> Jet2:
+            if vals is None:
+                vals = pots.values(t, r)
             Gj = pots.jet2("G", t, r, vals)
             Kj = pots.jet2("K", t, r, vals)
             Mj = pots.jet2("M", t, r, vals) + m_shift
@@ -709,8 +706,9 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
         return f
 
     riemann = RiemannForm(_coeff("att"), _coeff("atr"), _coeff("arr"), _coeff("aw"),
-                          tag="class-3", meta={"m_shift": m_shift, "potentials": pots})
-    finsler = Class3FinslerForm(conn, pots, m_shift, theta_expr)
+                          tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
+                          scale_pot=pots)
+    finsler = Class3FinslerForm(conn, pots, m_shift, compile_expression(theta_expr))
     return finsler, riemann
 
 
@@ -735,7 +733,7 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
         h0, aw_sign = SIGNATURES[signature]
     except KeyError:
         raise ValueError("signature must be one of %s" % list(SIGNATURES))
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
 
     def _k(t, r, i) -> Jet1:
         return _k_jet1(cpc(t, r), i)
@@ -770,13 +768,14 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
                             "tr-corner is not flat" % (res, path_tol))
 
     def _coeff(name: str):
-        def f(t, r) -> Jet2:
-            return pots.jet2(name, t, r)
+        def f(t, r, vals=None) -> Jet2:
+            return pots.jet2(name, t, r, vals)
         return f
 
     return RiemannForm(_coeff("h_tt"), _coeff("h_tr"), _coeff("h_rr"),
                        constant_field(aw_sign), tag="class-4",
-                       signature_hint=signature, meta={"potentials": pots})
+                       signature_hint=signature, meta={"potentials": pots},
+                       scale_pot=pots)
 
 
 def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0,
@@ -791,7 +790,7 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     """
     if C1 == 0.0 or C2 == 0.0:
         raise ValueError("C1 and C2 must be nonzero")
-    cpc = _CurvatureCache(conn)
+    cpc = _curvature_memo(conn)
     worst_sym = 0.0
     scale = 0.0
     for (t, r) in grid:
@@ -844,12 +843,8 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     pot = PotentialSystem(["phi"], [P_phi], [Q_phi], _base_point(grid))
     # closedness by central differences: the one-form's own derivatives would
     # need third derivatives of the k_i, which jets do not carry
-    h = 1e-5
-    worst = 0.0
-    for (t, r) in _grid_probes(grid):
-        qt = (_phi_partial(t + h, r, 1) - _phi_partial(t - h, r, 1)) / (2 * h)
-        pr = (_phi_partial(t, r + h, 0) - _phi_partial(t, r - h, 0)) / (2 * h)
-        worst = max(worst, abs(qt - pr))
+    worst = _fd_curl(lambda t, r: _phi_partial(t, r, 0), lambda t, r: _phi_partial(t, r, 1),
+                     _grid_probes(grid))
     if worst > closed_tol:
         raise GradientNotClosed("recovered gradient of phi is not closed "
                                 "(residual %.3g > %.3g)" % (worst, closed_tol))
@@ -857,9 +852,9 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
                 error_cls=GradientNotClosed)
 
     def _coeff(which: str):
-        def f(t, r) -> Jet2:
+        def f(t, r, vals=None) -> Jet2:
             cp = cpc(t, r)
-            phij = pot.jet2("phi", t, r)
+            phij = pot.jet2("phi", t, r, vals)
             carrier = (-2.0 * Jet1(phij.value, phij.dt, phij.dr)).exp()
             if which == "att":
                 coeff = -1.0 * cp.a[3]
@@ -874,7 +869,7 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     return RiemannForm(_coeff("att"), _coeff("atr"), _coeff("arr"),
                        constant_field(C2), tag="class-5",
                        meta={"potentials": pot, "C1": C1, "C2": C2,
-                             "recovery_velocity": (td, rd)})
+                             "recovery_velocity": (td, rd)}, scale_pot=pot)
 
 
 def class5_det_formula(riemann: RiemannForm, conn: ConnectionProfile,

@@ -281,53 +281,6 @@ def _apply_fn(name: str, x):
     return getattr(x, method)()
 
 
-def evaluate(e: Expression, env: Mapping[str, object]):
-    """Evaluate an AST over any numeric type implementing the jet protocol.
-
-    ``env`` supplies values for variables and parameters; floats, Jet2 and
-    Jet2N all work, which is how every derivative in the package is obtained.
-    """
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Param):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundParameter(e.name) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Call):
-        return _apply_fn(e.fn, evaluate(e.arg, env))
-    if isinstance(e, BinOp):
-        a = evaluate(e.left, env)
-        b = evaluate(e.right, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
-            return a / b
-        if e.op == "^":
-            if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                if float(b).is_integer():
-                    if a == 0.0 and b < 0:
-                        raise DomainError("zero raised to negative power")
-                    return a ** b
-                if a <= 0.0:
-                    raise DomainError("fractional power of non-positive base")
-                return a ** b
-            return a ** b
-    raise TypeError("not an expression node: %r" % (e,))
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
@@ -476,10 +429,11 @@ def parse(source: str) -> Expression:
 
 
 def compile_expression(e: Expression):
-    """Compile an AST into a closure env -> value (same semantics as evaluate).
+    """Compile an AST into a closure env -> value, the package's one evaluator.
 
-    Shared by ScalarField for repeated evaluation; the generic ``evaluate``
-    remains the reference implementation.
+    ``env`` supplies values for variables and parameters; floats, Jet2 and
+    MultiJet all work, which is how every derivative in the package is
+    obtained.  Compile once and call the closure per sample.
     """
     if isinstance(e, Num):
         v = e.value
@@ -535,6 +489,10 @@ def compile_expression(e: Expression):
                 return a ** b
             return pw
     raise TypeError("not an expression node: %r" % (e,))
+
+
+def evaluate(e: Expression, env: Mapping[str, object]):
+    return compile_expression(e)(env)
 
 
 def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression:
@@ -610,13 +568,7 @@ def to_source(e: Expression) -> str:
 # ---------------------------------------------------------------------------
 
 def eval_jet2(e: Expression, t: float, r: float, params: Mapping[str, float]) -> Jet2:
-    env = dict(params)
-    env["t"] = Jet2.var_t(t)
-    env["r"] = Jet2.var_r(r)
-    out = evaluate(e, env)
-    if not isinstance(out, Jet2):
-        out = Jet2(out)
-    return out
+    return ScalarField(e, params).jet(t, r)
 
 
 class ScalarField:

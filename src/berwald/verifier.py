@@ -307,9 +307,9 @@ def _sym_matrix(x: np.ndarray) -> np.ndarray:
 
 
 def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: float,
-                          rng: np.random.Generator, n_velocities: int = 40,
-                          floor: float = 1e-3, det_tol: float = 1e-6,
-                          name: str = "quadratic-fit-floor") -> CheckResult:
+                          rng: np.random.Generator, floor: float = 1e-3,
+                          det_tol: float = 1e-6, name: str = "quadratic-fit-floor"
+                          ) -> CheckResult:
     """Least-squares evidence that no nondegenerate quadratic form survives the
     pointwise integrability constraints.
 
@@ -322,9 +322,7 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
     residual above the threshold.  Metrizable connections put the true metric
     itself in the kernel and drive the reported residual to zero.
 
-    ``passed`` is True when falsification is established; ``n_velocities`` is
-    kept for interface stability (the tensor extraction has replaced velocity
-    sampling).
+    ``passed`` is True when falsification is established.
     """
     tensors = _bracket_coefficient_tensors(conn, t, r, theta)
     rows = []

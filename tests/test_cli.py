@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import berwald
 from berwald.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE,
                          ConfigError, load_config, main)
 
@@ -101,6 +105,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(cfg_file("[connection]\nk13 = 1\n"))
 
+    def test_sample_count_below_one(self, cfg_file):
+        with pytest.raises(ConfigError) as exc:
+            load_config(cfg_file("[samples]\nseed = 3\ncount = 0\n"))
+        assert exc.value.line_no == 3
+        assert "count" in str(exc.value)
+
     def test_predicate(self, cfg_file):
         cfg = load_config(cfg_file(EX1_CFG))
         pred = cfg.predicate()
@@ -136,6 +146,23 @@ class TestClassifyCommand:
         rc = main(["classify", cfg_file("[connection]\nk11 = 1\n")])
         assert rc == EXIT_FAIL
         assert "UnsupportedConnection" in capsys.readouterr().err
+
+    def test_singular_coefficient_is_located(self, cfg_file, capsys):
+        rc = main(["classify", cfg_file("[connection]\nk2 = 1/(r-1.5)\n[grid]\n"
+                                        "t = 0.5:2.5:5\nr = 0.5:2.5:5\n"), "--quiet"])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert "k2 at (t, r) = (0.5, 1.5): division by zero" in err
+
+    def test_non_finite_coefficient_is_typed(self, cfg_file, capsys):
+        rc = main(["classify", cfg_file(EX1_CFG.replace("alpha = 3", "alpha = 1e308")),
+                   "--quiet"])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("NonFiniteData: k1 is not finite at (t, r) = (0.5, 0.5)")
+        rc = main(["classify", cfg_file("[connection]\nk1 = exp(1000*t)\n"), "--quiet"])
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().err.startswith("NonFiniteData: k1 overflows at (t, r)")
 
     def test_usage_error(self, cfg_file):
         with pytest.raises(SystemExit) as exc:
@@ -264,3 +291,12 @@ class TestReportCommand:
         rc = main(["verify", cfg_file(FLAT_CFG), "--json", str(out), "--quiet"])
         assert rc == EXIT_OK
         assert json.loads(out.read_text())["command"] == "verify"
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berwald.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, berwald.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from berwald.geodesic_engine import integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    sample_tangent_points)
 from berwald.metrizer import (RiemannForm, build_class3, build_class4, build_class5,
@@ -158,6 +159,17 @@ class TestGeodesicAgreement:
         res = geodesic_agreement(A, conn, p0, T=1.0)
         assert res.passed
         assert res.extra["trajectory_discrepancy"] < 1e-9
+
+    def test_class4_flow_carries_its_potentials(self, forms):
+        # the flat metric h rides in the ODE state: the Euler-Lagrange flow
+        # reads the value cache at the start point only
+        conn, A = forms["flat"]
+        cached = len(A.scale_pot._value_cache)
+        p0 = TangentPoint(1.0, 1.0, math.pi / 2, 0.0, 1.0, 0.5, 0.0, 0.0)
+        tr_f = integrate_finsler(A, p0, 1.0, 100)
+        assert len(A.scale_pot._value_cache) <= cached + 1
+        tr_a = integrate_spray(conn, p0, 1.0, 100)
+        assert float(np.max(np.abs(tr_f.states - tr_a.states))) < 1e-9
 
     def test_power_law_dual_integrators(self, forms):
         conn, form = forms["ex1"]
