@@ -128,9 +128,6 @@ class Trajectory:
     rejected_steps: int
     max_error_estimate: float
 
-    def point(self, i: int) -> TangentPoint:
-        return TangentPoint(*self.states[i])
-
     def to_text(self) -> str:
         header = "s t r theta phi tdot rdot thetadot phidot"
         rows = [header]
@@ -139,19 +136,22 @@ class Trajectory:
         return "\n".join(rows) + "\n"
 
 
-def _guard(state, r_min: float, sin_min: float):
+_R_MIN = 1e-3     # the chart ends at r < _R_MIN ...
+_SIN_MIN = 1e-3   # ... and at |sin(theta)| < _SIN_MIN
+
+
+def _guard(state):
     r = state[1]
     th = state[2]
-    if r < r_min:
-        return "r < %g" % r_min
-    if abs(math.sin(th)) < sin_min:
-        return "sin(theta) < %g" % sin_min
+    if r < _R_MIN:
+        return "r < %g" % _R_MIN
+    if abs(math.sin(th)) < _SIN_MIN:
+        return "sin(theta) < %g" % _SIN_MIN
     return None
 
 
 def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
-                    n_out: int = 100, rtol: float = 1e-10, atol: float = 1e-10,
-                    r_min: float = 1e-3, sin_min: float = 1e-3) -> Trajectory:
+                    n_out: int = 100) -> Trajectory:
     """Autoparallels of the connection: xddot^a = -2 G^a(x, xdot)."""
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
@@ -159,7 +159,7 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
         raise ValueError("T must be nonzero")
 
     def rhs(s, y):
-        reason = _guard(y, r_min, sin_min)
+        reason = _guard(y)
         if reason is not None:
             raise ChartExit(s, y, reason)
         p = TangentPoint(*y)
@@ -167,7 +167,7 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
         return np.concatenate([y[4:], -2.0 * np.asarray(G)])
 
     s_eval = np.linspace(0.0, T, n_out)
-    states, stats = integrate_ode(rhs, p0.state(), s_eval, rtol, atol)
+    states, stats = integrate_ode(rhs, p0.state(), s_eval)
     return Trajectory(s_eval, states, stats.steps, stats.rejected, stats.max_error_estimate)
 
 
@@ -186,9 +186,7 @@ def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> np.nd
     return 0.25 * np.linalg.solve(gmat, rhs)
 
 
-def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100,
-                      rtol: float = 1e-10, atol: float = 1e-10,
-                      r_min: float = 1e-3, sin_min: float = 1e-3) -> Trajectory:
+def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100) -> Trajectory:
     """Euler-Lagrange flow of a pseudo-Finsler function L.
 
     The potentials that L reads (``evaluator.scale_pot``, a PotentialSystem,
@@ -209,7 +207,7 @@ def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100,
 
     def rhs(s, y):
         x = y[:8]
-        reason = _guard(x, r_min, sin_min)
+        reason = _guard(x)
         if reason is not None:
             raise ChartExit(s, x, reason)
         p = TangentPoint(*x)
@@ -219,6 +217,6 @@ def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100,
         return np.concatenate([x[4:], -2.0 * G, dpsi])
 
     s_eval = np.linspace(0.0, T, n_out)
-    states, stats = integrate_ode(rhs, y0, s_eval, rtol, atol)
+    states, stats = integrate_ode(rhs, y0, s_eval)
     return Trajectory(s_eval, states[:, :8], stats.steps, stats.rejected,
                       stats.max_error_estimate)

@@ -21,10 +21,14 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, Jet2, ScalarField
+from .scalar_field import DomainError, Jet2, JetRules, ScalarField
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
+
+_CORNER_TOL = 1e-10   # a k_i below this times (1 + max |k_i|) counts as zero
+_MIN_SAMPLES = 20     # fewest admissible samples a holonomy rank is read from
+_MAX_TRIES = 20000    # sample draws before a too-strict predicate is reported
 
 
 class GeometryError(ValueError):
@@ -51,7 +55,7 @@ class NonFiniteData(GeometryError):
 # First-order jets of derived coefficients (value + d/dt + d/dr)
 # ---------------------------------------------------------------------------
 
-class Jet1:
+class Jet1(JetRules):
     """Value with first (t, r)-partials; the order curvature coefficients carry."""
 
     __slots__ = ("value", "dt", "dr")
@@ -65,6 +69,9 @@ class Jet1:
     def _lift(x):
         return x if isinstance(x, Jet1) else Jet1(x)
 
+    def _is_constant(self) -> bool:
+        return self.dt == self.dr == 0.0
+
     def __add__(self, o):
         o = self._lift(o)
         return Jet1(self.value + o.value, self.dt + o.dt, self.dr + o.dr)
@@ -74,12 +81,6 @@ class Jet1:
     def __neg__(self):
         return Jet1(-self.value, -self.dt, -self.dr)
 
-    def __sub__(self, o):
-        return self + (-self._lift(o))
-
-    def __rsub__(self, o):
-        return (-self) + o
-
     def __mul__(self, o):
         o = self._lift(o)
         return Jet1(self.value * o.value,
@@ -88,20 +89,16 @@ class Jet1:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, o):
-        o = self._lift(o)
-        v = o.value
+    def _compose(self, v, d1, d2):
+        return Jet1(v, d1 * self.dt, d1 * self.dr)
+
+    def reciprocal(self):
+        # -dt / v^2 rather than the shared (-1 / v^2) * dt: the curvature
+        # jets and every output built on them keep their last-bit rounding
+        v = self.value
         if v == 0.0:
-            raise ZeroDivisionError("Jet1 division by zero")
-        inv = Jet1(1.0 / v, -o.dt / v ** 2, -o.dr / v ** 2)
-        return self * inv
-
-    def __rtruediv__(self, o):
-        return self._lift(o) / self
-
-    def exp(self):
-        e = math.exp(self.value)
-        return Jet1(e, e * self.dt, e * self.dr)
+            raise DomainError("division by zero")
+        return Jet1(1.0 / v, -self.dt / v ** 2, -self.dr / v ** 2)
 
     def __repr__(self):
         return "Jet1(%g; dt=%g, dr=%g)" % (self.value, self.dt, self.dr)
@@ -152,25 +149,18 @@ class TangentPoint:
     def w2(self) -> float:
         return self.thetadot ** 2 + self.phidot ** 2 * math.sin(self.theta) ** 2
 
-    @staticmethod
-    def from_state(state: Sequence[float]) -> "TangentPoint":
-        return TangentPoint(*state)
-
     def state(self) -> np.ndarray:
         return np.array([self.t, self.r, self.theta, self.phi,
                          self.tdot, self.rdot, self.thetadot, self.phidot])
 
 
-_K_ROLES = (
-    "Gamma^t_tt", "Gamma^t_tr", "Gamma^t_rr", "Gamma^r_tt", "Gamma^r_rr",
-    "Gamma^r_tr", "Gamma^t_thth", "Gamma^ph_pht", "Gamma^ph_phr",
-    "Gamma^r_thth", "sin(th)*Gamma^ph_tth", "sin(th)*Gamma^ph_rth")
-
-
 class ConnectionProfile:
     """The twelve k_i(t, r) of an SO(3)-invariant torsion-free connection.
 
-    Missing entries default to the zero field.  Keys of ``fields`` are 1..12.
+    Missing entries default to the zero field.  Keys of ``fields`` are 1..12;
+    k1..k12 are Gamma^t_tt, Gamma^t_tr, Gamma^t_rr, Gamma^r_tt, Gamma^r_rr,
+    Gamma^r_tr, Gamma^t_thth, Gamma^ph_pht, Gamma^ph_phr, Gamma^r_thth,
+    sin(th) Gamma^ph_tth and sin(th) Gamma^ph_rth (see `christoffel_table`).
     """
 
     def __init__(self, fields: Mapping[int, object], params: Mapping[str, float] | None = None):
@@ -287,8 +277,7 @@ class CurvatureProfile:
                                     % (i, self.t, self.r, j))
 
 
-def curvature_profile(conn: ConnectionProfile, t: float, r: float,
-                      corner_tol: float = 1e-10) -> CurvatureProfile:
+def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureProfile:
     """All fourteen a_i with first partials, plus (a, b, c), (D, E, F), (G, ...).
 
     The w-corner marker records whether (a, b, c) are defined at this point:
@@ -319,9 +308,9 @@ def curvature_profile(conn: ConnectionProfile, t: float, r: float,
 
     kscale = 1.0 + max(abs(kj[i].value) for i in range(12))
     wvals = [abs(k[i].value) for i in (7, 8, 9, 10)]
-    if max(wvals) <= corner_tol * kscale:
+    if max(wvals) <= _CORNER_TOL * kscale:
         corner = W_CORNER_ZERO
-    elif abs(k[10].value) <= corner_tol * kscale:
+    elif abs(k[10].value) <= _CORNER_TOL * kscale:
         corner = W_CORNER_K10_DEGENERATE
     else:
         corner = W_CORNER_GENERIC
@@ -523,22 +512,22 @@ def numeric_rank(mat: np.ndarray, tol: float = 1e-8) -> int:
 
 
 def vertical_holonomy_rank(conn: ConnectionProfile, samples: Sequence[TangentPoint],
-                           tol: float = 1e-8, min_samples: int = 20) -> int:
+                           tol: float = 1e-8) -> int:
     """Max over samples of the rank of the stacked depth-2 bracket components.
 
     The algebraic cap of 3 holds for any Finsler-metrizable connection; the
     raw rank is available through `holonomy_rank_details`.
     """
-    rank, _raw, _per = holonomy_rank_details(conn, samples, tol, min_samples)
+    rank, _raw, _per = holonomy_rank_details(conn, samples, tol)
     return rank
 
 
 def holonomy_rank_details(conn: ConnectionProfile, samples: Sequence[TangentPoint],
-                          tol: float = 1e-8, min_samples: int = 20):
+                          tol: float = 1e-8):
     samples = list(samples)
-    if len(samples) < min_samples:
+    if len(samples) < _MIN_SAMPLES:
         raise InsufficientSamples(
-            "need at least %d admissible samples, got %d" % (min_samples, len(samples)))
+            "need at least %d admissible samples, got %d" % (_MIN_SAMPLES, len(samples)))
     per = []
     cp_cache = {}
     for p in samples:
@@ -556,14 +545,14 @@ def holonomy_rank_details(conn: ConnectionProfile, samples: Sequence[TangentPoin
 # ---------------------------------------------------------------------------
 
 def sample_tangent_points(rng: np.random.Generator, t_range: tuple, r_range: tuple,
-                          n: int, predicate=None, max_tries: int = 20000) -> list:
+                          n: int, predicate=None) -> list:
     """Random admissible points: tdot > 0, sin(theta) in [0.2, 0.98],
     velocity components in [-2, 2]; an optional predicate filters further."""
     pts = []
     tries = 0
     while len(pts) < n:
         tries += 1
-        if tries > max_tries:
+        if tries > _MAX_TRIES:
             raise InsufficientSamples("predicate rejected too many samples")
         t = rng.uniform(*t_range)
         r = rng.uniform(*r_range)

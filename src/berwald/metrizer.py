@@ -290,6 +290,9 @@ def _curvature_memo(conn: ConnectionProfile):
 # Finsler forms
 # ---------------------------------------------------------------------------
 
+_DOMAIN_FLOOR = 1e-6   # admissible(): |u| (u and the power-law base) above it
+
+
 @dataclass
 class PowerLawForm:
     """L = theta(t,r) u^{2-2 lambda} (v + rho u^2)^lambda (Class 1)."""
@@ -300,7 +303,6 @@ class PowerLawForm:
     scale_pot: PotentialSystem          # theta = exp(psi)
     log_scale: float = 0.0
     tag: str = "power-law"
-    domain_floor: float = 1e-6
 
     def _pieces(self, p: TangentPoint):
         u, v = _uv_jets(self.conn, p)
@@ -311,9 +313,9 @@ class PowerLawForm:
     def admissible(self, p: TangentPoint) -> bool:
         try:
             u, base = self._pieces(p)
-        except (DomainError, ZeroDivisionError):
+        except DomainError:
             return False
-        return u.value > self.domain_floor and base.value > self.domain_floor
+        return u.value > _DOMAIN_FLOOR and base.value > _DOMAIN_FLOOR
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, base = self._pieces(p)
@@ -324,7 +326,7 @@ class PowerLawForm:
         if c <= 0.0:
             raise ValueError("scale must be positive")
         return PowerLawForm(self.conn, self.lam, self.rho, self.scale_pot,
-                            self.log_scale + math.log(c), self.tag, self.domain_floor)
+                            self.log_scale + math.log(c), self.tag)
 
     def describe(self) -> dict:
         return {"kind": self.tag, "lambda": self.lam,
@@ -340,14 +342,13 @@ class ExponentialForm:
     scale_pot: PotentialSystem          # phi = exp(psi)
     log_scale: float = 0.0
     tag: str = "exponential"
-    domain_floor: float = 1e-6
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
             u, _ = _uv_jets(self.conn, p)
-        except (DomainError, ZeroDivisionError):
+        except DomainError:
             return False
-        return abs(u.value) > self.domain_floor
+        return abs(u.value) > _DOMAIN_FLOOR
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
@@ -359,7 +360,7 @@ class ExponentialForm:
         if c <= 0.0:
             raise ValueError("scale must be positive")
         return ExponentialForm(self.conn, self.mu, self.scale_pot,
-                               self.log_scale + math.log(c), self.tag, self.domain_floor)
+                               self.log_scale + math.log(c), self.tag)
 
     def describe(self) -> dict:
         return {"kind": self.tag,
@@ -379,14 +380,13 @@ class Class3FinslerForm:
     theta: Callable                     # compiled Theta: {"z": arg} -> value
     log_scale: float = 0.0
     tag: str = "class-3"
-    domain_floor: float = 1e-6
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
             u, _ = _uv_jets(self.conn, p)
-        except (DomainError, ZeroDivisionError):
+        except DomainError:
             return False
-        return abs(u.value) > self.domain_floor
+        return abs(u.value) > _DOMAIN_FLOOR
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
@@ -397,9 +397,7 @@ class Class3FinslerForm:
         Mj = MultiJet.from_jet2(self.scale_pot.jet2("M", p.t, p.r, vals)) + self.m_shift
         z = v / (u * u)
         arg = z * (-(Gj - 2.0 * Kj)).exp() + Mj
-        theta = self.theta({"z": arg})
-        if not isinstance(theta, MultiJet):
-            theta = MultiJet.constant(theta)
+        theta = MultiJet._lift(self.theta({"z": arg}))
         return (Gj + self.log_scale).exp() * u * u * theta
 
     def describe(self) -> dict:
@@ -687,22 +685,24 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
 
     a_f, b_f, c_f = conn.field_a(), conn.field_b(), conn.field_c()
 
+    @lru_cache(maxsize=1)
+    def _coeffs(t, r, key) -> dict:
+        """The four coefficient jets at (t, r) and potential values ``key``
+        (``pots.names`` order; None: transported), read in turn."""
+        vals = pots.values(t, r) if key is None else dict(zip(pots.names, key))
+        Gj = pots.jet2("G", t, r, vals)
+        Kj = pots.jet2("K", t, r, vals)
+        Mj = pots.jet2("M", t, r, vals) + m_shift
+        eg_m = Gj.exp() * Mj
+        e2k = (2.0 * Kj).exp()
+        aj = a_f.jet(t, r)
+        return {"att": eg_m, "atr": b_f.jet(t, r) * e2k - aj * eg_m,
+                "arr": c_f.jet(t, r) * e2k + aj * aj * eg_m, "aw": -e2k}
+
     def _coeff(which: str):
         def f(t, r, vals=None) -> Jet2:
-            if vals is None:
-                vals = pots.values(t, r)
-            Gj = pots.jet2("G", t, r, vals)
-            Kj = pots.jet2("K", t, r, vals)
-            Mj = pots.jet2("M", t, r, vals) + m_shift
-            eg_m = Gj.exp() * Mj
-            e2k = (2.0 * Kj).exp()
-            if which == "att":
-                return eg_m
-            if which == "atr":
-                return b_f.jet(t, r) * e2k - a_f.jet(t, r) * eg_m
-            if which == "arr":
-                return c_f.jet(t, r) * e2k + a_f.jet(t, r) * a_f.jet(t, r) * eg_m
-            return -e2k
+            key = None if vals is None else tuple(vals[n] for n in pots.names)
+            return _coeffs(t, r, key)[which]
         return f
 
     riemann = RiemannForm(_coeff("att"), _coeff("atr"), _coeff("arr"), _coeff("aw"),

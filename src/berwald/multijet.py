@@ -10,19 +10,19 @@ tangent bundle can depend on::
 quantities out of MultiJet arithmetic, so vertical Hessians, mixed
 horizontal/vertical derivatives and horizontal gradients are exact.
 
-Second partials with respect to (t, r) of interpolated/integrated scale
-fields are not always available; lifting such a field marks the pure
-(t, r)-Hessian entries as best-effort (they are used by no check in the
-package; see `from_jet2`).
+MultiJet stores the gradient and Hessian as numpy arrays and defines only
+the ring operations and the chain rule ``_compose``; division, powers, the
+function basis and their domain checks are the shared rules of
+`scalar_field.JetRules`.  ``abs`` at zero raises `DomainError`: a MultiJet
+does not record kinks.  (t, r)-fields enter through `from_jet2`, which places
+a `Jet2` in the slots IT, IR.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .scalar_field import DomainError, Jet2
+from .scalar_field import Jet2, JetRules
 
 VARS = ("t", "r", "theta", "tdot", "rdot", "thetadot", "phidot")
 NVARS = len(VARS)
@@ -30,7 +30,7 @@ IT, IR, ITH, IDT, IDR, IDTH, IDPH = range(NVARS)
 VERTICAL = (IDT, IDR, IDTH, IDPH)
 
 
-class MultiJet:
+class MultiJet(JetRules):
     __slots__ = ("value", "g", "H")
 
     def __init__(self, value: float, g=None, H=None):
@@ -39,10 +39,6 @@ class MultiJet:
         self.H = np.zeros((NVARS, NVARS)) if H is None else H
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def constant(v: float) -> "MultiJet":
-        return MultiJet(v)
 
     @staticmethod
     def variable(i: int, v: float) -> "MultiJet":
@@ -84,12 +80,6 @@ class MultiJet:
     def __neg__(self):
         return MultiJet(-self.value, -self.g, -self.H)
 
-    def __sub__(self, o):
-        return self + (-self._lift(o))
-
-    def __rsub__(self, o):
-        return (-self) + o
-
     def __mul__(self, o):
         o = self._lift(o)
         outer = np.outer(self.g, o.g)
@@ -103,81 +93,8 @@ class MultiJet:
     def _compose(self, v, d1, d2):
         return MultiJet(v, d1 * self.g, d1 * self.H + d2 * np.outer(self.g, self.g))
 
-    def reciprocal(self):
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division by zero")
-        return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-
-    def __truediv__(self, o):
-        return self * self._lift(o).reciprocal()
-
-    def __rtruediv__(self, o):
-        return self.reciprocal() * o
-
-    def __pow__(self, p):
-        if isinstance(p, MultiJet):
-            if not p.g.any() and not p.H.any():
-                p = p.value
-            else:
-                return (self.ln() * p).exp()
-        if isinstance(p, (int, float)) and float(p).is_integer():
-            n = int(p)
-            v = self.value
-            if n == 0:
-                return MultiJet(1.0)
-            if v == 0.0 and n < 0:
-                raise DomainError("zero raised to negative power")
-            d1 = n * v ** (n - 1) if (v != 0.0 or n >= 1) else 0.0
-            d2 = n * (n - 1) * v ** (n - 2) if (v != 0.0 or n >= 2) else 0.0
-            return self._compose(v ** n, d1, d2)
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("fractional power of non-positive base")
-        return self._compose(v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
-
-    def __rpow__(self, base):
-        return MultiJet(base) ** self
-
-    # -- function basis -----------------------------------------------------
-
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c)
-
-    def tan(self):
-        v = math.tan(self.value)
-        u1 = 1.0 + v * v
-        return self._compose(v, u1, 2.0 * v * u1)
-
-    def exp(self):
-        v = math.exp(self.value)
-        return self._compose(v, v, v)
-
-    def ln(self):
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("ln of non-positive value")
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2)
-
-    def sqrt(self):
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("sqrt of non-positive value")
-        s = math.sqrt(v)
-        return self._compose(s, 0.5 / s, -0.25 / (s * v))
-
-    def absval(self):
-        v = self.value
-        if v > 0.0:
-            return self._compose(v, 1.0, 0.0)
-        if v < 0.0:
-            return self._compose(-v, -1.0, 0.0)
-        raise DomainError("abs jet on the kink set")
+    def _is_constant(self) -> bool:
+        return not self.g.any() and not self.H.any()
 
     # -- extraction helpers --------------------------------------------------
 

@@ -4,8 +4,9 @@ Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
 immutable AST and evaluated either on plain floats or on truncated second-order
 jets (`Jet2`), which carry a value together with its first and second partial
 derivatives with respect to t and r.  Jet arithmetic implements the usual
-forward-mode rules, so derivatives of any parsed expression are exact for the
-supported function basis (no finite differencing).
+forward-mode rules, written once in `JetRules` for all three jet types, so
+derivatives of any parsed expression are exact for the supported function
+basis (no finite differencing).
 """
 
 from __future__ import annotations
@@ -48,96 +49,29 @@ class DomainError(ExpressionError):
     """Evaluation left the domain of a basis function (ln/sqrt/division)."""
 
 
-# ---------------------------------------------------------------------------
-# Second-order jets in (t, r)
-# ---------------------------------------------------------------------------
+class JetRules:
+    """Forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
+    Derivatives*, ch. 13) shared by `Jet2`, `MultiJet` and `Jet1`.
 
-class Jet2:
-    """Value plus first and second partials with respect to (t, r).
-
-    The ``kink`` flag records that the value passed through the corner of
-    ``abs`` at zero, where the returned derivative (zero) is a convention
-    rather than a limit.
+    A jet type supplies its storage, ``_lift`` (number -> constant jet), ``+``,
+    unary ``-``, ``*``, ``_is_constant()`` and the chain rule ``_compose(v, d1,
+    d2)``: the jet of f(self) where f, f', f'' are v, d1, d2 at ``self.value``.
+    Division, powers and the function basis, domain checks included, are here.
     """
 
-    __slots__ = ("value", "dt", "dr", "dtt", "dtr", "drr", "kink")
+    __slots__ = ()
 
-    def __init__(self, value, dt=0.0, dr=0.0, dtt=0.0, dtr=0.0, drr=0.0, kink=False):
-        self.value = float(value)
-        self.dt = float(dt)
-        self.dr = float(dr)
-        self.dtt = float(dtt)
-        self.dtr = float(dtr)
-        self.drr = float(drr)
-        self.kink = bool(kink)
-
-    @staticmethod
-    def constant(v) -> "Jet2":
-        return Jet2(v)
-
-    @staticmethod
-    def var_t(v) -> "Jet2":
-        return Jet2(v, dt=1.0)
-
-    @staticmethod
-    def var_r(v) -> "Jet2":
-        return Jet2(v, dr=1.0)
-
-    def __repr__(self):
-        return "Jet2(%g; dt=%g, dr=%g; dtt=%g, dtr=%g, drr=%g%s)" % (
-            self.value, self.dt, self.dr, self.dtt, self.dtr, self.drr,
-            ", kink" if self.kink else "")
-
-    # -- arithmetic ---------------------------------------------------------
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Jet2):
-            return x
-        return Jet2(x)
-
-    def __add__(self, o):
-        o = self._lift(o)
-        return Jet2(self.value + o.value, self.dt + o.dt, self.dr + o.dr,
-                    self.dtt + o.dtt, self.dtr + o.dtr, self.drr + o.drr,
-                    self.kink or o.kink)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.dt, -self.dr, -self.dtt, -self.dtr,
-                    -self.drr, self.kink)
+    def _constant(self, v, kink=False):
+        """The constant v; only `Jet2` can mark the corner of ``abs`` (kink)."""
+        if kink:
+            raise DomainError("abs jet on the kink set")
+        return self._lift(v)
 
     def __sub__(self, o):
         return self + (-self._lift(o))
 
     def __rsub__(self, o):
         return (-self) + o
-
-    def __mul__(self, o):
-        o = self._lift(o)
-        a, b = self, o
-        return Jet2(
-            a.value * b.value,
-            a.dt * b.value + a.value * b.dt,
-            a.dr * b.value + a.value * b.dr,
-            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
-            a.dtr * b.value + a.dt * b.dr + a.dr * b.dt + a.value * b.dtr,
-            a.drr * b.value + 2.0 * a.dr * b.dr + a.value * b.drr,
-            a.kink or b.kink)
-
-    __rmul__ = __mul__
-
-    def _compose(self, v, d1, d2):
-        """Chain rule for a scalar function with derivatives d1, d2 at self.value."""
-        return Jet2(
-            v,
-            d1 * self.dt,
-            d1 * self.dr,
-            d2 * self.dt * self.dt + d1 * self.dtt,
-            d2 * self.dt * self.dr + d1 * self.dtr,
-            d2 * self.dr * self.dr + d1 * self.drr,
-            self.kink)
 
     def reciprocal(self):
         v = self.value
@@ -152,27 +86,25 @@ class Jet2:
         return self.reciprocal() * o
 
     def __pow__(self, p):
-        if isinstance(p, Jet2):
-            if p.dt == p.dr == p.dtt == p.dtr == p.drr == 0.0:
-                p = p.value
-            else:
+        if isinstance(p, JetRules):
+            if not p._is_constant():
                 return (self.ln() * p).exp()
+            p = p.value
+        v = self.value
         if isinstance(p, (int, float)) and float(p).is_integer():
             n = int(p)
-            v = self.value
             if n == 0:
-                return Jet2(1.0, kink=self.kink)
+                return self._constant(1.0)
             if v == 0.0 and n < 0:
                 raise DomainError("zero raised to negative power")
             return self._compose(v ** n, n * v ** (n - 1) if (v != 0.0 or n >= 1) else 0.0,
                                  n * (n - 1) * v ** (n - 2) if (v != 0.0 or n >= 2) else 0.0)
-        v = self.value
         if v <= 0.0:
             raise DomainError("fractional power of non-positive base")
         return self._compose(v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
 
     def __rpow__(self, base):
-        return Jet2(base) ** self
+        return self._lift(base) ** self
 
     # -- function basis -----------------------------------------------------
 
@@ -214,7 +146,92 @@ class Jet2:
             return self._compose(v, 1.0, 0.0)
         if v < 0.0:
             return self._compose(-v, -1.0, 0.0)
-        return Jet2(0.0, kink=True)
+        return self._constant(0.0, kink=True)
+
+
+# ---------------------------------------------------------------------------
+# Second-order jets in (t, r)
+# ---------------------------------------------------------------------------
+
+class Jet2(JetRules):
+    """Value plus first and second partials with respect to (t, r).
+
+    The ``kink`` flag records that the value passed through the corner of
+    ``abs`` at zero, where the returned derivative (zero) is a convention
+    rather than a limit.
+    """
+
+    __slots__ = ("value", "dt", "dr", "dtt", "dtr", "drr", "kink")
+
+    def __init__(self, value, dt=0.0, dr=0.0, dtt=0.0, dtr=0.0, drr=0.0, kink=False):
+        self.value = float(value)
+        self.dt = float(dt)
+        self.dr = float(dr)
+        self.dtt = float(dtt)
+        self.dtr = float(dtr)
+        self.drr = float(drr)
+        self.kink = bool(kink)
+
+    @staticmethod
+    def var_t(v) -> "Jet2":
+        return Jet2(v, dt=1.0)
+
+    @staticmethod
+    def var_r(v) -> "Jet2":
+        return Jet2(v, dr=1.0)
+
+    def __repr__(self):
+        return "Jet2(%g; dt=%g, dr=%g; dtt=%g, dtr=%g, drr=%g%s)" % (
+            self.value, self.dt, self.dr, self.dtt, self.dtr, self.drr,
+            ", kink" if self.kink else "")
+
+    @staticmethod
+    def _lift(x):
+        if isinstance(x, Jet2):
+            return x
+        return Jet2(x)
+
+    def _constant(self, v, kink=False):
+        return Jet2(v, kink=kink or self.kink)
+
+    def _is_constant(self) -> bool:
+        return self.dt == self.dr == self.dtt == self.dtr == self.drr == 0.0
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return Jet2(self.value + o.value, self.dt + o.dt, self.dr + o.dr,
+                    self.dtt + o.dtt, self.dtr + o.dtr, self.drr + o.drr,
+                    self.kink or o.kink)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(-self.value, -self.dt, -self.dr, -self.dtt, -self.dtr,
+                    -self.drr, self.kink)
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        a, b = self, o
+        return Jet2(
+            a.value * b.value,
+            a.dt * b.value + a.value * b.dt,
+            a.dr * b.value + a.value * b.dr,
+            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
+            a.dtr * b.value + a.dt * b.dr + a.dr * b.dt + a.value * b.dtr,
+            a.drr * b.value + 2.0 * a.dr * b.dr + a.value * b.drr,
+            a.kink or b.kink)
+
+    __rmul__ = __mul__
+
+    def _compose(self, v, d1, d2):
+        return Jet2(
+            v,
+            d1 * self.dt,
+            d1 * self.dr,
+            d2 * self.dt * self.dt + d1 * self.dtt,
+            d2 * self.dt * self.dr + d1 * self.dtr,
+            d2 * self.dr * self.dr + d1 * self.drr,
+            self.kink)
 
 
 # ---------------------------------------------------------------------------
@@ -608,10 +625,7 @@ class ScalarField:
         env = dict(self.params)
         env["t"] = Jet2.var_t(t)
         env["r"] = Jet2.var_r(r)
-        out = self._fn(env)
-        if not isinstance(out, Jet2):
-            out = Jet2(out)
-        return out
+        return Jet2._lift(self._fn(env))
 
     def source(self) -> str:
         return to_source(self.expr)

@@ -218,6 +218,18 @@ class TestClass3:
             p = TangentPoint(t, r, 1.1, 0.2, 1.0, 0.4, -0.2, 0.3)
             assert fins.jet(p).value == pytest.approx(riem.jet(p).value, rel=1e-12)
 
+    def test_coefficient_jets_read_each_potential_once(self, monkeypatch, c3_forms):
+        _conn, _fins, riem = c3_forms
+        pots = riem.scale_pot
+        calls = []
+        jet2 = pots.jet2
+        monkeypatch.setattr(pots, "jet2", lambda *a: calls.append(a) or jet2(*a))
+        riem.coefficient_jets(1.23, 1.37)
+        assert len(calls) == 3
+        vals = pots.values(1.41, 0.93)
+        riem.coefficient_jets(1.41, 0.93, vals)
+        assert len(calls) == 6
+
     def test_square_theta_is_not_quadratic(self, grid, c3_forms):
         conn = c3_forms[0]
         fins, _ = build_class3(conn, grid, "square")

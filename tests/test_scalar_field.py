@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berwald.geometry_core import Jet1
+from berwald.multijet import IR, IT, MultiJet
 from berwald.scalar_field import (BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, eval_jet2, evaluate, parse,
-                                  substitute, to_source)
+                                  UnknownIdentifier, Var, compile_expression, eval_jet2,
+                                  evaluate, parse, substitute, to_source)
 
 
 def jet(src, t, r, **params):
@@ -179,6 +181,44 @@ def test_product_rule_exact():
         scale = 1.0 + abs(leib.value) + abs(leib.dtt) + abs(leib.drr)
         for attr in ("value", "dt", "dr", "dtt", "dtr", "drr"):
             assert abs(getattr(jfg, attr) - getattr(leib, attr)) / scale < 1e-12
+
+
+def test_jet_types_share_one_algebra():
+    """On random ASTs, MultiJet seeded at IT, IR agrees with Jet2 up to the
+    order of its sums, and Jet1 equals Jet2's first-order part exactly."""
+    rng = np.random.default_rng(2024)
+    params = {"alpha": 1.3}
+    checked = 0
+    while checked < 100:
+        expr = _random_ast(rng, int(rng.integers(1, 4)))
+        fn = compile_expression(expr)
+        t, r = rng.uniform(0.3, 2.0, size=2)
+        try:
+            j2 = eval_jet2(expr, t, r, params)
+        except OverflowError:
+            continue
+        j1 = Jet1._lift(fn({"t": Jet1(t, 1.0), "r": Jet1(r, 0.0, 1.0), **params}))
+        mj = MultiJet._lift(fn({"t": MultiJet.variable(IT, t),
+                                "r": MultiJet.variable(IR, r), **params}))
+        assert (j1.value, j1.dt, j1.dr) == (j2.value, j2.dt, j2.dr)
+        ref = MultiJet.from_jet2(j2)
+        scale = 1.0 + max(abs(x) for x in (j2.value, j2.dt, j2.dr, j2.dtt, j2.dtr, j2.drr))
+        assert abs(mj.value - j2.value) <= 1e-12 * scale
+        assert np.max(np.abs(mj.g - ref.g)) <= 1e-12 * scale
+        assert np.max(np.abs(mj.H - ref.H)) <= 1e-12 * scale
+        checked += 1
+
+
+def test_jet_domain_errors_agree():
+    with pytest.raises(DomainError):
+        Jet1(1.0) / Jet1(0.0)
+    for bad in (MultiJet.variable(IT, 0.0).absval, MultiJet.variable(IT, 0.0).sqrt):
+        with pytest.raises(DomainError):
+            bad()
+    # exponent 0 gives the constant 1 with +0.0 derivatives; Jet2 keeps its kink
+    one = jet("abs(t)", 0.0, 0.0) ** 0
+    assert one.kink and one.value == 1.0
+    assert math.copysign(1.0, (jet("-t", 1.0, 0.0) ** 0).dt) == 1.0
 
 
 def test_quotient_rule_exact():
