@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -126,7 +127,8 @@ def load_config(path: str) -> JobConfig:
     except OSError as exc:
         raise ConfigError(path, 0, str(exc))
     for no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        # "#" is not in the expression grammar: it starts a (trailing) comment
+        line = re.split(r"\s#", raw, maxsplit=1)[0].strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):

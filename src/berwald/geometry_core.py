@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, Jet2, JetRules, ScalarField
+from .scalar_field import (DomainError, Jet2, JetRules, ScalarField, compile_program,
+                           no_underflow)
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -92,6 +93,7 @@ class Jet1(JetRules):
     def _compose(self, v, d1, d2):
         return Jet1(v, d1 * self.dt, d1 * self.dr)
 
+    @no_underflow
     def reciprocal(self):
         # -dt / v^2 rather than the shared (-1 / v^2) * dt: the curvature
         # jets and every output built on them keep their last-bit rounding
@@ -179,20 +181,26 @@ class ConnectionProfile:
                 ks.append(ScalarField(f, params))
         self.k = tuple(ks)  # k[0] is k1
         self._abc_fields = None
+        self._run = None   # k1..k12 as one program, compiled on first use
 
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
 
+    def _eval(self, t, r) -> tuple:
+        if self._run is None:
+            self._run = compile_program([f.expr for f in self.k], [f.params for f in self.k])
+        return self._run({"t": t, "r": r})
+
     def k_jets(self, t: float, r: float) -> list:
         try:
-            return [f.jet(t, r) for f in self.k]
+            return [Jet2._lift(v) for v in self._eval(Jet2.var_t(t), Jet2.var_r(r))]
         except (DomainError, OverflowError):
             self._raise_located("jet", t, r)
             raise
 
     def k_values(self, t: float, r: float) -> np.ndarray:
         try:
-            return np.array([f.value(t, r) for f in self.k])
+            return np.array([float(v) for v in self._eval(float(t), float(r))])
         except (DomainError, OverflowError):
             self._raise_located("value", t, r)
             raise

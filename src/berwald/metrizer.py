@@ -566,17 +566,11 @@ def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> Exponen
 
     def P(t, r, vals) -> Jet1:
         cp = cpc(t, r)
-        G = cp.GH[0]
-        k4 = Jet1(cp.k_jets[3].value, cp.k_jets[3].dt, cp.k_jets[3].dr)
-        b = cp.abc[1]
-        return G + 2.0 * k4 * b * mu(t, r)
+        return cp.GH[0] + 2.0 * _k_jet1(cp, 4) * cp.abc[1] * mu(t, r)
 
     def Q(t, r, vals) -> Jet1:
         cp = cpc(t, r)
-        H = cp.GH[2]
-        k6 = Jet1(cp.k_jets[5].value, cp.k_jets[5].dt, cp.k_jets[5].dr)
-        b = cp.abc[1]
-        return H + 2.0 * k6 * b * mu(t, r)
+        return cp.GH[2] + 2.0 * _k_jet1(cp, 6) * cp.abc[1] * mu(t, r)
 
     pot = PotentialSystem(["psi"], [P], [Q], _base_point(grid))
     pot.certify(_grid_probes(grid), label="exponential scale")

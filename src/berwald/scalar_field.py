@@ -1,18 +1,20 @@
 """Closed-form scalar fields of (t, r) with exact derivatives to second order.
 
 Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
-immutable AST and evaluated either on plain floats or on truncated second-order
-jets (`Jet2`), which carry a value together with its first and second partial
-derivatives with respect to t and r.  Jet arithmetic implements the usual
-forward-mode rules, written once in `JetRules` for all three jet types, so
-derivatives of any parsed expression are exact for the supported function
-basis (no finite differencing).
+immutable AST.  `compile_program` hash-conses ASTs into one straight-line
+program that runs on plain floats or on truncated second-order jets (`Jet2`),
+which carry a value with its first and second partials in t and r.  Jet
+arithmetic implements the forward-mode rules, written once in `JetRules` for
+all three jet types, so derivatives of any parsed expression are exact for the
+supported function basis (no finite differencing).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Union
 
 
@@ -49,6 +51,16 @@ class DomainError(ExpressionError):
     """Evaluation left the domain of a basis function (ln/sqrt/division)."""
 
 
+def no_underflow(rule):
+    """Raise `DomainError`, not ZeroDivisionError, where a power of a tiny v underflows."""
+    def checked(self):
+        try:
+            return rule(self)
+        except ZeroDivisionError:
+            raise DomainError("%s jet underflows at %r" % (rule.__name__, self.value)) from None
+    return checked
+
+
 class JetRules:
     """Forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
     Derivatives*, ch. 13) shared by `Jet2`, `MultiJet` and `Jet1`.
@@ -73,6 +85,7 @@ class JetRules:
     def __rsub__(self, o):
         return (-self) + o
 
+    @no_underflow
     def reciprocal(self):
         v = self.value
         if v == 0.0:
@@ -125,12 +138,14 @@ class JetRules:
         v = math.exp(self.value)
         return self._compose(v, v, v)
 
+    @no_underflow
     def ln(self):
         v = self.value
         if v <= 0.0:
             raise DomainError("ln of non-positive value")
         return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2)
 
+    @no_underflow
     def sqrt(self):
         v = self.value
         if v < 0.0:
@@ -279,23 +294,22 @@ Expression = Union[Num, Var, Param, Neg, BinOp, Call]
 
 
 def _apply_fn(name: str, x):
-    if isinstance(x, (int, float)):
-        try:
-            if name == "ln":
-                if x <= 0.0:
-                    raise DomainError("ln of non-positive value")
-                return math.log(x)
-            if name == "sqrt":
-                if x < 0.0:
-                    raise DomainError("sqrt of negative value")
-                return math.sqrt(x)
-            if name == "abs":
-                return abs(x)
-            return getattr(math, name)(x)
-        except ValueError as exc:  # pragma: no cover - defensive
-            raise DomainError(str(exc))
-    method = "absval" if name == "abs" else name
-    return getattr(x, method)()
+    try:
+        if not isinstance(x, (int, float)):   # a jet; math.sin(inf) raises here too
+            return getattr(x, "absval" if name == "abs" else name)()
+        if name == "ln":
+            if x <= 0.0:
+                raise DomainError("ln of non-positive value")
+            return math.log(x)
+        if name == "sqrt":
+            if x < 0.0:
+                raise DomainError("sqrt of negative value")
+            return math.sqrt(x)
+        if name == "abs":
+            return abs(x)
+        return getattr(math, name)(x)
+    except ValueError as exc:
+        raise DomainError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +322,6 @@ _DIGITS = "0123456789"
 class _Tokenizer:
     def __init__(self, source: str):
         self.src = source
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.idx = 0
@@ -445,67 +458,92 @@ def parse(source: str) -> Expression:
     return _Parser(source).parse()
 
 
-def compile_expression(e: Expression):
-    """Compile an AST into a closure env -> value, the package's one evaluator.
+def _div(a, b):
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)) and b == 0.0:
+        raise DomainError("division by zero")
+    return a / b
 
-    ``env`` supplies values for variables and parameters; floats, Jet2 and
-    MultiJet all work, which is how every derivative in the package is
-    obtained.  Compile once and call the closure per sample.
+
+def _pow(a, b):
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        if float(b).is_integer():
+            if a == 0.0 and b < 0:
+                raise DomainError("zero raised to negative power")
+        elif a <= 0.0:
+            raise DomainError("fractional power of non-positive base")
+    return a ** b
+
+
+def _load_param(name: str, env):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundParameter(name) from None
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+
+
+def compile_program(exprs, bound=None):
+    """Compile ASTs into one function env -> tuple of their values: the
+    package's one evaluator, a hash-consed DAG run as a straight-line program.
+
+    Each distinct subexpression gets one register and runs once per call, where
+    a left-to-right walk of exprs[0], exprs[1], ... first meets it, so the first
+    failure is the walk's.  Nothing is rewritten or folded: an instruction is an
+    AST node with its domain checks.  Numbers and the parameters valued in
+    ``bound[i]`` for ``exprs[i]`` are pre-filled registers keyed on (type,
+    repr), so 0.0 and -0.0, or 1 and 1.0, stay apart.  ``env`` gives the
+    variables and other parameters as floats, Jet1, Jet2 or MultiJet.
     """
-    if isinstance(e, Num):
-        v = e.value
-        return lambda env: v
-    if isinstance(e, Var):
-        name = e.name
-        return lambda env: env[name]
-    if isinstance(e, Param):
-        name = e.name
+    regs = [None]        # register 0 holds env during a call
+    code = []
+    index = {}
 
-        def look(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundParameter(name) from None
-        return look
-    if isinstance(e, Neg):
-        f = compile_expression(e.arg)
-        return lambda env: -f(env)
-    if isinstance(e, Call):
-        f = compile_expression(e.arg)
-        name = e.fn
-        return lambda env: _apply_fn(name, f(env))
-    if isinstance(e, BinOp):
-        fl = compile_expression(e.left)
-        fr = compile_expression(e.right)
-        op = e.op
-        if op == "+":
-            return lambda env: fl(env) + fr(env)
-        if op == "-":
-            return lambda env: fl(env) - fr(env)
-        if op == "*":
-            return lambda env: fl(env) * fr(env)
-        if op == "/":
-            def div(env):
-                a = fl(env)
-                b = fr(env)
-                if isinstance(a, (int, float)) and isinstance(b, (int, float)) and b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
-            return div
-        if op == "^":
-            def pw(env):
-                a = fl(env)
-                b = fr(env)
-                if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-                    if float(b).is_integer():
-                        if a == 0.0 and b < 0:
-                            raise DomainError("zero raised to negative power")
-                        return a ** b
-                    if a <= 0.0:
-                        raise DomainError("fractional power of non-positive base")
-                return a ** b
-            return pw
-    raise TypeError("not an expression node: %r" % (e,))
+    def visit(e, params):
+        if isinstance(e, Num) or (isinstance(e, Param) and e.name in params):
+            v = e.value if isinstance(e, Num) else params[e.name]
+            key = (type(v), repr(v))
+            if key not in index:
+                index[key] = len(regs)
+                regs.append(v)
+            return index[key]
+        if isinstance(e, (Var, Param)):   # loaded from env (register 0)
+            key, a, b = (type(e), e.name), 0, None
+            fn = operator.itemgetter(e.name) if isinstance(e, Var) else partial(_load_param, e.name)
+        elif isinstance(e, Neg):
+            a = visit(e.arg, params)
+            key, fn, b = ("neg", a), operator.neg, None
+        elif isinstance(e, Call):
+            a = visit(e.arg, params)
+            key, fn, b = (e.fn, a), partial(_apply_fn, e.fn), None
+        elif isinstance(e, BinOp) and e.op in _BINARY:
+            a = visit(e.left, params)
+            b = visit(e.right, params)
+            key, fn = (e.op, a, b), _BINARY[e.op]
+        else:
+            raise TypeError("not an expression node: %r" % (e,))
+        if key not in index:
+            index[key] = len(regs)
+            code.append((fn, len(regs), a, b))
+            regs.append(None)
+        return index[key]
+
+    outs = [visit(e, bound[i] if bound else {}) for i, e in enumerate(exprs)]
+
+    def run(env):
+        r = regs.copy()
+        r[0] = env
+        for fn, d, a, b in code:
+            r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
+        return tuple([r[i] for i in outs])
+    return run
+
+
+def compile_expression(e: Expression):
+    """The one-output program: a function env -> value of ``e``."""
+    run = compile_program([e])
+    return lambda env: run(env)[0]
 
 
 def evaluate(e: Expression, env: Mapping[str, object]):
@@ -588,6 +626,15 @@ def eval_jet2(e: Expression, t: float, r: float, params: Mapping[str, float]) ->
     return ScalarField(e, params).jet(t, r)
 
 
+def _merge_params(params: dict, more: Mapping[str, float]) -> dict:
+    """Add ``more`` to ``params`` in place; a name bound to two values is an error."""
+    for k, v in more.items():
+        if k in params and params[k] != v:
+            raise ValueError("conflicting values for parameter %r" % k)
+        params[k] = v
+    return params
+
+
 class ScalarField:
     """A function of (t, r): parsed expression plus bound parameter values.
 
@@ -595,14 +642,14 @@ class ScalarField:
     ASTs; derivatives of composites therefore stay exact.
     """
 
-    __slots__ = ("expr", "params", "_fn")
+    __slots__ = ("expr", "params", "_run")
 
     def __init__(self, expr, params: Mapping[str, float] | None = None):
         if isinstance(expr, str):
             expr = parse(expr)
         self.expr = expr
         self.params = dict(params or {})
-        self._fn = compile_expression(expr)
+        self._run = None   # compiled on first evaluation
 
     @staticmethod
     def zero() -> "ScalarField":
@@ -615,35 +662,27 @@ class ScalarField:
     def is_structural_zero(self) -> bool:
         return isinstance(self.expr, Num) and self.expr.value == 0.0
 
+    def _eval(self, t, r):
+        if self._run is None:
+            self._run = compile_program([self.expr], [self.params])
+        return self._run({"t": t, "r": r})[0]
+
     def value(self, t: float, r: float) -> float:
-        env = dict(self.params)
-        env["t"] = float(t)
-        env["r"] = float(r)
-        return float(self._fn(env))
+        return float(self._eval(float(t), float(r)))
 
     def jet(self, t: float, r: float) -> Jet2:
-        env = dict(self.params)
-        env["t"] = Jet2.var_t(t)
-        env["r"] = Jet2.var_r(r)
-        return Jet2._lift(self._fn(env))
+        return Jet2._lift(self._eval(Jet2.var_t(t), Jet2.var_r(r)))
 
     def source(self) -> str:
         return to_source(self.expr)
 
     # -- field algebra ------------------------------------------------------
 
-    def _merge_params(self, other: "ScalarField") -> dict:
-        merged = dict(self.params)
-        for k, v in other.params.items():
-            if k in merged and merged[k] != v:
-                raise ValueError("conflicting values for parameter %r" % k)
-            merged[k] = v
-        return merged
-
     def _binop(self, op: str, other) -> "ScalarField":
         if not isinstance(other, ScalarField):
             other = ScalarField.constant(other)
-        return ScalarField(BinOp(op, self.expr, other.expr), self._merge_params(other))
+        return ScalarField(BinOp(op, self.expr, other.expr),
+                           _merge_params(dict(self.params), other.params))
 
     def __add__(self, o):
         return self._binop("+", o)
@@ -680,11 +719,7 @@ class ScalarField:
             if not isinstance(f, ScalarField):
                 f = ScalarField.constant(f)
             expr_map[name] = f.expr
-            for k, v in f.params.items():
-                if k in params and params[k] != v:
-                    raise ValueError("conflicting values for parameter %r" % k)
-                params[k] = v
-            params.pop(name, None)
+            _merge_params(params, f.params).pop(name, None)
         return ScalarField(substitute(self.expr, expr_map), params)
 
     def __repr__(self):

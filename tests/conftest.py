@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from berwald.geometry_core import ConnectionProfile, TangentPoint, nonlinear_connection
+from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
+                                   nonlinear_connection)
+from berwald.scalar_field import DomainError, Jet2
 
 
 def default_grid(n: int = 8):
@@ -130,3 +132,30 @@ def ex2_admissible(p: TangentPoint) -> bool:
 
 def exp_admissible(p: TangentPoint) -> bool:
     return abs(p.rdot - p.tdot) > 1e-3
+
+
+# -- the compiled k1..k12 program against the fields one by one --------------
+
+def jet_slots(j):
+    """Every slot of a jet, by repr, so that signed zeros count."""
+    return tuple(map(repr, (j.value, j.dt, j.dr, j.dtt, j.dtr, j.drr, j.kink)))
+
+
+def outcome(evaluate_all):
+    """The reprs of every slot, or the kind of failure: `ConnectionProfile`
+    reports an overflow as NonFiniteData, a single field as OverflowError."""
+    try:
+        return [jet_slots(v) if isinstance(v, Jet2) else repr(float(v))
+                for v in evaluate_all()]
+    except DomainError:
+        return "domain"
+    except (OverflowError, NonFiniteData):
+        return "overflow"
+
+
+def assert_program_matches_fields(conn, points):
+    for (t, r) in points:
+        assert outcome(lambda: conn.k_jets(t, r)) == outcome(
+            lambda: [f.jet(t, r) for f in conn.k])
+        assert outcome(lambda: conn.k_values(t, r)) == outcome(
+            lambda: [f.value(t, r) for f in conn.k])

@@ -300,3 +300,41 @@ def test_import_leaves_scipy_out():
                           "import sys, berwald.cli; print('scipy' in sys.modules)"],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_coefficient_jet_outside_the_domain_is_located(cfg_file, capsys):
+    rc = main(["classify", cfg_file("[connection]\nk2 = 1/t\n[grid]\n"
+                                    "t = 1e-170:1e-169:2\nr = 0.5:2.5:2\n"), "--quiet"])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "k2 at (t, r) = (1e-170, 0.5): reciprocal jet underflows" in err
+    assert "Traceback" not in err
+    rc = main(["classify", cfg_file("[connection]\nk2 = sin(t*1e308*10)\n"), "--quiet"])
+    assert rc == EXIT_FAIL
+    assert "k2 at (t, r) = (0.5, 0.5): math domain error" in capsys.readouterr().err
+
+
+def test_verify_runs_in_one_process_do_not_share_state(cfg_file, tmp_path):
+    """A, B, A in turn: the second A report is byte-identical to the first."""
+    outs = []
+    for i, text in enumerate((EX2_CFG, EX1_CFG, EX2_CFG)):
+        out = tmp_path / ("%d.json" % i)
+        rc = main(["verify", cfg_file(text, "job%d.cfg" % i), "--json", str(out), "--quiet"])
+        assert rc == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[2] != outs[1]
+
+
+def test_readme_job_configuration_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Job configuration", 1)[1]
+    block = section.split("```\n", 2)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert (cfg.signature, cfg.c1, cfg.theta_choice) == ("lorentzian", 1.0, "identity")
+    out = tmp_path / "readme.json"
+    assert main(["classify", str(path), "--json", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads(out.read_text())["classification"]["class"] == 1

@@ -10,8 +10,12 @@ from berwald.geometry_core import (BRACKET_PAIRS, ConnectionProfile, Insufficien
                                    sample_tangent_points, spray_coefficients,
                                    vertical_holonomy_rank)
 
-from conftest import (class5_curved_block, default_grid, exponential_example,
-                      flat_cartesian, power_law_nonsymmetric, power_law_symmetric)
+from berwald.scalar_field import Jet2, JetRules
+
+from conftest import (assert_program_matches_fields, class5_curved_block, default_grid,
+                      exponential_example, flat_cartesian, power_law_nonsymmetric,
+                      power_law_symmetric)
+from generators import make_class3, make_class5
 
 
 class TestCurvatureProfile:
@@ -273,3 +277,30 @@ def test_christoffel_table_matches_spray():
     Gam = christoffel_table(kv, p.theta)
     G = 0.5 * np.einsum("abc,b,c->a", Gam, p.velocity, p.velocity)
     assert tuple(G) == pytest.approx(spray_coefficients(conn, p))
+
+
+class TestProgram:
+    """k1..k12 run as one hash-consed program per connection."""
+
+    POINTS = default_grid(4) + [(0.0, 0.0), (-1.0, 0.7), (1e-170, 1.0), (3.0, -2.0)]
+
+    def test_generated_profiles_match_their_fields(self):
+        for conn in (make_class3(101)[0], make_class5(7, eps=0.1)[0], exponential_example(),
+                     power_law_nonsymmetric(), flat_cartesian()):
+            assert_program_matches_fields(conn, self.POINTS)
+
+    def test_shared_subexpression_evaluated_once(self, monkeypatch):
+        """exp((r-t)^2) occurs eight times in k1..k6 of the exponential
+        example, twice in k3 and in k4; a tree walk evaluates it eight times."""
+        calls = []
+
+        def exp(self):
+            calls.append(self.value)
+            return JetRules.exp(self)
+        monkeypatch.setattr(Jet2, "exp", exp, raising=False)
+        conn = exponential_example()
+        conn.k_jets(1.0, 1.5)
+        assert len(calls) == 1
+        calls.clear()
+        [f.jet(1.0, 1.5) for f in conn.k]   # one program per field
+        assert len(calls) == 6

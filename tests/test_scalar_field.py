@@ -1,15 +1,18 @@
 import math
+import operator
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berwald.geometry_core import Jet1
+from berwald.geometry_core import ConnectionProfile, Jet1
 from berwald.multijet import IR, IT, MultiJet
 from berwald.scalar_field import (BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, compile_expression, eval_jet2,
-                                  evaluate, parse, substitute, to_source)
+                                  UnknownIdentifier, Var, compile_expression, compile_program,
+                                  eval_jet2, evaluate, parse, substitute, to_source)
+
+from conftest import assert_program_matches_fields, jet_slots
 
 
 def jet(src, t, r, **params):
@@ -281,3 +284,100 @@ def test_conflicting_parameter_values_rejected():
     g = ScalarField("alpha*r", {"alpha": 2.0})
     with pytest.raises(ValueError):
         f + g
+
+
+# -- the compiled program ------------------------------------------------------
+
+def test_program_matches_per_field_evaluation_on_random_asts():
+    """k1..k12 as one program give the per-field jets and values bit for bit,
+    and fail with DomainError at the same points.  Quotients, ln and sqrt of
+    random ASTs put domain errors in; parameter values differ per field."""
+    rng = np.random.default_rng(77)
+    exprs = [_random_ast(rng, int(rng.integers(1, 4))) for _ in range(200)]
+    for i in range(0, 200, 12):
+        chunk = exprs[i:i + 12]
+        fields = {j + 1: ScalarField(e, {"alpha": 0.5 * j - 1.0}) for j, e in enumerate(chunk)}
+        if i % 24:
+            fields[10] = ScalarField(Call("sqrt", chunk[9]), {"alpha": 1.0})
+            fields[11] = ScalarField(BinOp("/", chunk[0], chunk[1]), {"alpha": 0.0})
+            fields[12] = ScalarField(Call("ln", chunk[2]), {"alpha": -0.0})
+        conn = ConnectionProfile(fields)
+        pts = [tuple(rng.uniform(0.3, 2.0, size=2)) for _ in range(4)]
+        pts += [tuple(rng.uniform(-2.0, 2.0, size=2)), (0.0, 0.0)]
+        assert_program_matches_fields(conn, pts)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _tree_walk(e, env):
+    """Reference evaluator: a recursive walk that evaluates every AST node
+    where it occurs, with no sharing."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, (Var, Param)):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_tree_walk(e.arg, env)
+    if isinstance(e, Call):
+        x = _tree_walk(e.arg, env)
+        return getattr(math, e.fn)(x) if isinstance(x, float) else getattr(x, e.fn)()
+    return _OPS[e.op](_tree_walk(e.left, env), _tree_walk(e.right, env))
+
+
+def test_program_equals_a_tree_walk_bit_for_bit():
+    """Sums, products and quotients of random ASTs, ten to a program so that
+    subtrees are shared, give the tree walk's floats and jets exactly."""
+    rng = np.random.default_rng(5)
+    checked = 0
+    for _ in range(20):
+        parts = [_random_ast(rng, int(rng.integers(1, 5))) for _ in range(4)]
+        exprs = parts + [BinOp(op, a, b) for op in "+*/" for a, b in
+                         ((parts[0], parts[1]), (parts[2], parts[0]))]
+        run = compile_program(exprs, [{"alpha": 1.3}] * len(exprs))
+        t, r = rng.uniform(0.3, 2.0, size=2)
+        for env in ({"t": t, "r": r}, {"t": Jet2.var_t(t), "r": Jet2.var_r(r)}):
+            try:
+                ref = [Jet2._lift(_tree_walk(e, dict(env, alpha=1.3))) for e in exprs]
+            except (ArithmeticError, DomainError):
+                with pytest.raises((ArithmeticError, DomainError)):
+                    run(env)
+                continue
+            assert [jet_slots(Jet2._lift(v)) for v in run(env)] == list(map(jet_slots, ref))
+            checked += 1
+    assert checked >= 30
+
+
+def test_program_keeps_signed_zeros_and_number_types_apart():
+    prog = compile_program([Num(0.0), Num(-0.0), Num(1), Num(1.0),
+                            BinOp("*", Param("a"), Var("t")), BinOp("*", Param("a"), Var("t"))],
+                           [{}, {}, {}, {}, {"a": -0.0}, {"a": 0.0}])
+    out = prog({"t": 2.0})
+    assert [repr(v) for v in out] == ["0.0", "-0.0", "1", "1.0", "-0.0", "0.0"]
+
+
+def test_program_raises_the_first_failure_of_a_tree_walk():
+    prog = compile_program([parse("alpha*t"), parse("1/t")])
+    with pytest.raises(UnboundParameter):
+        prog({"t": 0.0})
+    prog = compile_program([parse("1/t"), parse("alpha*t")])
+    with pytest.raises(DomainError):
+        prog({"t": 0.0})
+
+
+def test_jets_fail_with_domain_error():
+    for src in ("1/t", "ln(t)", "sqrt(t)"):
+        with pytest.raises(DomainError):
+            ScalarField(src).jet(1e-300 if src == "sqrt(t)" else 1e-170, 1.0)
+    for src in ("sin(t)", "cos(t)", "tan(t)"):   # the jet path of math.sin(inf)
+        with pytest.raises(DomainError):
+            ScalarField(src).jet(math.inf, 1.0)
+    with pytest.raises(DomainError):
+        Jet1(1.0) / Jet1(1e-170, 1.0)
+    # ordinary v keep their arithmetic
+    v = 0.3
+    j = ScalarField("1/t").jet(v, 1.0)
+    assert (j.value, j.dt, j.dtt) == (1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
+    j = ScalarField("ln(t)").jet(v, 1.0)
+    assert (j.value, j.dt, j.dtt) == (math.log(v), 1.0 / v, -1.0 / v ** 2)
+    assert (Jet1(1.0) / Jet1(v, 1.0)).dt == -1.0 / v ** 2
