@@ -22,7 +22,6 @@ nonzero_tol somewhere, and in between the verdict is undetermined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 

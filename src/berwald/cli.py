@@ -27,9 +27,8 @@ from .geometry_core import (ConnectionProfile, GeometryError, TangentPoint,
 from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
                        build_class5, build_exponential, build_power_law)
 from .scalar_field import ExpressionError, compile_expression, parse
-from .verifier import (VerificationError, berwald_check, check_hessian,
-                       check_homogeneity, check_horizontal_constancy,
-                       geodesic_agreement, levi_civita_roundtrip, ResidualReport)
+from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
+                       check_horizontal_constancy, levi_civita_roundtrip, ResidualReport)
 
 SCHEMA = "berwald-report/1"
 
@@ -48,7 +47,8 @@ class ConfigError(ValueError):
     def __init__(self, path: str, line_no: int, message: str):
         self.path = path
         self.line_no = line_no
-        super().__init__("%s:%d: %s" % (path, line_no, message))
+        where = "%s:%d" % (path, line_no) if line_no else path
+        super().__init__("%s: %s" % (where, message))
 
 
 @dataclass
@@ -88,10 +88,17 @@ class JobConfig:
             env.update({"t": p.t, "r": p.r, "theta": p.theta, "phi": p.phi,
                         "tdot": p.tdot, "rdot": p.rdot, "thetadot": p.thetadot,
                         "phidot": p.phidot})
-            try:
-                return all(f(env) > 0.0 for f in fns)
-            except ExpressionError:
-                return False
+            for src, f in zip(self.requires, fns):
+                try:
+                    if not f(env) > 0.0:
+                        return False
+                except ExpressionError:
+                    return False
+                except OverflowError:
+                    raise ConfigError("[samples] require = %s" % src, 0, "overflows at "
+                                      "(t, r, theta, phi, tdot, rdot, thetadot, phidot) = (%s)"
+                                      % ", ".join("%.6g" % x for x in p.state())) from None
+            return True
         return pred
 
     def to_dict(self) -> dict:

@@ -141,11 +141,9 @@ _SIN_MIN = 1e-3   # ... and at |sin(theta)| < _SIN_MIN
 
 
 def _guard(state):
-    r = state[1]
-    th = state[2]
-    if r < _R_MIN:
+    if state[1] < _R_MIN:
         return "r < %g" % _R_MIN
-    if abs(math.sin(th)) < _SIN_MIN:
+    if abs(math.sin(state[2])) < _SIN_MIN:
         return "sin(theta) < %g" % _SIN_MIN
     return None
 
@@ -178,12 +176,14 @@ def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> np.nd
     carried in the state by `integrate_finsler`; without them the evaluator
     looks its potentials up itself.
     """
-    jet = evaluator.jet(p) if vals is None else evaluator.jet(p, vals)
-    gmat = jet.metric_tensor()
+    return jet_spray(evaluator.jet(p) if vals is None else evaluator.jet(p, vals), p.velocity)
+
+
+def jet_spray(jet, xd) -> np.ndarray:
+    """The spray G^a of `finsler_spray` from the jet of L at a point of velocity xd."""
     mixed = jet.mixed_block()
-    xd = p.velocity
     rhs = xd[0] * mixed[0] + xd[1] * mixed[1] + xd[2] * mixed[2] - jet.horizontal_gradient()
-    return 0.25 * np.linalg.solve(gmat, rhs)
+    return 0.25 * np.linalg.solve(jet.metric_tensor(), rhs)
 
 
 def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100) -> Trajectory:

@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import (DomainError, Jet2, JetRules, ScalarField, compile_program,
-                           no_underflow)
+from .scalar_field import DomainError, Jet2, JetRules, ScalarField, compile_fields, no_underflow
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -106,18 +105,6 @@ class Jet1(JetRules):
         return "Jet1(%g; dt=%g, dr=%g)" % (self.value, self.dt, self.dr)
 
 
-def _J(k: Jet2) -> Jet1:
-    return Jet1(k.value, k.dt, k.dr)
-
-
-def _Dt(k: Jet2) -> Jet1:
-    return Jet1(k.dt, k.dtt, k.dtr)
-
-
-def _Dr(k: Jet2) -> Jet1:
-    return Jet1(k.dr, k.dtr, k.drr)
-
-
 # ---------------------------------------------------------------------------
 # Tangent points and connection profiles
 # ---------------------------------------------------------------------------
@@ -180,15 +167,16 @@ class ConnectionProfile:
             else:
                 ks.append(ScalarField(f, params))
         self.k = tuple(ks)  # k[0] is k1
-        self._abc_fields = None
         self._run = None   # k1..k12 as one program, compiled on first use
+        self._curvature_fields = None
+        self._abc_run = None
 
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
 
     def _eval(self, t, r) -> tuple:
         if self._run is None:
-            self._run = compile_program([f.expr for f in self.k], [f.params for f in self.k])
+            self._run = compile_fields(self.k)
         return self._run({"t": t, "r": r})
 
     def k_jets(self, t: float, r: float) -> list:
@@ -232,22 +220,23 @@ class ConnectionProfile:
         if not grid:
             raise UnsupportedConnection("k11/k12 structurally nonzero")
 
-    # convenient derived fields (exact jets through the expression algebra)
-    def _abc(self):
-        if self._abc_fields is None:
-            k7, k8, k9, k10 = (self.k_field(i) for i in (7, 8, 9, 10))
-            self._abc_fields = (k7 / k10, k8 / k10,
-                                (k9 * k10 - k7 * k8) / (k10 * k10))
-        return self._abc_fields
+    def curvature_fields(self) -> tuple:
+        """`curvature_formulas` on the k_i as fields, their (t, r)-partials by
+        `derivative`: a1..a14, (a, b, c), (D, E, F) and (G, Gt, H, Ht) as
+        closed-form ScalarFields, built on first use."""
+        if self._curvature_fields is None:
+            k = dict(enumerate(self.k, start=1))
+            self._curvature_fields = curvature_formulas(
+                k, {i: f.derivative("t") for i, f in k.items()},
+                {i: f.derivative("r") for i, f in k.items()}, True)
+        return self._curvature_fields
 
-    def field_a(self) -> ScalarField:
-        return self._abc()[0]
-
-    def field_b(self) -> ScalarField:
-        return self._abc()[1]
-
-    def field_c(self) -> ScalarField:
-        return self._abc()[2]
+    def abc(self, t, r) -> tuple:
+        """(a, b, c) at (t, r), as floats or jets as t and r are: one program,
+        compiled on first use."""
+        if self._abc_run is None:
+            self._abc_run = compile_fields(self.curvature_fields()[1])
+        return self._abc_run({"t": t, "r": r})
 
 
 # ---------------------------------------------------------------------------
@@ -285,18 +274,11 @@ class CurvatureProfile:
                                     % (i, self.t, self.r, j))
 
 
-def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureProfile:
-    """All fourteen a_i with first partials, plus (a, b, c), (D, E, F), (G, ...).
-
-    The w-corner marker records whether (a, b, c) are defined at this point:
-    they need k10 != 0; if the whole corner k7, k8, k9, k10 vanishes the
-    connection sits in the [delta_t, delta_r]-only regime instead.
-    """
-    kj = conn.k_jets(t, r)
-    k = {i: _J(kj[i - 1]) for i in range(1, 13)}
-    kt = {i: _Dt(kj[i - 1]) for i in range(1, 13)}
-    kr = {i: _Dr(kj[i - 1]) for i in range(1, 13)}
-
+def curvature_formulas(k: dict, kt: dict, kr: dict, generic: bool) -> tuple:
+    """a1..a14 (a dict) and, when ``generic`` (k10 != 0), (a, b, c), (D, E, F)
+    and (G, Gt, H, Ht), else three Nones, from the k_i and their t- and
+    r-partials (dicts 1..12) over any ring: `Jet1`s at a point, or
+    ScalarFields as closed-form formulas."""
     a = {
         1: kr[1] - kt[2] + k[3] * k[4] - k[2] * k[6],
         2: kr[2] - kt[3] + k[2] * k[2] + k[3] * k[6] - k[1] * k[3] - k[2] * k[5],
@@ -311,34 +293,40 @@ def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureP
         11: -kr[10] + k[9] * k[10] - k[6] * k[7] - k[5] * k[10],
         12: -kr[8] + k[2] * k[8] + k[6] * k[9] - k[8] * k[9],
         13: -kr[9] + k[3] * k[8] + k[5] * k[9] - k[9] * k[9],
-        14: Jet1(1.0) + k[7] * k[8] + k[9] * k[10],
+        14: 1.0 + k[7] * k[8] + k[9] * k[10],
     }
+    if not generic:
+        return a, None, None, None
+    aa = k[7] / k[10]
+    bb = k[8] / k[10]
+    cc = (k[9] * k[10] - k[7] * k[8]) / (k[10] * k[10])
+    G = 2.0 * (k[1] - k[4] * aa)
+    H = 2.0 * (k[2] - k[6] * aa)
+    return (a, (aa, bb, cc), (aa * a[3] - a[1] + a[5], bb * a[3], aa * a[3] - a[1]),
+            (G, G - 2.0 * k[8], H, H - 2.0 * k[9]))
 
-    kscale = 1.0 + max(abs(kj[i].value) for i in range(12))
-    wvals = [abs(k[i].value) for i in (7, 8, 9, 10)]
+
+def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureProfile:
+    """All fourteen a_i with first partials, plus (a, b, c), (D, E, F), (G, ...).
+
+    The w-corner marker records whether (a, b, c) are defined at this point:
+    they need k10 != 0; if the whole corner k7, k8, k9, k10 vanishes the
+    connection sits in the [delta_t, delta_r]-only regime instead.
+    """
+    kj = conn.k_jets(t, r)
+    kscale = 1.0 + max(abs(j.value) for j in kj)
+    wvals = [abs(kj[i - 1].value) for i in (7, 8, 9, 10)]
     if max(wvals) <= _CORNER_TOL * kscale:
         corner = W_CORNER_ZERO
-    elif abs(k[10].value) <= _CORNER_TOL * kscale:
+    elif wvals[3] <= _CORNER_TOL * kscale:
         corner = W_CORNER_K10_DEGENERATE
     else:
         corner = W_CORNER_GENERIC
-
-    abc = DEF = GH = None
-    if corner == W_CORNER_GENERIC:
-        aa = k[7] / k[10]
-        bb = k[8] / k[10]
-        cc = (k[9] * k[10] - k[7] * k[8]) / (k[10] * k[10])
-        D = aa * a[3] - a[1] + a[5]
-        E = bb * a[3]
-        F = aa * a[3] - a[1]
-        G = 2.0 * (k[1] - k[4] * aa)
-        Gt = G - 2.0 * k[8]
-        H = 2.0 * (k[2] - k[6] * aa)
-        Ht = H - 2.0 * k[9]
-        abc = (aa, bb, cc)
-        DEF = (D, E, F)
-        GH = (G, Gt, H, Ht)
-
+    a, abc, DEF, GH = curvature_formulas(
+        {i: Jet1(j.value, j.dt, j.dr) for i, j in enumerate(kj, start=1)},
+        {i: Jet1(j.dt, j.dtt, j.dtr) for i, j in enumerate(kj, start=1)},
+        {i: Jet1(j.dr, j.dtr, j.drr) for i, j in enumerate(kj, start=1)},
+        corner == W_CORNER_GENERIC)
     return CurvatureProfile(t=t, r=r, a=a, corner=corner, abc=abc, DEF=DEF,
                             GH=GH, k_jets=kj)
 

@@ -6,15 +6,17 @@ exponential conformal factors, the Class-3 potentials, the Class-4 flat
 `PotentialSystem`: their values are transported along axis-parallel paths
 from a base point by a high-accuracy ODE solve, while their derivatives come
 from the defining one-forms themselves, so every downstream derivative is
-analytic in the transported values.  Path independence (closedness of the
-defining form) is certified numerically, never assumed.
+analytic in the transported values.  Each builder states its one-forms as
+expressions.  Path independence is certified, never assumed: the curl of the
+defining form exactly, the agreement of two transport routes numerically.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +25,8 @@ from .geometry_core import (ConnectionProfile, CurvatureProfile, Jet1, TangentPo
                             W_CORNER_GENERIC, curvature_profile)
 from .geodesic_engine import integrate_ode
 from .multijet import MultiJet, w2_jet
-from .scalar_field import DomainError, Expression, Jet2, compile_expression, parse
+from .scalar_field import (DomainError, Expression, Jet2, ScalarField, compile_expression,
+                           compile_fields, parse)
 
 
 class MetrizerError(RuntimeError):
@@ -76,11 +79,14 @@ _TRANSPORT_TOL = 1e-12   # rtol and atol of every transport leg
 class PotentialSystem:
     """Named scalar quantities defined by one-forms d(psi_i) = P_i dt + Q_i dr.
 
-    ``P_i`` and ``Q_i`` are callables ``(t, r, vals) -> Jet1`` where ``vals``
-    maps component names to current values (so later components may depend on
-    earlier ones, as the Class-3 potential M does on G and K).  Values are
+    ``P_i`` and ``Q_i`` are ScalarFields (or expression text) in t, r and the
+    component names, which enter as parameters, so later components may depend
+    on earlier ones (as the Class-3 potential M does on G and K).  They compile
+    into one program.  Transport runs it on floats; `jet2`, `rates` and the
+    closedness check run it on `Jet1` seeds in which each component carries
+    its own one-form as gradient, so every derivative is exact.  Values are
     transported from the base point along the L-shaped path
-    (t0, r0) -> (t, r0) -> (t, r); derivatives are read off the one-forms.
+    (t0, r0) -> (t, r0) -> (t, r).
 
     The path-independence certificate compares that t-first transport with
     the r-first one (t0, r0) -> (t0, r) -> (t, r), both swept afresh from the
@@ -89,32 +95,51 @@ class PotentialSystem:
     the certificate has passed.
     """
 
-    def __init__(self, names: Sequence[str], P: Sequence[Callable], Q: Sequence[Callable],
+    def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
                  base: tuple, base_values: Sequence[float] | None = None):
         self.names = list(names)
-        self.P = list(P)
-        self.Q = list(Q)
+        self._run = self._compile(list(P) + list(Q))
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
                                     else [0.0] * len(self.names), dtype=float)
         self._value_cache = {self.base: self.base_values.copy()}
         self._keys_t = [self.base[0]]
         self._keys_r = [self.base[1]]
+        self._jets = lru_cache(maxsize=1)(self._one_form_jets)
 
-    def _vals_dict(self, vec) -> dict:
-        return dict(zip(self.names, vec))
+    def _compile(self, fields: list):
+        """One program of fields in t, r and the components."""
+        fields = [f if isinstance(f, ScalarField) else ScalarField(f) for f in fields]
+        bound = sorted({k for f in fields for k in f.params if k in self.names})
+        if bound:
+            raise MetrizerError("parameter %s shadows a potential" % ", ".join(bound))
+        return compile_fields(fields)
+
+    def _forms(self, t, r, vec) -> tuple:
+        """P_1..P_n, Q_1..Q_n at (t, r) and component values ``vec``."""
+        env = dict(zip(self.names, vec))
+        env["t"], env["r"] = t, r
+        return self._run(env)
 
     def _rhs_t(self, r0):
-        def rhs(tau, y):
-            vals = self._vals_dict(y)
-            return np.array([p(tau, r0, vals).value for p in self.P])
-        return rhs
+        n = len(self.names)
+        return lambda tau, y: np.array(self._forms(float(tau), r0, y.tolist())[:n])
 
     def _rhs_r(self, t0):
-        def rhs(rho, y):
-            vals = self._vals_dict(y)
-            return np.array([q(t0, rho, vals).value for q in self.Q])
-        return rhs
+        n = len(self.names)
+        return lambda rho, y: np.array(self._forms(t0, float(rho), y.tolist())[n:])
+
+    def _one_form_jets(self, t: float, r: float, vec: tuple) -> tuple:
+        """P_i and Q_i as Jet1s of their total (t, r)-derivatives: each
+        component is seeded with its own one-form."""
+        n = len(self.names)
+        pq = self._forms(t, r, vec)
+        env = {name: Jet1(v, pq[i], pq[n + i]) for i, (name, v) in enumerate(zip(self.names, vec))}
+        env["t"], env["r"] = Jet1(t, 1.0), Jet1(r, 0.0, 1.0)
+        return tuple(Jet1._lift(x) for x in self._run(env))
+
+    def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
+        return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
 
     def _cache(self, key: tuple, vec) -> None:
         if key not in self._value_cache:
@@ -126,7 +151,7 @@ class PotentialSystem:
         key = (t, r)
         hit = self._value_cache.get(key)
         if hit is not None:
-            return self._vals_dict(hit)
+            return dict(zip(self.names, hit))
         # continue from the nearest already-transported point: any axis path
         # from there gives the same value only because the certificate
         # (path_independence_residual) has compared two independent routes
@@ -138,7 +163,7 @@ class PotentialSystem:
         vec = self._leg(self._rhs_t(r_from), vec, t_from, [t])[t]
         vec = self._leg(self._rhs_r(t), vec, r_from, [r])[r]
         self._cache(key, vec)
-        return self._vals_dict(vec)
+        return dict(zip(self.names, vec))
 
     def _leg(self, rhs, y0, s0: float, targets) -> dict:
         """States at every parameter in ``targets`` on one axis line from
@@ -172,26 +197,45 @@ class PotentialSystem:
         if vals is None:
             vals = self.values(t, r)
         i = self.names.index(name)
-        pj = self.P[i](t, r, vals)
-        qj = self.Q[i](t, r, vals)
+        pq = self._jets_at(t, r, vals)
+        pj, qj = pq[i], pq[len(self.names) + i]
         return Jet2(vals[name], pj.value, qj.value,
                     pj.dt, 0.5 * (pj.dr + qj.dt), qj.dr)
+
+    def coefficients(self, fields: Sequence) -> list:
+        """Callables ``(t, r, vals=None) -> Jet2`` of fields in t, r and the
+        components: one program run on the components' `jet2`s and
+        remembered at the last point and component values ``vals`` (None:
+        transported)."""
+        run = self._compile(list(fields))
+
+        @lru_cache(maxsize=1)
+        def jets(t, r, key) -> list:
+            vals = self.values(t, r) if key is None else dict(zip(self.names, key))
+            env = {n: self.jet2(n, t, r, vals) for n in self.names}
+            env["t"], env["r"] = Jet2.var_t(t), Jet2.var_r(r)
+            return [Jet2._lift(x) for x in run(env)]
+
+        def coefficient(i: int):
+            def f(t, r, vals=None) -> Jet2:
+                return jets(t, r, None if vals is None else tuple(vals[n] for n in self.names))[i]
+            return f
+        return [coefficient(i) for i in range(len(fields))]
 
     def rates(self, t: float, r: float, vals: dict, tdot: float, rdot: float) -> np.ndarray:
         """d(psi_i)/ds = P_i tdot + Q_i rdot along a curve through (t, r)
         with velocity (tdot, rdot), at the component values ``vals``."""
-        return np.array([p(t, r, vals).value * tdot + q(t, r, vals).value * rdot
-                         for p, q in zip(self.P, self.Q)])
+        n = len(self.names)
+        pq = self._forms(t, r, [float(vals[name]) for name in self.names])
+        return np.array([pq[i] * tdot + pq[n + i] * rdot for i in range(n)])
 
     def closedness_residual(self, probes: Sequence[tuple]) -> float:
-        """max_i max_probes |d_t Q_i - d_r P_i|, derivatives from the Jet1s."""
+        """max_i max_probes |d_t Q_i - d_r P_i|, exact total derivatives."""
+        n = len(self.names)
         worst = 0.0
         for (t, r) in probes:
-            vals = self.values(t, r)
-            for p, q in zip(self.P, self.Q):
-                pj = p(t, r, vals)
-                qj = q(t, r, vals)
-                worst = max(worst, abs(qj.dt - pj.dr))
+            pq = self._jets_at(t, r, self.values(t, r))
+            worst = max([worst] + [abs(pq[n + i].dt - pq[i].dr) for i in range(n)])
         return worst
 
     def path_independence_residual(self, probes: Sequence[tuple]) -> float:
@@ -209,15 +253,13 @@ class PotentialSystem:
         return worst
 
     def certify(self, probes: Sequence[tuple], closed_tol: float = 1e-8,
-                path_tol: float = 1e-8, label: str = "", analytic: bool = True,
-                error_cls=NotClosed):
+                path_tol: float = 1e-8, label: str = "", error_cls=NotClosed):
         # the sweep first, so that the curl check reads cached probe values
         path_res = self.path_independence_residual(probes)
-        if analytic:
-            res = self.closedness_residual(probes)
-            if res > closed_tol:
-                raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
-                                % (label or ",".join(self.names), res, closed_tol))
+        res = self.closedness_residual(probes)
+        if res > closed_tol:
+            raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
+                            % (label or ",".join(self.names), res, closed_tol))
         if path_res > path_tol:
             raise error_cls("%s: path-dependent transport (residual %.3g > %.3g)"
                             % (label or ",".join(self.names), path_res, path_tol))
@@ -242,7 +284,7 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
 
     P, Q are plain-value callables (t, r) -> float.  Closedness is checked by
     central differences on the probe set (default: a 5 x 5 lattice over the
-    bounding box); the value is a `PotentialSystem` transport certified
+    bounding box); the value is a `PotentialSystem` transport checked
     against the transposed path.
     """
     t0, r0 = frm
@@ -254,9 +296,13 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
     worst = _fd_curl(P, Q, closedness_probes)
     if worst > closed_tol:
         raise NotClosed("one-form not closed: curl residual %.3g > %.3g" % (worst, closed_tol))
-    pot = PotentialSystem(["psi"], [lambda t, r, v: Jet1(P(t, r))],
-                          [lambda t, r, v: Jet1(Q(t, r))], frm)
-    pot.certify([to], path_tol=agree_tol, label="path integral", analytic=False)
+    pot = PotentialSystem(["psi"], ["0"], ["0"], frm)
+    # opaque callables have no jets; transport reads the program on floats only
+    pot._run = lambda env: (P(env["t"], env["r"]), Q(env["t"], env["r"]))
+    res = pot.path_independence_residual([to])
+    if res > agree_tol:
+        raise NotClosed("path integral: path-dependent transport (residual %.3g > %.3g)"
+                        % (res, agree_tol))
     return pot.values(*to)["psi"]
 
 
@@ -264,15 +310,10 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
 # Evaluator plumbing
 # ---------------------------------------------------------------------------
 
-def lift_jet1(j: Jet1) -> MultiJet:
-    return MultiJet.from_jet2(Jet2(j.value, j.dt, j.dr))
-
-
 def _uv_jets(conn: ConnectionProfile, p: TangentPoint):
     """u = tdot - a rdot and v = c rdot^2 + 2 b tdot rdot - w^2 as MultiJets."""
-    aj = MultiJet.from_jet2(conn.field_a().jet(p.t, p.r))
-    bj = MultiJet.from_jet2(conn.field_b().jet(p.t, p.r))
-    cj = MultiJet.from_jet2(conn.field_c().jet(p.t, p.r))
+    aj, bj, cj = (MultiJet.from_jet2(Jet2._lift(x))
+                  for x in conn.abc(Jet2.var_t(p.t), Jet2.var_r(p.r)))
     _, _, th, td, rd, thd, phd = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
                                                      p.rdot, p.thetadot, p.phidot)
     u = td - aj * rd
@@ -280,10 +321,13 @@ def _uv_jets(conn: ConnectionProfile, p: TangentPoint):
     return u, v
 
 
-def _curvature_memo(conn: ConnectionProfile):
-    """``(t, r) -> curvature_profile(conn, t, r)`` remembering the last point,
-    which every P_i / Q_i of a potential reads in turn."""
-    return lru_cache(maxsize=1)(partial(curvature_profile, conn))
+def _uv_values(conn: ConnectionProfile, p: TangentPoint):
+    """The values of `_uv_jets`, in the same order of operations."""
+    a, b, c = conn.abc(p.t, p.r)
+    s = math.sin(p.theta)
+    w2 = p.thetadot * p.thetadot + p.phidot * p.phidot * s * s
+    return (p.tdot - a * p.rdot,
+            c * p.rdot * p.rdot + 2.0 * b * p.tdot * p.rdot - w2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +335,7 @@ def _curvature_memo(conn: ConnectionProfile):
 # ---------------------------------------------------------------------------
 
 _DOMAIN_FLOOR = 1e-6   # admissible(): |u| (u and the power-law base) above it
+_NORMAL_MIN = sys.float_info.min   # admissible(): the exponential L is a normal float
 
 
 @dataclass
@@ -299,33 +344,32 @@ class PowerLawForm:
 
     conn: ConnectionProfile
     lam: float
-    rho: Callable[[float, float], Jet1]
+    rho_field: ScalarField              # rho = E / D
     scale_pot: PotentialSystem          # theta = exp(psi)
     log_scale: float = 0.0
     tag: str = "power-law"
 
-    def _pieces(self, p: TangentPoint):
-        u, v = _uv_jets(self.conn, p)
-        rho_j = lift_jet1(self.rho(p.t, p.r))
-        base = v + rho_j * u * u
-        return u, base
+    def rho(self, t: float, r: float) -> Jet2:
+        return self.rho_field.jet(t, r)
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
-            u, base = self._pieces(p)
+            u, v = _uv_values(self.conn, p)
+            base = v + self.rho_field.value(p.t, p.r) * u * u
         except DomainError:
             return False
-        return u.value > _DOMAIN_FLOOR and base.value > _DOMAIN_FLOOR
+        return u > _DOMAIN_FLOOR and base > _DOMAIN_FLOOR
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
-        u, base = self._pieces(p)
+        u, v = _uv_jets(self.conn, p)
+        base = v + MultiJet.from_jet2(self.rho(p.t, p.r)) * u * u
         psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
         return psi.exp() * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
     def scaled(self, c: float) -> "PowerLawForm":
         if c <= 0.0:
             raise ValueError("scale must be positive")
-        return PowerLawForm(self.conn, self.lam, self.rho, self.scale_pot,
+        return PowerLawForm(self.conn, self.lam, self.rho_field, self.scale_pot,
                             self.log_scale + math.log(c), self.tag)
 
     def describe(self) -> dict:
@@ -338,28 +382,37 @@ class ExponentialForm:
     """L = phi(t,r) u^2 exp(mu v / u^2) (Class 2)."""
 
     conn: ConnectionProfile
-    mu: Callable[[float, float], Jet1]
+    mu_field: ScalarField               # mu = F / E
     scale_pot: PotentialSystem          # phi = exp(psi)
     log_scale: float = 0.0
     tag: str = "exponential"
 
+    def mu(self, t: float, r: float) -> Jet2:
+        return self.mu_field.jet(t, r)
+
     def admissible(self, p: TangentPoint) -> bool:
+        """|u| above the floor and L a normal float: where mu v / u^2 is far
+        below zero, L underflows and its Hessian with it."""
         try:
-            u, _ = _uv_jets(self.conn, p)
-        except DomainError:
+            u, v = _uv_values(self.conn, p)
+            if abs(u) <= _DOMAIN_FLOOR:
+                return False
+            psi = self.scale_pot.values(p.t, p.r)["psi"] + self.log_scale
+            L = math.exp(psi) * u * u * math.exp(self.mu_field.value(p.t, p.r) * v / (u * u))
+        except (DomainError, OverflowError):
             return False
-        return abs(u.value) > _DOMAIN_FLOOR
+        return _NORMAL_MIN <= L <= sys.float_info.max
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
-        mu_j = lift_jet1(self.mu(p.t, p.r))
+        mu_j = MultiJet.from_jet2(self.mu(p.t, p.r))
         psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
         return psi.exp() * u * u * (mu_j * v / (u * u)).exp()
 
     def scaled(self, c: float) -> "ExponentialForm":
         if c <= 0.0:
             raise ValueError("scale must be positive")
-        return ExponentialForm(self.conn, self.mu, self.scale_pot,
+        return ExponentialForm(self.conn, self.mu_field, self.scale_pot,
                                self.log_scale + math.log(c), self.tag)
 
     def describe(self) -> dict:
@@ -383,10 +436,10 @@ class Class3FinslerForm:
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
-            u, _ = _uv_jets(self.conn, p)
+            u, _ = _uv_values(self.conn, p)
         except DomainError:
             return False
-        return abs(u.value) > _DOMAIN_FLOOR
+        return abs(u) > _DOMAIN_FLOOR
 
     def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
         u, v = _uv_jets(self.conn, p)
@@ -486,12 +539,6 @@ class RiemannForm:
         return d
 
 
-def constant_field(v: float) -> Callable[[float, float], Jet2]:
-    def f(t, r, vals=None):
-        return Jet2(v)
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -512,10 +559,9 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
                     lam_var_tol: float = 1e-8) -> PowerLawForm:
     """Class-1 constructor: lambda = F/D (grid-constant), rho = E/D field,
     conformal factor from the (G - lambda Gt, H - lambda Ht) one-form."""
-    cpc = _curvature_memo(conn)
     lams = []
     for (t, r) in grid:
-        cp = cpc(t, r)
+        cp = curvature_profile(conn, t, r)
         if cp.corner != W_CORNER_GENERIC:
             raise LambdaNotConstant("w-corner not generic at (%g, %g)" % (t, r))
         D, _E, F = cp.DEF
@@ -530,106 +576,49 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
     if abs(lam - 1.0) < 1e-8:
         raise LambdaEqualsOne("lambda = 1: Riemannian case, not a proper Class-1 input")
 
-    def rho(t, r) -> Jet1:
-        cp = cpc(t, r)
-        D, E, _F = cp.DEF
-        return E / D
-
-    def P(t, r, vals) -> Jet1:
-        G, Gt, _H, _Ht = cpc(t, r).GH
-        return G - lam * Gt
-
-    def Q(t, r, vals) -> Jet1:
-        _G, _Gt, H, Ht = cpc(t, r).GH
-        return H - lam * Ht
-
-    pot = PotentialSystem(["psi"], [P], [Q], _base_point(grid))
+    _a, _abc, (D, E, _F), (G, Gt, H, Ht) = conn.curvature_fields()
+    pot = PotentialSystem(["psi"], [G - lam * Gt], [H - lam * Ht], _base_point(grid))
     pot.certify(_grid_probes(grid), label="power-law scale")
-    return PowerLawForm(conn, lam, rho, pot)
+    return PowerLawForm(conn, lam, E / D, pot)
 
 
 def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> ExponentialForm:
     """Class-2 constructor: mu = F/E (accepted as a field; the paper's own
     example has mu depending on (t, r)), scale from (G + 2 k4 b mu, H + 2 k6 b mu)."""
-    cpc = _curvature_memo(conn)
     for (t, r) in grid:
-        cp = cpc(t, r)
+        cp = curvature_profile(conn, t, r)
         if cp.corner != W_CORNER_GENERIC:
             raise MuNotConstant("w-corner not generic at (%g, %g)" % (t, r))
         _D, E, F = cp.DEF
         if abs(E.value) < 1e-12 * (1.0 + abs(F.value)):
             raise MuNotConstant("E vanishes at (t, r) = (%g, %g); mu = F/E undefined" % (t, r))
 
-    def mu(t, r) -> Jet1:
-        _D, E, F = cpc(t, r).DEF
-        return F / E
-
-    def P(t, r, vals) -> Jet1:
-        cp = cpc(t, r)
-        return cp.GH[0] + 2.0 * _k_jet1(cp, 4) * cp.abc[1] * mu(t, r)
-
-    def Q(t, r, vals) -> Jet1:
-        cp = cpc(t, r)
-        return cp.GH[2] + 2.0 * _k_jet1(cp, 6) * cp.abc[1] * mu(t, r)
-
-    pot = PotentialSystem(["psi"], [P], [Q], _base_point(grid))
+    _a, (_aa, b, _c), (_D, E, F), (G, _Gt, H, _Ht) = conn.curvature_fields()
+    mu = F / E
+    pot = PotentialSystem(["psi"], [G + 2.0 * conn.k_field(4) * b * mu],
+                          [H + 2.0 * conn.k_field(6) * b * mu], _base_point(grid))
     pot.certify(_grid_probes(grid), label="exponential scale")
     return ExponentialForm(conn, mu, pot)
 
 
-def _k_jet1(cp: CurvatureProfile, i: int) -> Jet1:
-    j = cp.k_jets[i - 1]
-    return Jet1(j.value, j.dt, j.dr)
-
-
 def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> PotentialSystem:
     """G from (G, H), K from (k8, k9), M from the e^{-(G-2K)} b (k4, k6) form."""
-    cpc = _curvature_memo(conn)
-
-    def P_G(t, r, vals) -> Jet1:
-        return cpc(t, r).GH[0]
-
-    def Q_G(t, r, vals) -> Jet1:
-        return cpc(t, r).GH[2]
-
-    def P_K(t, r, vals) -> Jet1:
-        return _k_jet1(cpc(t, r), 8)
-
-    def Q_K(t, r, vals) -> Jet1:
-        return _k_jet1(cpc(t, r), 9)
-
-    def _m_form(t, r, vals, which: int) -> Jet1:
-        cp = cpc(t, r)
-        b = cp.abc[1]
-        kf = _k_jet1(cp, which)
-        G, _Gt, H, _Ht = cp.GH
-        k8 = _k_jet1(cp, 8)
-        k9 = _k_jet1(cp, 9)
-        # exp(-(G - 2K)) with total (t, r) derivatives from the defining forms
-        erg = math.exp(-(vals["G"] - 2.0 * vals["K"]))
-        carrier = Jet1(erg,
-                       -erg * (G.value - 2.0 * k8.value),
-                       -erg * (H.value - 2.0 * k9.value))
-        return 2.0 * b * kf * carrier
-
-    def P_M(t, r, vals) -> Jet1:
-        return _m_form(t, r, vals, 4)
-
-    def Q_M(t, r, vals) -> Jet1:
-        return _m_form(t, r, vals, 6)
-
-    return PotentialSystem(["G", "K", "M"], [P_G, P_K, P_M], [Q_G, Q_K, Q_M],
+    _a, (_aa, b, _c), _DEF, (G, _Gt, H, _Ht) = conn.curvature_fields()
+    e_gk = ScalarField("exp(-(G - 2*K))")     # of the potentials G and K
+    return PotentialSystem(["G", "K", "M"],
+                           [G, conn.k_field(8), 2.0 * b * conn.k_field(4) * e_gk],
+                           [H, conn.k_field(9), 2.0 * b * conn.k_field(6) * e_gk],
                            _base_point(grid))
 
 
-def _choose_m_shift(pots: PotentialSystem, cpc, grid, floor_tol: float = 1e-6):
+def _choose_m_shift(pots: PotentialSystem, cps: Sequence[CurvatureProfile],
+                    floor_tol: float = 1e-6):
     """Shift of the free additive constant in M keeping Delta away from zero."""
     delta0 = []
     wgt = []
-    for (t, r) in grid:
-        cp = cpc(t, r)
+    for cp in cps:
         a, b, c = (x.value for x in cp.abc)
-        vals = pots.values(t, r)
+        vals = pots.values(cp.t, cp.r)
         eg = math.exp(vals["G"])
         e2k = math.exp(2.0 * vals["K"])
         W = eg * (2.0 * a * b + c)
@@ -662,13 +651,13 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     The Riemannian member is A = v e^{2K} + (e^G M) u^2; the Finsler member
     carries the chosen free function Theta (identity reproduces A exactly).
     """
-    cpc = _curvature_memo(conn)
-    for (t, r) in grid:
-        if cpc(t, r).corner != W_CORNER_GENERIC:
-            raise NotClosed("w-corner degenerate at (%g, %g): not a Class-3 input" % (t, r))
+    cps = [curvature_profile(conn, t, r) for (t, r) in grid]
+    for cp in cps:
+        if cp.corner != W_CORNER_GENERIC:
+            raise NotClosed("w-corner degenerate at (%g, %g): not a Class-3 input" % (cp.t, cp.r))
     pots = build_class3_potentials(conn, grid)
     pots.certify(_grid_probes(grid), label="class-3 potentials")
-    m_shift = _choose_m_shift(pots, cpc, grid)
+    m_shift = _choose_m_shift(pots, cps)
 
     if isinstance(theta, str):
         theta_expr = _THETA_BUILTINS.get(theta)
@@ -677,30 +666,11 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     else:
         theta_expr = theta
 
-    a_f, b_f, c_f = conn.field_a(), conn.field_b(), conn.field_c()
-
-    @lru_cache(maxsize=1)
-    def _coeffs(t, r, key) -> dict:
-        """The four coefficient jets at (t, r) and potential values ``key``
-        (``pots.names`` order; None: transported), read in turn."""
-        vals = pots.values(t, r) if key is None else dict(zip(pots.names, key))
-        Gj = pots.jet2("G", t, r, vals)
-        Kj = pots.jet2("K", t, r, vals)
-        Mj = pots.jet2("M", t, r, vals) + m_shift
-        eg_m = Gj.exp() * Mj
-        e2k = (2.0 * Kj).exp()
-        aj = a_f.jet(t, r)
-        return {"att": eg_m, "atr": b_f.jet(t, r) * e2k - aj * eg_m,
-                "arr": c_f.jet(t, r) * e2k + aj * aj * eg_m, "aw": -e2k}
-
-    def _coeff(which: str):
-        def f(t, r, vals=None) -> Jet2:
-            key = None if vals is None else tuple(vals[n] for n in pots.names)
-            return _coeffs(t, r, key)[which]
-        return f
-
-    riemann = RiemannForm(_coeff("att"), _coeff("atr"), _coeff("arr"), _coeff("aw"),
-                          tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
+    _a, (a, b, c), _DEF, _GH = conn.curvature_fields()
+    eg_m = ScalarField("exp(G)") * (ScalarField("M") + m_shift)
+    e2k = ScalarField("exp(2*K)")
+    coeffs = pots.coefficients([eg_m, b * e2k - a * eg_m, c * e2k + a * a * eg_m, -e2k])
+    riemann = RiemannForm(*coeffs, tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
                           scale_pot=pots)
     finsler = Class3FinslerForm(conn, pots, m_shift, compile_expression(theta_expr))
     return finsler, riemann
@@ -727,49 +697,24 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
         h0, aw_sign = SIGNATURES[signature]
     except KeyError:
         raise ValueError("signature must be one of %s" % list(SIGNATURES))
-    cpc = _curvature_memo(conn)
-
-    def _k(t, r, i) -> Jet1:
-        return _k_jet1(cpc(t, r), i)
-
+    k = {i: conn.k_field(i) for i in range(1, 7)}
+    names = ["h_tt", "h_tr", "h_rr"]
+    htt, htr, hrr = (ScalarField(n) for n in names)
     # metric-compatibility one-form: d h = (M_t h) dt + (M_r h) dr
-    def P_tt(t, r, v) -> Jet1:
-        return 2.0 * (_k(t, r, 1) * v["h_tt"] + _k(t, r, 4) * v["h_tr"])
-
-    def P_tr(t, r, v) -> Jet1:
-        return (_k(t, r, 2) * v["h_tt"] + (_k(t, r, 1) + _k(t, r, 6)) * v["h_tr"]
-                + _k(t, r, 4) * v["h_rr"])
-
-    def P_rr(t, r, v) -> Jet1:
-        return 2.0 * (_k(t, r, 2) * v["h_tr"] + _k(t, r, 6) * v["h_rr"])
-
-    def Q_tt(t, r, v) -> Jet1:
-        return 2.0 * (_k(t, r, 2) * v["h_tt"] + _k(t, r, 6) * v["h_tr"])
-
-    def Q_tr(t, r, v) -> Jet1:
-        return (_k(t, r, 3) * v["h_tt"] + (_k(t, r, 2) + _k(t, r, 5)) * v["h_tr"]
-                + _k(t, r, 6) * v["h_rr"])
-
-    def Q_rr(t, r, v) -> Jet1:
-        return 2.0 * (_k(t, r, 3) * v["h_tr"] + _k(t, r, 5) * v["h_rr"])
-
-    pots = PotentialSystem(["h_tt", "h_tr", "h_rr"],
-                           [P_tt, P_tr, P_rr], [Q_tt, Q_tr, Q_rr],
-                           _base_point(grid), base_values=h0)
+    pots = PotentialSystem(
+        names,
+        [2.0 * (k[1] * htt + k[4] * htr), k[2] * htt + (k[1] + k[6]) * htr + k[4] * hrr,
+         2.0 * (k[2] * htr + k[6] * hrr)],
+        [2.0 * (k[2] * htt + k[6] * htr), k[3] * htt + (k[2] + k[5]) * htr + k[6] * hrr,
+         2.0 * (k[3] * htr + k[5] * hrr)],
+        _base_point(grid), base_values=h0)
     res = pots.path_independence_residual(_grid_probes(grid))
     if res > path_tol:
         raise PathDependent("flat-transport legs disagree (residual %.3g > %.3g): "
                             "tr-corner is not flat" % (res, path_tol))
-
-    def _coeff(name: str):
-        def f(t, r, vals=None) -> Jet2:
-            return pots.jet2(name, t, r, vals)
-        return f
-
-    return RiemannForm(_coeff("h_tt"), _coeff("h_tr"), _coeff("h_rr"),
-                       constant_field(aw_sign), tag="class-4",
-                       signature_hint=signature, meta={"potentials": pots},
-                       scale_pot=pots)
+    coeffs = pots.coefficients([htt, htr, hrr, ScalarField.constant(aw_sign)])
+    return RiemannForm(*coeffs, tag="class-4", signature_hint=signature,
+                       meta={"potentials": pots}, scale_pot=pots)
 
 
 def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0,
@@ -784,11 +729,10 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     """
     if C1 == 0.0 or C2 == 0.0:
         raise ValueError("C1 and C2 must be nonzero")
-    cpc = _curvature_memo(conn)
     worst_sym = 0.0
     scale = 0.0
     for (t, r) in grid:
-        cp = cpc(t, r)
+        cp = curvature_profile(conn, t, r)
         worst_sym = max(worst_sym, abs(cp.a[1].value + cp.a[4].value))
         local = float(np.max(np.abs(cp.a_values())))
         scale = max(scale, local)
@@ -799,69 +743,33 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
         raise NotRiemannMetrizable(
             "a1 + a4 != 0 on the grid (max %.3g): Ricci tensor not symmetric" % worst_sym)
 
+    a = conn.curvature_fields()[0]
+    k = {i: conn.k_field(i) for i in range(1, 7)}
+
     # fixed admissible velocity for the gradient recovery
-    def q_of(cp: CurvatureProfile, td, rd) -> float:
-        return -cp.a[3].value * td * td + 2.0 * cp.a[1].value * td * rd \
-            + cp.a[2].value * rd * rd
+    for td, rd in ((1.0, 0.0), (1.0, 0.5)):
+        q = -a[3] * td * td + 2.0 * a[1] * td * rd + a[2] * rd * rd
+        if all(abs(q.value(t, r)) >= quad_floor * (1.0 + scale) for (t, r) in grid):
+            break
+    else:
+        raise SingularQuadratic("quadratic vanishes at both candidate velocities")
+    ddot_t = 2.0 * (a[1] * rd - a[3] * td)
+    ddot_r = 2.0 * (a[1] * td + a[2] * rd)
 
-    xdot = (1.0, 0.0)
-    if any(abs(q_of(cpc(t, r), *xdot)) < quad_floor * (1.0 + scale) for (t, r) in grid):
-        xdot = (1.0, 0.5)
-        if any(abs(q_of(cpc(t, r), *xdot)) < quad_floor * (1.0 + scale) for (t, r) in grid):
-            raise SingularQuadratic("quadratic vanishes at both candidate velocities")
+    def dphi(var: str, n_t: ScalarField, n_r: ScalarField) -> ScalarField:
+        """Half of delta_var ln q at the fixed velocity; n_t, n_r are N^t_var, N^r_var."""
+        return (q.derivative(var) - n_t * ddot_t - n_r * ddot_r) / (2.0 * q)
 
-    td, rd = xdot
-
-    def _phi_partial(t, r, horizontal: int) -> float:
-        cp = cpc(t, r)
-        a1, a2, a3 = cp.a[1], cp.a[2], cp.a[3]
-        Q = q_of(cp, td, rd)
-        if horizontal == 0:
-            dQ = -a3.dt * td * td + 2.0 * a1.dt * td * rd + a2.dt * rd * rd
-            n_t = cp.k_jets[0].value * td + cp.k_jets[1].value * rd   # N^t_t
-            n_r = cp.k_jets[3].value * td + cp.k_jets[5].value * rd   # N^r_t
-        else:
-            dQ = -a3.dr * td * td + 2.0 * a1.dr * td * rd + a2.dr * rd * rd
-            n_t = cp.k_jets[1].value * td + cp.k_jets[2].value * rd   # N^t_r
-            n_r = cp.k_jets[5].value * td + cp.k_jets[4].value * rd   # N^r_r
-        ddot_t = 2.0 * (a1.value * rd - a3.value * td)
-        ddot_r = 2.0 * (a1.value * td + a2.value * rd)
-        return (dQ - n_t * ddot_t - n_r * ddot_r) / (2.0 * Q)
-
-    def P_phi(t, r, vals) -> Jet1:
-        return Jet1(_phi_partial(t, r, 0))
-
-    def Q_phi(t, r, vals) -> Jet1:
-        return Jet1(_phi_partial(t, r, 1))
-
-    pot = PotentialSystem(["phi"], [P_phi], [Q_phi], _base_point(grid))
-    # closedness by central differences: the one-form's own derivatives would
-    # need third derivatives of the k_i, which jets do not carry
-    worst = _fd_curl(lambda t, r: _phi_partial(t, r, 0), lambda t, r: _phi_partial(t, r, 1),
-                     _grid_probes(grid))
-    if worst > closed_tol:
-        raise GradientNotClosed("recovered gradient of phi is not closed "
-                                "(residual %.3g > %.3g)" % (worst, closed_tol))
-    pot.certify(_grid_probes(grid), label="class-5 phi", analytic=False,
+    pot = PotentialSystem(["phi"], [dphi("t", k[1] * td + k[2] * rd, k[4] * td + k[6] * rd)],
+                          [dphi("r", k[2] * td + k[3] * rd, k[6] * td + k[5] * rd)],
+                          _base_point(grid))
+    pot.certify(_grid_probes(grid), closed_tol=closed_tol, label="class-5 phi",
                 error_cls=GradientNotClosed)
 
-    def _coeff(which: str):
-        def f(t, r, vals=None) -> Jet2:
-            cp = cpc(t, r)
-            phij = pot.jet2("phi", t, r, vals)
-            carrier = (-2.0 * Jet1(phij.value, phij.dt, phij.dr)).exp()
-            if which == "att":
-                coeff = -1.0 * cp.a[3]
-            elif which == "atr":
-                coeff = cp.a[1]
-            else:
-                coeff = cp.a[2]
-            out = C1 * carrier * coeff
-            return Jet2(out.value, out.dt, out.dr)
-        return f
-
-    return RiemannForm(_coeff("att"), _coeff("atr"), _coeff("arr"),
-                       constant_field(C2), tag="class-5",
+    conformal = C1 * ScalarField("exp(-2*phi)")
+    coeffs = pot.coefficients([conformal * (-1.0 * a[3]), conformal * a[1], conformal * a[2],
+                               ScalarField.constant(C2)])
+    return RiemannForm(*coeffs, tag="class-5",
                        meta={"potentials": pot, "C1": C1, "C2": C2,
                              "recovery_velocity": (td, rd)}, scale_pot=pot)
 

@@ -6,7 +6,9 @@ program that runs on plain floats or on truncated second-order jets (`Jet2`),
 which carry a value with its first and second partials in t and r.  Jet
 arithmetic implements the forward-mode rules, written once in `JetRules` for
 all three jet types, so derivatives of any parsed expression are exact for the
-supported function basis (no finite differencing).
+supported function basis (no finite differencing).  `derivative` applies the
+same rules to an AST, so a partial derivative is again an expression, to be
+compiled or differentiated further.
 """
 
 from __future__ import annotations
@@ -540,6 +542,11 @@ def compile_program(exprs, bound=None):
     return run
 
 
+def compile_fields(fields):
+    """One program for ScalarFields, each with its own bound parameters."""
+    return compile_program([f.expr for f in fields], [f.params for f in fields])
+
+
 def compile_expression(e: Expression):
     """The one-output program: a function env -> value of ``e``."""
     run = compile_program([e])
@@ -563,6 +570,79 @@ def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression
     if isinstance(e, BinOp):
         return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
     raise TypeError("not an expression node: %r" % (e,))
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _is(e, v) -> bool:
+    return isinstance(e, Num) and e.value == v
+
+
+def _add(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a, b):
+    return a if _is(b, 0.0) else Neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def derivative(e: Expression, var: str) -> Expression:
+    """The partial derivative of ``e`` in the variable or parameter ``var``.
+
+    Forward mode by source transformation: each node's rule is the chain rule
+    of `JetRules` written as an AST, so the result runs through the same
+    evaluator with the same domain checks (a quotient still divides by its
+    denominator, d sqrt(u) divides by sqrt(u), d|u| by |u|).  Only 0*x, x+0
+    and 1*x are folded.  Shared subtrees are differentiated once.
+    """
+    memo = {}
+
+    def d(x):
+        if id(x) not in memo:
+            memo[id(x)] = rule(x)
+        return memo[id(x)]
+
+    def rule(x):
+        if isinstance(x, Num):
+            return _ZERO
+        if isinstance(x, (Var, Param)):
+            return _ONE if x.name == var else _ZERO
+        if isinstance(x, Neg):
+            return _sub(_ZERO, d(x.arg))
+        if isinstance(x, Call):
+            u, du = x.arg, d(x.arg)
+            if _is(du, 0.0):
+                return _ZERO
+            outer = {"sin": lambda: Call("cos", u), "cos": lambda: Neg(Call("sin", u)),
+                     "tan": lambda: BinOp("+", _ONE, BinOp("*", x, x)), "exp": lambda: x,
+                     "ln": lambda: BinOp("/", _ONE, u),
+                     "sqrt": lambda: BinOp("/", Num(0.5), x), "abs": lambda: BinOp("/", u, x)}
+            return _mul(outer[x.fn](), du)
+        a, b = x.left, x.right
+        da, db = d(a), d(b)
+        if x.op in "+-":
+            return _add(da, db) if x.op == "+" else _sub(da, db)
+        if x.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if x.op == "/":   # (a / b)' = (a' - (a / b) b') / b
+            if _is(da, 0.0) and _is(db, 0.0):
+                return _ZERO
+            return BinOp("/", _sub(da, _mul(x, db)), b)
+        if not _is(db, 0.0):   # a^b = exp(b ln a): a^b (a' b / a + ln(a) b')
+            return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
+        if _is(b, 0.0):
+            return _ZERO
+        n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
+        return _mul(_mul(b, BinOp("^", a, n1)), da)
+
+    return d(e)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +744,7 @@ class ScalarField:
 
     def _eval(self, t, r):
         if self._run is None:
-            self._run = compile_program([self.expr], [self.params])
+            self._run = compile_fields([self])
         return self._run({"t": t, "r": r})[0]
 
     def value(self, t: float, r: float) -> float:
@@ -675,6 +755,9 @@ class ScalarField:
 
     def source(self) -> str:
         return to_source(self.expr)
+
+    def derivative(self, var: str) -> "ScalarField":
+        return ScalarField(derivative(self.expr, var), self.params)
 
     # -- field algebra ------------------------------------------------------
 

@@ -17,11 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesic_engine import integrate_finsler, integrate_spray
+from .geodesic_engine import integrate_finsler, integrate_spray, jet_spray
 from .geometry_core import (ConnectionProfile, TangentPoint, bracket_matrix,
                             curvature_profile, nonlinear_connection)
 from .metrizer import RiemannForm
-from .multijet import VERTICAL
 from .scalar_field import DomainError
 
 
@@ -144,8 +143,14 @@ def check_homogeneity(evaluator, samples: Sequence[TangentPoint],
 
 def check_hessian(evaluator, samples: Sequence[TangentPoint], det_floor: float = 1e-10,
                   name: str = "hessian-nondegeneracy") -> CheckResult:
-    """g_ab = (1/2) ddot_a ddot_b L nonsingular; eigenvalue sign pattern observed."""
-    min_det = math.inf
+    """g_ab = (1/2) ddot_a ddot_b L nonsingular; eigenvalue sign pattern observed.
+
+    Nondegeneracy is read from |det g| |y|^8 / L^4, which does not change
+    under L -> cL or y -> lambda y: its logarithm, with log |det g| from
+    ``slogdet``, must exceed log(det_floor) at every sample.  The residual is
+    the smallest such ratio.
+    """
+    worst = math.inf
     where = None
     signatures = set()
     used = 0
@@ -153,22 +158,27 @@ def check_hessian(evaluator, samples: Sequence[TangentPoint], det_floor: float =
         if not evaluator.admissible(p):
             continue
         try:
-            g = evaluator.jet(p).metric_tensor()
+            jet = evaluator.jet(p)
         except DomainError:
             continue
         used += 1
-        det = float(np.linalg.det(g))
+        g = jet.metric_tensor()
+        sign, logdet = np.linalg.slogdet(g)
         eig = np.linalg.eigvalsh(g)
         signatures.add((int(np.sum(eig > 0)), int(np.sum(eig < 0))))
-        if abs(det) < min_det:
-            min_det, where = abs(det), _sample_key(p)
+        L = abs(jet.value)   # 0 on a null direction of a nondegenerate form
+        level = (-math.inf if sign == 0.0 else math.inf if L == 0.0 else float(logdet)
+                 + 8.0 * math.log(float(np.linalg.norm(p.velocity))) - 4.0 * math.log(L))
+        if level < worst or where is None:
+            worst, where = level, _sample_key(p)
     if used == 0:
         raise VerificationError("no admissible samples for the Hessian check")
-    passed = min_det > det_floor and len(signatures) == 1
+    floor = math.log(det_floor) if det_floor > 0.0 else -math.inf
+    passed = worst > floor and len(signatures) == 1
     sig = sorted(signatures)
-    return CheckResult(name, min_det, det_floor, passed, where,
+    return CheckResult(name, math.exp(min(worst, 700.0)), det_floor, passed, where,
                        {"signatures": [list(s) for s in sig], "samples_used": used,
-                        "comparison": "residual is min |det g|, must exceed tolerance"})
+                        "comparison": "residual is min |det g| |y|^8 / L^4, must exceed tolerance"})
 
 
 def signature_observation(evaluator, samples: Sequence[TangentPoint]) -> tuple:
@@ -218,26 +228,28 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
 def berwald_check(evaluator, samples: Sequence[TangentPoint], tol: float = 1e-5,
                   h: float = 0.05, name: str = "berwald-quadratic-spray") -> CheckResult:
     """Third vertical derivative of the spray of L (finite differences of the
-    jet-exact spray) must vanish: quadratic G^a characterizes Berwald."""
-    from .geodesic_engine import finsler_spray
-
+    jet-exact spray) must vanish: quadratic G^a characterizes Berwald.  Stencils
+    whose round-off bound 3 eps max cond(g) / h^3 reaches ``tol`` are skipped."""
     worst = 0.0
     where = None
-    used = 0
+    used = unresolved = 0
     for p in samples:
         base = p.state()
         for b in range(4):
             try:
-                vals = []
+                vals, cond = [], 0.0
                 for m in (-2, -1, 1, 2):
-                    st = base.copy()
-                    st[4 + b] += m * h
-                    q = TangentPoint(*st)
+                    q = TangentPoint(*(base + m * h * np.eye(8)[4 + b]))
                     if not evaluator.admissible(q):
                         raise DomainError("shifted sample outside the conic domain")
-                    vals.append(finsler_spray(evaluator, q))
+                    jet = evaluator.jet(q)
+                    vals.append(jet_spray(jet, q.velocity))
+                    cond = max(cond, float(np.linalg.cond(jet.metric_tensor())))
                 third = (vals[3] - 2.0 * vals[2] + 2.0 * vals[1] - vals[0]) / (2.0 * h ** 3)
             except (DomainError, np.linalg.LinAlgError):
+                continue
+            if not 3.0 * np.finfo(float).eps * cond / h ** 3 < tol:
+                unresolved += 1
                 continue
             used += 1
             scale = 1.0 + max(float(np.max(np.abs(v))) for v in vals)
@@ -246,7 +258,8 @@ def berwald_check(evaluator, samples: Sequence[TangentPoint], tol: float = 1e-5,
                 worst, where = res, _sample_key(p)
     if used == 0:
         raise VerificationError("no admissible stencils for the Berwald check")
-    return CheckResult(name, worst, tol, worst < tol, where, {"stencils_used": used})
+    return CheckResult(name, worst, tol, worst < tol, where,
+                       {"stencils_used": used, "stencils_unresolved": unresolved})
 
 
 # ---------------------------------------------------------------------------

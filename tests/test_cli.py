@@ -338,3 +338,13 @@ def test_readme_job_configuration_loads(tmp_path):
     out = tmp_path / "readme.json"
     assert main(["classify", str(path), "--json", str(out), "--quiet"]) == EXIT_OK
     assert json.loads(out.read_text())["classification"]["class"] == 1
+
+
+def test_overflowing_require_is_a_config_error(cfg_file, capsys):
+    text = EX2_CFG.replace("require = tdot\n", "require = exp(1000*tdot)\n")
+    rc = main(["metrize", cfg_file(text), "--quiet"])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [samples] require = exp(1000*tdot): overflows at "
+                          "(t, r, theta, phi, tdot, rdot, thetadot, phidot) = (")
+    assert "Traceback" not in err

@@ -289,6 +289,22 @@ class TestProgram:
                      power_law_nonsymmetric(), flat_cartesian()):
             assert_program_matches_fields(conn, self.POINTS)
 
+    def test_curvature_fields_match_the_profile(self):
+        """curvature_formulas on fields, partials by `derivative`, against
+        curvature_profile on Jet1s: values and first partials."""
+        for conn in (make_class3(101)[0], exponential_example(), power_law_nonsymmetric(),
+                     class5_curved_block()):
+            a, abc, DEF, GH = conn.curvature_fields()
+            for (t, r) in default_grid(3):
+                cp = curvature_profile(conn, t, r)
+                pairs = [(a[i], cp.a[i]) for i in range(1, 15)]
+                if cp.corner == "generic":
+                    pairs += list(zip(abc + DEF + GH, cp.abc + cp.DEF + cp.GH))
+                for f, ref in pairs:
+                    j = f.jet(t, r)
+                    for x, y in ((j.value, ref.value), (j.dt, ref.dt), (j.dr, ref.dr)):
+                        assert abs(x - y) <= 1e-10 * (1.0 + abs(y))
+
     def test_shared_subexpression_evaluated_once(self, monkeypatch):
         """exp((r-t)^2) occurs eight times in k1..k6 of the exponential
         example, twice in k3 and in k4; a tree walk evaluates it eight times."""

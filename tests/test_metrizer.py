@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from berwald.geometry_core import (ConnectionProfile, Jet1, TangentPoint,
+from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    curvature_profile, sample_tangent_points)
 from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
-                              MuNotConstant, NotClosed, NotRiemannMetrizable,
+                              MetrizerError, MuNotConstant, NotClosed, NotRiemannMetrizable,
                               PathDependent, PotentialSystem, RiemannForm,
                               SingularQuadratic, _grid_probes, build_class3,
                               build_class4, build_class5, build_exponential,
                               build_power_law, class3_delta, class5_det_formula,
                               path_integral)
+from berwald.scalar_field import ScalarField
 from berwald.verifier import check_horizontal_constancy, levi_civita_roundtrip
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
@@ -51,9 +52,7 @@ class TestPathIntegral:
             path_integral(lambda t, r: r * r, lambda t, r: 0.0, (0, 0), (1, 1))
 
     def test_matches_potential_system(self):
-        P = lambda t, r, v: Jet1(math.cos(t) * r, -math.sin(t) * r, math.cos(t))
-        Q = lambda t, r, v: Jet1(math.sin(t) + 2 * r, math.cos(t), 2.0)
-        pots = PotentialSystem(["psi"], [P], [Q], (0.3, 0.4))
+        pots = PotentialSystem(["psi"], ["cos(t) * r"], ["sin(t) + 2 * r"], (0.3, 0.4))
         quad = path_integral(lambda t, r: math.cos(t) * r,
                              lambda t, r: math.sin(t) + 2 * r, (0.3, 0.4), (1.7, 2.1))
         ode = pots.values(1.7, 2.1)["psi"]
@@ -71,8 +70,7 @@ class TestPotentialSystem:
         probes = _grid_probes(window)
 
         def system():
-            return PotentialSystem(["psi"], [lambda t, r, v: Jet1(r, 0.0, 1.0)],
-                                   [lambda t, r, v: Jet1(0.0)], (0.5, 0.5))
+            return PotentialSystem(["psi"], ["r"], ["0"], (0.5, 0.5))
 
         fresh = system()
         assert fresh.path_independence_residual(probes) == pytest.approx(2 / 3, rel=1e-9)
@@ -80,6 +78,25 @@ class TestPotentialSystem:
         for (t, r) in window:
             queried.values(t, r)
         assert queried.path_independence_residual(probes) == pytest.approx(2 / 3, rel=1e-9)
+
+
+    def test_closedness_is_exact(self, grid):
+        # d(psi) = r dt: d_t Q - d_r P = -1
+        assert PotentialSystem(["psi"], ["r"], ["0"], (0.5, 0.5)).closedness_residual(
+            [(1.0, 1.5)]) == 1.0
+        # components enter their own forms with their one-forms as gradients:
+        # d(psi) = psi (dt + dr) is closed, d(psi) = psi dt + t psi dr is not (curl psi)
+        assert PotentialSystem(["psi"], ["psi"], ["psi"], (0.0, 0.0), [2.0]).closedness_residual(
+            [(0.0, 0.0)]) == 0.0
+        assert PotentialSystem(["psi"], ["psi"], ["t*psi"], (0.0, 0.0), [2.0]).closedness_residual(
+            [(0.0, 0.0)]) == 2.0
+        # the class-5 form reads second partials of the k_i; its curl is rounding
+        pot = build_class5(class5_curved_block(), grid).meta["potentials"]
+        assert pot.closedness_residual(_grid_probes(grid)) < 1e-12
+
+    def test_parameter_named_like_a_potential_is_refused(self):
+        with pytest.raises(MetrizerError):
+            PotentialSystem(["psi"], [ScalarField("psi*t", {"psi": 1.0})], ["0"], (0.0, 0.0))
 
 
 class TestPowerLaw:
@@ -173,6 +190,13 @@ class TestExponential:
         form = exp_form
         p = TangentPoint(1.0, 1.5, 1.2, 0.0, 0.7, 0.7, 0.2, 0.1)
         assert not form.admissible(p)
+
+    def test_form_jet_runs_one_abc_program(self, monkeypatch, exp_form):
+        calls = []
+        abc = exp_form.conn.abc
+        monkeypatch.setattr(exp_form.conn, "abc", lambda t, r: calls.append((t, r)) or abc(t, r))
+        exp_form.jet(TangentPoint(1.0, 1.5, 1.2, 0.0, 1.0, 0.3, 0.2, 0.1))
+        assert len(calls) == 1
 
     def test_mu_undefined_raises(self, grid):
         # E = b a3 vanishes identically when k8 = 0

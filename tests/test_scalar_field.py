@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from berwald.geometry_core import ConnectionProfile, Jet1
 from berwald.multijet import IR, IT, MultiJet
-from berwald.scalar_field import (BinOp, Call, DomainError, ExpressionSyntaxError,
+from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
                                   UnknownIdentifier, Var, compile_expression, compile_program,
-                                  eval_jet2, evaluate, parse, substitute, to_source)
+                                  derivative, eval_jet2, evaluate, parse, substitute, to_source)
 
 from conftest import assert_program_matches_fields, jet_slots
 
@@ -381,3 +381,69 @@ def test_jets_fail_with_domain_error():
     j = ScalarField("ln(t)").jet(v, 1.0)
     assert (j.value, j.dt, j.dtt) == (math.log(v), 1.0 / v, -1.0 / v ** 2)
     assert (Jet1(1.0) / Jet1(v, 1.0)).dt == -1.0 / v ** 2
+
+
+# -- derivative: forward mode by source transformation -----------------------
+
+_AST_LEAVES = st.one_of(st.sampled_from([Var("t"), Var("r")]),
+                        st.sampled_from([0.5, 1.0, 2.0, 3.0, -1.5]).map(Num))
+ASTS = st.recursive(_AST_LEAVES, lambda kids: st.one_of(
+    kids.map(Neg),
+    st.tuples(st.sampled_from("+-*/^"), kids, kids).map(lambda x: BinOp(*x)),
+    st.tuples(st.sampled_from(FUNCTIONS), kids).map(lambda x: Call(*x))), max_leaves=8)
+
+
+def to_sympy(e, syms):
+    import sympy
+    fns = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
+           "ln": sympy.log, "sqrt": sympy.sqrt, "abs": sympy.Abs}
+    if isinstance(e, Num):
+        return sympy.Rational(repr(e.value))
+    if isinstance(e, Var):
+        return syms[e.name]
+    if isinstance(e, Neg):
+        return -to_sympy(e.arg, syms)
+    if isinstance(e, Call):
+        return fns[e.fn](to_sympy(e.arg, syms))
+    a, b = to_sympy(e.left, syms), to_sympy(e.right, syms)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]
+
+
+@given(ASTS, st.sampled_from("tr"), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_derivative_matches_sympy_and_the_jets(e, var, t, r):
+    """Where e and its Jet2 evaluate, the compiled derivative either raises
+    DomainError or matches sympy.diff (at 30 digits) and the Jet2 partial to
+    1e-10 relative; no other exception escapes it."""
+    import sympy
+    try:
+        j2 = ScalarField(e).jet(t, r)
+    except (DomainError, OverflowError):
+        return
+    slots = (j2.value, j2.dt, j2.dr)
+    if not all(math.isfinite(x) and abs(x) < 1e100 for x in slots):
+        return
+    try:
+        d = ScalarField(derivative(e, var)).value(t, r)
+    except DomainError:
+        return
+    syms = {"t": sympy.Symbol("t", positive=True), "r": sympy.Symbol("r", positive=True)}
+    ref = complex(sympy.diff(to_sympy(e, syms), syms[var])
+                  .subs({syms["t"]: t, syms["r"]: r}).evalf(30))
+    partial = j2.dt if var == "t" else j2.dr
+    assert abs(d - ref) <= 1e-10 * (1.0 + abs(ref))
+    assert abs(d - partial) <= 1e-10 * (1.0 + abs(partial))
+
+
+def test_derivative_folds_only_zeros_and_ones_and_shares_subtrees():
+    d = derivative(parse("t*r + 3*sin(r)"), "t")
+    assert d == Var("r")                                  # 1*r + t*0 + 3*0 folded
+    assert derivative(parse("2^t"), "t") == parse("2^t * ln(2)")
+    shared = parse("exp(t)")
+    d = derivative(BinOp("*", shared, shared), "t")
+    assert d.left.right is d.right.left is shared       # exp(t)' reused, not rebuilt
+    assert derivative(parse("sqrt(t)"), "t") == parse("0.5 / sqrt(t)")
+    with pytest.raises(DomainError):                      # d sqrt(t) divides by sqrt(t)
+        ScalarField(derivative(parse("sqrt(t)"), "t")).value(0.0, 1.0)
+    with pytest.raises(DomainError):                      # d|t| divides by |t|
+        ScalarField(derivative(parse("abs(t)"), "t")).value(0.0, 1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,14 @@ from berwald.geodesic_engine import integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    sample_tangent_points)
 from berwald.metrizer import (RiemannForm, build_class3, build_class4, build_class5,
-                              build_exponential, build_power_law, constant_field)
+                              build_exponential, build_power_law)
 from berwald.multijet import MultiJet, w2_jet
 from berwald.scalar_field import Jet2
 from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
                               check_hessian, check_homogeneity,
                               check_horizontal_constancy, geodesic_agreement,
                               levi_civita_roundtrip, riemann_falsification,
-                              signature_observation)
+                              signature_observation, VerificationError)
 
 from conftest import (class5_curved_block, default_grid, exponential_example,
                       flat_cartesian, power_law_nonsymmetric, power_law_symmetric)
@@ -131,6 +132,49 @@ class TestHessian:
             signature_observation(SimpleQuadratic(), pts)
 
 
+class Scaled:
+    """c L: the same form with L multiplied by the constant c."""
+
+    def __init__(self, form, c):
+        self.form, self.c = form, c
+
+    def admissible(self, p):
+        return self.form.admissible(p)
+
+    def jet(self, p):
+        return self.form.jet(p) * self.c
+
+
+class TestHessianScale:
+    def test_quadratic_in_u_alone_is_refused(self, forms, rng):
+        # lambda = 0 leaves L = theta u^2, whose vertical Hessian has rank 1
+        form = dataclasses.replace(forms["ex1"][1], lam=0.0)
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
+                                    predicate=form.admissible)
+        res = check_hessian(form, pts)
+        assert not res.passed and res.residual == 0.0
+
+    def test_verdict_and_residual_do_not_depend_on_the_scale_of_L(self, forms, rng):
+        fixtures = [f for _, f in forms.values()]
+        fixtures.append(build_exponential(exponential_example(), default_grid()))
+        for form in fixtures:
+            pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
+                                        predicate=form.admissible)
+            results = [check_hessian(Scaled(form, c), pts) for c in (1e-6, 1.0, 1e6)]
+            assert len({res.passed for res in results}) == 1
+            for res in results:
+                assert res.residual == pytest.approx(results[1].residual, rel=1e-9)
+
+    def test_exponential_form_certifies_where_L_is_a_normal_float(self, rng):
+        form = build_exponential(exponential_example(), default_grid())
+        # |u| = 1e-3 passes the floor, but mu v / u^2 is about -4e4: L underflows
+        p = TangentPoint(1.0, 1.5, 1.2, 0.0, 0.701, 0.7, 0.2, 0.1)
+        assert form.jet(p).value == 0.0 and not form.admissible(p)
+        pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 50,
+                                    predicate=form.admissible)
+        assert check_hessian(form, pts).passed
+
+
 class TestLeviCivitaRoundtrip:
     def test_flat_exact(self, forms, grid):
         conn, A = forms["flat"]
@@ -199,6 +243,21 @@ class TestBerwald:
         res = berwald_check(RandersLike(), pts)
         assert not res.passed
         assert res.residual > 1e-2
+
+    def test_stencils_below_round_off_are_skipped(self):
+        form = build_exponential(exponential_example(), default_grid())
+        # mu v / u^2 falls to about -240 around p: cond(g) ~ 3e8 there, and
+        # the third differences of the sprays at h = 0.05 are round-off
+        # (~5e-5) alone; the other two stencils of p leave the domain
+        p = TangentPoint(1.3457195427322641, 1.584350534446866, 0.22440300155037754,
+                         0.2562261640364504, 1.1353738708972745, 1.2309547017512195,
+                         1.5820194811293216, 0.6394755077903636)
+        q = TangentPoint(1.2, 1.4, 1.0, 0.0, 1.0, 0.5, 0.2, 0.1)
+        res = berwald_check(form, [p, q])
+        assert res.passed and res.residual < 1e-9
+        assert res.extra == {"stencils_used": 4, "stencils_unresolved": 2}
+        with pytest.raises(VerificationError):
+            berwald_check(form, [p])
 
 
 class TestRiemannFalsification:
