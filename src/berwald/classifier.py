@@ -27,10 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry_core import (ConnectionProfile, CurvatureProfile, TangentPoint,
-                            W_CORNER_GENERIC, W_CORNER_K10_DEGENERATE, W_CORNER_ZERO,
-                            K10Degenerate, UnsupportedConnection, bracket_matrix,
-                            curvature_profile, holonomy_rank_details,
+from .geometry_core import (_R_TABLE, R, T, ConnectionProfile, CurvatureProfile,
+                            TangentPoint, W_CORNER_GENERIC, W_CORNER_K10_DEGENERATE,
+                            W_CORNER_ZERO, K10Degenerate, UnsupportedConnection,
+                            christoffel_table, curvature_profile, holonomy_rank_details,
                             sample_tangent_points)
 
 
@@ -55,7 +55,7 @@ class Tolerances:
     zero: float = 1e-9          # "identically zero on the grid" (scaled)
     nonzero: float = 1e-6       # "definitely nonzero somewhere"
     rank_svd: float = 1e-8
-    ricci: float = 1e-8
+    ricci: float = 1e-8         # |a1 + a4 + 2 a5| over 1 + max_i |a_i| at one node
 
 
 @dataclass
@@ -94,49 +94,75 @@ class ClassificationReport:
 
 
 # deterministic velocity probes for the bracket-proportionality residuals
-_PROBE_VELOCITIES = ((1.0, 0.3, 0.2, -0.4), (1.0, -0.5, 0.1, 0.2),
-                     (0.7, 1.1, -0.3, 0.15))
+_PROBE_VELOCITIES = np.array(((1.0, 0.3, 0.2, -0.4), (1.0, -0.5, 0.1, 0.2),
+                              (0.7, 1.1, -0.3, 0.15)))
 _PROBE_THETA = 1.0
 
 
-def _minor_residual(v1: np.ndarray, v2: np.ndarray, noise_floor: float) -> float:
-    """Scaled size of all 2x2 minors: zero iff v1 and v2 are parallel.
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m[..., e, d] x[..., d], summed over d from left to right: one fixed
+    order, so a node's values do not depend on the batch it is in."""
+    out = m[..., 0] * x[..., None, 0]
+    for d in (1, 2, 3):
+        out = out + m[..., d] * x[..., None, d]
+    return out
 
-    Vectors below the roundoff floor of the curvature data are treated as
-    zero (trivially parallel) so that pure cancellation noise does not get
-    normalized into an O(1) direction.
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis from one dot product per vector,
+    as `np.linalg.norm` takes them of a single vector (its axis form sums in
+    another order)."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _proportionality_residuals(profiles: Sequence[CurvatureProfile]) -> np.ndarray:
+    """Defect of [delta_t, [delta_t, delta_r]] ~ [delta_t, delta_r] and of the
+    delta_r analogue at each node, maximized over the probe velocities.
+
+    Reads only the (t, r) bracket R^e = A^e_d xdot^d, whose velocity gradient
+    A and its (t, r)-partials come from a1..a5, and the slices Gamma[:, c, :]
+    for c in {t, r}.  The second-level rows are
+        partial_c R^e - A^e_d N^d_c + Gamma^e_cd R^d,   N^d_c = Gamma^d_cf xdot^f.
+    The residual is the largest 2x2 minor of a second-level row against the
+    first-level one over the product of their norms.  A vector whose norm is
+    at or below the node's round-off floor 1e-12 s^2, with s = 1 + the largest
+    |k_i|, |a_i| or partial of an a_i there, counts as zero (trivially
+    parallel), so that pure cancellation noise is not normalized into an O(1)
+    direction.
     """
-    n1 = float(np.linalg.norm(v1))
-    n2 = float(np.linalg.norm(v2))
-    if n1 <= noise_floor or n2 <= noise_floor:
-        return 0.0
-    worst = 0.0
+    n = len(profiles)
+    a = np.empty((n, 5, 3))                     # a1..a5: value, d/dt, d/dr
+    gam = np.empty((n, 2, 1, 4, 4))             # Gamma[e, c, d] at [node, c, :, e, d]
+    floor = np.empty((n, 1, 1))
+    for node, cp in enumerate(profiles):
+        kv = [j.value for j in cp.k_jets]
+        scale = 1.0 + max(max(max(abs(j.value), abs(j.dt), abs(j.dr)) for j in cp.a.values()),
+                          max(map(abs, kv)))
+        floor[node] = 1e-12 * scale ** 2
+        a[node] = [(cp.a[i].value, cp.a[i].dt, cp.a[i].dr) for i in range(1, 6)]
+        gam[node, :, 0] = christoffel_table(kv, _PROBE_THETA)[:, :2, :].transpose(1, 0, 2)
+
+    grad = np.zeros((n, 3, 4, 4))               # value, d/dt, d/dr of A[e, d]
+    for e, terms in enumerate(_R_TABLE[(T, R)]):
+        for sign, i, d, _s2 in terms:
+            grad[:, :, e, d] = sign * a[:, i - 1, :]
+
+    vel = _PROBE_VELOCITIES
+    rv = _apply(grad[:, :, None], vel)           # node, (R, R_t, R_r), velocity, e
+    first = rv[:, 0]
+    second = rv[:, 1:] - _apply(grad[:, :1, None], _apply(gam, vel)) \
+        + _apply(gam, first[:, None])           # node, c, velocity, e
+    minors = np.zeros(second.shape[:-1])
     for i in range(4):
         for j in range(i + 1, 4):
-            m = abs(v1[i] * v2[j] - v1[j] * v2[i])
-            worst = max(worst, m)
-    return worst / (n1 * n2)
-
-
-def _proportionality_residual(conn: ConnectionProfile, cp: CurvatureProfile) -> float:
-    """Defect of [delta_t, [delta_t, delta_r]] ~ [delta_t, delta_r] and the
-    delta_r analogue at the probe velocities."""
-    data_scale = 1.0 + max(
-        max(abs(cp.a[i].value) for i in range(1, 15)),
-        max(abs(cp.a[i].dt) for i in range(1, 15)),
-        max(abs(cp.a[i].dr) for i in range(1, 15)),
-        max(abs(j.value) for j in cp.k_jets))
-    noise_floor = 1e-12 * data_scale ** 2
-    worst = 0.0
-    for vel in _PROBE_VELOCITIES:
-        p = TangentPoint(cp.t, cp.r, _PROBE_THETA, 0.0, *vel)
-        mat = bracket_matrix(conn, p, 2, cp)
-        first = mat[0]               # [delta_t, delta_r]
-        second_t = mat[6]            # [delta_t, [delta_t, delta_r]]
-        second_r = mat[7]            # [delta_r, [delta_t, delta_r]]
-        worst = max(worst, _minor_residual(second_t, first, noise_floor),
-                    _minor_residual(second_r, first, noise_floor))
-    return worst
+            minors = np.maximum(minors, np.abs(second[..., i] * first[:, None, :, j]
+                                               - second[..., j] * first[:, None, :, i]))
+    n_first = _norms(first)[:, None]
+    n_second = _norms(second)
+    resolved = (n_second > floor) & (n_first > floor)
+    ratio = np.divide(minors, n_second * n_first, out=np.zeros_like(minors),
+                      where=resolved)
+    return ratio.max(axis=(1, 2))
 
 
 def check_finsler_constraints(conn: ConnectionProfile, grid: Sequence[tuple],
@@ -196,8 +222,10 @@ def check_finsler_constraints(conn: ConnectionProfile, grid: Sequence[tuple],
         else:
             for i in range(6, 14):
                 _record("a%d" % i, abs(a[i]), q)
-        _record("proportionality-ttr", _proportionality_residual(conn, cp), q)
 
+    prop = _proportionality_residuals([profiles[q] for q in grid])
+    worst = int(np.argmax(prop))   # the first node on ties
+    res["proportionality-ttr"] = ResidualStat(float(prop[worst]), grid[worst])
     res["__regime__"] = ResidualStat(0.0, (regime, regime))
     return res
 
@@ -264,7 +292,9 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
 
     res = check_finsler_constraints(conn, grid, profiles)
     regime = res.pop("__regime__").at[0]
-    scale = 1.0 + max(float(np.max(np.abs(profiles[q].a_values()))) for q in grid)
+    # curvature scale 1 + max_i |a_i| of each node; the largest is the grid's
+    node_scale = [1.0 + float(np.max(np.abs(profiles[q].a_values()))) for q in grid]
+    scale = max(node_scale)
     worst = max(s.value for s in res.values())
     if worst < tols.zero * scale:
         report.finsler_metrizable = "yes"
@@ -277,9 +307,13 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     report.evidence["w_corner_regime"] = regime
     report.evidence["grid_size"] = len(grid)
 
-    # Ricci asymmetry: signed value of largest magnitude over the grid
+    # Ricci asymmetry: signed value of largest magnitude over the grid, and
+    # the node where it is largest against that node's curvature scale
     ric = [profiles[q].ricci_asymmetry() for q in grid]
     report.ricci_asymmetry = float(max(ric, key=abs))
+    ratio = [abs(x) / s for x, s in zip(ric, node_scale)]
+    witness = int(np.argmax(ratio))
+    report.evidence["ricci_witness"] = ResidualStat(ratio[witness], grid[witness])
 
     if samples is None:
         rng = np.random.default_rng(seed)
@@ -356,8 +390,7 @@ def _riemann_verdict(conn: ConnectionProfile, report: ClassificationReport,
                             "(a5 vanishes in this regime)")
     else:
         # no class: necessary conditions can still refuse
-        if abs(report.ricci_asymmetry) > tols.ricci * (
-                1.0 + report.evidence.get("constraint_scale", 1.0)):
+        if report.evidence["ricci_witness"].value > tols.ricci:
             report.riemann_metrizable = "no"
             report.notes.append("Ricci tensor not symmetric: necessary condition fails")
         elif report.holonomy_rank >= 3 and report.finsler_metrizable == "no":
@@ -382,10 +415,9 @@ def _cross_check(report: ClassificationReport, tols: Tolerances):
     if label == 4 and rank != 1:
         raise InternalInconsistency("class 4 requires holonomy rank 1, got %d" % rank)
     if report.riemann_metrizable == "yes":
-        scale = 1.0 + report.evidence.get("constraint_scale", 1.0)
         if rank > 2:
             raise InternalInconsistency("Riemann-metrizable verdict with rank %d" % rank)
-        if abs(report.ricci_asymmetry) > tols.ricci * scale:
+        if report.evidence["ricci_witness"].value > tols.ricci:
             raise InternalInconsistency(
                 "Riemann-metrizable verdict with asymmetric Ricci (%.3g)"
                 % report.ricci_asymmetry)

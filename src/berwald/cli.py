@@ -26,7 +26,7 @@ from .geometry_core import (ConnectionProfile, GeometryError, TangentPoint,
                             sample_tangent_points)
 from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
                        build_class5, build_exponential, build_power_law)
-from .scalar_field import ExpressionError, compile_expression, parse
+from .scalar_field import ExpressionError, compile_expression, parameter_names, parse
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
                        check_horizontal_constancy, levi_civita_roundtrip, ResidualReport)
 
@@ -49,6 +49,10 @@ class ConfigError(ValueError):
         self.line_no = line_no
         where = "%s:%d" % (path, line_no) if line_no else path
         super().__init__("%s: %s" % (where, message))
+
+
+# the names a require expression reads from the sampled tangent point
+_STATE_NAMES = ("t", "r", "theta", "phi", "tdot", "rdot", "thetadot", "phidot")
 
 
 @dataclass
@@ -81,7 +85,13 @@ class JobConfig:
     def predicate(self):
         if not self.requires:
             return None
-        fns = [compile_expression(parse(src)) for src in self.requires]
+        exprs = [parse(src) for src in self.requires]
+        for src, e in zip(self.requires, exprs):
+            unbound = sorted(parameter_names(e) - set(self.params) - set(_STATE_NAMES))
+            if unbound:
+                raise ConfigError("[samples] require = %s" % src, 0,
+                                  "parameter %r is not set in [params]" % unbound[0])
+        fns = [compile_expression(e) for e in exprs]
 
         def pred(p: TangentPoint) -> bool:
             env = dict(self.params)

@@ -572,6 +572,17 @@ def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression
     raise TypeError("not an expression node: %r" % (e,))
 
 
+def parameter_names(e: Expression) -> set:
+    """Names of the parameters ``e`` reads."""
+    if isinstance(e, Param):
+        return {e.name}
+    if isinstance(e, (Neg, Call)):
+        return parameter_names(e.arg)
+    if isinstance(e, BinOp):
+        return parameter_names(e.left) | parameter_names(e.right)
+    return set()
+
+
 _ZERO, _ONE = Num(0.0), Num(1.0)
 
 

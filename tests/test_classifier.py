@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from berwald.classifier import (InternalInconsistency, MixedClass, Tolerances,
+from berwald.classifier import (_PROBE_THETA, _PROBE_VELOCITIES, InternalInconsistency,
+                                MixedClass, Tolerances, _proportionality_residuals,
                                 assign_class, check_finsler_constraints, classify)
-from berwald.geometry_core import (ConnectionProfile, K10Degenerate,
-                                   UnsupportedConnection, curvature_profile)
+from berwald.geometry_core import (ConnectionProfile, K10Degenerate, TangentPoint,
+                                   UnsupportedConnection, bracket_matrix, curvature_profile)
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, flat_spherical,
                       power_law_nonsymmetric, power_law_symmetric)
+from generators import make_class3, make_class5
 
 
 def schwarzschild_like() -> ConnectionProfile:
@@ -56,6 +58,54 @@ class TestConstraints:
         conn = ConnectionProfile({10: "t - 1"})
         with pytest.raises(MixedClass):
             check_finsler_constraints(conn, grid)
+
+
+def _minor_residual(v1: np.ndarray, v2: np.ndarray, noise_floor: float) -> float:
+    """Largest 2x2 minor of (v1, v2) over |v1| |v2|: zero iff they are
+    parallel; a vector at or below the noise floor counts as zero."""
+    n1 = float(np.linalg.norm(v1))
+    n2 = float(np.linalg.norm(v2))
+    if n1 <= noise_floor or n2 <= noise_floor:
+        return 0.0
+    worst = 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            worst = max(worst, abs(v1[i] * v2[j] - v1[j] * v2[i]))
+    return worst / (n1 * n2)
+
+
+def _pointwise_residual(conn: ConnectionProfile, cp) -> float:
+    """Reference: the proportionality residual at one node from the full
+    depth-2 bracket matrix, rows 0, 6 and 7 ([t, r], [t, [t, r]], [r, [t, r]])."""
+    data_scale = 1.0 + max(
+        max(abs(cp.a[i].value) for i in range(1, 15)),
+        max(abs(cp.a[i].dt) for i in range(1, 15)),
+        max(abs(cp.a[i].dr) for i in range(1, 15)),
+        max(abs(j.value) for j in cp.k_jets))
+    noise_floor = 1e-12 * data_scale ** 2
+    worst = 0.0
+    for vel in _PROBE_VELOCITIES:
+        p = TangentPoint(cp.t, cp.r, _PROBE_THETA, 0.0, *vel)
+        mat = bracket_matrix(conn, p, 2, cp)
+        worst = max(worst, _minor_residual(mat[6], mat[0], noise_floor),
+                    _minor_residual(mat[7], mat[0], noise_floor))
+    return worst
+
+
+class TestProportionalityResiduals:
+    @pytest.mark.parametrize("make", [
+        lambda: power_law_nonsymmetric(3.0), power_law_symmetric, exponential_example,
+        flat_cartesian, flat_spherical, class5_curved_block,
+        lambda: make_class3(101)[0], lambda: make_class5(7)[0],
+        lambda: make_class5(7, eps=0.1)[0]],
+        ids=["example1", "example2", "exponential", "flat_cartesian", "flat_spherical",
+             "class5_curved", "class3", "class5", "class5_eps"])
+    def test_bit_identical_to_pointwise_brackets(self, make):
+        conn = make()
+        profiles = [curvature_profile(conn, *q) for q in default_grid(15)]
+        batched = _proportionality_residuals(profiles)
+        reference = np.array([_pointwise_residual(conn, cp) for cp in profiles])
+        assert batched.tolist() == reference.tolist()
 
 
 class TestAssignClass:
@@ -132,6 +182,23 @@ class TestClassify:
         assert rep.riemann_metrizable == "no"
         assert abs(rep.ricci_asymmetry) > 0.05
 
+    @pytest.mark.parametrize("seed, n", [(763879029, 15), (1563128166, 5)])
+    def test_ricci_tolerance_is_per_node(self, seed, n):
+        # |a1 + a4 + 2 a5| = 0.1 everywhere, while the grid's largest curvature
+        # value is ~1e7: against that grid-wide scale the asymmetry was lost
+        conn = make_class5(seed, eps=0.1)[0]
+        rep = classify(conn, default_grid(n))
+        assert (rep.finsler_metrizable, rep.class_label) == ("no", None)
+        assert rep.riemann_metrizable == "no"
+        assert "Ricci tensor not symmetric: necessary condition fails" in rep.notes
+        witness = rep.evidence["ricci_witness"]
+        cp = curvature_profile(conn, *witness.at)
+        assert witness.value == abs(cp.ricci_asymmetry()) / (
+            1.0 + np.max(np.abs(cp.a_values())))
+        assert witness.value > 1e-2
+        assert rep.to_dict()["evidence"]["ricci_witness"] == {
+            "max": witness.value, "at": list(witness.at)}
+
     def test_levi_civita_only_connection_is_out_of_scope(self):
         # Schwarzschild's connection admits only quadratic metrizations: the
         # nontrivial-metrizability constraints fail, no class is assigned, and
@@ -173,6 +240,7 @@ class TestTheoremConsistency:
                 assert rep.holonomy_rank <= 2
                 scale = 1.0 + rep.evidence["constraint_scale"]
                 assert abs(rep.ricci_asymmetry) < scale_tol.ricci * scale
+                assert rep.evidence["ricci_witness"].value < scale_tol.ricci
 
     def test_class12_always_rank3(self, grid):
         for conn in (power_law_nonsymmetric(2.5), power_law_nonsymmetric(4.0),

@@ -348,3 +348,13 @@ def test_overflowing_require_is_a_config_error(cfg_file, capsys):
     assert err.startswith("config error: [samples] require = exp(1000*tdot): overflows at "
                           "(t, r, theta, phi, tdot, rdot, thetadot, phidot) = (")
     assert "Traceback" not in err
+
+
+def test_require_with_unbound_parameter_is_a_config_error(cfg_file, capsys):
+    text = EX2_CFG.replace("require = tdot\n", "require = foo*tdot\n")
+    rc = main(["metrize", cfg_file(text), "--quiet"])
+    assert rc == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [samples] require = foo*tdot: "
+                          "parameter 'foo' is not set in [params]")
+    assert "Traceback" not in err
