@@ -135,12 +135,11 @@ def _proportionality_residuals(profiles: Sequence[CurvatureProfile]) -> np.ndarr
     gam = np.empty((n, 2, 1, 4, 4))             # Gamma[e, c, d] at [node, c, :, e, d]
     floor = np.empty((n, 1, 1))
     for node, cp in enumerate(profiles):
-        kv = [j.value for j in cp.k_jets]
         scale = 1.0 + max(max(max(abs(j.value), abs(j.dt), abs(j.dr)) for j in cp.a.values()),
-                          max(map(abs, kv)))
+                          max(map(abs, cp.k)))
         floor[node] = 1e-12 * scale ** 2
-        a[node] = [(cp.a[i].value, cp.a[i].dt, cp.a[i].dr) for i in range(1, 6)]
-        gam[node, :, 0] = christoffel_table(kv, _PROBE_THETA)[:, :2, :].transpose(1, 0, 2)
+        a[node] = [cp.a[i] for i in range(1, 6)]
+        gam[node, :, 0] = christoffel_table(cp.k, _PROBE_THETA)[:, :2, :].transpose(1, 0, 2)
 
     grad = np.zeros((n, 3, 4, 4))               # value, d/dt, d/dr of A[e, d]
     for e, terms in enumerate(_R_TABLE[(T, R)]):
@@ -205,7 +204,7 @@ def check_finsler_constraints(conn: ConnectionProfile, grid: Sequence[tuple],
         cp = profiles[q]
         a = {i: cp.a[i].value for i in range(1, 15)}
         if regime == W_CORNER_GENERIC:
-            aa, bb, cc = (x.value for x in cp.abc)
+            aa, bb, cc = cp.abc
             A = bb * (aa * a[1] + a[2]) + (aa * bb + cc) * (aa * a[3] + a[4]) \
                 - a[5] * (2 * aa * bb + cc)
             B = aa * (aa * a[3] + a[4]) - (aa * a[1] + a[2])
@@ -251,9 +250,9 @@ def assign_class(conn: ConnectionProfile, grid: Sequence[tuple],
     scale = 1.0 + max(float(np.max(np.abs(profiles[q].a_values()))) for q in grid)
 
     if regime == {W_CORNER_GENERIC}:
-        D = [profiles[q].DEF[0].value for q in grid]
-        E = [profiles[q].DEF[1].value for q in grid]
-        F = [profiles[q].DEF[2].value for q in grid]
+        D = [profiles[q].DEF[0] for q in grid]
+        E = [profiles[q].DEF[1] for q in grid]
+        F = [profiles[q].DEF[2] for q in grid]
         Dst = _status(D, scale, tols)
         if Dst == "nonzero":
             return 1
@@ -287,8 +286,6 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     grid = list(grid)
     report = ClassificationReport()
     profiles = {q: curvature_profile(conn, *q) for q in grid}
-    for cp in profiles.values():
-        cp.require_finite()
 
     res = check_finsler_constraints(conn, grid, profiles)
     regime = res.pop("__regime__").at[0]
@@ -332,8 +329,8 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
         label = assign_class(conn, grid, profiles, tols)
         report.class_label = label
         if label == 1:
-            D = np.array([profiles[q].DEF[0].value for q in grid])
-            F = np.array([profiles[q].DEF[2].value for q in grid])
+            D = np.array([profiles[q].DEF[0] for q in grid])
+            F = np.array([profiles[q].DEF[2] for q in grid])
             lam = F / D
             report.evidence["lambda"] = float(np.mean(lam))
             report.evidence["lambda_variance"] = float(np.var(lam))

@@ -16,12 +16,12 @@ holonomy-distribution rank used by the classifier.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, Jet2, JetRules, ScalarField, compile_fields, no_underflow
+from .scalar_field import DomainError, ScalarField, compile_fields, derivative
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -51,58 +51,14 @@ class NonFiniteData(GeometryError):
     """A coefficient is infinite, NaN or overflows at a grid node."""
 
 
-# ---------------------------------------------------------------------------
-# First-order jets of derived coefficients (value + d/dt + d/dr)
-# ---------------------------------------------------------------------------
-
-class Jet1(JetRules):
-    """Value with first (t, r)-partials; the order curvature coefficients carry."""
-
-    __slots__ = ("value", "dt", "dr")
-
-    def __init__(self, value, dt=0.0, dr=0.0):
-        self.value = float(value)
-        self.dt = float(dt)
-        self.dr = float(dr)
-
-    @staticmethod
-    def _lift(x):
-        return x if isinstance(x, Jet1) else Jet1(x)
-
-    def _is_constant(self) -> bool:
-        return self.dt == self.dr == 0.0
-
-    def __add__(self, o):
-        o = self._lift(o)
-        return Jet1(self.value + o.value, self.dt + o.dt, self.dr + o.dr)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.dt, -self.dr)
-
-    def __mul__(self, o):
-        o = self._lift(o)
-        return Jet1(self.value * o.value,
-                    self.dt * o.value + self.value * o.dt,
-                    self.dr * o.value + self.value * o.dr)
-
-    __rmul__ = __mul__
-
-    def _compose(self, v, d1, d2):
-        return Jet1(v, d1 * self.dt, d1 * self.dr)
-
-    @no_underflow
-    def reciprocal(self):
-        # -dt / v^2 rather than the shared (-1 / v^2) * dt: the curvature
-        # jets and every output built on them keep their last-bit rounding
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division by zero")
-        return Jet1(1.0 / v, -self.dt / v ** 2, -self.dr / v ** 2)
-
-    def __repr__(self):
-        return "Jet1(%g; dt=%g, dr=%g)" % (self.value, self.dt, self.dr)
+def _located(name: str, evaluate, t: float, r: float):
+    """``evaluate(t, r)``, its failure raised again naming ``name`` and the point."""
+    try:
+        return evaluate(t, r)
+    except DomainError as exc:
+        raise DomainError("%s at (t, r) = (%g, %g): %s" % (name, t, r, exc)) from None
+    except OverflowError as exc:
+        raise NonFiniteData("%s overflows at (t, r) = (%g, %g): %s" % (name, t, r, exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +125,61 @@ class ConnectionProfile:
         self.k = tuple(ks)  # k[0] is k1
         self._run = None   # k1..k12 as one program, compiled on first use
         self._curvature_fields = None
+        self._curvature_runs = None
         self._abc_run = None
 
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
 
-    def _eval(self, t, r) -> tuple:
+    def k_values(self, t: float, r: float) -> np.ndarray:
         if self._run is None:
             self._run = compile_fields(self.k)
-        return self._run({"t": t, "r": r})
-
-    def k_jets(self, t: float, r: float) -> list:
         try:
-            return [Jet2._lift(v) for v in self._eval(Jet2.var_t(t), Jet2.var_r(r))]
+            return np.array([float(v) for v in self._run({"t": float(t), "r": float(r)})])
         except (DomainError, OverflowError):
-            self._raise_located("jet", t, r)
+            for i, f in enumerate(self.k, start=1):
+                _located("k%d" % i, f.value, t, r)
             raise
 
-    def k_values(self, t: float, r: float) -> np.ndarray:
-        try:
-            return np.array([float(v) for v in self._eval(float(t), float(r))])
-        except (DomainError, OverflowError):
-            self._raise_located("value", t, r)
-            raise
+    def _curvature_quantities(self, which: int) -> list:
+        """(name, field) of `_curvature`'s program ``which``: 0 is k1..k12,
+        then each a_i with its t- and r-partial by `derivative`; 1 is
+        (a, b, c), (D, E, F), (G, Gt, H, Ht)."""
+        a, abc, DEF, GH = self.curvature_fields()
+        if which == 1:
+            return list(zip(("a", "b", "c", "D", "E", "F", "G", "Gt", "H", "Ht"), abc + DEF + GH))
+        out = [("k%d" % i, f) for i, f in enumerate(self.k, start=1)]
+        at, ar = (derivative(tuple(a[i].expr for i in range(1, 15)), v) for v in "tr")
+        for i in range(1, 15):
+            out += [("a%d" % i, a[i]), ("da%d/dt" % i, ScalarField(at[i - 1])),
+                    ("da%d/dr" % i, ScalarField(ar[i - 1]))]
+        return out
 
-    def _raise_located(self, method: str, t: float, r: float):
-        """Raise the failure of the first k_i whose ``method`` fails at
-        (t, r) again, naming the coefficient and the point."""
-        for i, f in enumerate(self.k, start=1):
-            try:
-                getattr(f, method)(t, r)
-            except DomainError as exc:
-                raise DomainError("k%d at (t, r) = (%g, %g): %s" % (i, t, r, exc)) from None
-            except OverflowError as exc:
-                raise NonFiniteData("k%d overflows at (t, r) = (%g, %g): %s"
-                                    % (i, t, r, exc)) from None
+    def _curvature(self, which: int, t: float, r: float) -> tuple:
+        """Float program ``which`` of `curvature_profile` at (t, r), compiled
+        on first use (see `_curvature_quantities`).
+
+        Where it fails or an output is not finite, the k_i jets locate the
+        failure: the first k_i whose `ScalarField.jet` fails, else the first
+        whose jet is not finite; else it is the first output that fails or is
+        not finite on its own."""
+        if self._curvature_runs is None:
+            self._curvature_runs = [compile_fields([f for _, f in self._curvature_quantities(w)])
+                                    for w in (0, 1)]
+        try:
+            out = self._curvature_runs[which]({"t": t, "r": r})
+            if all(map(math.isfinite, out)):
+                return out
+        except (DomainError, OverflowError):
+            pass
+        jets = [_located("k%d" % i, f.jet, t, r) for i, f in enumerate(self.k, start=1)]
+        for i, j in enumerate(jets, start=1):
+            if not all(map(math.isfinite, (j.value, j.dt, j.dr, j.dtt, j.dtr, j.drr))):
+                raise NonFiniteData("k%d is not finite at (t, r) = (%g, %g): %r" % (i, t, r, j))
+        for name, f in self._curvature_quantities(which):
+            if not math.isfinite(_located(name, f.value, t, r)):
+                raise NonFiniteData("%s is not finite at (t, r) = (%g, %g)" % (name, t, r))
+        raise NonFiniteData("curvature is not finite at (t, r) = (%g, %g)" % (t, r))
 
     def has_angular_rotation(self) -> bool:
         """True when k11 or k12 is structurally present."""
@@ -221,14 +197,10 @@ class ConnectionProfile:
             raise UnsupportedConnection("k11/k12 structurally nonzero")
 
     def curvature_fields(self) -> tuple:
-        """`curvature_formulas` on the k_i as fields, their (t, r)-partials by
-        `derivative`: a1..a14, (a, b, c), (D, E, F) and (G, Gt, H, Ht) as
-        closed-form ScalarFields, built on first use."""
+        """`curvature_formulas` of the k_i: a1..a14, (a, b, c), (D, E, F) and
+        (G, Gt, H, Ht) as closed-form ScalarFields, built on first use."""
         if self._curvature_fields is None:
-            k = dict(enumerate(self.k, start=1))
-            self._curvature_fields = curvature_formulas(
-                k, {i: f.derivative("t") for i, f in k.items()},
-                {i: f.derivative("r") for i, f in k.items()}, True)
+            self._curvature_fields = curvature_formulas(self.k)
         return self._curvature_fields
 
     def abc(self, t, r) -> tuple:
@@ -248,16 +220,23 @@ W_CORNER_ZERO = "w_zero"
 W_CORNER_K10_DEGENERATE = "k10_degenerate"
 
 
+class Partials(NamedTuple):
+    """A value with its first (t, r)-partials."""
+    value: float
+    dt: float
+    dr: float
+
+
 @dataclass
 class CurvatureProfile:
     t: float
     r: float
-    a: dict                      # 1..14 -> Jet1
+    a: dict                      # 1..14 -> Partials
     corner: str                  # one of the W_CORNER_* markers
-    abc: Optional[tuple] = None  # (a, b, c) as Jet1 when defined
-    DEF: Optional[tuple] = None  # (D, E, F) as Jet1 when abc defined
-    GH: Optional[tuple] = None   # (G, Gtilde, H, Htilde) as Jet1 when abc defined
-    k_jets: list = field(default_factory=list)
+    abc: Optional[tuple] = None  # (a, b, c) when defined
+    DEF: Optional[tuple] = None  # (D, E, F) when abc defined
+    GH: Optional[tuple] = None   # (G, Gtilde, H, Htilde) when abc defined
+    k: tuple = ()                # k1..k12
 
     def a_values(self) -> np.ndarray:
         return np.array([self.a[i].value for i in range(1, 15)])
@@ -265,20 +244,15 @@ class CurvatureProfile:
     def ricci_asymmetry(self) -> float:
         return self.a[1].value + self.a[4].value + 2.0 * self.a[5].value
 
-    def require_finite(self):
-        """Raise NonFiniteData unless every k_i jet at this point is finite;
-        a non-finite one would reach the bracket SVD."""
-        for i, j in enumerate(self.k_jets, start=1):
-            if not all(map(math.isfinite, (j.value, j.dt, j.dr, j.dtt, j.dtr, j.drr))):
-                raise NonFiniteData("k%d is not finite at (t, r) = (%g, %g): %r"
-                                    % (i, self.t, self.r, j))
 
-
-def curvature_formulas(k: dict, kt: dict, kr: dict, generic: bool) -> tuple:
-    """a1..a14 (a dict) and, when ``generic`` (k10 != 0), (a, b, c), (D, E, F)
-    and (G, Gt, H, Ht), else three Nones, from the k_i and their t- and
-    r-partials (dicts 1..12) over any ring: `Jet1`s at a point, or
-    ScalarFields as closed-form formulas."""
+def curvature_formulas(k: Sequence[ScalarField]) -> tuple:
+    """a1..a14 (a dict), (a, b, c), (D, E, F) and (G, Gt, H, Ht) as fields
+    of k1..k12 (``k[0]`` is k1) and their (t, r)-partials by `derivative`;
+    (a, b, c) and what depends on them are defined where k10 != 0.  Each k_i
+    has its parameters substituted, so two may bind one name differently."""
+    k = {i: f.substitute(f.params) for i, f in enumerate(k, start=1)}
+    exprs = tuple(f.expr for f in k.values())
+    kt, kr = ({i: ScalarField(d) for i, d in zip(k, derivative(exprs, v))} for v in "tr")
     a = {
         1: kr[1] - kt[2] + k[3] * k[4] - k[2] * k[6],
         2: kr[2] - kt[3] + k[2] * k[2] + k[3] * k[6] - k[1] * k[3] - k[2] * k[5],
@@ -295,8 +269,6 @@ def curvature_formulas(k: dict, kt: dict, kr: dict, generic: bool) -> tuple:
         13: -kr[9] + k[3] * k[8] + k[5] * k[9] - k[9] * k[9],
         14: 1.0 + k[7] * k[8] + k[9] * k[10],
     }
-    if not generic:
-        return a, None, None, None
     aa = k[7] / k[10]
     bb = k[8] / k[10]
     cc = (k[9] * k[10] - k[7] * k[8]) / (k[10] * k[10])
@@ -313,22 +285,22 @@ def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureP
     they need k10 != 0; if the whole corner k7, k8, k9, k10 vanishes the
     connection sits in the [delta_t, delta_r]-only regime instead.
     """
-    kj = conn.k_jets(t, r)
-    kscale = 1.0 + max(abs(j.value) for j in kj)
-    wvals = [abs(kj[i - 1].value) for i in (7, 8, 9, 10)]
+    out = conn._curvature(0, float(t), float(r))
+    k = out[:12]
+    kscale = 1.0 + max(map(abs, k))
+    wvals = [abs(k[i - 1]) for i in (7, 8, 9, 10)]
     if max(wvals) <= _CORNER_TOL * kscale:
         corner = W_CORNER_ZERO
     elif wvals[3] <= _CORNER_TOL * kscale:
         corner = W_CORNER_K10_DEGENERATE
     else:
         corner = W_CORNER_GENERIC
-    a, abc, DEF, GH = curvature_formulas(
-        {i: Jet1(j.value, j.dt, j.dr) for i, j in enumerate(kj, start=1)},
-        {i: Jet1(j.dt, j.dtt, j.dtr) for i, j in enumerate(kj, start=1)},
-        {i: Jet1(j.dr, j.dtr, j.drr) for i, j in enumerate(kj, start=1)},
-        corner == W_CORNER_GENERIC)
-    return CurvatureProfile(t=t, r=r, a=a, corner=corner, abc=abc, DEF=DEF,
-                            GH=GH, k_jets=kj)
+    a = {i: Partials(*out[9 + 3 * i:12 + 3 * i]) for i in range(1, 15)}
+    if corner != W_CORNER_GENERIC:
+        return CurvatureProfile(t=t, r=r, a=a, corner=corner, k=k)
+    g = conn._curvature(1, float(t), float(r))
+    return CurvatureProfile(t=t, r=r, a=a, corner=corner, abc=g[:3], DEF=g[3:6],
+                            GH=g[6:], k=k)
 
 
 def ricci_asymmetry(cp: CurvatureProfile) -> float:
@@ -468,8 +440,7 @@ def bracket_vectors(conn: ConnectionProfile, p: TangentPoint, depth: int = 1,
         conn.require_classifiable([(p.t, p.r)])
     if cp is None or (cp.t, cp.r) != (p.t, p.r):
         cp = curvature_profile(conn, p.t, p.r)
-    kv = np.array([j.value for j in cp.k_jets])
-    Gam = christoffel_table(kv, p.theta)
+    Gam = christoffel_table(cp.k, p.theta)
     N = np.einsum("abc,c->ab", Gam, p.velocity)
 
     out = []

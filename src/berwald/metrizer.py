@@ -21,12 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry_core import (ConnectionProfile, CurvatureProfile, Jet1, TangentPoint,
+from .geometry_core import (ConnectionProfile, CurvatureProfile, Partials, TangentPoint,
                             W_CORNER_GENERIC, curvature_profile)
 from .geodesic_engine import integrate_ode
 from .multijet import MultiJet, w2_jet
 from .scalar_field import (DomainError, Expression, Jet2, ScalarField, compile_expression,
-                           compile_fields, parse)
+                           compile_fields, derivative, parse)
 
 
 class MetrizerError(RuntimeError):
@@ -82,11 +82,11 @@ class PotentialSystem:
     ``P_i`` and ``Q_i`` are ScalarFields (or expression text) in t, r and the
     component names, which enter as parameters, so later components may depend
     on earlier ones (as the Class-3 potential M does on G and K).  They compile
-    into one program.  Transport runs it on floats; `jet2`, `rates` and the
-    closedness check run it on `Jet1` seeds in which each component carries
-    its own one-form as gradient, so every derivative is exact.  Values are
-    transported from the base point along the L-shaped path
-    (t0, r0) -> (t, r0) -> (t, r).
+    into one program, which transport and `rates` run on floats.  `jet2` and
+    the closedness check run a second one: P_i and Q_i with their partials in
+    t, r and each component, chained with the components' own one-forms, so
+    every derivative is exact.  Values are transported from the base point
+    along the L-shaped path (t0, r0) -> (t, r0) -> (t, r).
 
     The path-independence certificate compares that t-first transport with
     the r-first one (t0, r0) -> (t0, r) -> (t, r), both swept afresh from the
@@ -98,7 +98,9 @@ class PotentialSystem:
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
                  base: tuple, base_values: Sequence[float] | None = None):
         self.names = list(names)
-        self._run = self._compile(list(P) + list(Q))
+        self._pq = self._fields(list(P) + list(Q))
+        self._run = compile_fields(self._pq)
+        self._jet_run = None   # `_one_form_jets`' program, compiled on first use
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
                                     else [0.0] * len(self.names), dtype=float)
@@ -107,13 +109,13 @@ class PotentialSystem:
         self._keys_r = [self.base[1]]
         self._jets = lru_cache(maxsize=1)(self._one_form_jets)
 
-    def _compile(self, fields: list):
-        """One program of fields in t, r and the components."""
+    def _fields(self, fields: list) -> list:
+        """ScalarFields in t, r and the components, none of which they bind."""
         fields = [f if isinstance(f, ScalarField) else ScalarField(f) for f in fields]
         bound = sorted({k for f in fields for k in f.params if k in self.names})
         if bound:
             raise MetrizerError("parameter %s shadows a potential" % ", ".join(bound))
-        return compile_fields(fields)
+        return fields
 
     def _forms(self, t, r, vec) -> tuple:
         """P_1..P_n, Q_1..Q_n at (t, r) and component values ``vec``."""
@@ -130,13 +132,28 @@ class PotentialSystem:
         return lambda rho, y: np.array(self._forms(t0, float(rho), y.tolist())[n:])
 
     def _one_form_jets(self, t: float, r: float, vec: tuple) -> tuple:
-        """P_i and Q_i as Jet1s of their total (t, r)-derivatives: each
-        component is seeded with its own one-form."""
-        n = len(self.names)
-        pq = self._forms(t, r, vec)
-        env = {name: Jet1(v, pq[i], pq[n + i]) for i, (name, v) in enumerate(zip(self.names, vec))}
-        env["t"], env["r"] = Jet1(t, 1.0), Jet1(r, 0.0, 1.0)
-        return tuple(Jet1._lift(x) for x in self._run(env))
+        """P_1..P_n, Q_1..Q_n as `Partials` of their total derivatives, in
+        which each component moves by its own one-form:
+        d/dt P_i = d_t P_i + sum_j d_{psi_j} P_i P_j, and d/dr with Q_j.
+        A non-finite one raises DomainError: a NaN curl would certify."""
+        n, wrt = len(self.names), ["t", "r"] + self.names
+        if self._jet_run is None:
+            ds = [derivative(tuple(f.expr for f in self._pq), v) for v in wrt]
+            self._jet_run = compile_fields([g for m, f in enumerate(self._pq) for g in
+                                            [f] + [ScalarField(d[m], f.params) for d in ds]])
+        out = self._jet_run(dict(zip(wrt, (t, r, *vec))))
+        w = len(wrt) + 1   # each of P_1..Q_n, then its partials
+        pq = out[::w]
+        jets = []
+        for m in range(2 * n):
+            v, dt, dr, *dpsi = out[m * w:(m + 1) * w]
+            for d, p, q in zip(dpsi, pq, pq[n:]):
+                dt, dr = dt + d * p, dr + d * q
+            if not all(map(math.isfinite, (v, dt, dr))):
+                raise DomainError("%s_%s jet is not finite at (t, r) = (%g, %g)"
+                                  % ("PQ"[m // n], self.names[m % n], t, r))
+            jets.append(Partials(v, dt, dr))
+        return tuple(jets)
 
     def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
         return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
@@ -207,7 +224,7 @@ class PotentialSystem:
         components: one program run on the components' `jet2`s and
         remembered at the last point and component values ``vals`` (None:
         transported)."""
-        run = self._compile(list(fields))
+        run = compile_fields(self._fields(list(fields)))
 
         @lru_cache(maxsize=1)
         def jets(t, r, key) -> list:
@@ -565,9 +582,9 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
         if cp.corner != W_CORNER_GENERIC:
             raise LambdaNotConstant("w-corner not generic at (%g, %g)" % (t, r))
         D, _E, F = cp.DEF
-        if abs(D.value) < 1e-12 * (1.0 + abs(F.value)):
+        if abs(D) < 1e-12 * (1.0 + abs(F)):
             raise LambdaNotConstant("D vanishes at (t, r) = (%g, %g)" % (t, r))
-        lams.append(F.value / D.value)
+        lams.append(F / D)
     lams = np.array(lams)
     if float(np.var(lams)) > lam_var_tol:
         raise LambdaNotConstant("lambda = F/D varies over the grid (variance %.3g)"
@@ -590,7 +607,7 @@ def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> Exponen
         if cp.corner != W_CORNER_GENERIC:
             raise MuNotConstant("w-corner not generic at (%g, %g)" % (t, r))
         _D, E, F = cp.DEF
-        if abs(E.value) < 1e-12 * (1.0 + abs(F.value)):
+        if abs(E) < 1e-12 * (1.0 + abs(F)):
             raise MuNotConstant("E vanishes at (t, r) = (%g, %g); mu = F/E undefined" % (t, r))
 
     _a, (_aa, b, _c), (_D, E, F), (G, _Gt, H, _Ht) = conn.curvature_fields()
@@ -617,7 +634,7 @@ def _choose_m_shift(pots: PotentialSystem, cps: Sequence[CurvatureProfile],
     delta0 = []
     wgt = []
     for cp in cps:
-        a, b, c = (x.value for x in cp.abc)
+        a, b, c = cp.abc
         vals = pots.values(cp.t, cp.r)
         eg = math.exp(vals["G"])
         e2k = math.exp(2.0 * vals["K"])

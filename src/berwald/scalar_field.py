@@ -5,7 +5,7 @@ immutable AST.  `compile_program` hash-conses ASTs into one straight-line
 program that runs on plain floats or on truncated second-order jets (`Jet2`),
 which carry a value with its first and second partials in t and r.  Jet
 arithmetic implements the forward-mode rules, written once in `JetRules` for
-all three jet types, so derivatives of any parsed expression are exact for the
+both jet types, so derivatives of any parsed expression are exact for the
 supported function basis (no finite differencing).  `derivative` applies the
 same rules to an AST, so a partial derivative is again an expression, to be
 compiled or differentiated further.
@@ -65,7 +65,7 @@ def no_underflow(rule):
 
 class JetRules:
     """Forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
-    Derivatives*, ch. 13) shared by `Jet2`, `MultiJet` and `Jet1`.
+    Derivatives*, ch. 13) shared by `Jet2` and `MultiJet`.
 
     A jet type supplies its storage, ``_lift`` (number -> constant jet), ``+``,
     unary ``-``, ``*``, ``_is_constant()`` and the chain rule ``_compose(v, d1,
@@ -259,34 +259,34 @@ FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 VARIABLES = ("t", "r")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Num:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Param:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Neg:
     arg: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call:
     fn: str
     arg: "Expression"
@@ -496,13 +496,18 @@ def compile_program(exprs, bound=None):
     AST node with its domain checks.  Numbers and the parameters valued in
     ``bound[i]`` for ``exprs[i]`` are pre-filled registers keyed on (type,
     repr), so 0.0 and -0.0, or 1 and 1.0, stay apart.  ``env`` gives the
-    variables and other parameters as floats, Jet1, Jet2 or MultiJet.
+    variables and other parameters as floats, Jet2 or MultiJet.  A node met
+    again under the same bound values is not walked again: derivatives share
+    their subtrees, which a walk per occurrence would revisit exponentially.
     """
     regs = [None]        # register 0 holds env during a call
     code = []
     index = {}
+    seen = {}            # bound values -> {id(node): register} of operations, this call only
 
-    def visit(e, params):
+    def visit(e, params, memo):
+        if id(e) in memo:
+            return memo[id(e)]
         if isinstance(e, Num) or (isinstance(e, Param) and e.name in params):
             v = e.value if isinstance(e, Num) else params[e.name]
             key = (type(v), repr(v))
@@ -514,14 +519,14 @@ def compile_program(exprs, bound=None):
             key, a, b = (type(e), e.name), 0, None
             fn = operator.itemgetter(e.name) if isinstance(e, Var) else partial(_load_param, e.name)
         elif isinstance(e, Neg):
-            a = visit(e.arg, params)
+            a = visit(e.arg, params, memo)
             key, fn, b = ("neg", a), operator.neg, None
         elif isinstance(e, Call):
-            a = visit(e.arg, params)
+            a = visit(e.arg, params, memo)
             key, fn, b = (e.fn, a), partial(_apply_fn, e.fn), None
         elif isinstance(e, BinOp) and e.op in _BINARY:
-            a = visit(e.left, params)
-            b = visit(e.right, params)
+            a = visit(e.left, params, memo)
+            b = visit(e.right, params, memo)
             key, fn = (e.op, a, b), _BINARY[e.op]
         else:
             raise TypeError("not an expression node: %r" % (e,))
@@ -529,9 +534,15 @@ def compile_program(exprs, bound=None):
             index[key] = len(regs)
             code.append((fn, len(regs), a, b))
             regs.append(None)
+        memo[id(e)] = index[key]
         return index[key]
 
-    outs = [visit(e, bound[i] if bound else {}) for i, e in enumerate(exprs)]
+    outs = []
+    for i, e in enumerate(exprs):
+        params = bound[i] if bound else {}
+        pkey = tuple(sorted((k, type(v), repr(v)) for k, v in params.items()))
+        outs.append(visit(e, params, seen.setdefault(pkey, {})))
+    del visit   # a recursive closure: free the memo now, not at a gc pass
 
     def run(env):
         r = regs.copy()
@@ -558,8 +569,9 @@ def evaluate(e: Expression, env: Mapping[str, object]):
 
 
 def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression:
-    """Replace variables/parameters by expressions (capture-free tree rewrite)."""
-    if isinstance(e, Num):
+    """Replace variables/parameters by expressions (capture-free tree rewrite);
+    an empty ``mapping`` returns ``e`` itself."""
+    if isinstance(e, Num) or not mapping:
         return e
     if isinstance(e, (Var, Param)):
         return mapping.get(e.name, e)
@@ -605,13 +617,15 @@ def _mul(a, b):
 
 
 def derivative(e: Expression, var: str) -> Expression:
-    """The partial derivative of ``e`` in the variable or parameter ``var``.
+    """The partial derivative of ``e`` in the variable or parameter ``var``;
+    of a tuple of expressions, the tuple of their partials.
 
     Forward mode by source transformation: each node's rule is the chain rule
     of `JetRules` written as an AST, so the result runs through the same
     evaluator with the same domain checks (a quotient still divides by its
     denominator, d sqrt(u) divides by sqrt(u), d|u| by |u|).  Only 0*x, x+0
-    and 1*x are folded.  Shared subtrees are differentiated once.
+    and 1*x are folded.  Shared subtrees, also of different members of a
+    tuple, are differentiated once.
     """
     memo = {}
 
@@ -653,7 +667,7 @@ def derivative(e: Expression, var: str) -> Expression:
         n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
         return _mul(_mul(b, BinOp("^", a, n1)), da)
 
-    return d(e)
+    return tuple(map(d, e)) if isinstance(e, tuple) else d(e)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
                                    nonlinear_connection)
-from berwald.scalar_field import DomainError, Jet2
+from berwald.scalar_field import Call, DomainError, Jet2, Neg, Num, Param, Var, compile_fields
 
 
 def default_grid(n: int = 8):
@@ -154,8 +154,29 @@ def outcome(evaluate_all):
 
 
 def assert_program_matches_fields(conn, points):
+    run = compile_fields(conn.k)
     for (t, r) in points:
-        assert outcome(lambda: conn.k_jets(t, r)) == outcome(
-            lambda: [f.jet(t, r) for f in conn.k])
+        assert outcome(lambda: map(Jet2._lift, run({"t": Jet2.var_t(t), "r": Jet2.var_r(r)}))) \
+            == outcome(lambda: [f.jet(t, r) for f in conn.k])
         assert outcome(lambda: conn.k_values(t, r)) == outcome(
             lambda: [f.value(t, r) for f in conn.k])
+
+
+# -- sympy reference --------------------------------------------------------
+
+def to_sympy(e, syms):
+    """The sympy expression of an AST; ``syms`` maps variable and parameter
+    names to sympy expressions."""
+    import sympy
+    fns = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
+           "ln": sympy.log, "sqrt": sympy.sqrt, "abs": sympy.Abs}
+    if isinstance(e, Num):
+        return sympy.Rational(repr(e.value))
+    if isinstance(e, (Var, Param)):
+        return syms[e.name]
+    if isinstance(e, Neg):
+        return -to_sympy(e.arg, syms)
+    if isinstance(e, Call):
+        return fns[e.fn](to_sympy(e.arg, syms))
+    a, b = to_sympy(e.left, syms), to_sympy(e.right, syms)
+    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]

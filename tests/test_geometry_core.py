@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from berwald.geometry_core import (BRACKET_PAIRS, ConnectionProfile, InsufficientSamples,
+from berwald.geometry_core import (BRACKET_PAIRS, COORD_NAMES, PH, R, TH, T,
+                                   ConnectionProfile, InsufficientSamples, NonFiniteData,
                                    TangentPoint, UnsupportedConnection, bracket_matrix,
                                    bracket_vectors, christoffel_table, curvature_profile,
                                    nonlinear_connection, numeric_rank, ricci_asymmetry,
                                    sample_tangent_points, spray_coefficients,
                                    vertical_holonomy_rank)
 
-from berwald.scalar_field import Jet2, JetRules
+from berwald.scalar_field import DomainError, Jet2, JetRules, ScalarField, compile_fields
 
 from conftest import (assert_program_matches_fields, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, power_law_nonsymmetric,
-                      power_law_symmetric)
+                      power_law_symmetric, to_sympy)
 from generators import make_class3, make_class5
 
 
@@ -28,13 +29,13 @@ class TestCurvatureProfile:
         for i, v in want.items():
             assert cp.a[i].value == pytest.approx(v, abs=1e-10)
         assert cp.corner == "generic"
-        a, b, c = (x.value for x in cp.abc)
+        a, b, c = cp.abc
         assert (a, b, c) == pytest.approx((0.0, -2.0 / 3.0, 0.0))
-        D, E, F = (x.value for x in cp.DEF)
+        D, E, F = cp.DEF
         assert D == pytest.approx(2 - 2 * 3)      # 2 - 2 alpha
         assert E == pytest.approx(-8 * (3 - 1) * 4)
         assert F == pytest.approx(4 - 2 * 3)
-        G, Gt, H, Ht = (x.value for x in cp.GH)
+        G, Gt, H, Ht = cp.GH
         assert G == pytest.approx(4 * 2 * (3 - 2))
         assert Gt == pytest.approx(4 * 2 * (3 - 1))
         assert H == Ht == 0.0
@@ -51,7 +52,7 @@ class TestCurvatureProfile:
             for i in (2, 3, 6, 8, 10, 11, 12, 13):
                 assert cp.a[i].value == pytest.approx(0.0, abs=1e-12)
             assert cp.a[14].value == pytest.approx(1.0 + t * t / 9.0, abs=1e-12)
-            a, b, c = (x.value for x in cp.abc)
+            a, b, c = cp.abc
             assert (a, b, c) == pytest.approx((0.0, 0.0, 1.0))
 
     def test_flat(self):
@@ -60,6 +61,19 @@ class TestCurvatureProfile:
             assert cp.a[i].value == 0.0
         assert cp.a[14].value == 1.0
         assert cp.corner == "w_zero"
+
+    def test_fields_keep_their_own_parameters(self):
+        conn = ConnectionProfile({1: ScalarField("c*r", {"c": 2.0}),
+                                  2: ScalarField("c*t", {"c": 5.0})})
+        assert curvature_profile(conn, 1.0, 0.5).a[1].value == 2.0 - 5.0
+
+    def test_failures_are_located(self):
+        """Where a k_i's derivative is undefined (abs at its kink) or an a_i
+        overflows with finite k_i jets, the error names the quantity and the point."""
+        with pytest.raises(DomainError, match=r"^a1 at \(t, r\) = \(1, 0.5\): division by zero"):
+            curvature_profile(ConnectionProfile({2: "abs(t - 1)"}), 1.0, 0.5)
+        with pytest.raises(NonFiniteData, match=r"^a1 is not finite at \(t, r\) = \(1, 0.5\)"):
+            curvature_profile(ConnectionProfile({3: "1e200", 4: "1e200"}), 1.0, 0.5)
 
     def test_ricci_asymmetry(self):
         for alpha in (2.5, 3.0, 4.0):
@@ -289,22 +303,6 @@ class TestProgram:
                      power_law_nonsymmetric(), flat_cartesian()):
             assert_program_matches_fields(conn, self.POINTS)
 
-    def test_curvature_fields_match_the_profile(self):
-        """curvature_formulas on fields, partials by `derivative`, against
-        curvature_profile on Jet1s: values and first partials."""
-        for conn in (make_class3(101)[0], exponential_example(), power_law_nonsymmetric(),
-                     class5_curved_block()):
-            a, abc, DEF, GH = conn.curvature_fields()
-            for (t, r) in default_grid(3):
-                cp = curvature_profile(conn, t, r)
-                pairs = [(a[i], cp.a[i]) for i in range(1, 15)]
-                if cp.corner == "generic":
-                    pairs += list(zip(abc + DEF + GH, cp.abc + cp.DEF + cp.GH))
-                for f, ref in pairs:
-                    j = f.jet(t, r)
-                    for x, y in ((j.value, ref.value), (j.dt, ref.dt), (j.dr, ref.dr)):
-                        assert abs(x - y) <= 1e-10 * (1.0 + abs(y))
-
     def test_shared_subexpression_evaluated_once(self, monkeypatch):
         """exp((r-t)^2) occurs eight times in k1..k6 of the exponential
         example, twice in k3 and in k4; a tree walk evaluates it eight times."""
@@ -315,8 +313,114 @@ class TestProgram:
             return JetRules.exp(self)
         monkeypatch.setattr(Jet2, "exp", exp, raising=False)
         conn = exponential_example()
-        conn.k_jets(1.0, 1.5)
+        compile_fields(conn.k)({"t": Jet2.var_t(1.0), "r": Jet2.var_r(1.5)})
         assert len(calls) == 1
         calls.clear()
         [f.jet(1.0, 1.5) for f in conn.k]   # one program per field
         assert len(calls) == 6
+
+
+# -- independent oracle: true Lie brackets of the horizontal lifts in sympy ---
+
+def _rational_polynomial_profile(seed: int) -> ConnectionProfile:
+    """Quadratic k1..k9 and k10 = 3/2 + (linear) with small rational
+    coefficients: a generic w-corner on the box."""
+    rng = np.random.default_rng(seed)
+
+    def poly(terms):
+        return " + ".join("(%d/%d)*%s" % (rng.integers(-9, 10), rng.integers(1, 8), m)
+                          for m in terms)
+    fields = {i: poly(["1", "t", "r", "t*r", "t^2", "r^2"]) for i in range(1, 10)}
+    fields[10] = "3/2 + " + poly(["t", "r"]).replace("/", "/10/")
+    return ConnectionProfile(fields)
+
+
+def _sympy_k(conn: ConnectionProfile, x) -> dict:
+    import sympy
+    return {i: to_sympy(f.expr, {"t": x[0], "r": x[1], **{n: sympy.Rational(repr(v))
+                                                          for n, v in f.params.items()}})
+            for i, f in enumerate(conn.k, start=1)}
+
+
+def _sympy_gamma(k: dict, x):
+    """Gamma[e][c][d] of the classified family (k11 = k12 = 0) as sympy
+    expressions of the coordinates x = (t, r, theta, phi)."""
+    import sympy
+    s, c = sympy.sin(x[2]), sympy.cos(x[2])
+    G = [[[sympy.S.Zero] * 4 for _ in range(4)] for _ in range(4)]
+
+    def put(e, a, b, v):
+        G[e][a][b] = G[e][b][a] = v
+    put(T, T, T, k[1]); put(T, T, R, k[2]); put(T, R, R, k[3])
+    put(T, TH, TH, k[7]); put(T, PH, PH, k[7] * s * s)
+    put(R, T, T, k[4]); put(R, T, R, k[6]); put(R, R, R, k[5])
+    put(R, TH, TH, k[10]); put(R, PH, PH, k[10] * s * s)
+    put(TH, T, TH, k[8]); put(TH, R, TH, k[9]); put(TH, PH, PH, -s * c)
+    put(PH, T, PH, k[8]); put(PH, R, PH, k[9]); put(PH, TH, PH, c / s)
+    return G
+
+
+def _lie(X, Y, coords):
+    import sympy
+    return [sum(X[j] * sympy.diff(Y[i], coords[j]) - Y[j] * sympy.diff(X[i], coords[j])
+                for j in range(8)) for i in range(8)]
+
+
+class TestBracketOracle:
+    """bracket_vectors (depth 2) against the Lie brackets of
+    delta_a = d_a - N^d_a d_{ydot^d}, N^d_a = Gamma^d_ab ydot^b, in sympy: this
+    checks a1..a14 and their (t, r)-partials without `curvature_formulas` or
+    `_R_TABLE`.  (a, b, c), (D, E, F), (G, Gt, H, Ht) are checked against
+    their definitions, with the a_i read off the sympy brackets."""
+
+    @pytest.mark.parametrize("make", [lambda: _rational_polynomial_profile(5),
+                                      lambda: power_law_nonsymmetric(3.0), class5_curved_block],
+                             ids=["rational_polynomial", "example_1", "class5_curved_block"])
+    def test_brackets_and_derived_coefficients(self, make):
+        import sympy
+        conn = make()
+        x = sympy.symbols("t r theta phi")
+        y = sympy.symbols("tdot rdot thetadot phidot")
+        coords = list(x) + list(y)
+        kk = _sympy_k(conn, x)
+        G = _sympy_gamma(kk, x)
+        N = [[sum(G[d][a][b] * y[b] for b in range(4)) for a in range(4)] for d in range(4)]
+        delta = [[sympy.S.One if j == a else sympy.S.Zero for j in range(4)]
+                 + [-N[d][a] for d in range(4)] for a in range(4)]
+        level1 = {(COORD_NAMES[a], COORD_NAMES[b]): _lie(delta[a], delta[b], coords)
+                  for a, b in BRACKET_PAIRS}
+        level2 = {(COORD_NAMES[c], ab): _lie(delta[c], v, coords)
+                  for ab, v in level1.items() for c in range(4)}
+        rng = np.random.default_rng(11)
+        for _ in range(2):
+            p = TangentPoint(*rng.uniform(0.6, 2.4, 2), rng.uniform(0.4, 1.2),
+                             rng.uniform(0.0, 6.0), *rng.uniform(-2.0, 2.0, 4))
+            at = dict(zip(coords, map(sympy.Rational, p.state())))
+            gam = [[[float(G[e][c][d].xreplace(at)) for d in range(4)] for c in range(4)]
+                   for e in range(4)]
+            assert np.allclose(gam, christoffel_table(conn.k_values(p.t, p.r), p.theta),
+                               rtol=1e-13, atol=1e-13)
+            got = {v.label: v.components for v in bracket_vectors(conn, p, depth=2)}
+            assert set(got) == set(level1) | set(level2)
+            for label, vec in list(level1.items()) + list(level2.items()):
+                ref = [comp.xreplace(at).evalf(30) for comp in vec]
+                assert all(abs(h) < 1e-25 for h in ref[:4])   # brackets are vertical
+                ref = np.array([float(v) for v in ref[4:]])
+                scale = 1.0 + np.max(np.abs(ref))
+                assert np.max(np.abs(got[label] - ref)) <= 1e-12 * scale, label
+
+            cp = curvature_profile(conn, p.t, p.r)
+            if cp.corner != "generic":
+                assert cp.abc is None
+                continue
+            tr = level1[("t", "r")]
+            a = {1: sympy.diff(tr[4], y[0]), 3: sympy.diff(tr[5], y[0]),
+                 5: sympy.diff(tr[6], y[2])}
+            aa, bb = kk[7] / kk[10], kk[8] / kk[10]
+            cc = (kk[9] * kk[10] - kk[7] * kk[8]) / kk[10] ** 2
+            Gs, Hs = 2 * (kk[1] - kk[4] * aa), 2 * (kk[2] - kk[6] * aa)
+            want = [aa, bb, cc, aa * a[3] - a[1] + a[5], bb * a[3], aa * a[3] - a[1],
+                    Gs, Gs - 2 * kk[8], Hs, Hs - 2 * kk[9]]
+            for g, w in zip(cp.abc + cp.DEF + cp.GH, want):
+                w = float(w.xreplace(at).evalf(30))
+                assert abs(g - w) <= 1e-12 * (1.0 + abs(w))

@@ -12,7 +12,7 @@ from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
                               build_class4, build_class5, build_exponential,
                               build_power_law, class3_delta, class5_det_formula,
                               path_integral)
-from berwald.scalar_field import ScalarField
+from berwald.scalar_field import DomainError, ScalarField
 from berwald.verifier import check_horizontal_constancy, levi_civita_roundtrip
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
@@ -93,6 +93,13 @@ class TestPotentialSystem:
         # the class-5 form reads second partials of the k_i; its curl is rounding
         pot = build_class5(class5_curved_block(), grid).meta["potentials"]
         assert pot.closedness_residual(_grid_probes(grid)) < 1e-12
+
+    def test_non_finite_curl_is_an_error_not_a_pass(self):
+        """A NaN curl would certify: max() passes over it, and NaN > tol is
+        false.  inf - inf in Q raises DomainError instead."""
+        pot = PotentialSystem(["psi"], ["0"], ["1e200*1e200*t - 1e200*1e200*t"], (1.0, 1.0))
+        with pytest.raises(DomainError, match="jet is not finite at"):
+            pot.closedness_residual([(1.0, 1.0)])
 
     def test_parameter_named_like_a_potential_is_refused(self):
         with pytest.raises(MetrizerError):

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berwald.geometry_core import ConnectionProfile, Jet1
+from berwald.geometry_core import ConnectionProfile
+from berwald.metrizer import PotentialSystem
 from berwald.multijet import IR, IT, MultiJet
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
                                   UnknownIdentifier, Var, compile_expression, compile_program,
                                   derivative, eval_jet2, evaluate, parse, substitute, to_source)
 
-from conftest import assert_program_matches_fields, jet_slots
+from conftest import assert_program_matches_fields, jet_slots, to_sympy
 
 
 def jet(src, t, r, **params):
@@ -188,7 +189,7 @@ def test_product_rule_exact():
 
 def test_jet_types_share_one_algebra():
     """On random ASTs, MultiJet seeded at IT, IR agrees with Jet2 up to the
-    order of its sums, and Jet1 equals Jet2's first-order part exactly."""
+    order of its sums."""
     rng = np.random.default_rng(2024)
     params = {"alpha": 1.3}
     checked = 0
@@ -200,10 +201,8 @@ def test_jet_types_share_one_algebra():
             j2 = eval_jet2(expr, t, r, params)
         except OverflowError:
             continue
-        j1 = Jet1._lift(fn({"t": Jet1(t, 1.0), "r": Jet1(r, 0.0, 1.0), **params}))
         mj = MultiJet._lift(fn({"t": MultiJet.variable(IT, t),
                                 "r": MultiJet.variable(IR, r), **params}))
-        assert (j1.value, j1.dt, j1.dr) == (j2.value, j2.dt, j2.dr)
         ref = MultiJet.from_jet2(j2)
         scale = 1.0 + max(abs(x) for x in (j2.value, j2.dt, j2.dr, j2.dtt, j2.dtr, j2.drr))
         assert abs(mj.value - j2.value) <= 1e-12 * scale
@@ -213,8 +212,6 @@ def test_jet_types_share_one_algebra():
 
 
 def test_jet_domain_errors_agree():
-    with pytest.raises(DomainError):
-        Jet1(1.0) / Jet1(0.0)
     for bad in (MultiJet.variable(IT, 0.0).absval, MultiJet.variable(IT, 0.0).sqrt):
         with pytest.raises(DomainError):
             bad()
@@ -372,15 +369,16 @@ def test_jets_fail_with_domain_error():
     for src in ("sin(t)", "cos(t)", "tan(t)"):   # the jet path of math.sin(inf)
         with pytest.raises(DomainError):
             ScalarField(src).jet(math.inf, 1.0)
-    with pytest.raises(DomainError):
-        Jet1(1.0) / Jet1(1e-170, 1.0)
+    with pytest.raises(DomainError):   # the one-form jets of a potential, too
+        PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0)).jet2("psi", 1e-170, 1.0, {"psi": 0.0})
     # ordinary v keep their arithmetic
     v = 0.3
     j = ScalarField("1/t").jet(v, 1.0)
     assert (j.value, j.dt, j.dtt) == (1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
     j = ScalarField("ln(t)").jet(v, 1.0)
     assert (j.value, j.dt, j.dtt) == (math.log(v), 1.0 / v, -1.0 / v ** 2)
-    assert (Jet1(1.0) / Jet1(v, 1.0)).dt == -1.0 / v ** 2
+    j = PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0)).jet2("psi", v, 1.0, {"psi": 0.0})
+    assert (j.dt, j.dtt) == (1.0 / v, pytest.approx(-1.0 / v ** 2, rel=1e-15))
 
 
 # -- derivative: forward mode by source transformation -----------------------
@@ -391,22 +389,6 @@ ASTS = st.recursive(_AST_LEAVES, lambda kids: st.one_of(
     kids.map(Neg),
     st.tuples(st.sampled_from("+-*/^"), kids, kids).map(lambda x: BinOp(*x)),
     st.tuples(st.sampled_from(FUNCTIONS), kids).map(lambda x: Call(*x))), max_leaves=8)
-
-
-def to_sympy(e, syms):
-    import sympy
-    fns = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
-           "ln": sympy.log, "sqrt": sympy.sqrt, "abs": sympy.Abs}
-    if isinstance(e, Num):
-        return sympy.Rational(repr(e.value))
-    if isinstance(e, Var):
-        return syms[e.name]
-    if isinstance(e, Neg):
-        return -to_sympy(e.arg, syms)
-    if isinstance(e, Call):
-        return fns[e.fn](to_sympy(e.arg, syms))
-    a, b = to_sympy(e.left, syms), to_sympy(e.right, syms)
-    return {"+": a + b, "-": a - b, "*": a * b, "/": a / b, "^": a ** b}[e.op]
 
 
 @given(ASTS, st.sampled_from("tr"), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
