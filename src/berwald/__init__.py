@@ -13,11 +13,12 @@ __version__ = "0.1.0"
 from .scalar_field import (DomainError, ExpressionError, ExpressionSyntaxError, Jet2,
                            ScalarField, UnboundParameter, UnknownIdentifier, eval_jet2,
                            parse, to_source)
-from .geometry_core import (BracketVector, ConnectionProfile, CurvatureProfile,
-                            InsufficientSamples, K10Degenerate, NonFiniteData,
-                            TangentPoint, UnsupportedConnection, bracket_vectors,
-                            curvature_profile, ricci_asymmetry, sample_tangent_points,
-                            spray_coefficients, vertical_holonomy_rank)
+from .geometry_core import (BracketVector, ConnectionProfile, CurvatureGrid,
+                            CurvatureProfile, InsufficientSamples, K10Degenerate,
+                            NonFiniteData, TangentPoint, UnsupportedConnection,
+                            bracket_vectors, curvature_grid, curvature_profile,
+                            ricci_asymmetry, sample_tangent_points, spray_coefficients,
+                            vertical_holonomy_rank)
 from .classifier import (ClassificationReport, InternalInconsistency, MixedClass,
                          Tolerances, assign_class, check_finsler_constraints, classify)
 from .metrizer import (DeltaVanishes, GradientNotClosed, LambdaEqualsOne,

@@ -27,10 +27,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry_core import (_R_TABLE, R, T, ConnectionProfile, CurvatureProfile,
-                            TangentPoint, W_CORNER_GENERIC, W_CORNER_K10_DEGENERATE,
-                            W_CORNER_ZERO, K10Degenerate, UnsupportedConnection,
-                            christoffel_table, curvature_profile, holonomy_rank_details,
+from .geometry_core import (R, T, ConnectionProfile, CurvatureGrid, TangentPoint,
+                            W_CORNER_GENERIC, W_CORNER_K10_DEGENERATE, W_CORNER_ZERO,
+                            K10Degenerate, NonFiniteData, UnsupportedConnection,
+                            _bracket_rows, curvature_grid, holonomy_rank_details,
                             sample_tangent_points)
 
 
@@ -99,15 +99,6 @@ _PROBE_VELOCITIES = np.array(((1.0, 0.3, 0.2, -0.4), (1.0, -0.5, 0.1, 0.2),
 _PROBE_THETA = 1.0
 
 
-def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m[..., e, d] x[..., d], summed over d from left to right: one fixed
-    order, so a node's values do not depend on the batch it is in."""
-    out = m[..., 0] * x[..., None, 0]
-    for d in (1, 2, 3):
-        out = out + m[..., d] * x[..., None, d]
-    return out
-
-
 def _norms(x: np.ndarray) -> np.ndarray:
     """Euclidean norms along the last axis from one dot product per vector,
     as `np.linalg.norm` takes them of a single vector (its axis form sums in
@@ -115,42 +106,33 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
-def _proportionality_residuals(profiles: Sequence[CurvatureProfile]) -> np.ndarray:
+def _proportionality_residuals(cg: CurvatureGrid) -> np.ndarray:
     """Defect of [delta_t, [delta_t, delta_r]] ~ [delta_t, delta_r] and of the
     delta_r analogue at each node, maximized over the probe velocities.
 
-    Reads only the (t, r) bracket R^e = A^e_d xdot^d, whose velocity gradient
-    A and its (t, r)-partials come from a1..a5, and the slices Gamma[:, c, :]
-    for c in {t, r}.  The second-level rows are
-        partial_c R^e - A^e_d N^d_c + Gamma^e_cd R^d,   N^d_c = Gamma^d_cf xdot^f.
-    The residual is the largest 2x2 minor of a second-level row against the
+    The brackets [t, r], [t, [t, r]] and [r, [t, r]] are `_bracket_rows` of
+    the (t, r) pair at each node and probe velocity.  The
+    residual is the largest 2x2 minor of a second-level row against the
     first-level one over the product of their norms.  A vector whose norm is
     at or below the node's round-off floor 1e-12 s^2, with s = 1 + the largest
     |k_i|, |a_i| or partial of an a_i there, counts as zero (trivially
     parallel), so that pure cancellation noise is not normalized into an O(1)
-    direction.
+    direction.  Raises `NonFiniteData` at the first node where s^2 overflows.
     """
-    n = len(profiles)
-    a = np.empty((n, 5, 3))                     # a1..a5: value, d/dt, d/dr
-    gam = np.empty((n, 2, 1, 4, 4))             # Gamma[e, c, d] at [node, c, :, e, d]
-    floor = np.empty((n, 1, 1))
-    for node, cp in enumerate(profiles):
-        scale = 1.0 + max(max(max(abs(j.value), abs(j.dt), abs(j.dr)) for j in cp.a.values()),
-                          max(map(abs, cp.k)))
-        floor[node] = 1e-12 * scale ** 2
-        a[node] = [cp.a[i] for i in range(1, 6)]
-        gam[node, :, 0] = christoffel_table(cp.k, _PROBE_THETA)[:, :2, :].transpose(1, 0, 2)
-
-    grad = np.zeros((n, 3, 4, 4))               # value, d/dt, d/dr of A[e, d]
-    for e, terms in enumerate(_R_TABLE[(T, R)]):
-        for sign, i, d, _s2 in terms:
-            grad[:, :, e, d] = sign * a[:, i - 1, :]
-
-    vel = _PROBE_VELOCITIES
-    rv = _apply(grad[:, :, None], vel)           # node, (R, R_t, R_r), velocity, e
-    first = rv[:, 0]
-    second = rv[:, 1:] - _apply(grad[:, :1, None], _apply(gam, vel)) \
-        + _apply(gam, first[:, None])           # node, c, velocity, e
+    n, nvel = len(cg), len(_PROBE_VELOCITIES)
+    scale = 1.0 + np.maximum(np.max(np.abs(cg.a), axis=(1, 2)), np.max(np.abs(cg.k), axis=1))
+    with np.errstate(over="ignore"):
+        floor = 1e-12 * scale ** 2
+    bad = np.flatnonzero(np.isinf(floor))
+    if bad.size:
+        raise NonFiniteData("squared curvature scale overflows at (t, r) = (%g, %g)"
+                            % (cg.t[bad[0]], cg.r[bad[0]]))
+    node = np.repeat(np.arange(n), nvel)
+    rows = _bracket_rows(cg.k[node], cg.a[node], np.full(n * nvel, _PROBE_THETA),
+                         np.tile(_PROBE_VELOCITIES, (n, 1)), 2, pairs=((T, R),))
+    rows = rows[:, :3].reshape(n, nvel, 3, 4)
+    first = rows[:, :, 0]                            # node, velocity, e
+    second = rows[:, :, 1:].transpose(0, 2, 1, 3)    # node, c, velocity, e
     minors = np.zeros(second.shape[:-1])
     for i in range(4):
         for j in range(i + 1, 4):
@@ -158,79 +140,67 @@ def _proportionality_residuals(profiles: Sequence[CurvatureProfile]) -> np.ndarr
                                                - second[..., j] * first[:, None, :, i]))
     n_first = _norms(first)[:, None]
     n_second = _norms(second)
-    resolved = (n_second > floor) & (n_first > floor)
+    resolved = (n_second > floor[:, None, None]) & (n_first > floor[:, None, None])
     ratio = np.divide(minors, n_second * n_first, out=np.zeros_like(minors),
                       where=resolved)
     return ratio.max(axis=(1, 2))
 
 
+def _worst(values: np.ndarray, grid: Sequence[tuple]) -> ResidualStat:
+    """The largest value and its node; the first node on ties."""
+    i = int(np.argmax(values))
+    return ResidualStat(float(values[i]), grid[i])
+
+
 def check_finsler_constraints(conn: ConnectionProfile, grid: Sequence[tuple],
-                              profiles: Optional[dict] = None) -> dict:
+                              curvature: Optional[CurvatureGrid] = None) -> dict:
     """Residual map of the algebraic metrizability constraints over the grid.
 
     Returns name -> ResidualStat; the caller owns thresholds.  Raises
     K10Degenerate / MixedClass when the w-corner regime is unusable, and
-    UnsupportedConnection for k11/k12.
+    UnsupportedConnection for k11/k12.  ``curvature`` is the grid's
+    `curvature_grid`, evaluated here when not given.
     """
     grid = list(grid)
     conn.require_classifiable(grid)
-    if profiles is None:
-        profiles = {}
-    for q in grid:
-        if q not in profiles:
-            profiles[q] = curvature_profile(conn, *q)
+    cg = curvature_grid(conn, grid) if curvature is None else curvature
 
-    corners = {q: profiles[q].corner for q in grid}
-    kinds = set(corners.values())
+    kinds = set(cg.corner.tolist())
     if W_CORNER_K10_DEGENERATE in kinds:
-        bad = [q for q in grid if corners[q] == W_CORNER_K10_DEGENERATE]
+        bad = np.flatnonzero(cg.corner == W_CORNER_K10_DEGENERATE)
         raise K10Degenerate(
             "k10 vanishes against a nonzero w-corner at %d grid points (first: %s); "
-            "(a, b, c) undefined there" % (len(bad), bad[0]))
+            "(a, b, c) undefined there" % (len(bad), grid[bad[0]]))
     if kinds == {W_CORNER_GENERIC, W_CORNER_ZERO}:
-        part = {"generic": sum(1 for v in corners.values() if v == W_CORNER_GENERIC),
-                "w_zero": sum(1 for v in corners.values() if v == W_CORNER_ZERO)}
+        part = {"generic": int(np.sum(cg.corner == W_CORNER_GENERIC)),
+                "w_zero": int(np.sum(cg.corner == W_CORNER_ZERO))}
         raise MixedClass("w-corner regime changes across the grid", part)
     regime = kinds.pop()
 
-    res = {}
-
-    def _record(name: str, value: float, at: tuple):
-        cur = res.get(name)
-        if cur is None or value > cur.value:
-            res[name] = ResidualStat(value, at)
-
-    for q in grid:
-        cp = profiles[q]
-        a = {i: cp.a[i].value for i in range(1, 15)}
-        if regime == W_CORNER_GENERIC:
-            aa, bb, cc = cp.abc
-            A = bb * (aa * a[1] + a[2]) + (aa * bb + cc) * (aa * a[3] + a[4]) \
-                - a[5] * (2 * aa * bb + cc)
-            B = aa * (aa * a[3] + a[4]) - (aa * a[1] + a[2])
-            C = (aa * bb + cc) * a[3] + bb * (aa * a[3] + a[4]) + bb * (a[1] - 2 * a[5])
-            _record("A", abs(A), q)
-            _record("B", abs(B), q)
-            _record("C", abs(C), q)
-            _record("a6-a*a7", abs(a[6] - aa * a[7]), q)
-            _record("a8-b*a7", abs(a[8] - bb * a[7]), q)
-            _record("a9-(ab+c)*a7", abs(a[9] - (aa * bb + cc) * a[7]), q)
-            _record("a10-a*a11", abs(a[10] - aa * a[11]), q)
-            _record("a12-b*a11", abs(a[12] - bb * a[11]), q)
-            _record("a13-(ab+c)*a11", abs(a[13] - (aa * bb + cc) * a[11]), q)
-        else:
-            for i in range(6, 14):
-                _record("a%d" % i, abs(a[i]), q)
-
-    prop = _proportionality_residuals([profiles[q] for q in grid])
-    worst = int(np.argmax(prop))   # the first node on ties
-    res["proportionality-ttr"] = ResidualStat(float(prop[worst]), grid[worst])
+    a = {i: cg.a[:, i - 1, 0] for i in range(1, 15)}
+    if regime == W_CORNER_GENERIC:
+        aa, bb, cc = cg.abc.T
+        A = bb * (aa * a[1] + a[2]) + (aa * bb + cc) * (aa * a[3] + a[4]) \
+            - a[5] * (2 * aa * bb + cc)
+        B = aa * (aa * a[3] + a[4]) - (aa * a[1] + a[2])
+        C = (aa * bb + cc) * a[3] + bb * (aa * a[3] + a[4]) + bb * (a[1] - 2 * a[5])
+        residuals = {"A": A, "B": B, "C": C,
+                     "a6-a*a7": a[6] - aa * a[7],
+                     "a8-b*a7": a[8] - bb * a[7],
+                     "a9-(ab+c)*a7": a[9] - (aa * bb + cc) * a[7],
+                     "a10-a*a11": a[10] - aa * a[11],
+                     "a12-b*a11": a[12] - bb * a[11],
+                     "a13-(ab+c)*a11": a[13] - (aa * bb + cc) * a[11]}
+    else:
+        residuals = {"a%d" % i: a[i] for i in range(6, 14)}
+    res = {name: _worst(np.abs(v), grid) for name, v in residuals.items()}
+    res["proportionality-ttr"] = _worst(_proportionality_residuals(cg), grid)
     res["__regime__"] = ResidualStat(0.0, (regime, regime))
     return res
 
 
-def _status(values: Sequence[float], scale: float, tols: Tolerances) -> str:
-    mx = max(abs(v) for v in values)
+def _status(values: np.ndarray, scale: float, tols: Tolerances) -> str:
+    mx = float(np.max(np.abs(values)))
     if mx < tols.zero * scale:
         return "zero"
     if mx > tols.nonzero:
@@ -239,20 +209,17 @@ def _status(values: Sequence[float], scale: float, tols: Tolerances) -> str:
 
 
 def assign_class(conn: ConnectionProfile, grid: Sequence[tuple],
-                 profiles: Optional[dict] = None,
+                 curvature: Optional[CurvatureGrid] = None,
                  tols: Tolerances = Tolerances()) -> Optional[int]:
     """Class 1..5 per the (D, E, F) / tr-corner decision tree; None when the
-    gap band makes the verdict undetermined."""
-    grid = list(grid)
-    if profiles is None:
-        profiles = {q: curvature_profile(conn, *q) for q in grid}
-    regime = {profiles[q].corner for q in grid}
-    scale = 1.0 + max(float(np.max(np.abs(profiles[q].a_values()))) for q in grid)
+    gap band makes the verdict undetermined.  ``curvature`` is the grid's
+    `curvature_grid`, evaluated here when not given."""
+    cg = curvature_grid(conn, grid) if curvature is None else curvature
+    regime = set(cg.corner.tolist())
+    scale = 1.0 + float(np.max(np.abs(cg.a[:, :, 0])))
 
     if regime == {W_CORNER_GENERIC}:
-        D = [profiles[q].DEF[0] for q in grid]
-        E = [profiles[q].DEF[1] for q in grid]
-        F = [profiles[q].DEF[2] for q in grid]
+        D, E, F = cg.DEF.T
         Dst = _status(D, scale, tols)
         if Dst == "nonzero":
             return 1
@@ -268,8 +235,7 @@ def assign_class(conn: ConnectionProfile, grid: Sequence[tuple],
         raise MixedClass("D = 0 but E/F signatures disagree",
                          {"E": Est, "F": Fst})
     if regime == {W_CORNER_ZERO}:
-        tr = [max(abs(profiles[q].a[i].value) for i in range(1, 6)) for q in grid]
-        st = _status(tr, scale, tols)
+        st = _status(cg.a[:, :5, 0], scale, tols)
         if st == "zero":
             return 4
         if st == "nonzero":
@@ -285,13 +251,14 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     """Full classification pipeline; see the module docstring."""
     grid = list(grid)
     report = ClassificationReport()
-    profiles = {q: curvature_profile(conn, *q) for q in grid}
+    cg = curvature_grid(conn, grid)
+    a = {i: cg.a[:, i - 1, 0] for i in range(1, 6)}
 
-    res = check_finsler_constraints(conn, grid, profiles)
+    res = check_finsler_constraints(conn, grid, cg)
     regime = res.pop("__regime__").at[0]
     # curvature scale 1 + max_i |a_i| of each node; the largest is the grid's
-    node_scale = [1.0 + float(np.max(np.abs(profiles[q].a_values()))) for q in grid]
-    scale = max(node_scale)
+    node_scale = 1.0 + np.max(np.abs(cg.a[:, :, 0]), axis=1)
+    scale = float(np.max(node_scale))
     worst = max(s.value for s in res.values())
     if worst < tols.zero * scale:
         report.finsler_metrizable = "yes"
@@ -306,11 +273,9 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
 
     # Ricci asymmetry: signed value of largest magnitude over the grid, and
     # the node where it is largest against that node's curvature scale
-    ric = [profiles[q].ricci_asymmetry() for q in grid]
-    report.ricci_asymmetry = float(max(ric, key=abs))
-    ratio = [abs(x) / s for x, s in zip(ric, node_scale)]
-    witness = int(np.argmax(ratio))
-    report.evidence["ricci_witness"] = ResidualStat(ratio[witness], grid[witness])
+    ric = a[1] + a[4] + 2.0 * a[5]
+    report.ricci_asymmetry = float(ric[np.argmax(np.abs(ric))])
+    report.evidence["ricci_witness"] = _worst(np.abs(ric) / node_scale, grid)
 
     if samples is None:
         rng = np.random.default_rng(seed)
@@ -326,12 +291,10 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     report.evidence["seed"] = seed
 
     if report.finsler_metrizable == "yes":
-        label = assign_class(conn, grid, profiles, tols)
+        label = assign_class(conn, grid, cg, tols)
         report.class_label = label
         if label == 1:
-            D = np.array([profiles[q].DEF[0] for q in grid])
-            F = np.array([profiles[q].DEF[2] for q in grid])
-            lam = F / D
+            lam = cg.DEF[:, 2] / cg.DEF[:, 0]
             report.evidence["lambda"] = float(np.mean(lam))
             report.evidence["lambda_variance"] = float(np.var(lam))
             if abs(float(np.mean(lam)) - 1.0) < 1e-8:
@@ -341,12 +304,10 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
                     "Riemannian metric; trivially Finslerian, outside the taxonomy)")
                 report.notes.append("lambda = F/D equals 1")
         if label == 5:
-            quad = [profiles[q].a[1].value * profiles[q].a[4].value
-                    - profiles[q].a[2].value * profiles[q].a[3].value for q in grid]
-            variant = [profiles[q].a[1].value * profiles[q].a[3].value
-                       - profiles[q].a[2].value * profiles[q].a[4].value for q in grid]
-            report.evidence["a1a4-a2a3_min_abs"] = float(min(abs(v) for v in quad))
-            report.evidence["a1a3-a2a4_min_abs"] = float(min(abs(v) for v in variant))
+            quad = a[1] * a[4] - a[2] * a[3]
+            variant = a[1] * a[3] - a[2] * a[4]
+            report.evidence["a1a4-a2a3_min_abs"] = float(np.min(np.abs(quad)))
+            report.evidence["a1a3-a2a4_min_abs"] = float(np.min(np.abs(variant)))
             report.notes.append(
                 "class-5 nondegeneracy uses a1*a4 - a2*a3 (the lemma's form); the "
                 "section-level variant a1*a3 - a2*a4 is reported alongside")
@@ -358,13 +319,13 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
         report.class_label = None
         report.notes.append("metrizability constraints violated; no class assigned")
 
-    report = _riemann_verdict(conn, report, grid, profiles, tols)
+    report = _riemann_verdict(report, a[1] + a[4], tols)
     _cross_check(report, tols)
     return report
 
 
-def _riemann_verdict(conn: ConnectionProfile, report: ClassificationReport,
-                     grid, profiles, tols: Tolerances) -> ClassificationReport:
+def _riemann_verdict(report: ClassificationReport, a1_plus_a4: np.ndarray,
+                     tols: Tolerances) -> ClassificationReport:
     if report.riemann_metrizable != "undetermined":
         return report  # lambda = 1 special case already decided
     label = report.class_label
@@ -373,10 +334,9 @@ def _riemann_verdict(conn: ConnectionProfile, report: ClassificationReport,
     elif label in (3, 4):
         report.riemann_metrizable = "yes"
     elif label == 5:
-        s = [profiles[q].a[1].value + profiles[q].a[4].value for q in grid]
         scale = report.evidence.get("constraint_scale", 1.0)
-        st = _status(s, scale, tols)
-        report.evidence["a1+a4_max_abs"] = float(max(abs(v) for v in s))
+        st = _status(a1_plus_a4, scale, tols)
+        report.evidence["a1+a4_max_abs"] = float(np.max(np.abs(a1_plus_a4)))
         if st == "zero":
             report.riemann_metrizable = "yes"
         elif st == "nonzero":

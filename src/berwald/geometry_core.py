@@ -11,6 +11,10 @@ with those coefficients, and second-level brackets follow from
 
 The vertical span of all of these, maximized over sample points, gives the
 holonomy-distribution rank used by the classifier.
+
+`curvature_profile` evaluates one point; `curvature_grid` evaluates many at
+once on numpy arrays, and the bracket matrices and their ranks are array
+passes over it.
 """
 
 from __future__ import annotations
@@ -155,19 +159,22 @@ class ConnectionProfile:
                     ("da%d/dr" % i, ScalarField(ar[i - 1]))]
         return out
 
+    def _curvature_programs(self) -> list:
+        """The two programs of `_curvature_quantities`, compiled on first use."""
+        if self._curvature_runs is None:
+            self._curvature_runs = [compile_fields([f for _, f in self._curvature_quantities(w)])
+                                    for w in (0, 1)]
+        return self._curvature_runs
+
     def _curvature(self, which: int, t: float, r: float) -> tuple:
-        """Float program ``which`` of `curvature_profile` at (t, r), compiled
-        on first use (see `_curvature_quantities`).
+        """Float program ``which`` of `curvature_profile` at (t, r).
 
         Where it fails or an output is not finite, the k_i jets locate the
         failure: the first k_i whose `ScalarField.jet` fails, else the first
         whose jet is not finite; else it is the first output that fails or is
         not finite on its own."""
-        if self._curvature_runs is None:
-            self._curvature_runs = [compile_fields([f for _, f in self._curvature_quantities(w)])
-                                    for w in (0, 1)]
         try:
-            out = self._curvature_runs[which]({"t": t, "r": r})
+            out = self._curvature_programs()[which]({"t": t, "r": r})
             if all(map(math.isfinite, out)):
                 return out
         except (DomainError, OverflowError):
@@ -245,6 +252,35 @@ class CurvatureProfile:
         return self.a[1].value + self.a[4].value + 2.0 * self.a[5].value
 
 
+@dataclass(eq=False)
+class CurvatureGrid:
+    """`CurvatureProfile` of n points as arrays; ``a[:, i - 1]`` is a_i with
+    its (t, r)-partials, and the rows of abc, DEF and GH are NaN where the
+    node is not generic."""
+    t: np.ndarray         # (n,)
+    r: np.ndarray         # (n,)
+    k: np.ndarray         # (n, 12): k1..k12
+    a: np.ndarray         # (n, 14, 3): a_i, d/dt, d/dr
+    corner: np.ndarray    # (n,): W_CORNER_* markers
+    abc: np.ndarray       # (n, 3)
+    DEF: np.ndarray       # (n, 3)
+    GH: np.ndarray        # (n, 4)
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    @classmethod
+    def from_profiles(cls, profiles: Sequence[CurvatureProfile]) -> "CurvatureGrid":
+        def rows(name, width):
+            return np.array([getattr(cp, name) or (math.nan,) * width for cp in profiles])
+        return cls(np.array([cp.t for cp in profiles], dtype=float),
+                   np.array([cp.r for cp in profiles], dtype=float),
+                   np.array([cp.k for cp in profiles]),
+                   np.array([[cp.a[i] for i in range(1, 15)] for cp in profiles]),
+                   np.array([cp.corner for cp in profiles]),
+                   rows("abc", 3), rows("DEF", 3), rows("GH", 4))
+
+
 def curvature_formulas(k: Sequence[ScalarField]) -> tuple:
     """a1..a14 (a dict), (a, b, c), (D, E, F) and (G, Gt, H, Ht) as fields
     of k1..k12 (``k[0]`` is k1) and their (t, r)-partials by `derivative`;
@@ -278,29 +314,55 @@ def curvature_formulas(k: Sequence[ScalarField]) -> tuple:
             (G, G - 2.0 * k[8], H, H - 2.0 * k[9]))
 
 
-def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureProfile:
-    """All fourteen a_i with first partials, plus (a, b, c), (D, E, F), (G, ...).
+def _corners(k: np.ndarray) -> np.ndarray:
+    """The w-corner marker of each row k1..k12 of ``k``.
 
-    The w-corner marker records whether (a, b, c) are defined at this point:
-    they need k10 != 0; if the whole corner k7, k8, k9, k10 vanishes the
-    connection sits in the [delta_t, delta_r]-only regime instead.
+    It records whether (a, b, c) are defined there: they need k10 != 0; if
+    the whole corner k7, k8, k9, k10 vanishes the connection sits in the
+    [delta_t, delta_r]-only regime instead.
     """
+    tol = _CORNER_TOL * (1.0 + np.max(np.abs(k), axis=-1))
+    w = np.abs(k[..., 6:10])
+    return np.where(np.max(w, axis=-1) <= tol, W_CORNER_ZERO,
+                    np.where(w[..., 3] <= tol, W_CORNER_K10_DEGENERATE, W_CORNER_GENERIC))
+
+
+def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureProfile:
+    """All fourteen a_i with first partials, plus (a, b, c), (D, E, F), (G, ...)
+    where the w-corner marker (`_corners`) says they are defined."""
     out = conn._curvature(0, float(t), float(r))
     k = out[:12]
-    kscale = 1.0 + max(map(abs, k))
-    wvals = [abs(k[i - 1]) for i in (7, 8, 9, 10)]
-    if max(wvals) <= _CORNER_TOL * kscale:
-        corner = W_CORNER_ZERO
-    elif wvals[3] <= _CORNER_TOL * kscale:
-        corner = W_CORNER_K10_DEGENERATE
-    else:
-        corner = W_CORNER_GENERIC
+    corner = _corners(np.array(k)).item()
     a = {i: Partials(*out[9 + 3 * i:12 + 3 * i]) for i in range(1, 15)}
     if corner != W_CORNER_GENERIC:
         return CurvatureProfile(t=t, r=r, a=a, corner=corner, k=k)
     g = conn._curvature(1, float(t), float(r))
     return CurvatureProfile(t=t, r=r, a=a, corner=corner, abc=g[:3], DEF=g[3:6],
                             GH=g[6:], k=k)
+
+
+def curvature_grid(conn: ConnectionProfile, points: Sequence[tuple]) -> CurvatureGrid:
+    """`curvature_profile` at each (t, r) of ``points``: each program runs
+    once, on arrays of the points (the second on the generic ones only).
+
+    Where an array run fails, the points are evaluated one by one in their
+    order, which raises the located error of the first point that fails;
+    where none fails, the grid is made of those profiles."""
+    points = list(points)
+    t = np.array([q[0] for q in points], dtype=float)
+    r = np.array([q[1] for q in points], dtype=float)
+    first, second = conn._curvature_programs()
+    try:
+        out = np.stack(first.on_arrays({"t": t, "r": r}), axis=1)
+        corner = _corners(out[:, :12])
+        generic = corner == W_CORNER_GENERIC
+        g = np.full((len(points), 10), math.nan)
+        if generic.any():
+            g[generic] = np.stack(second.on_arrays({"t": t[generic], "r": r[generic]}), axis=1)
+    except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
+        return CurvatureGrid.from_profiles([curvature_profile(conn, *q) for q in points])
+    return CurvatureGrid(t, r, out[:, :12], out[:, 12:].reshape(-1, 14, 3), corner,
+                         g[:, :3], g[:, 3:6], g[:, 6:])
 
 
 def ricci_asymmetry(cp: CurvatureProfile) -> float:
@@ -312,35 +374,41 @@ def ricci_asymmetry(cp: CurvatureProfile) -> float:
 # Christoffel table, spray, nonlinear connection
 # ---------------------------------------------------------------------------
 
-def christoffel_table(kvals: Sequence[float], theta: float) -> np.ndarray:
-    """Gamma[e, c, d] at a point, including the explicit theta entries."""
-    k = {i: kvals[i - 1] for i in range(1, 13)}
-    s, c = math.sin(theta), math.cos(theta)
-    if s == 0.0:
+def christoffel_table(kvals, theta) -> np.ndarray:
+    """Gamma[e, c, d] at a point, including the explicit theta entries; at n
+    points (``kvals`` (n, 12) and an array ``theta``) an (n, 4, 4, 4) array."""
+    k = np.asarray(kvals, dtype=float).T     # k[i - 1] is k_i, or its row over the points
+    if isinstance(theta, np.ndarray):
+        s, c = np.sin(theta), np.cos(theta)
+        off_chart = not s.all()
+    else:
+        s, c = math.sin(theta), math.cos(theta)
+        off_chart = s == 0.0
+    if off_chart:
         raise GeometryError("chart breaks down at sin(theta) = 0")
-    G = np.zeros((4, 4, 4))
-    G[T, T, T] = k[1]
-    G[T, T, R] = G[T, R, T] = k[2]
-    G[T, R, R] = k[3]
-    G[T, TH, TH] = k[7]
-    G[T, PH, PH] = k[7] * s * s
-    G[R, T, T] = k[4]
-    G[R, T, R] = G[R, R, T] = k[6]
-    G[R, R, R] = k[5]
-    G[R, TH, TH] = k[10]
-    G[R, PH, PH] = k[10] * s * s
-    G[TH, T, TH] = G[TH, TH, T] = k[8]
-    G[TH, R, TH] = G[TH, TH, R] = k[9]
+    G = np.zeros((4, 4, 4) + k.shape[1:])    # the points' axis last while filling
+    G[T, T, T] = k[0]
+    G[T, T, R] = G[T, R, T] = k[1]
+    G[T, R, R] = k[2]
+    G[T, TH, TH] = k[6]
+    G[T, PH, PH] = k[6] * s * s
+    G[R, T, T] = k[3]
+    G[R, T, R] = G[R, R, T] = k[5]
+    G[R, R, R] = k[4]
+    G[R, TH, TH] = k[9]
+    G[R, PH, PH] = k[9] * s * s
+    G[TH, T, TH] = G[TH, TH, T] = k[7]
+    G[TH, R, TH] = G[TH, TH, R] = k[8]
     G[TH, PH, PH] = -s * c
-    G[PH, T, PH] = G[PH, PH, T] = k[8]
-    G[PH, R, PH] = G[PH, PH, R] = k[9]
+    G[PH, T, PH] = G[PH, PH, T] = k[7]
+    G[PH, R, PH] = G[PH, PH, R] = k[8]
     G[PH, TH, PH] = G[PH, PH, TH] = c / s
-    if k[11] != 0.0 or k[12] != 0.0:
-        G[TH, T, PH] = G[TH, PH, T] = -k[11] * s
-        G[TH, R, PH] = G[TH, PH, R] = -k[12] * s
-        G[PH, T, TH] = G[PH, TH, T] = k[11] / s
-        G[PH, R, TH] = G[PH, TH, R] = k[12] / s
-    return G
+    if k[10:12].any():
+        G[TH, T, PH] = G[TH, PH, T] = -k[10] * s
+        G[TH, R, PH] = G[TH, PH, R] = -k[11] * s
+        G[PH, T, TH] = G[PH, TH, T] = k[10] / s
+        G[PH, R, TH] = G[PH, TH, R] = k[11] / s
+    return np.moveaxis(G, -1, 0) if G.ndim > 3 else G
 
 
 def spray_coefficients(conn: ConnectionProfile, p: TangentPoint) -> tuple:
@@ -400,30 +468,54 @@ _R_TABLE = {
 }
 
 BRACKET_PAIRS = tuple(_R_TABLE.keys())
+# row labels of `bracket_vectors`: the six pairs, then delta_c of each pair
+BRACKET_LABELS = tuple((COORD_NAMES[a], COORD_NAMES[b]) for a, b in BRACKET_PAIRS) + tuple(
+    (COORD_NAMES[c], (COORD_NAMES[a], COORD_NAMES[b])) for a, b in BRACKET_PAIRS for c in range(4))
 
 
-def _r_component_data(cp: CurvatureProfile, pair: tuple, p: TangentPoint):
-    """Values, (t, r)-partials, theta-partial and velocity-gradient of R^e_ab."""
-    s, c = math.sin(p.theta), math.cos(p.theta)
-    s2 = s * s
-    ds2 = 2.0 * s * c
-    xd = p.velocity
-    val = np.zeros(4)
-    d_t = np.zeros(4)
-    d_r = np.zeros(4)
-    d_th = np.zeros(4)
-    d_xd = np.zeros((4, 4))  # rows e, columns d: ddot_d R^e
-    for e, terms in enumerate(_R_TABLE[pair]):
-        for sign, i, vi, has_s2 in terms:
-            aj = cp.a[i]
-            fac = s2 if has_s2 else 1.0
-            val[e] += sign * aj.value * xd[vi] * fac
-            d_t[e] += sign * aj.dt * xd[vi] * fac
-            d_r[e] += sign * aj.dr * xd[vi] * fac
-            if has_s2:
-                d_th[e] += sign * aj.value * xd[vi] * ds2
-            d_xd[e, vi] += sign * aj.value * fac
-    return val, d_t, d_r, d_th, d_xd
+def _apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m[..., e, d] x[..., d], summed over d from left to right: one fixed
+    order, so a point's values do not depend on the batch it is in."""
+    out = m[..., 0] * x[..., None, 0]
+    for d in (1, 2, 3):
+        out = out + m[..., d] * x[..., None, d]
+    return out
+
+
+def _bracket_rows(k: np.ndarray, a: np.ndarray, theta: np.ndarray, vel: np.ndarray,
+                  depth: int, pairs: Sequence[tuple] = BRACKET_PAIRS) -> np.ndarray:
+    """Components of the brackets of ``pairs`` at n tangent points, ordered
+    as `BRACKET_LABELS` orders them for all six pairs: (n, len(pairs), 4) at
+    depth 1, (n, 5 len(pairs), 4) at depth 2.  Each point has k (n, 12) and
+    a (n, 14, 3) at its (t, r), its theta (n,) and its velocity (n, 4).
+
+    Each R^e_ab = A^e_d xdot^d, with A and its t-, r- and theta-partials
+    read off `_R_TABLE`; the second-level rows are
+        partial_c R^e - A^e_d N^d_c + Gamma^e_cd R^d,   N^d_c = Gamma^d_cf xdot^f.
+    """
+    n = len(vel)
+    s, c = np.sin(theta), np.cos(theta)
+    s2, ds2 = s * s, 2.0 * s * c
+    grad = np.zeros((n, len(pairs), 4, 4, 4))   # point, pair, (A, A_t, A_r, A_theta), e, d
+    for p, pair in enumerate(pairs):
+        for e, terms in enumerate(_R_TABLE[pair]):
+            for sign, i, d, has_s2 in terms:
+                coef = sign * a[:, i - 1]
+                if has_s2:
+                    grad[:, p, :3, e, d] = coef * s2[:, None]
+                    grad[:, p, 3, e, d] = coef[:, 0] * ds2
+                else:
+                    grad[:, p, :3, e, d] = coef
+    rv = _apply(grad, vel[:, None, None, :])            # point, pair, (R, R_t, R_r, R_theta), e
+    first = rv[:, :, 0]
+    if depth == 1:
+        return first
+    gam = christoffel_table(k, theta)                    # point, e, c, d
+    N = _apply(gam, vel[:, None, :])                     # point, d, c
+    partial_c = np.concatenate([rv[:, :, 1:], np.zeros((n, len(pairs), 1, 4))], axis=2)
+    second = partial_c - _apply(grad[:, :, 0, None], N.transpose(0, 2, 1)[:, None]) \
+        + _apply(gam.transpose(0, 2, 1, 3)[:, None], first[:, :, None])   # point, pair, c, e
+    return np.concatenate([first, second.reshape(n, -1, 4)], axis=1)
 
 
 def bracket_vectors(conn: ConnectionProfile, p: TangentPoint, depth: int = 1,
@@ -440,28 +532,9 @@ def bracket_vectors(conn: ConnectionProfile, p: TangentPoint, depth: int = 1,
         conn.require_classifiable([(p.t, p.r)])
     if cp is None or (cp.t, cp.r) != (p.t, p.r):
         cp = curvature_profile(conn, p.t, p.r)
-    Gam = christoffel_table(cp.k, p.theta)
-    N = np.einsum("abc,c->ab", Gam, p.velocity)
-
-    out = []
-    data = {}
-    for pair in BRACKET_PAIRS:
-        val, d_t, d_r, d_th, d_xd = _r_component_data(cp, pair, p)
-        data[pair] = (val, d_t, d_r, d_th, d_xd)
-        out.append(BracketVector((COORD_NAMES[pair[0]], COORD_NAMES[pair[1]]), val))
-    if depth == 1:
-        return out
-
-    for pair in BRACKET_PAIRS:
-        val, d_t, d_r, d_th, d_xd = data[pair]
-        dx = np.stack([d_t, d_r, d_th, np.zeros(4)])  # rows c: partial_c R^e
-        for cidx in range(4):
-            # delta_c R^e = partial_c R^e - N^d_c ddot_d R^e
-            delta_c = dx[cidx] - d_xd @ N[:, cidx]
-            comps = delta_c + Gam[:, cidx, :] @ val
-            label = (COORD_NAMES[cidx], (COORD_NAMES[pair[0]], COORD_NAMES[pair[1]]))
-            out.append(BracketVector(label, comps))
-    return out
+    g = CurvatureGrid.from_profiles([cp])
+    rows = _bracket_rows(g.k, g.a, np.array([p.theta]), p.velocity[None], depth)[0]
+    return [BracketVector(label, row) for label, row in zip(BRACKET_LABELS, rows)]
 
 
 def bracket_matrix(conn: ConnectionProfile, p: TangentPoint, depth: int = 2,
@@ -470,12 +543,10 @@ def bracket_matrix(conn: ConnectionProfile, p: TangentPoint, depth: int = 2,
     return np.stack([v.components for v in vecs])
 
 
-def numeric_rank(mat: np.ndarray, tol: float = 1e-8) -> int:
-    if not np.any(mat):
-        return 0
+def numeric_rank(mat: np.ndarray, tol: float = 1e-8):
+    """Numerical rank of a matrix, or of each matrix of a stack."""
     sv = np.linalg.svd(mat, compute_uv=False)
-    floor = tol * max(sv[0], 1.0)
-    return int(np.sum(sv > floor))
+    return np.sum(sv > tol * np.maximum(sv[..., :1], 1.0), axis=-1)
 
 
 def vertical_holonomy_rank(conn: ConnectionProfile, samples: Sequence[TangentPoint],
@@ -491,18 +562,20 @@ def vertical_holonomy_rank(conn: ConnectionProfile, samples: Sequence[TangentPoi
 
 def holonomy_rank_details(conn: ConnectionProfile, samples: Sequence[TangentPoint],
                           tol: float = 1e-8):
+    """(capped rank, raw rank, rank per sample): one `curvature_grid` over the
+    samples' (t, r), every depth-2 bracket matrix in one array pass and one
+    stacked SVD."""
     samples = list(samples)
     if len(samples) < _MIN_SAMPLES:
         raise InsufficientSamples(
             "need at least %d admissible samples, got %d" % (_MIN_SAMPLES, len(samples)))
-    per = []
-    cp_cache = {}
-    for p in samples:
-        key = (p.t, p.r)
-        if key not in cp_cache:
-            cp_cache[key] = curvature_profile(conn, p.t, p.r)
-        mat = bracket_matrix(conn, p, 2, cp_cache[key])
-        per.append(numeric_rank(mat, tol))
+    points = [(p.t, p.r) for p in samples]
+    if conn.has_angular_rotation():
+        conn.require_classifiable(points)
+    cg = curvature_grid(conn, points)
+    mats = _bracket_rows(cg.k, cg.a, np.array([p.theta for p in samples]),
+                         np.array([p.velocity for p in samples]), 2)
+    per = numeric_rank(mats, tol).tolist()
     raw = max(per)
     return min(raw, 3), raw, per
 

@@ -2,11 +2,12 @@
 
 Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
 immutable AST.  `compile_program` hash-conses ASTs into one straight-line
-program that runs on plain floats or on truncated second-order jets (`Jet2`),
-which carry a value with its first and second partials in t and r.  Jet
-arithmetic implements the forward-mode rules, written once in `JetRules` for
-both jet types, so derivatives of any parsed expression are exact for the
-supported function basis (no finite differencing).  `derivative` applies the
+program that runs on plain floats, on numpy arrays of points (``on_arrays``)
+or on truncated second-order jets (`Jet2`), which carry a value with its first
+and second partials in t and r.  Jet arithmetic implements the forward-mode
+rules, written once in `JetRules` for both jet types, so derivatives of any
+parsed expression are exact for the supported function basis (no finite
+differencing).  `derivative` applies the
 same rules to an AST, so a partial derivative is again an expression, to be
 compiled or differentiated further.
 """
@@ -18,6 +19,8 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Union
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -476,6 +479,36 @@ def _pow(a, b):
     return a ** b
 
 
+# The array backend: the same domain checks, each one test over all points.
+# Overflow and invalid operations raise FloatingPointError (see `on_arrays`).
+
+_NUMPY_FNS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+              "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
+
+
+def _apply_fn_array(name: str, x):
+    if name == "ln" and np.any(x <= 0.0):
+        raise DomainError("ln of non-positive value")
+    if name == "sqrt" and np.any(x < 0.0):
+        raise DomainError("sqrt of negative value")
+    return _NUMPY_FNS[name](x)
+
+
+def _div_array(a, b):
+    if np.any(b == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _pow_array(a, b):
+    integer = np.isfinite(b) & (np.floor(b) == b)
+    if np.any(integer & (a == 0.0) & (b < 0)):
+        raise DomainError("zero raised to negative power")
+    if np.any(~integer & (a <= 0.0)):
+        raise DomainError("fractional power of non-positive base")
+    return np.power(a, b)
+
+
 def _load_param(name: str, env):
     try:
         return env[name]
@@ -484,6 +517,7 @@ def _load_param(name: str, env):
 
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+_ARRAY_BINARY = dict(_BINARY, **{"/": _div_array, "^": _pow_array})
 
 
 def compile_program(exprs, bound=None):
@@ -499,9 +533,18 @@ def compile_program(exprs, bound=None):
     variables and other parameters as floats, Jet2 or MultiJet.  A node met
     again under the same bound values is not walked again: derivatives share
     their subtrees, which a walk per occurrence would revisit exponentially.
+
+    ``run.on_arrays(env)`` runs the same registers on numpy arrays of points
+    (vector mode): its instructions differ only in division, powers and the
+    function basis, whose domain checks test all points at once.  It raises
+    `DomainError` where any point leaves a domain, FloatingPointError where
+    an operation overflows or is invalid or an output is not finite, and
+    returns each output as an array of the points' shape.  Where it fails,
+    only a run per point says which point failed and how.
     """
     regs = [None]        # register 0 holds env during a call
     code = []
+    array_code = []      # the same instructions for `on_arrays`
     index = {}
     seen = {}            # bound values -> {id(node): register} of operations, this call only
 
@@ -518,21 +561,24 @@ def compile_program(exprs, bound=None):
         if isinstance(e, (Var, Param)):   # loaded from env (register 0)
             key, a, b = (type(e), e.name), 0, None
             fn = operator.itemgetter(e.name) if isinstance(e, Var) else partial(_load_param, e.name)
+            array_fn = fn
         elif isinstance(e, Neg):
             a = visit(e.arg, params, memo)
-            key, fn, b = ("neg", a), operator.neg, None
+            key, fn, array_fn, b = ("neg", a), operator.neg, operator.neg, None
         elif isinstance(e, Call):
             a = visit(e.arg, params, memo)
-            key, fn, b = (e.fn, a), partial(_apply_fn, e.fn), None
+            key, b = (e.fn, a), None
+            fn, array_fn = partial(_apply_fn, e.fn), partial(_apply_fn_array, e.fn)
         elif isinstance(e, BinOp) and e.op in _BINARY:
             a = visit(e.left, params, memo)
             b = visit(e.right, params, memo)
-            key, fn = (e.op, a, b), _BINARY[e.op]
+            key, fn, array_fn = (e.op, a, b), _BINARY[e.op], _ARRAY_BINARY[e.op]
         else:
             raise TypeError("not an expression node: %r" % (e,))
         if key not in index:
             index[key] = len(regs)
             code.append((fn, len(regs), a, b))
+            array_code.append((array_fn, len(regs), a, b))
             regs.append(None)
         memo[id(e)] = index[key]
         return index[key]
@@ -550,6 +596,21 @@ def compile_program(exprs, bound=None):
         for fn, d, a, b in code:
             r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
         return tuple([r[i] for i in outs])
+
+    def on_arrays(env):
+        shape = np.broadcast_shapes(*map(np.shape, env.values()))
+        r = regs.copy()
+        r[0] = env
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            for fn, d, a, b in array_code:
+                r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
+        out = tuple(np.broadcast_to(np.asarray(r[i], dtype=float), shape) for i in outs)
+        for i, x in enumerate(out):
+            if not np.isfinite(x).all():
+                raise FloatingPointError("output %d is not finite" % i)
+        return out
+
+    run.on_arrays = on_arrays
     return run
 
 

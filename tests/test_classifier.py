@@ -4,8 +4,9 @@ import pytest
 from berwald.classifier import (_PROBE_THETA, _PROBE_VELOCITIES, InternalInconsistency,
                                 MixedClass, Tolerances, _proportionality_residuals,
                                 assign_class, check_finsler_constraints, classify)
-from berwald.geometry_core import (ConnectionProfile, K10Degenerate, TangentPoint,
-                                   UnsupportedConnection, bracket_matrix, curvature_profile)
+from berwald.geometry_core import (ConnectionProfile, CurvatureGrid, K10Degenerate,
+                                   TangentPoint, UnsupportedConnection, bracket_matrix,
+                                   curvature_profile)
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, flat_spherical,
@@ -103,7 +104,7 @@ class TestProportionalityResiduals:
     def test_bit_identical_to_pointwise_brackets(self, make):
         conn = make()
         profiles = [curvature_profile(conn, *q) for q in default_grid(15)]
-        batched = _proportionality_residuals(profiles)
+        batched = _proportionality_residuals(CurvatureGrid.from_profiles(profiles))
         reference = np.array([_pointwise_residual(conn, cp) for cp in profiles])
         assert batched.tolist() == reference.tolist()
 

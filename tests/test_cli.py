@@ -153,6 +153,14 @@ class TestClassifyCommand:
         assert rc == EXIT_FAIL
         err = capsys.readouterr().err
         assert "k2 at (t, r) = (0.5, 1.5): division by zero" in err
+        # interior nodes: the first failing node in grid order (t-major)
+        for k1, message in (("1/(t-1.5)", "k1 at (t, r) = (1.5, 0.5): division by zero"),
+                            ("(1.2-t)^0.5", "k1 at (t, r) = (1.5, 0.5): fractional power "
+                                            "of non-positive base")):
+            rc = main(["classify", cfg_file("[connection]\nk1 = %s\nk10 = r\n[grid]\n"
+                                            "t = 0.5:2.5:5\nr = 0.5:2.5:5\n" % k1), "--quiet"])
+            assert rc == EXIT_FAIL
+            assert capsys.readouterr().err == "expression error: %s\n" % message
 
     def test_non_finite_coefficient_is_typed(self, cfg_file, capsys):
         rc = main(["classify", cfg_file(EX1_CFG.replace("alpha = 3", "alpha = 1e308")),
@@ -163,6 +171,20 @@ class TestClassifyCommand:
         rc = main(["classify", cfg_file("[connection]\nk1 = exp(1000*t)\n"), "--quiet"])
         assert rc == EXIT_FAIL
         assert capsys.readouterr().err.startswith("NonFiniteData: k1 overflows at (t, r)")
+        rc = main(["classify", cfg_file("[connection]\nk1 = exp(400*t)\nk10 = r\n[grid]\n"
+                                        "t = 0.5:2.5:5\nr = 0.5:2.5:5\n"), "--quiet"])
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().err.startswith(
+            "NonFiniteData: k1 overflows at (t, r) = (2, 0.5)")
+
+    def test_huge_finite_curvature_is_typed(self, cfg_file, capsys):
+        # every k_i is finite, but the round-off floor squares the curvature scale
+        rc = main(["classify", cfg_file("[connection]\nk1 = exp(300)*exp(300)*t\nk10 = r\n"
+                                        "[grid]\nt = 0.5:2.5:5\nr = 0.5:2.5:5\n"), "--quiet"])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err == ("NonFiniteData: squared curvature scale overflows at (t, r) = "
+                       "(0.5, 0.5)\n")
 
     def test_usage_error(self, cfg_file):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from berwald.metrizer import PotentialSystem
 from berwald.multijet import IR, IT, MultiJet
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, compile_expression, compile_program,
-                                  derivative, eval_jet2, evaluate, parse, substitute, to_source)
+                                  UnknownIdentifier, Var, compile_expression, compile_fields,
+                                  compile_program, derivative, eval_jet2, evaluate, parse,
+                                  substitute, to_source)
 
 from conftest import assert_program_matches_fields, jet_slots, to_sympy
 
@@ -302,37 +304,86 @@ def test_program_matches_per_field_evaluation_on_random_asts():
         pts = [tuple(rng.uniform(0.3, 2.0, size=2)) for _ in range(4)]
         pts += [tuple(rng.uniform(-2.0, 2.0, size=2)), (0.0, 0.0)]
         assert_program_matches_fields(conn, pts)
+        assert_array_run_matches(compile_fields(conn.k), [f.expr for f in conn.k],
+                                 [f.params for f in conn.k], pts)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_NUMPY_BASIS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp, "ln": np.log,
+                "sqrt": np.sqrt, "abs": np.abs}
 
 
-def _tree_walk(e, env):
+def _numpy_call(fn, x):
+    """numpy's value of a basis function at a float, checked against the
+    scalar run's at the same argument (which raises where it does): equal for
+    sqrt and abs, at most one ulp apart for the others."""
+    ref = evaluate(Call(fn, Num(x)), {})
+    with np.errstate(all="raise"):
+        got = float(_NUMPY_BASIS[fn](x))
+    assert abs(got - ref) <= (0 if fn in ("sqrt", "abs") else np.spacing(abs(ref)))
+    return got
+
+
+def _tree_walk(e, env, call=None):
     """Reference evaluator: a recursive walk that evaluates every AST node
-    where it occurs, with no sharing."""
+    where it occurs, with no sharing; ``call(fn, x)`` replaces math's basis."""
     if isinstance(e, Num):
         return e.value
     if isinstance(e, (Var, Param)):
         return env[e.name]
     if isinstance(e, Neg):
-        return -_tree_walk(e.arg, env)
+        return -_tree_walk(e.arg, env, call)
     if isinstance(e, Call):
-        x = _tree_walk(e.arg, env)
+        x = _tree_walk(e.arg, env, call)
+        if call is not None:
+            return call(e.fn, x)
         return getattr(math, e.fn)(x) if isinstance(x, float) else getattr(x, e.fn)()
-    return _OPS[e.op](_tree_walk(e.left, env), _tree_walk(e.right, env))
+    return _OPS[e.op](_tree_walk(e.left, env, call), _tree_walk(e.right, env, call))
+
+
+def assert_array_run_matches(run, exprs, params, points) -> bool:
+    """``run.on_arrays`` on all ``points`` as one array against a float tree
+    walk of each point with numpy's basis (`_numpy_call`, ``params[i]`` bound
+    for ``exprs[i]``).  Where every walk gives finite floats, an array run
+    that returns gives them bit for bit (it may raise FloatingPointError where
+    an intermediate overflows); where a walk raises or is not finite, the
+    array run raises.  True when the outputs were compared."""
+    t, r = (np.array(x) for x in zip(*points))
+    try:
+        refs = [[_tree_walk(e, dict(p, t=float(tt), r=float(rr)), _numpy_call)
+                 for e, p in zip(exprs, params)] for tt, rr in points]
+        finite = all(map(math.isfinite, np.ravel(refs)))
+    except (ArithmeticError, DomainError):
+        finite = False
+    if not finite:
+        with pytest.raises((ArithmeticError, DomainError)):
+            run.on_arrays({"t": t, "r": r})
+        return False
+    try:
+        out = run.on_arrays({"t": t, "r": r})
+    except FloatingPointError:
+        return False
+    assert [x.shape for x in out] == [t.shape] * len(exprs)
+    assert np.stack(out, axis=1).tolist() == refs
+    return True
 
 
 def test_program_equals_a_tree_walk_bit_for_bit():
     """Sums, products and quotients of random ASTs, ten to a program so that
-    subtrees are shared, give the tree walk's floats and jets exactly."""
+    subtrees are shared, and a constant give the tree walk's floats and jets
+    exactly, and on the array of all test points its floats with numpy's
+    basis (`assert_array_run_matches`)."""
     rng = np.random.default_rng(5)
     checked = 0
+    programs, points = [], []
     for _ in range(20):
         parts = [_random_ast(rng, int(rng.integers(1, 5))) for _ in range(4)]
         exprs = parts + [BinOp(op, a, b) for op in "+*/" for a, b in
-                         ((parts[0], parts[1]), (parts[2], parts[0]))]
+                         ((parts[0], parts[1]), (parts[2], parts[0]))] + [Num(2.5)]
         run = compile_program(exprs, [{"alpha": 1.3}] * len(exprs))
         t, r = rng.uniform(0.3, 2.0, size=2)
+        programs.append((run, exprs))
+        points.append((t, r))
         for env in ({"t": t, "r": r}, {"t": Jet2.var_t(t), "r": Jet2.var_r(r)}):
             try:
                 ref = [Jet2._lift(_tree_walk(e, dict(env, alpha=1.3))) for e in exprs]
@@ -343,6 +394,33 @@ def test_program_equals_a_tree_walk_bit_for_bit():
             assert [jet_slots(Jet2._lift(v)) for v in run(env)] == list(map(jet_slots, ref))
             checked += 1
     assert checked >= 30
+    compared = [assert_array_run_matches(run, exprs, [{"alpha": 1.3}] * len(exprs), pts)
+                for run, exprs in programs for pts in (points, points[:1])]
+    assert sum(compared) >= 10
+
+
+@pytest.mark.parametrize("src, bad", [
+    ("sin(t)", None), ("cos(t)", None), ("tan(t)", None), ("exp(t)", None), ("abs(r)", None),
+    ("ln(t)", -1.0), ("sqrt(t)", -1.0), ("r/t", 0.0), ("t^r", -1.0), ("t^-2", 0.0),
+    ("2^t", None), ("r^3", None), ("1.5 + 0*t", None)])
+def test_array_run_of_the_function_basis(src, bad):
+    """Each basis function, power and quotient on an array of points: at most
+    one ulp from the scalar run at each point (equal for abs, sqrt and
+    quotients; a constant is broadcast); where one point leaves the domain,
+    the scalar run's DomainError text."""
+    run = compile_program([parse(src)])
+    t, r = np.linspace(0.25, 3.0, 12), np.linspace(-1.5, 2.5, 12)
+    got = run.on_arrays({"t": t, "r": r})[0]
+    ref = np.array([run({"t": a, "r": b})[0] for a, b in zip(t.tolist(), r.tolist())])
+    ulps = 0 if src.startswith(("abs", "sqrt", "r/", "1.5")) else 1
+    assert got.shape == t.shape
+    assert np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref)))
+    if bad is not None:
+        t[5] = bad
+        with pytest.raises(DomainError) as scalar:
+            run({"t": bad, "r": float(r[5])})
+        with pytest.raises(DomainError, match="^%s$" % re.escape(str(scalar.value))):
+            run.on_arrays({"t": t, "r": r})
 
 
 def test_program_keeps_signed_zeros_and_number_types_apart():

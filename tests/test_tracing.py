@@ -68,3 +68,27 @@ def test_traced_verify_counts_work_and_uninstall_restores(tmp_path):
     after = _bindings()
     assert after.keys() == before.keys()
     assert [k for k in before if after[k] is not before[k]] == []
+
+
+def test_traced_classify_runs_no_per_node_evaluation(tmp_path):
+    """`classify` evaluates the curvature programs once per grid on arrays: a
+    fallback to per-node `curvature_profile` or `bracket_vectors` shows here."""
+    cfg = tmp_path / "ex1.cfg"
+    cfg.write_text(EX1_5X5.replace("0.5:2.5:5", "0.5:2.5:15"))
+    before = _bindings()
+    tracer = tracing.Tracer()
+    tracer.start_pass()
+    tracer.install()
+    try:
+        rc = main(["classify", str(cfg), "--json", str(tmp_path / "ex1.json"), "--quiet"])
+    finally:
+        tracer.uninstall()
+    assert rc == EXIT_OK
+    metrics = tracer.pass_metrics()
+    assert metrics["classifier.classify.calls"] == 1
+    assert metrics["geometry_core.vertical_holonomy_rank.calls"] == 1
+    assert metrics.get("geometry_core.curvature_profile.calls", 0) == 0
+    assert metrics.get("geometry_core.bracket_vectors.calls", 0) == 0
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []
