@@ -3,8 +3,10 @@
 A self-contained embedded Dormand-Prince 5(4) integrator with PI step control
 drives everything that needs an ODE solve: the affine spray equation
 xddot^a = -2 G^a(x, xdot), the Euler-Lagrange flow of a Finsler function
-(whose spray is assembled from exact jet derivatives), and the flat-metric
-transport used by the Class-4 construction.  Output states land exactly on
+(whose spray is assembled from exact jet derivatives), and the potential
+transport's fallback legs (`PotentialSystem` in `metrizer` transports on
+Chebyshev panels, and runs a scalar ODE leg only where a panel cannot be
+evaluated or does not converge).  Output states land exactly on
 the requested parameter values (steps are clipped), so no interpolation error
 enters trajectory comparisons.
 """

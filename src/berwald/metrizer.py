@@ -4,11 +4,15 @@ Scale fields that the paper defines only up to quadrature (the power-law and
 exponential conformal factors, the Class-3 potentials, the Class-4 flat
 2-metric, the Class-5 conformal exponent) are represented by
 `PotentialSystem`: their values are transported along axis-parallel paths
-from a base point by a high-accuracy ODE solve, while their derivatives come
-from the defining one-forms themselves, so every downstream derivative is
-analytic in the transported values.  Each builder states its one-forms as
-expressions.  Path independence is certified, never assumed: the curl of the
-defining form exactly, the agreement of two transport routes numerically.
+from a base point by Chebyshev-panel quadrature (Picard iteration with
+cumulative Clenshaw-Curtis integration, the one-form program run on arrays),
+with an adaptive scalar ODE leg only where a panel cannot be evaluated or
+does not converge.  Their derivatives come from the defining one-forms
+themselves, so every downstream derivative is analytic in the transported
+values.  Each builder states its one-forms as expressions and reads its
+curvature from one `curvature_grid`.  Path independence is certified, never
+assumed: the curl of the defining form exactly, the agreement of two
+transport routes numerically.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry_core import (ConnectionProfile, CurvatureProfile, Partials, TangentPoint,
-                            W_CORNER_GENERIC, curvature_profile)
+from .geometry_core import (ConnectionProfile, CurvatureGrid, Partials, TangentPoint,
+                            W_CORNER_GENERIC, curvature_grid, curvature_profile)
 from .geodesic_engine import integrate_ode
 from .multijet import MultiJet, w2_jet
 from .scalar_field import (DomainError, Expression, Jet2, ScalarField, compile_expression,
-                           compile_fields, derivative, parse)
+                           compile_fields, derivative, parameter_names, parse)
 
 
 class MetrizerError(RuntimeError):
@@ -73,7 +77,35 @@ class GradientNotClosed(NotClosed):
 # Potential transport
 # ---------------------------------------------------------------------------
 
-_TRANSPORT_TOL = 1e-12   # rtol and atol of every transport leg
+_TRANSPORT_TOL = 1e-12   # panel acceptance; rtol and atol of a fallback ODE leg
+_PANEL_N = 16            # Chebyshev-Lobatto nodes per panel
+_PANEL_TAIL = 3          # trailing Chebyshev coefficients of the tail test
+_PICARD_PASSES = 12      # Picard passes before a panel is bisected
+_BISECTIONS = 8          # bisections before a panel falls back to the ODE
+
+
+def _chebyshev_panel(n: int) -> tuple:
+    """Chebyshev-Lobatto nodes x on [-1, 1], ascending; the matrix C of the
+    Chebyshev coefficients of the interpolant through values at x; and the
+    cumulative integration matrix S, (S f)_i = integral from -1 to x_i of
+    that interpolant (Clenshaw & Norton, Comput. J. 6, 1963)."""
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    T = np.empty((n, n + 1))             # T[j, k] = T_k(x_j), by the recurrence
+    T[:, 0], T[:, 1] = 1.0, x
+    for k in range(1, n):
+        T[:, k + 1] = 2.0 * x * T[:, k] - T[:, k - 1]
+    w = np.full(n, 2.0 / (n - 1))
+    w[[0, -1]] *= 0.5
+    C = T[:, :n].T * w
+    C[[0, -1]] *= 0.5
+    B = np.zeros((n + 1, n))             # coefficients of the antiderivative
+    B[1, 0], B[2, 1] = 1.0, 0.25
+    for k in range(2, n):
+        B[k + 1, k], B[k - 1, k] = 0.5 / (k + 1), -0.5 / (k - 1)
+    return x, C, (T - T[0]) @ B @ C     # x_0 = -1
+
+
+_PANEL_X, _PANEL_C, _PANEL_S = _chebyshev_panel(_PANEL_N)
 
 
 class PotentialSystem:
@@ -82,17 +114,24 @@ class PotentialSystem:
     ``P_i`` and ``Q_i`` are ScalarFields (or expression text) in t, r and the
     component names, which enter as parameters, so later components may depend
     on earlier ones (as the Class-3 potential M does on G and K).  They compile
-    into one program, which transport and `rates` run on floats.  `jet2` and
-    the closedness check run a second one: P_i and Q_i with their partials in
-    t, r and each component, chained with the components' own one-forms, so
-    every derivative is exact.  Values are transported from the base point
-    along the L-shaped path (t0, r0) -> (t, r0) -> (t, r).
+    into one program, which transport runs on arrays and `rates` on floats.
+    `jet2` and the closedness check run a second one: P_i and Q_i with their
+    partials in t, r and each component, chained with the components' own
+    one-forms, so every derivative is exact.  Values are transported from the
+    base point along the L-shaped path (t0, r0) -> (t, r0) -> (t, r).
+
+    Transport runs on Chebyshev panels, one between consecutive target nodes
+    of a leg (`_panel`): Picard iteration with cumulative Clenshaw-Curtis
+    integration, one array run of the program per pass.  A panel is bisected
+    until it converges; one whose array run fails, or that has not converged
+    after `_BISECTIONS` bisections, is an adaptive scalar ODE leg instead
+    (`_ode_leg`), which raises the scalar program's own errors.
 
     The path-independence certificate compares that t-first transport with
     the r-first one (t0, r0) -> (t0, r) -> (t, r), both swept afresh from the
-    base point.  The t-first sweep fills the value cache at the probes; later
-    queries continue from the nearest cached point, which is sound only where
-    the certificate has passed.
+    base point.  The t-first sweep's values at the probes become anchors: any
+    other point is reached from the nearest anchor, which is sound only where
+    the certificate has passed, and its value is a function of (t, r) alone.
     """
 
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
@@ -101,12 +140,16 @@ class PotentialSystem:
         self._pq = self._fields(list(P) + list(Q))
         self._run = compile_fields(self._pq)
         self._jet_run = None   # `_one_form_jets`' program, compiled on first use
+        n = len(self.names)
+        # does the P (t-leg) or Q (r-leg) half read the components?
+        self._reads = [any(parameter_names(f.expr) & set(self.names) for f in half)
+                       for half in (self._pq[:n], self._pq[n:])]
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
-                                    else [0.0] * len(self.names), dtype=float)
+                                    else [0.0] * n, dtype=float)
+        self._anchors = [self.base]
+        # the anchors' values, and the values transported from them
         self._value_cache = {self.base: self.base_values.copy()}
-        self._keys_t = [self.base[0]]
-        self._keys_r = [self.base[1]]
         self._jets = lru_cache(maxsize=1)(self._one_form_jets)
 
     def _fields(self, fields: list) -> list:
@@ -122,14 +165,6 @@ class PotentialSystem:
         env = dict(zip(self.names, vec))
         env["t"], env["r"] = t, r
         return self._run(env)
-
-    def _rhs_t(self, r0):
-        n = len(self.names)
-        return lambda tau, y: np.array(self._forms(float(tau), r0, y.tolist())[:n])
-
-    def _rhs_r(self, t0):
-        n = len(self.names)
-        return lambda rho, y: np.array(self._forms(t0, float(rho), y.tolist())[n:])
 
     def _one_form_jets(self, t: float, r: float, vec: tuple) -> tuple:
         """P_1..P_n, Q_1..Q_n as `Partials` of their total derivatives, in
@@ -158,54 +193,112 @@ class PotentialSystem:
     def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
         return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
 
-    def _cache(self, key: tuple, vec) -> None:
-        if key not in self._value_cache:
-            self._keys_t.append(key[0])
-            self._keys_r.append(key[1])
-        self._value_cache[key] = vec
-
     def values(self, t: float, r: float) -> dict:
         key = (t, r)
         hit = self._value_cache.get(key)
         if hit is not None:
             return dict(zip(self.names, hit))
-        # continue from the nearest already-transported point: any axis path
-        # from there gives the same value only because the certificate
-        # (path_independence_residual) has compared two independent routes
-        keys_t = np.asarray(self._keys_t)
-        keys_r = np.asarray(self._keys_r)
-        i = int(np.argmin((keys_t - t) ** 2 + (keys_r - r) ** 2))
-        t_from, r_from = float(keys_t[i]), float(keys_r[i])
+        # continue from the nearest anchor: any axis path from there gives the
+        # same value only because the certificate (path_independence_residual)
+        # has compared two independent routes
+        t_from, r_from = min(self._anchors, key=lambda a: (a[0] - t) ** 2 + (a[1] - r) ** 2)
         vec = self._value_cache[(t_from, r_from)]
-        vec = self._leg(self._rhs_t(r_from), vec, t_from, [t])[t]
-        vec = self._leg(self._rhs_r(t), vec, r_from, [r])[r]
-        self._cache(key, vec)
+        vec = self._leg(True, r_from, vec, t_from, [t])[t]
+        vec = self._leg(False, t, vec, r_from, [r])[r]
+        self._value_cache[key] = vec
         return dict(zip(self.names, vec))
 
-    def _leg(self, rhs, y0, s0: float, targets) -> dict:
-        """States at every parameter in ``targets`` on one axis line from
-        (s0, y0): one ODE solve per side of s0, landing on each node."""
+    def _leg(self, along_t: bool, fixed: float, y0, s0: float, targets) -> dict:
+        """States at every parameter in ``targets`` on the axis line through
+        ``fixed`` (r for a t-leg, t for an r-leg) from (s0, y0): one
+        `_transport` per gap between consecutive nodes on each side of s0."""
         out = {s0: y0}
         above = sorted({s for s in targets if s > s0})
         below = sorted({s for s in targets if s < s0}, reverse=True)
         for nodes in (above, below):
-            if nodes:
-                states, _ = integrate_ode(rhs, y0, [s0] + nodes,
-                                          rtol=_TRANSPORT_TOL, atol=_TRANSPORT_TOL)
-                out.update(zip(nodes, states[1:]))
+            a, y = s0, y0
+            for b in nodes:
+                y = out[b] = self._transport(along_t, fixed, a, b, y)
+                a = b
         return out
+
+    def _transport(self, along_t: bool, fixed: float, a: float, b: float, ya,
+                   depth: int = 0) -> np.ndarray:
+        """The state at b from ``ya`` at a: one panel, else its two halves,
+        else (after `_BISECTIONS` halvings, or where the array run fails) an
+        ODE leg."""
+        try:
+            yb = self._panel(along_t, fixed, a, b, ya)
+        except (DomainError, FloatingPointError, OverflowError):
+            return self._ode_leg(along_t, fixed, a, b, ya)
+        if yb is not None:
+            return yb
+        if depth == _BISECTIONS:
+            return self._ode_leg(along_t, fixed, a, b, ya)
+        m = 0.5 * (a + b)
+        ym = self._transport(along_t, fixed, a, m, ya, depth + 1)
+        return self._transport(along_t, fixed, m, b, ym, depth + 1)
+
+    def _panel(self, along_t: bool, fixed: float, a: float, b: float, ya):
+        """The state at b by Picard iteration Y <- ya + h S F(s, Y) on the
+        Chebyshev-Lobatto nodes s of [a, b], h = (b - a)/2, F the P rows (a
+        t-leg) or the Q rows (an r-leg) from one array run per pass; None
+        where the panel does not converge.  Converged: the change of Y (a
+        form that reads no component takes one pass) and h times the
+        Chebyshev tail of F are both within _TRANSPORT_TOL (1 + |Y|)."""
+        n = len(self.names)
+        rows = slice(0, n) if along_t else slice(n, 2 * n)
+        reads = self._reads[0 if along_t else 1]
+        h = 0.5 * (b - a)
+        s = a + h * (_PANEL_X + 1.0)
+        env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
+        Y = np.broadcast_to(ya, (_PANEL_N, n))
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(_PICARD_PASSES):
+                env.update(zip(self.names, Y.T))
+                F = np.stack(self._run.on_arrays(env)[rows], axis=1)
+                Y, prev = ya + h * (_PANEL_S @ F), Y
+                bound = _TRANSPORT_TOL * (1.0 + np.max(np.abs(Y), axis=0))
+                if not reads or np.all(np.max(np.abs(Y - prev), axis=0) <= bound):
+                    tail = abs(h) * np.max(np.abs(_PANEL_C[-_PANEL_TAIL:] @ F), axis=0)
+                    return Y[-1] if np.all(tail <= bound) else None
+        return None
+
+    def _ode_leg(self, along_t: bool, fixed: float, a: float, b: float, ya) -> np.ndarray:
+        """The state at b from ``ya`` at a by the adaptive scalar ODE, with
+        the float program's own errors; an overflow is a located DomainError."""
+        n = len(self.names)
+        rows = slice(0, n) if along_t else slice(n, 2 * n)
+        where = [(a, fixed) if along_t else (fixed, a)]   # the last (t, r) read
+
+        def rhs(s, y):
+            where[0] = t, r = (float(s), fixed) if along_t else (fixed, float(s))
+            try:
+                return np.array(self._forms(t, r, y.tolist())[rows])
+            except OverflowError:
+                raise DomainError("one-form of %s overflows at (t, r) = (%g, %g)"
+                                  % (",".join(self.names), t, r)) from None
+
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                states, _ = integrate_ode(rhs, ya, [a, b], rtol=_TRANSPORT_TOL,
+                                          atol=_TRANSPORT_TOL)
+        except FloatingPointError:
+            raise DomainError("%s overflows near (t, r) = (%g, %g)"
+                              % (",".join(self.names), *where[0])) from None
+        return states[1]
 
     def _sweep(self, probes: Sequence[tuple], t_first: bool) -> dict:
         """Values at the probes transported from the base point, without the
         cache: one leg along the base line of the first axis through every
         probe coordinate on it, then one leg per such coordinate along the
         other axis through its probes."""
-        (a0, b0), rhs_a, rhs_b = ((self.base, self._rhs_t, self._rhs_r) if t_first
-                                  else (self.base[::-1], self._rhs_r, self._rhs_t))
+        a0, b0 = self.base if t_first else self.base[::-1]
         pairs = [(t, r) if t_first else (r, t) for (t, r) in probes]
         out = {}
-        for a, y in self._leg(rhs_a(b0), self.base_values, a0, [a for a, _ in pairs]).items():
-            for b, v in self._leg(rhs_b(a), y, b0, [b for (pa, b) in pairs if pa == a]).items():
+        for a, y in self._leg(t_first, b0, self.base_values, a0, [a for a, _ in pairs]).items():
+            on_line = [b for (pa, b) in pairs if pa == a]
+            for b, v in self._leg(not t_first, a, y, b0, on_line).items():
                 out[(a, b) if t_first else (b, a)] = v
         return out
 
@@ -259,14 +352,17 @@ class PotentialSystem:
         """max over probes and components of the relative gap between the
         t-first and the r-first sweep from the base point.  Neither sweep
         reads the value cache, so the residual does not depend on earlier
-        queries; the t-first values are then cached."""
+        queries; the t-first values become anchors, and values transported
+        from the earlier anchors are dropped."""
         probes = [(float(t), float(r)) for (t, r) in probes]
         a = self._sweep(probes, t_first=True)
         b = self._sweep(probes, t_first=False)
         worst = 0.0
         for key in probes:
             worst = max(worst, float(np.max(np.abs(a[key] - b[key]) / (1.0 + np.abs(a[key])))))
-            self._cache(key, a[key])
+        self._anchors = list(dict.fromkeys(self._anchors + probes))
+        self._value_cache = {k: self._value_cache.get(k) for k in self._anchors}
+        self._value_cache.update((k, a[k]) for k in probes)
         return worst
 
     def certify(self, probes: Sequence[tuple], closed_tol: float = 1e-8,
@@ -283,43 +379,21 @@ class PotentialSystem:
         return path_res
 
 
-def _fd_curl(P, Q, probes) -> float:
-    """max over the probes of |d_t Q - d_r P| by central differences of the
-    plain-value callables P, Q: (t, r) -> float."""
-    h = 1e-5
-    worst = 0.0
-    for (t, r) in probes:
-        qt = (Q(t + h, r) - Q(t - h, r)) / (2 * h)
-        pr = (P(t, r + h) - P(t, r - h)) / (2 * h)
-        worst = max(worst, abs(qt - pr))
-    return worst
-
-
 def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
                   closed_tol: float = 1e-8, agree_tol: float = 1e-8) -> float:
     """Integral of P dt + Q dr from ``frm`` to ``to`` along the L-shaped path.
 
-    P, Q are plain-value callables (t, r) -> float.  Closedness is checked by
-    central differences on the probe set (default: a 5 x 5 lattice over the
-    bounding box); the value is a `PotentialSystem` transport checked
-    against the transposed path.
+    P, Q are expression text or ScalarFields in t and r.  The one-form is
+    certified (`PotentialSystem.certify`) on the probe set (default: a 5 x 5
+    lattice over the bounding box) and at ``to``: closedness exactly, the
+    transport against the transposed path.
     """
-    t0, r0 = frm
-    t1, r1 = to
     if closedness_probes is None:
-        ts = np.linspace(min(t0, t1), max(t0, t1), 5)
-        rs = np.linspace(min(r0, r1), max(r0, r1), 5)
+        ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
+        rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
         closedness_probes = [(a, b) for a in ts for b in rs]
-    worst = _fd_curl(P, Q, closedness_probes)
-    if worst > closed_tol:
-        raise NotClosed("one-form not closed: curl residual %.3g > %.3g" % (worst, closed_tol))
-    pot = PotentialSystem(["psi"], ["0"], ["0"], frm)
-    # opaque callables have no jets; transport reads the program on floats only
-    pot._run = lambda env: (P(env["t"], env["r"]), Q(env["t"], env["r"]))
-    res = pot.path_independence_residual([to])
-    if res > agree_tol:
-        raise NotClosed("path integral: path-dependent transport (residual %.3g > %.3g)"
-                        % (res, agree_tol))
+    pot = PotentialSystem(["psi"], [P], [Q], frm)
+    pot.certify(list(closedness_probes) + [to], closed_tol, agree_tol, label="path integral")
     return pot.values(*to)["psi"]
 
 
@@ -572,20 +646,30 @@ def _base_point(grid: Sequence[tuple]) -> tuple:
     return min(grid, key=lambda q: (q[0], q[1]))
 
 
+def _first_failure(grid: Sequence[tuple], cg: CurvatureGrid, error_cls, corner_msg: str,
+                   small=None, small_msg: str = "") -> None:
+    """Raise ``error_cls`` at the first node whose w-corner is not generic,
+    or where |x| < 1e-12 (1 + |y|) for the columns (x, y) of ``small``."""
+    generic = cg.corner == W_CORNER_GENERIC
+    bad = ~generic
+    if small is not None:
+        x, y = small[0][generic], small[1][generic]
+        bad[generic] = np.abs(x) < 1e-12 * (1.0 + np.abs(y))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise error_cls((small_msg if generic[i] else corner_msg) % tuple(grid[i]))
+
+
 def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
                     lam_var_tol: float = 1e-8) -> PowerLawForm:
     """Class-1 constructor: lambda = F/D (grid-constant), rho = E/D field,
     conformal factor from the (G - lambda Gt, H - lambda Ht) one-form."""
-    lams = []
-    for (t, r) in grid:
-        cp = curvature_profile(conn, t, r)
-        if cp.corner != W_CORNER_GENERIC:
-            raise LambdaNotConstant("w-corner not generic at (%g, %g)" % (t, r))
-        D, _E, F = cp.DEF
-        if abs(D) < 1e-12 * (1.0 + abs(F)):
-            raise LambdaNotConstant("D vanishes at (t, r) = (%g, %g)" % (t, r))
-        lams.append(F / D)
-    lams = np.array(lams)
+    grid = list(grid)
+    cg = curvature_grid(conn, grid)
+    D, F = cg.DEF[:, 0], cg.DEF[:, 2]
+    _first_failure(grid, cg, LambdaNotConstant, "w-corner not generic at (%g, %g)",
+                   (D, F), "D vanishes at (t, r) = (%g, %g)")
+    lams = F / D
     if float(np.var(lams)) > lam_var_tol:
         raise LambdaNotConstant("lambda = F/D varies over the grid (variance %.3g)"
                                 % float(np.var(lams)))
@@ -602,13 +686,11 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
 def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> ExponentialForm:
     """Class-2 constructor: mu = F/E (accepted as a field; the paper's own
     example has mu depending on (t, r)), scale from (G + 2 k4 b mu, H + 2 k6 b mu)."""
-    for (t, r) in grid:
-        cp = curvature_profile(conn, t, r)
-        if cp.corner != W_CORNER_GENERIC:
-            raise MuNotConstant("w-corner not generic at (%g, %g)" % (t, r))
-        _D, E, F = cp.DEF
-        if abs(E) < 1e-12 * (1.0 + abs(F)):
-            raise MuNotConstant("E vanishes at (t, r) = (%g, %g); mu = F/E undefined" % (t, r))
+    grid = list(grid)
+    cg = curvature_grid(conn, grid)
+    _first_failure(grid, cg, MuNotConstant, "w-corner not generic at (%g, %g)",
+                   (cg.DEF[:, 1], cg.DEF[:, 2]),
+                   "E vanishes at (t, r) = (%g, %g); mu = F/E undefined")
 
     _a, (_aa, b, _c), (_D, E, F), (G, _Gt, H, _Ht) = conn.curvature_fields()
     mu = F / E
@@ -628,21 +710,14 @@ def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> P
                            _base_point(grid))
 
 
-def _choose_m_shift(pots: PotentialSystem, cps: Sequence[CurvatureProfile],
+def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureGrid,
                     floor_tol: float = 1e-6):
     """Shift of the free additive constant in M keeping Delta away from zero."""
-    delta0 = []
-    wgt = []
-    for cp in cps:
-        a, b, c = cp.abc
-        vals = pots.values(cp.t, cp.r)
-        eg = math.exp(vals["G"])
-        e2k = math.exp(2.0 * vals["K"])
-        W = eg * (2.0 * a * b + c)
-        delta0.append(vals["M"] * W - b * b * e2k)
-        wgt.append(W)
-    delta0 = np.array(delta0)
-    wgt = np.array(wgt)
+    vals = [pots.values(t, r) for (t, r) in grid]
+    G, K, M = (np.array([v[n] for v in vals]) for n in ("G", "K", "M"))
+    a, b, c = cg.abc.T
+    wgt = np.exp(G) * (2.0 * a * b + c)
+    delta0 = M * wgt - b * b * np.exp(2.0 * K)
     scale = 1.0 + float(np.max(np.abs(delta0))) + float(np.max(np.abs(wgt)))
     forbidden = sorted(-delta0[np.abs(wgt) > 1e-12 * scale] / wgt[np.abs(wgt) > 1e-12 * scale])
     candidates = [0.0, 1.0, -1.0, 2.0, -2.0]
@@ -668,13 +743,12 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     The Riemannian member is A = v e^{2K} + (e^G M) u^2; the Finsler member
     carries the chosen free function Theta (identity reproduces A exactly).
     """
-    cps = [curvature_profile(conn, t, r) for (t, r) in grid]
-    for cp in cps:
-        if cp.corner != W_CORNER_GENERIC:
-            raise NotClosed("w-corner degenerate at (%g, %g): not a Class-3 input" % (cp.t, cp.r))
+    grid = list(grid)
+    cg = curvature_grid(conn, grid)
+    _first_failure(grid, cg, NotClosed, "w-corner degenerate at (%g, %g): not a Class-3 input")
     pots = build_class3_potentials(conn, grid)
     pots.certify(_grid_probes(grid), label="class-3 potentials")
-    m_shift = _choose_m_shift(pots, cps)
+    m_shift = _choose_m_shift(pots, grid, cg)
 
     if isinstance(theta, str):
         theta_expr = _THETA_BUILTINS.get(theta)
@@ -746,16 +820,15 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     """
     if C1 == 0.0 or C2 == 0.0:
         raise ValueError("C1 and C2 must be nonzero")
-    worst_sym = 0.0
-    scale = 0.0
-    for (t, r) in grid:
-        cp = curvature_profile(conn, t, r)
-        worst_sym = max(worst_sym, abs(cp.a[1].value + cp.a[4].value))
-        local = float(np.max(np.abs(cp.a_values())))
-        scale = max(scale, local)
-        if abs(cp.a[1].value * cp.a[4].value - cp.a[2].value * cp.a[3].value) \
-                < quad_floor * (1.0 + local * local):
-            raise SingularQuadratic("a1 a4 - a2 a3 vanishes at (t, r) = (%g, %g)" % (t, r))
+    grid = list(grid)
+    av = curvature_grid(conn, grid).a[:, :, 0]
+    a1, a2, a3, a4 = av[:, :4].T
+    local = np.max(np.abs(av), axis=1)
+    singular = np.abs(a1 * a4 - a2 * a3) < quad_floor * (1.0 + local * local)
+    if singular.any():
+        raise SingularQuadratic("a1 a4 - a2 a3 vanishes at (t, r) = (%g, %g)"
+                                % tuple(grid[int(np.argmax(singular))]))
+    worst_sym, scale = float(np.max(np.abs(a1 + a4))), float(np.max(local))
     if worst_sym > sym_tol * (1.0 + scale):
         raise NotRiemannMetrizable(
             "a1 + a4 != 0 on the grid (max %.3g): Ricci tensor not symmetric" % worst_sym)
@@ -765,11 +838,12 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
 
     # fixed admissible velocity for the gradient recovery
     for td, rd in ((1.0, 0.0), (1.0, 0.5)):
-        q = -a[3] * td * td + 2.0 * a[1] * td * rd + a[2] * rd * rd
-        if all(abs(q.value(t, r)) >= quad_floor * (1.0 + scale) for (t, r) in grid):
+        if np.all(np.abs(-a3 * td * td + 2.0 * a1 * td * rd + a2 * rd * rd)
+                  >= quad_floor * (1.0 + scale)):
             break
     else:
         raise SingularQuadratic("quadratic vanishes at both candidate velocities")
+    q = -a[3] * td * td + 2.0 * a[1] * td * rd + a[2] * rd * rd
     ddot_t = 2.0 * (a[1] * rd - a[3] * td)
     ddot_r = 2.0 * (a[1] * td + a[2] * rd)
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from berwald.geodesic_engine import StepFailure, integrate_ode
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    curvature_profile, sample_tangent_points)
 from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
                               MetrizerError, MuNotConstant, NotClosed, NotRiemannMetrizable,
                               PathDependent, PotentialSystem, RiemannForm,
-                              SingularQuadratic, _grid_probes, build_class3,
+                              SingularQuadratic, _base_point, _grid_probes, build_class3,
                               build_class4, build_class5, build_exponential,
                               build_power_law, class3_delta, class5_det_formula,
                               path_integral)
@@ -37,29 +38,28 @@ def c3_forms():
 
 class TestPathIntegral:
     def test_zero_form(self):
-        assert path_integral(lambda t, r: 0.0, lambda t, r: 0.0, (0, 0), (1, 2)) == 0.0
+        assert path_integral("0", "0", (0, 0), (1, 2)) == 0.0
 
     def test_exact_potential_tr(self):
-        val = path_integral(lambda t, r: r, lambda t, r: t, (0, 0), (1, 2))
+        val = path_integral("r", "t", (0, 0), (1, 2))
         assert val == pytest.approx(2.0, abs=1e-10)
 
     def test_single_variable(self):
-        val = path_integral(lambda t, r: 2 * t, lambda t, r: 0.0, (0, 0), (3, 5))
+        val = path_integral("2*t", "0", (0, 0), (3, 5))
         assert val == pytest.approx(9.0, abs=1e-10)
 
     def test_not_closed(self):
         with pytest.raises(NotClosed):
-            path_integral(lambda t, r: r * r, lambda t, r: 0.0, (0, 0), (1, 1))
+            path_integral("r*r", "0", (0, 0), (1, 1))
 
     def test_matches_potential_system(self):
         pots = PotentialSystem(["psi"], ["cos(t) * r"], ["sin(t) + 2 * r"], (0.3, 0.4))
-        quad = path_integral(lambda t, r: math.cos(t) * r,
-                             lambda t, r: math.sin(t) + 2 * r, (0.3, 0.4), (1.7, 2.1))
-        ode = pots.values(1.7, 2.1)["psi"]
-        assert ode == pytest.approx(quad, abs=1e-9)
+        quad = path_integral("cos(t) * r", "sin(t) + 2 * r", (0.3, 0.4), (1.7, 2.1))
+        transported = pots.values(1.7, 2.1)["psi"]
+        assert transported == pytest.approx(quad, abs=1e-9)
         # exact potential: sin(t) r + r^2
         exact = (math.sin(1.7) * 2.1 + 2.1 ** 2) - (math.sin(0.3) * 0.4 + 0.4 ** 2)
-        assert ode == pytest.approx(exact, abs=1e-10)
+        assert transported == pytest.approx(exact, abs=1e-10)
 
 
 class TestPotentialSystem:
@@ -104,6 +104,94 @@ class TestPotentialSystem:
     def test_parameter_named_like_a_potential_is_refused(self):
         with pytest.raises(MetrizerError):
             PotentialSystem(["psi"], [ScalarField("psi*t", {"psi": 1.0})], ["0"], (0.0, 0.0))
+
+
+def _ode_table(pot: PotentialSystem, grid, tol: float = 1e-13) -> dict:
+    """The t-first transport to every grid node by scalar ODE legs: one along
+    the base line through every t, then one per t through every r."""
+    n, (t0, r0) = len(pot.names), pot.base
+    ts = sorted({t for t, _ in grid})
+    rs = sorted({r for _, r in grid})
+
+    def solve(rhs, y0, s0, nodes):
+        out = {s0: np.asarray(y0, dtype=float)}
+        for side in ([s for s in nodes if s > s0], [s for s in nodes if s < s0][::-1]):
+            if side:
+                states, _ = integrate_ode(rhs, y0, [s0] + side, rtol=tol, atol=tol)
+                out.update(zip(side, states[1:]))
+        return out
+
+    table = {}
+    base_line = solve(lambda s, y: np.array(pot._forms(s, r0, y.tolist())[:n]),
+                      pot.base_values, t0, ts)
+    for t in ts:
+        line = solve(lambda s, y: np.array(pot._forms(t, s, y.tolist())[n:]),
+                     base_line[t], r0, rs)
+        table.update(((t, r), line[r]) for r in rs)
+    return table
+
+
+def _c3_pots(grid):
+    return build_class3(make_class3(41)[0], grid)[0].scale_pot
+
+
+def _general_class4(grid):
+    # h' = M h with M != 0: the one-form reads h, so Picard iterates
+    return build_class4(ConnectionProfile({1: "1", 5: "1/r"}), grid).scale_pot
+
+
+class TestPanelTransport:
+    """Chebyshev-panel transport against scalar ODE legs, and its fallback."""
+
+    @pytest.mark.parametrize("build", [
+        lambda g: build_power_law(power_law_nonsymmetric(3.0), g).scale_pot,
+        lambda g: build_exponential(exponential_example(), g).scale_pot,
+        _c3_pots,
+        lambda g: build_class4(flat_cartesian(), g).scale_pot,
+        _general_class4,
+        lambda g: build_class5(class5_curved_block(), g).scale_pot,
+    ], ids=["power_law", "exponential", "class3", "flat_class4", "general_class4", "class5"])
+    def test_table_matches_ode_sweep(self, build):
+        grid = default_grid(5)
+        pot = build(grid)
+        ref = _ode_table(pot, grid)
+        got = np.array([[pot.values(t, r)[n] for n in pot.names] for (t, r) in grid])
+        want = np.array([ref[q] for q in grid])
+        scale = 1.0 + np.max(np.abs(want), axis=0)
+        assert np.max(np.abs(got - want) / scale) < 1e-11
+
+    def test_pole_ends_in_step_failure(self):
+        pot = PotentialSystem(["psi"], ["1/(t-1.2)"], ["0"], (1.0, 1.0))
+        with pytest.raises(StepFailure, match="at s = 1.2"):
+            pot.values(1.5, 1.0)
+
+    def test_overflow_is_a_located_domain_error(self):
+        # the derivative exp(800 t) nears the float maximum at t = 0.887
+        pot = PotentialSystem(["psi"], ["exp(800*t)"], ["0"], (0.88, 1.0))
+        with pytest.raises(DomainError, match=r"psi overflows near \(t, r\) = \(0\.88"):
+            pot.values(1.0, 1.0)
+        pot = PotentialSystem(["psi"], ["exp(800*t)"], ["exp(800*r)"], (0.5, 1.0))
+        with pytest.raises(DomainError,
+                           match=r"one-form of psi overflows at \(t, r\) = \(0\.5, 1\)"):
+            pot.values(1.5, 1.0)
+
+    def test_off_probe_values_do_not_depend_on_query_order(self):
+        grid = default_grid(5)
+        # clusters nearer to each other than to any probe: a value that
+        # continued from the previous query would depend on the order
+        points = [(2.2, 1.3), (2.15, 1.25), (2.1, 1.2), (0.75, 1.3), (0.7, 1.25),
+                  (1.3, 2.2), (1.2, 2.25)]
+
+        def certified():
+            pot = PotentialSystem(["psi"], ["cos(t)*r + r^2*exp(t)"],
+                                  ["sin(t) + 2*r*exp(t)"], _base_point(grid))
+            pot.certify(_grid_probes(grid))
+            return pot
+
+        forward, backward = certified(), certified()
+        a = [forward.values(*q)["psi"] for q in points]
+        b = [backward.values(*q)["psi"] for q in points[::-1]][::-1]
+        assert a == b
 
 
 class TestPowerLaw:
