@@ -10,9 +10,8 @@ exist, and certifies every construction numerically.
 
 __version__ = "0.1.0"
 
-from .scalar_field import (DomainError, ExpressionError, ExpressionSyntaxError, Jet2,
-                           ScalarField, UnboundParameter, UnknownIdentifier, eval_jet2,
-                           parse, to_source)
+from .scalar_field import (DomainError, ExpressionError, ExpressionSyntaxError, Partials,
+                           ScalarField, UnboundParameter, UnknownIdentifier, parse, to_source)
 from .geometry_core import (BracketVector, ConnectionProfile, CurvatureGrid,
                             CurvatureProfile, InsufficientSamples, K10Degenerate,
                             NonFiniteData, TangentPoint, UnsupportedConnection,

@@ -3,7 +3,8 @@
 A self-contained embedded Dormand-Prince 5(4) integrator with PI step control
 drives everything that needs an ODE solve: the affine spray equation
 xddot^a = -2 G^a(x, xdot), the Euler-Lagrange flow of a Finsler function
-(whose spray is assembled from exact jet derivatives), and the potential
+(whose spray is assembled from the exact partials of the form's jet,
+`metrizer.FormJet`), and the potential
 transport's fallback legs (`PotentialSystem` in `metrizer` transports on
 Chebyshev panels, and runs a scalar ODE leg only where a panel cannot be
 evaluated or does not converge).  Output states land exactly on
@@ -172,7 +173,7 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
 
 
 def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> np.ndarray:
-    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from exact jets of L.
+    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from the exact jet of L.
 
     ``vals`` are the values of the evaluator's potentials at (t, r), as
     carried in the state by `integrate_finsler`; without them the evaluator

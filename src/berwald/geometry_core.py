@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, ScalarField, compile_fields, derivative
+from .scalar_field import DomainError, Partials, ScalarField, compile_fields, derivative
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -169,10 +169,10 @@ class ConnectionProfile:
     def _curvature(self, which: int, t: float, r: float) -> tuple:
         """Float program ``which`` of `curvature_profile` at (t, r).
 
-        Where it fails or an output is not finite, the k_i jets locate the
-        failure: the first k_i whose `ScalarField.jet` fails, else the first
-        whose jet is not finite; else it is the first output that fails or is
-        not finite on its own."""
+        Where it fails or an output is not finite, the k_i jets (each k_i
+        with its first partials, `ScalarField.jet`) locate the failure: the
+        first k_i whose jet fails, else the first whose jet is not finite;
+        else it is the first output that fails or is not finite on its own."""
         try:
             out = self._curvature_programs()[which]({"t": t, "r": r})
             if all(map(math.isfinite, out)):
@@ -181,7 +181,7 @@ class ConnectionProfile:
             pass
         jets = [_located("k%d" % i, f.jet, t, r) for i, f in enumerate(self.k, start=1)]
         for i, j in enumerate(jets, start=1):
-            if not all(map(math.isfinite, (j.value, j.dt, j.dr, j.dtt, j.dtr, j.drr))):
+            if not all(map(math.isfinite, j)):
                 raise NonFiniteData("k%d is not finite at (t, r) = (%g, %g): %r" % (i, t, r, j))
         for name, f in self._curvature_quantities(which):
             if not math.isfinite(_located(name, f.value, t, r)):
@@ -210,9 +210,8 @@ class ConnectionProfile:
             self._curvature_fields = curvature_formulas(self.k)
         return self._curvature_fields
 
-    def abc(self, t, r) -> tuple:
-        """(a, b, c) at (t, r), as floats or jets as t and r are: one program,
-        compiled on first use."""
+    def abc(self, t: float, r: float) -> tuple:
+        """(a, b, c) at (t, r): one program, compiled on first use."""
         if self._abc_run is None:
             self._abc_run = compile_fields(self.curvature_fields()[1])
         return self._abc_run({"t": t, "r": r})
@@ -225,13 +224,6 @@ class ConnectionProfile:
 W_CORNER_GENERIC = "generic"
 W_CORNER_ZERO = "w_zero"
 W_CORNER_K10_DEGENERATE = "k10_degenerate"
-
-
-class Partials(NamedTuple):
-    """A value with its first (t, r)-partials."""
-    value: float
-    dt: float
-    dr: float
 
 
 @dataclass

@@ -13,6 +13,11 @@ values.  Each builder states its one-forms as expressions and reads its
 curvature from one `curvature_grid`.  Path independence is certified, never
 assumed: the curl of the defining form exactly, the agreement of two
 transport routes numerically.
+
+Every constructed form states L as one expression (`ExpressionForm`) in the
+chart (t, r, theta), the velocities and its potentials; its `jet` runs one
+compiled program of L and the partials the checks read, the potentials
+moving along their one-forms (`total_partials`).
 """
 
 from __future__ import annotations
@@ -20,16 +25,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
-from .geometry_core import (ConnectionProfile, CurvatureGrid, Partials, TangentPoint,
+from .geometry_core import (ConnectionProfile, CurvatureGrid, TangentPoint,
                             W_CORNER_GENERIC, curvature_grid, curvature_profile)
 from .geodesic_engine import integrate_ode
-from .multijet import MultiJet, w2_jet
-from .scalar_field import (DomainError, Expression, Jet2, ScalarField, compile_expression,
+from .scalar_field import (DomainError, Expression, Num, Partials, ScalarField, Var,
                            compile_fields, derivative, parameter_names, parse)
 
 
@@ -115,8 +119,8 @@ class PotentialSystem:
     component names, which enter as parameters, so later components may depend
     on earlier ones (as the Class-3 potential M does on G and K).  They compile
     into one program, which transport runs on arrays and `rates` on floats.
-    `jet2` and the closedness check run a second one: P_i and Q_i with their
-    partials in t, r and each component, chained with the components' own
+    The closedness check runs a second one: P_i and Q_i with their total
+    partials (`total_partials`), in which the components move by their own
     one-forms, so every derivative is exact.  Values are transported from the
     base point along the L-shaped path (t0, r0) -> (t, r0) -> (t, r).
 
@@ -171,24 +175,15 @@ class PotentialSystem:
         which each component moves by its own one-form:
         d/dt P_i = d_t P_i + sum_j d_{psi_j} P_i P_j, and d/dr with Q_j.
         A non-finite one raises DomainError: a NaN curl would certify."""
-        n, wrt = len(self.names), ["t", "r"] + self.names
+        n = len(self.names)
         if self._jet_run is None:
-            ds = [derivative(tuple(f.expr for f in self._pq), v) for v in wrt]
-            self._jet_run = compile_fields([g for m, f in enumerate(self._pq) for g in
-                                            [f] + [ScalarField(d[m], f.params) for d in ds]])
-        out = self._jet_run(dict(zip(wrt, (t, r, *vec))))
-        w = len(wrt) + 1   # each of P_1..Q_n, then its partials
-        pq = out[::w]
-        jets = []
-        for m in range(2 * n):
-            v, dt, dr, *dpsi = out[m * w:(m + 1) * w]
-            for d, p, q in zip(dpsi, pq, pq[n:]):
-                dt, dr = dt + d * p, dr + d * q
-            if not all(map(math.isfinite, (v, dt, dr))):
+            self._jet_run = partials_program(self._pq, self)
+        jets = _read_partials(self._jet_run(dict(zip(["t", "r"] + self.names, (t, r, *vec)))))
+        for m, jet in enumerate(jets):
+            if not all(map(math.isfinite, jet)):
                 raise DomainError("%s_%s jet is not finite at (t, r) = (%g, %g)"
                                   % ("PQ"[m // n], self.names[m % n], t, r))
-            jets.append(Partials(v, dt, dr))
-        return tuple(jets)
+        return jets
 
     def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
         return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
@@ -302,36 +297,6 @@ class PotentialSystem:
                 out[(a, b) if t_first else (b, a)] = v
         return out
 
-    def jet2(self, name: str, t: float, r: float, vals: dict | None = None) -> Jet2:
-        """Second-order jet of one component; derivatives from the one-form."""
-        if vals is None:
-            vals = self.values(t, r)
-        i = self.names.index(name)
-        pq = self._jets_at(t, r, vals)
-        pj, qj = pq[i], pq[len(self.names) + i]
-        return Jet2(vals[name], pj.value, qj.value,
-                    pj.dt, 0.5 * (pj.dr + qj.dt), qj.dr)
-
-    def coefficients(self, fields: Sequence) -> list:
-        """Callables ``(t, r, vals=None) -> Jet2`` of fields in t, r and the
-        components: one program run on the components' `jet2`s and
-        remembered at the last point and component values ``vals`` (None:
-        transported)."""
-        run = compile_fields(self._fields(list(fields)))
-
-        @lru_cache(maxsize=1)
-        def jets(t, r, key) -> list:
-            vals = self.values(t, r) if key is None else dict(zip(self.names, key))
-            env = {n: self.jet2(n, t, r, vals) for n in self.names}
-            env["t"], env["r"] = Jet2.var_t(t), Jet2.var_r(r)
-            return [Jet2._lift(x) for x in run(env)]
-
-        def coefficient(i: int):
-            def f(t, r, vals=None) -> Jet2:
-                return jets(t, r, None if vals is None else tuple(vals[n] for n in self.names))[i]
-            return f
-        return [coefficient(i) for i in range(len(fields))]
-
     def rates(self, t: float, r: float, vals: dict, tdot: float, rdot: float) -> np.ndarray:
         """d(psi_i)/ds = P_i tdot + Q_i rdot along a curve through (t, r)
         with velocity (tdot, rdot), at the component values ``vals``."""
@@ -398,22 +363,144 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
 
 
 # ---------------------------------------------------------------------------
-# Evaluator plumbing
+# Total partials along the potentials
 # ---------------------------------------------------------------------------
 
-def _uv_jets(conn: ConnectionProfile, p: TangentPoint):
-    """u = tdot - a rdot and v = c rdot^2 + 2 b tdot rdot - w^2 as MultiJets."""
-    aj, bj, cj = (MultiJet.from_jet2(Jet2._lift(x))
-                  for x in conn.abc(Jet2.var_t(p.t), Jet2.var_r(p.r)))
-    _, _, th, td, rd, thd, phd = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
-                                                     p.rdot, p.thetadot, p.phidot)
-    u = td - aj * rd
-    v = cj * rd * rd + 2.0 * bj * td * rd - w2_jet(th, thd, phd)
-    return u, v
+def total_partials(fields: Sequence[ScalarField], pots: PotentialSystem | None = None) -> tuple:
+    """The t- and r-partials of fields in t, r and the components of
+    ``pots`` (None: no components), each component moving by its own
+    one-form: d/dt f = d_t f + sum_i P_i d_{psi_i} f, and d/dr with Q_i.
+    One `derivative` call per variable on the tuple of all fields, so their
+    shared subtrees are differentiated once."""
+    exprs = tuple(f.expr for f in fields)
+    names = pots.names if pots is not None else []
+    # the one-forms with their parameters as numbers: they join each field's own
+    forms = [f.substitute(f.params) for f in pots._pq] if pots is not None else []
+    d = {v: derivative(exprs, v) for v in ["t", "r"] + names}
+    out = []
+    for var, along in (("t", forms[:len(names)]), ("r", forms[len(names):])):
+        totals = []
+        for m, f in enumerate(fields):
+            total = ScalarField(d[var][m], f.params)
+            for name, form in zip(names, along):
+                if not (isinstance(d[name][m], Num) and d[name][m].value == 0.0):
+                    total = total + form * ScalarField(d[name][m], f.params)
+            totals.append(total)
+        out.append(totals)
+    return tuple(out)
+
+
+def partials_program(fields: Sequence[ScalarField], pots: PotentialSystem | None = None):
+    """One program of each field followed by its total t- and r-partials."""
+    dt, dr = total_partials(fields, pots)
+    return compile_fields([g for trio in zip(fields, dt, dr) for g in trio])
+
+
+def _read_partials(out: tuple) -> tuple:
+    """`partials_program`'s outputs as one `Partials` per field."""
+    return tuple(Partials(*out[i:i + 3]) for i in range(0, len(out), 3))
+
+
+# ---------------------------------------------------------------------------
+# Forms: L as one expression
+# ---------------------------------------------------------------------------
+
+VELOCITY = ("tdot", "rdot", "thetadot", "phidot")
+TDOT, RDOT, THETADOT, PHIDOT = (ScalarField(Var(v)) for v in VELOCITY)
+_SIN = ScalarField(Var("theta")).call("sin")
+W2 = THETADOT * THETADOT + PHIDOT * PHIDOT * _SIN * _SIN   # w^2
+
+# `FormJet` layout: L, d/dxdot (4), d/dx for x = t, r, theta (3), the mixed
+# block's rows t, r, theta (3 x 4), the velocity Hessian's upper triangle (10)
+_UPPER = [(a, b) for a in range(4) for b in range(a, 4)]
+_HESSIAN = np.array([[20 + _UPPER.index((min(a, b), max(a, b))) for b in range(4)]
+                     for a in range(4)])
+
+
+class FormJet:
+    """L at one tangent point with the blocks of its partials that the
+    checks and the spray read, from one run of the form's program."""
+
+    __slots__ = ("value", "_out")
+
+    def __init__(self, out: tuple):
+        self.value = out[0]
+        self._out = np.array(out)
+
+    def vertical_gradient(self) -> np.ndarray:
+        """d L / d xdot^a, a = t, r, theta, phi."""
+        return self._out[1:5].copy()
+
+    def horizontal_gradient(self) -> np.ndarray:
+        """d L / d x^a, a = t, r, theta, phi (phi identically zero)."""
+        return np.append(self._out[5:8], 0.0)
+
+    def mixed_block(self) -> np.ndarray:
+        """Rows x^c in (t, r, theta, phi), columns xdot^b: d^2 L/dx^c dxdot^b."""
+        return np.vstack([self._out[8:20].reshape(3, 4), np.zeros(4)])
+
+    def metric_tensor(self) -> np.ndarray:
+        """g_ab = (1/2) d^2 L / d xdot^a d xdot^b."""
+        return 0.5 * self._out[_HESSIAN]
+
+
+class ExpressionForm:
+    """A form given as one expression, `lagrangian`, in t, r, theta, the
+    velocities tdot, rdot, thetadot, phidot and the components of the form's
+    ``scale_pot`` (a PotentialSystem; None or absent where L reads none).
+
+    `jet` runs one program of L and its partials, compiled on the first
+    call (`FormJet` lists them): one `derivative` call per velocity on L, one
+    per chart variable and potential on L with its velocity partials, the t-
+    and r-partials moving the potentials along their one-forms
+    (`total_partials`), and one per velocity on the velocity partials.
+    """
+
+    def lagrangian(self) -> ScalarField:
+        raise NotImplementedError
+
+    def admissible(self, p: TangentPoint) -> bool:
+        return True
+
+    def _env(self, t: float, r: float, vals: dict | None) -> dict:
+        """t, r and the potentials' values ``vals`` at (t, r) (None: transported)."""
+        env = {"t": float(t), "r": float(r)}
+        pots = getattr(self, "scale_pot", None)
+        if pots is not None:
+            if vals is None:
+                vals = pots.values(t, r)
+            env.update((n, float(vals[n])) for n in pots.names)
+        return env
+
+    @cached_property
+    def _jet_run(self):
+        L = self.lagrangian()
+        dv = [L.derivative(v) for v in VELOCITY]
+        dt, dr = total_partials([L] + dv, getattr(self, "scale_pot", None))
+        dth = [ScalarField(e, L.params)
+               for e in derivative(tuple(f.expr for f in [L] + dv), "theta")]
+        ddv = [derivative(tuple(f.expr for f in dv[:b + 1]), v) for b, v in enumerate(VELOCITY)]
+        hessian = [ScalarField(ddv[b][a], L.params) for a, b in _UPPER]
+        return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
+                              + hessian)
+
+    def jet(self, p: TangentPoint, vals: dict | None = None) -> FormJet:
+        """L and its blocks at p; ``vals`` are the potentials' values at
+        (p.t, p.r) (None: transported)."""
+        env = self._env(p.t, p.r, vals)
+        env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
+        env["theta"] = float(p.theta)
+        return FormJet(self._jet_run(env))
+
+
+def _uv(conn: ConnectionProfile) -> tuple:
+    """u = tdot - a rdot and v = c rdot^2 + 2 b tdot rdot - w^2 as fields."""
+    a, b, c = conn.curvature_fields()[1]
+    return TDOT - a * RDOT, c * RDOT * RDOT + 2.0 * b * TDOT * RDOT - W2
 
 
 def _uv_values(conn: ConnectionProfile, p: TangentPoint):
-    """The values of `_uv_jets`, in the same order of operations."""
+    """The values of `_uv`, in the same order of operations."""
     a, b, c = conn.abc(p.t, p.r)
     s = math.sin(p.theta)
     w2 = p.thetadot * p.thetadot + p.phidot * p.phidot * s * s
@@ -430,7 +517,7 @@ _NORMAL_MIN = sys.float_info.min   # admissible(): the exponential L is a normal
 
 
 @dataclass
-class PowerLawForm:
+class PowerLawForm(ExpressionForm):
     """L = theta(t,r) u^{2-2 lambda} (v + rho u^2)^lambda (Class 1)."""
 
     conn: ConnectionProfile
@@ -440,8 +527,11 @@ class PowerLawForm:
     log_scale: float = 0.0
     tag: str = "power-law"
 
-    def rho(self, t: float, r: float) -> Jet2:
-        return self.rho_field.jet(t, r)
+    def lagrangian(self) -> ScalarField:
+        u, v = _uv(self.conn)
+        base = v + self.rho_field * u * u
+        psi = ScalarField("psi") + self.log_scale
+        return psi.call("exp") * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
@@ -450,12 +540,6 @@ class PowerLawForm:
         except DomainError:
             return False
         return u > _DOMAIN_FLOOR and base > _DOMAIN_FLOOR
-
-    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
-        u, v = _uv_jets(self.conn, p)
-        base = v + MultiJet.from_jet2(self.rho(p.t, p.r)) * u * u
-        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
-        return psi.exp() * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
     def scaled(self, c: float) -> "PowerLawForm":
         if c <= 0.0:
@@ -469,7 +553,7 @@ class PowerLawForm:
 
 
 @dataclass
-class ExponentialForm:
+class ExponentialForm(ExpressionForm):
     """L = phi(t,r) u^2 exp(mu v / u^2) (Class 2)."""
 
     conn: ConnectionProfile
@@ -478,8 +562,10 @@ class ExponentialForm:
     log_scale: float = 0.0
     tag: str = "exponential"
 
-    def mu(self, t: float, r: float) -> Jet2:
-        return self.mu_field.jet(t, r)
+    def lagrangian(self) -> ScalarField:
+        u, v = _uv(self.conn)
+        psi = ScalarField("psi") + self.log_scale
+        return psi.call("exp") * u * u * (self.mu_field * v / (u * u)).call("exp")
 
     def admissible(self, p: TangentPoint) -> bool:
         """|u| above the floor and L a normal float: where mu v / u^2 is far
@@ -493,12 +579,6 @@ class ExponentialForm:
         except (DomainError, OverflowError):
             return False
         return _NORMAL_MIN <= L <= sys.float_info.max
-
-    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
-        u, v = _uv_jets(self.conn, p)
-        mu_j = MultiJet.from_jet2(self.mu(p.t, p.r))
-        psi = MultiJet.from_jet2(self.scale_pot.jet2("psi", p.t, p.r, vals)) + self.log_scale
-        return psi.exp() * u * u * (mu_j * v / (u * u)).exp()
 
     def scaled(self, c: float) -> "ExponentialForm":
         if c <= 0.0:
@@ -515,15 +595,23 @@ _THETA_BUILTINS = {"identity": parse("z"), "square": parse("z^2")}
 
 
 @dataclass
-class Class3FinslerForm:
+class Class3FinslerForm(ExpressionForm):
     """L = e^G u^2 Theta(z e^{-(G - 2K)} + M), z = v / u^2 (Class 3)."""
 
     conn: ConnectionProfile
     scale_pot: PotentialSystem          # components "G", "K", "M"; e^G scales L
     m_shift: float
-    theta: Callable                     # compiled Theta: {"z": arg} -> value
+    theta: Expression                   # Theta, an expression in z
     log_scale: float = 0.0
     tag: str = "class-3"
+
+    def lagrangian(self) -> ScalarField:
+        u, v = _uv(self.conn)
+        G, K = ScalarField("G"), ScalarField("K")
+        z = v / (u * u)
+        arg = z * (-(G - 2.0 * K)).call("exp") + (ScalarField("M") + self.m_shift)
+        theta = ScalarField(self.theta).substitute({"z": arg})
+        return (G + self.log_scale).call("exp") * u * u * theta
 
     def admissible(self, p: TangentPoint) -> bool:
         try:
@@ -532,62 +620,43 @@ class Class3FinslerForm:
             return False
         return abs(u) > _DOMAIN_FLOOR
 
-    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
-        u, v = _uv_jets(self.conn, p)
-        if vals is None:
-            vals = self.scale_pot.values(p.t, p.r)
-        Gj = MultiJet.from_jet2(self.scale_pot.jet2("G", p.t, p.r, vals))
-        Kj = MultiJet.from_jet2(self.scale_pot.jet2("K", p.t, p.r, vals))
-        Mj = MultiJet.from_jet2(self.scale_pot.jet2("M", p.t, p.r, vals)) + self.m_shift
-        z = v / (u * u)
-        arg = z * (-(Gj - 2.0 * Kj)).exp() + Mj
-        theta = MultiJet._lift(self.theta({"z": arg}))
-        return (Gj + self.log_scale).exp() * u * u * theta
-
     def describe(self) -> dict:
         return {"kind": self.tag, "m_shift": self.m_shift}
 
 
 @dataclass
-class RiemannForm:
+class RiemannForm(ExpressionForm):
     """A = att tdot^2 + 2 atr tdot rdot + arr rdot^2 + aw w^2.
 
-    Coefficients are (t, r) fields with jets; ``christoffels`` recovers the
+    The coefficients are fields in t, r and the components of ``scale_pot``
+    (the builder's potentials, or None); ``christoffels`` recovers the
     Levi-Civita coefficients in the k-table layout for round-trip checks.
-    A built form carries the builder's potentials as ``scale_pot``; its
-    coefficient fields then also take ``(t, r, vals)`` with the potential
-    values ``vals`` at (t, r), as `integrate_finsler` carries them.
     """
 
-    att: Callable[[float, float], Jet2]
-    atr: Callable[[float, float], Jet2]
-    arr: Callable[[float, float], Jet2]
-    aw: Callable[[float, float], Jet2]
+    att: ScalarField
+    atr: ScalarField
+    arr: ScalarField
+    aw: ScalarField
     tag: str = "riemann"
     signature_hint: str = ""
     meta: dict = dc_field(default_factory=dict)
     scale_pot: PotentialSystem | None = None
 
-    def admissible(self, p: TangentPoint) -> bool:
-        return True
+    def lagrangian(self) -> ScalarField:
+        return (self.att * TDOT * TDOT + 2.0 * self.atr * TDOT * RDOT
+                + self.arr * RDOT * RDOT + self.aw * W2)
 
-    def coefficient_jets(self, t: float, r: float, vals: dict | None = None):
-        fields = (self.att, self.atr, self.arr, self.aw)
-        if vals is None:
-            return tuple(f(t, r) for f in fields)
-        return tuple(f(t, r, vals) for f in fields)
+    @cached_property
+    def _coefficient_run(self):
+        return partials_program([self.att, self.atr, self.arr, self.aw], self.scale_pot)
 
-    def jet(self, p: TangentPoint, vals: dict | None = None) -> MultiJet:
-        att, atr, arr, aw = self.coefficient_jets(p.t, p.r, vals)
-        _, _, th, td, rd, thd, phd = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
-                                                         p.rdot, p.thetadot, p.phidot)
-        att_j, atr_j, arr_j, aw_j = (MultiJet.from_jet2(x) for x in (att, atr, arr, aw))
-        return (att_j * td * td + 2.0 * atr_j * td * rd + arr_j * rd * rd
-                + aw_j * w2_jet(th, thd, phd))
+    def coefficient_jets(self, t: float, r: float, vals: dict | None = None) -> tuple:
+        """att, atr, arr, aw as `Partials` at (t, r), the potentials at their
+        values ``vals`` there (None: transported)."""
+        return _read_partials(self._coefficient_run(self._env(t, r, vals)))
 
     def values(self, t: float, r: float) -> tuple:
-        att, atr, arr, aw = self.coefficient_jets(t, r)
-        return att.value, atr.value, arr.value, aw.value
+        return tuple(j.value for j in self.coefficient_jets(t, r))
 
     def tr_block_det(self, t: float, r: float) -> float:
         att, atr, arr, _ = self.values(t, r)
@@ -760,10 +829,10 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     _a, (a, b, c), _DEF, _GH = conn.curvature_fields()
     eg_m = ScalarField("exp(G)") * (ScalarField("M") + m_shift)
     e2k = ScalarField("exp(2*K)")
-    coeffs = pots.coefficients([eg_m, b * e2k - a * eg_m, c * e2k + a * a * eg_m, -e2k])
-    riemann = RiemannForm(*coeffs, tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
+    riemann = RiemannForm(eg_m, b * e2k - a * eg_m, c * e2k + a * a * eg_m, -e2k,
+                          tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
                           scale_pot=pots)
-    finsler = Class3FinslerForm(conn, pots, m_shift, compile_expression(theta_expr))
+    finsler = Class3FinslerForm(conn, pots, m_shift, theta_expr)
     return finsler, riemann
 
 
@@ -803,8 +872,7 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
     if res > path_tol:
         raise PathDependent("flat-transport legs disagree (residual %.3g > %.3g): "
                             "tr-corner is not flat" % (res, path_tol))
-    coeffs = pots.coefficients([htt, htr, hrr, ScalarField.constant(aw_sign)])
-    return RiemannForm(*coeffs, tag="class-4", signature_hint=signature,
+    return RiemannForm(htt, htr, hrr, ScalarField.constant(aw_sign), tag="class-4", signature_hint=signature,
                        meta={"potentials": pots}, scale_pot=pots)
 
 
@@ -858,9 +926,8 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
                 error_cls=GradientNotClosed)
 
     conformal = C1 * ScalarField("exp(-2*phi)")
-    coeffs = pot.coefficients([conformal * (-1.0 * a[3]), conformal * a[1], conformal * a[2],
-                               ScalarField.constant(C2)])
-    return RiemannForm(*coeffs, tag="class-5",
+    return RiemannForm(conformal * (-1.0 * a[3]), conformal * a[1], conformal * a[2],
+                       ScalarField.constant(C2), tag="class-5",
                        meta={"potentials": pot, "C1": C1, "C2": C2,
                              "recovery_velocity": (td, rd)}, scale_pot=pot)
 

@@ -1,15 +1,13 @@
-"""Closed-form scalar fields of (t, r) with exact derivatives to second order.
+"""Closed-form scalar fields with exact derivatives.
 
 Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
 immutable AST.  `compile_program` hash-conses ASTs into one straight-line
-program that runs on plain floats, on numpy arrays of points (``on_arrays``)
-or on truncated second-order jets (`Jet2`), which carry a value with its first
-and second partials in t and r.  Jet arithmetic implements the forward-mode
-rules, written once in `JetRules` for both jet types, so derivatives of any
-parsed expression are exact for the supported function basis (no finite
-differencing).  `derivative` applies the
-same rules to an AST, so a partial derivative is again an expression, to be
-compiled or differentiated further.
+program that runs on plain floats or on numpy arrays of points
+(``on_arrays``).  `derivative` applies the forward-mode rules to an AST
+(source transformation), so a partial derivative is again an expression, to
+be compiled with its function or differentiated further: derivatives of any
+parsed expression are exact for the supported function basis, with no finite
+differencing and no jet arithmetic.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -54,204 +52,6 @@ class UnboundParameter(ExpressionError):
 
 class DomainError(ExpressionError):
     """Evaluation left the domain of a basis function (ln/sqrt/division)."""
-
-
-def no_underflow(rule):
-    """Raise `DomainError`, not ZeroDivisionError, where a power of a tiny v underflows."""
-    def checked(self):
-        try:
-            return rule(self)
-        except ZeroDivisionError:
-            raise DomainError("%s jet underflows at %r" % (rule.__name__, self.value)) from None
-    return checked
-
-
-class JetRules:
-    """Forward-mode Taylor arithmetic (Griewank & Walther, *Evaluating
-    Derivatives*, ch. 13) shared by `Jet2` and `MultiJet`.
-
-    A jet type supplies its storage, ``_lift`` (number -> constant jet), ``+``,
-    unary ``-``, ``*``, ``_is_constant()`` and the chain rule ``_compose(v, d1,
-    d2)``: the jet of f(self) where f, f', f'' are v, d1, d2 at ``self.value``.
-    Division, powers and the function basis, domain checks included, are here.
-    """
-
-    __slots__ = ()
-
-    def _constant(self, v, kink=False):
-        """The constant v; only `Jet2` can mark the corner of ``abs`` (kink)."""
-        if kink:
-            raise DomainError("abs jet on the kink set")
-        return self._lift(v)
-
-    def __sub__(self, o):
-        return self + (-self._lift(o))
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    @no_underflow
-    def reciprocal(self):
-        v = self.value
-        if v == 0.0:
-            raise DomainError("division by zero")
-        return self._compose(1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-
-    def __truediv__(self, o):
-        return self * self._lift(o).reciprocal()
-
-    def __rtruediv__(self, o):
-        return self.reciprocal() * o
-
-    def __pow__(self, p):
-        if isinstance(p, JetRules):
-            if not p._is_constant():
-                return (self.ln() * p).exp()
-            p = p.value
-        v = self.value
-        if isinstance(p, (int, float)) and float(p).is_integer():
-            n = int(p)
-            if n == 0:
-                return self._constant(1.0)
-            if v == 0.0 and n < 0:
-                raise DomainError("zero raised to negative power")
-            return self._compose(v ** n, n * v ** (n - 1) if (v != 0.0 or n >= 1) else 0.0,
-                                 n * (n - 1) * v ** (n - 2) if (v != 0.0 or n >= 2) else 0.0)
-        if v <= 0.0:
-            raise DomainError("fractional power of non-positive base")
-        return self._compose(v ** p, p * v ** (p - 1.0), p * (p - 1.0) * v ** (p - 2.0))
-
-    def __rpow__(self, base):
-        return self._lift(base) ** self
-
-    # -- function basis -----------------------------------------------------
-
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(s, c, -s)
-
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c)
-
-    def tan(self):
-        v = math.tan(self.value)
-        u1 = 1.0 + v * v
-        return self._compose(v, u1, 2.0 * v * u1)
-
-    def exp(self):
-        v = math.exp(self.value)
-        return self._compose(v, v, v)
-
-    @no_underflow
-    def ln(self):
-        v = self.value
-        if v <= 0.0:
-            raise DomainError("ln of non-positive value")
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v ** 2)
-
-    @no_underflow
-    def sqrt(self):
-        v = self.value
-        if v < 0.0:
-            raise DomainError("sqrt of negative value")
-        if v == 0.0:
-            raise DomainError("sqrt jet undefined at zero")
-        s = math.sqrt(v)
-        return self._compose(s, 0.5 / s, -0.25 / (s * v))
-
-    def absval(self):
-        v = self.value
-        if v > 0.0:
-            return self._compose(v, 1.0, 0.0)
-        if v < 0.0:
-            return self._compose(-v, -1.0, 0.0)
-        return self._constant(0.0, kink=True)
-
-
-# ---------------------------------------------------------------------------
-# Second-order jets in (t, r)
-# ---------------------------------------------------------------------------
-
-class Jet2(JetRules):
-    """Value plus first and second partials with respect to (t, r).
-
-    The ``kink`` flag records that the value passed through the corner of
-    ``abs`` at zero, where the returned derivative (zero) is a convention
-    rather than a limit.
-    """
-
-    __slots__ = ("value", "dt", "dr", "dtt", "dtr", "drr", "kink")
-
-    def __init__(self, value, dt=0.0, dr=0.0, dtt=0.0, dtr=0.0, drr=0.0, kink=False):
-        self.value = float(value)
-        self.dt = float(dt)
-        self.dr = float(dr)
-        self.dtt = float(dtt)
-        self.dtr = float(dtr)
-        self.drr = float(drr)
-        self.kink = bool(kink)
-
-    @staticmethod
-    def var_t(v) -> "Jet2":
-        return Jet2(v, dt=1.0)
-
-    @staticmethod
-    def var_r(v) -> "Jet2":
-        return Jet2(v, dr=1.0)
-
-    def __repr__(self):
-        return "Jet2(%g; dt=%g, dr=%g; dtt=%g, dtr=%g, drr=%g%s)" % (
-            self.value, self.dt, self.dr, self.dtt, self.dtr, self.drr,
-            ", kink" if self.kink else "")
-
-    @staticmethod
-    def _lift(x):
-        if isinstance(x, Jet2):
-            return x
-        return Jet2(x)
-
-    def _constant(self, v, kink=False):
-        return Jet2(v, kink=kink or self.kink)
-
-    def _is_constant(self) -> bool:
-        return self.dt == self.dr == self.dtt == self.dtr == self.drr == 0.0
-
-    def __add__(self, o):
-        o = self._lift(o)
-        return Jet2(self.value + o.value, self.dt + o.dt, self.dr + o.dr,
-                    self.dtt + o.dtt, self.dtr + o.dtr, self.drr + o.drr,
-                    self.kink or o.kink)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.dt, -self.dr, -self.dtt, -self.dtr,
-                    -self.drr, self.kink)
-
-    def __mul__(self, o):
-        o = self._lift(o)
-        a, b = self, o
-        return Jet2(
-            a.value * b.value,
-            a.dt * b.value + a.value * b.dt,
-            a.dr * b.value + a.value * b.dr,
-            a.dtt * b.value + 2.0 * a.dt * b.dt + a.value * b.dtt,
-            a.dtr * b.value + a.dt * b.dr + a.dr * b.dt + a.value * b.dtr,
-            a.drr * b.value + 2.0 * a.dr * b.dr + a.value * b.drr,
-            a.kink or b.kink)
-
-    __rmul__ = __mul__
-
-    def _compose(self, v, d1, d2):
-        return Jet2(
-            v,
-            d1 * self.dt,
-            d1 * self.dr,
-            d2 * self.dt * self.dt + d1 * self.dtt,
-            d2 * self.dt * self.dr + d1 * self.dtr,
-            d2 * self.dr * self.dr + d1 * self.drr,
-            self.kink)
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +100,6 @@ Expression = Union[Num, Var, Param, Neg, BinOp, Call]
 
 def _apply_fn(name: str, x):
     try:
-        if not isinstance(x, (int, float)):   # a jet; math.sin(inf) raises here too
-            return getattr(x, "absval" if name == "abs" else name)()
         if name == "ln":
             if x <= 0.0:
                 raise DomainError("ln of non-positive value")
@@ -464,18 +262,22 @@ def parse(source: str) -> Expression:
 
 
 def _div(a, b):
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)) and b == 0.0:
+    """a / b; dividing by zero, or a finite a by so small a b that the
+    quotient is not finite, leaves the domain."""
+    if b == 0.0:
         raise DomainError("division by zero")
-    return a / b
+    q = a / b
+    if math.isinf(q) and math.isfinite(a):
+        raise DomainError("quotient overflows")
+    return q
 
 
 def _pow(a, b):
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if float(b).is_integer():
-            if a == 0.0 and b < 0:
-                raise DomainError("zero raised to negative power")
-        elif a <= 0.0:
-            raise DomainError("fractional power of non-positive base")
+    if float(b).is_integer():
+        if a == 0.0 and b < 0:
+            raise DomainError("zero raised to negative power")
+    elif a <= 0.0:
+        raise DomainError("fractional power of non-positive base")
     return a ** b
 
 
@@ -530,7 +332,7 @@ def compile_program(exprs, bound=None):
     AST node with its domain checks.  Numbers and the parameters valued in
     ``bound[i]`` for ``exprs[i]`` are pre-filled registers keyed on (type,
     repr), so 0.0 and -0.0, or 1 and 1.0, stay apart.  ``env`` gives the
-    variables and other parameters as floats, Jet2 or MultiJet.  A node met
+    variables and the other parameters as floats.  A node met
     again under the same bound values is not walked again: derivatives share
     their subtrees, which a walk per occurrence would revisit exponentially.
 
@@ -682,7 +484,7 @@ def derivative(e: Expression, var: str) -> Expression:
     of a tuple of expressions, the tuple of their partials.
 
     Forward mode by source transformation: each node's rule is the chain rule
-    of `JetRules` written as an AST, so the result runs through the same
+    written as an AST, so the result runs through the same
     evaluator with the same domain checks (a quotient still divides by its
     denominator, d sqrt(u) divides by sqrt(u), d|u| by |u|).  Only 0*x, x+0
     and 1*x are folded.  Shared subtrees, also of different members of a
@@ -788,8 +590,11 @@ def to_source(e: Expression) -> str:
 # ScalarField: expression + bound parameters
 # ---------------------------------------------------------------------------
 
-def eval_jet2(e: Expression, t: float, r: float, params: Mapping[str, float]) -> Jet2:
-    return ScalarField(e, params).jet(t, r)
+class Partials(NamedTuple):
+    """A value with its first (t, r)-partials."""
+    value: float
+    dt: float
+    dr: float
 
 
 def _merge_params(params: dict, more: Mapping[str, float]) -> dict:
@@ -808,14 +613,15 @@ class ScalarField:
     ASTs; derivatives of composites therefore stay exact.
     """
 
-    __slots__ = ("expr", "params", "_run")
+    __slots__ = ("expr", "params", "_run", "_jet_run")
 
     def __init__(self, expr, params: Mapping[str, float] | None = None):
         if isinstance(expr, str):
             expr = parse(expr)
         self.expr = expr
         self.params = dict(params or {})
-        self._run = None   # compiled on first evaluation
+        self._run = None       # compiled on first evaluation
+        self._jet_run = None   # with its (t, r)-partials, compiled on first `jet`
 
     @staticmethod
     def zero() -> "ScalarField":
@@ -828,16 +634,17 @@ class ScalarField:
     def is_structural_zero(self) -> bool:
         return isinstance(self.expr, Num) and self.expr.value == 0.0
 
-    def _eval(self, t, r):
+    def value(self, t: float, r: float) -> float:
         if self._run is None:
             self._run = compile_fields([self])
-        return self._run({"t": t, "r": r})[0]
+        return float(self._run({"t": float(t), "r": float(r)})[0])
 
-    def value(self, t: float, r: float) -> float:
-        return float(self._eval(float(t), float(r)))
-
-    def jet(self, t: float, r: float) -> Jet2:
-        return Jet2._lift(self._eval(Jet2.var_t(t), Jet2.var_r(r)))
+    def jet(self, t: float, r: float) -> Partials:
+        """The value and its t- and r-partials: one program of the expression
+        and its `derivative`s, with their domain checks."""
+        if self._jet_run is None:
+            self._jet_run = compile_fields([self, self.derivative("t"), self.derivative("r")])
+        return Partials(*map(float, self._jet_run({"t": float(t), "r": float(r)})))
 
     def source(self) -> str:
         return to_source(self.expr)
@@ -865,8 +672,15 @@ class ScalarField:
     def __truediv__(self, o):
         return self._binop("/", o)
 
+    def __pow__(self, o):
+        return self._binop("^", o)
+
     def __neg__(self):
         return ScalarField(Neg(self.expr), dict(self.params))
+
+    def call(self, fn: str) -> "ScalarField":
+        """fn(self) for a basis function ``fn`` (see FUNCTIONS)."""
+        return ScalarField(Call(fn, self.expr), dict(self.params))
 
     def __rmul__(self, o):
         return ScalarField.constant(o)._binop("*", self)

@@ -2,8 +2,9 @@
 
 Every check reports a normalized residual with the sample where it was
 attained; nothing is trusted from the construction path it certifies.  The
-horizontal-constancy, homogeneity and Hessian checks consume exact jets of
-the form; the Levi-Civita round trip rebuilds Christoffel coefficients from
+horizontal-constancy, homogeneity and Hessian checks read the exact blocks of
+the form's jet (`FormJet`: L and its partials from one compiled program);
+the Levi-Civita round trip rebuilds Christoffel coefficients from
 metric derivatives; geodesic agreement runs two independent integrations;
 the quadratic-fit falsification searches for *any* metric compatible with
 the bracket constraints and reports the least-squares floor.
@@ -81,6 +82,15 @@ def _sample_key(p: TangentPoint) -> tuple:
     return tuple(p.state())
 
 
+def _scaled_residual(x: float, jet, p: TangentPoint) -> float:
+    """|x| / (|L| + |y| |d L / d y|): x measured in the size of L and of its
+    velocity gradient at p, so that neither L -> cL nor y -> s y moves it
+    (0/0 reads 0, x/0 infinity)."""
+    scale = abs(jet.value) + float(np.linalg.norm(p.velocity)
+                                   * np.linalg.norm(jet.vertical_gradient()))
+    return abs(x) / scale if scale > 0.0 else (math.inf if x else 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise checks on an L evaluator
 # ---------------------------------------------------------------------------
@@ -89,7 +99,7 @@ def check_horizontal_constancy(evaluator, conn: ConnectionProfile,
                                samples: Sequence[TangentPoint],
                                tol: float = 1e-7, name: str = "horizontal-constancy"
                                ) -> CheckResult:
-    """max_a |delta_a L| / (1 + |L|) over admissible samples."""
+    """max_a |delta_a L| / (|L| + |y| |d L / d y|) over admissible samples."""
     worst = 0.0
     where = None
     used = 0
@@ -107,9 +117,8 @@ def check_horizontal_constancy(evaluator, conn: ConnectionProfile,
         N = nonlinear_connection(conn, p)
         dv = jet.vertical_gradient()
         dh = jet.horizontal_gradient()
-        denom = 1.0 + abs(jet.value)
         for a in range(4):
-            res = abs(dh[a] - N[:, a] @ dv) / denom
+            res = _scaled_residual(dh[a] - N[:, a] @ dv, jet, p)
             if res > worst:
                 worst, where = res, _sample_key(p)
     if used == 0:
@@ -120,7 +129,8 @@ def check_horizontal_constancy(evaluator, conn: ConnectionProfile,
 
 def check_homogeneity(evaluator, samples: Sequence[TangentPoint],
                       tol: float = 1e-10, name: str = "euler-homogeneity") -> CheckResult:
-    """C(L) = 2L: Euler vector field applied through exact vertical gradients."""
+    """C(L) = 2L: Euler vector field applied through exact vertical gradients;
+    the residual |C(L) - 2L| / (|L| + |y| |d L / d y|)."""
     worst = 0.0
     where = None
     used = 0
@@ -133,7 +143,7 @@ def check_homogeneity(evaluator, samples: Sequence[TangentPoint],
             continue
         used += 1
         cl = p.velocity @ jet.vertical_gradient()
-        res = abs(cl - 2.0 * jet.value) / (1.0 + abs(jet.value))
+        res = _scaled_residual(cl - 2.0 * jet.value, jet, p)
         if res > worst:
             worst, where = res, _sample_key(p)
     if used == 0:
@@ -193,7 +203,7 @@ def signature_observation(evaluator, samples: Sequence[TangentPoint]) -> tuple:
 def levi_civita_roundtrip(A: RiemannForm, conn: ConnectionProfile,
                           grid: Sequence[tuple], tol: float = 1e-6,
                           name: str = "levi-civita-roundtrip") -> CheckResult:
-    """Christoffels rebuilt from A's coefficient jets vs the input k-table."""
+    """Christoffels rebuilt from A's coefficient partials vs the input k-table."""
     worst = 0.0
     where = None
     for (t, r) in grid:

@@ -90,7 +90,7 @@ def test_criterion_2_symmetric_power_law(ex2):
     assert rep.class_label == 1
     assert rep.evidence["lambda"] == pytest.approx(0.75, abs=1e-12)
     for (t, r) in GRID25:
-        assert form.rho(t, r).value == pytest.approx(0.0, abs=1e-12)
+        assert form.rho_field.value(t, r) == pytest.approx(0.0, abs=1e-12)
     assert abs(rep.ricci_asymmetry) < 1e-12
     assert rep.riemann_metrizable == "no"
     assert rep.holonomy_rank == 3
@@ -122,7 +122,7 @@ def test_criterion_3_exponential(exp3):
     anchor = phi_paper(t0, r0)
     worst_mu = worst_phi = 0.0
     for (t, r) in GRID25:
-        mu = form.mu(t, r).value
+        mu = form.mu_field.value(t, r)
         worst_mu = max(worst_mu, abs(mu - math.exp(-(r - t) ** 2)))
         phi_built = math.exp(form.scale_pot.values(t, r)["psi"]) * anchor
         worst_phi = max(worst_phi, abs(phi_built - phi_paper(t, r)) / phi_paper(t, r))

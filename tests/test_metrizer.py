@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from berwald import metrizer
 from berwald.geodesic_engine import StepFailure, integrate_ode
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    curvature_profile, sample_tangent_points)
@@ -13,7 +15,7 @@ from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
                               build_class4, build_class5, build_exponential,
                               build_power_law, class3_delta, class5_det_formula,
                               path_integral)
-from berwald.scalar_field import DomainError, ScalarField
+from berwald.scalar_field import DomainError, ScalarField, compile_fields
 from berwald.verifier import check_horizontal_constancy, levi_civita_roundtrip
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
@@ -199,7 +201,7 @@ class TestPowerLaw:
         form = build_power_law(power_law_nonsymmetric(3.0), grid)
         assert form.lam == pytest.approx(0.5, abs=1e-12)
         for (t, r) in grid[::7]:
-            assert form.rho(t, r).value == pytest.approx(4 * r * r, rel=1e-10)
+            assert form.rho_field.value(t, r) == pytest.approx(4 * r * r, rel=1e-10)
         # the conformal factor integrand vanishes identically: theta == 1
         for (t, r) in grid[::5]:
             assert form.scale_pot.values(t, r)["psi"] == pytest.approx(0.0, abs=1e-12)
@@ -219,7 +221,7 @@ class TestPowerLaw:
         form = build_power_law(conn, grid)
         assert form.lam == pytest.approx(0.75, abs=1e-12)
         for (t, r) in grid[::6]:
-            assert form.rho(t, r).value == pytest.approx(0.0, abs=1e-12)
+            assert form.rho_field.value(t, r) == pytest.approx(0.0, abs=1e-12)
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 40,
                                     predicate=form.admissible)
         ratios = np.array([form.jet(p).value / ex2_paper_L(p) for p in pts])
@@ -260,7 +262,7 @@ class TestExponential:
     def test_mu_matches_closed_form(self, grid, exp_form):
         form = exp_form
         for (t, r) in grid:
-            assert form.mu(t, r).value == pytest.approx(
+            assert form.mu_field.value(t, r) == pytest.approx(
                 math.exp(-(r - t) ** 2), rel=1e-9)
 
     def test_phi_matches_closed_form_after_anchoring(self, grid, exp_form):
@@ -287,17 +289,78 @@ class TestExponential:
         assert not form.admissible(p)
 
     def test_form_jet_runs_one_abc_program(self, monkeypatch, exp_form):
+        """The form jet is one program, compiled on the first call, that
+        reads (a, b, c) and mu from L's own expression: no (a, b, c)
+        program and no field jet runs beside it."""
+        form = dataclasses.replace(exp_form)
+        assert "_jet_run" not in vars(form)
         calls = []
-        abc = exp_form.conn.abc
-        monkeypatch.setattr(exp_form.conn, "abc", lambda t, r: calls.append((t, r)) or abc(t, r))
-        exp_form.jet(TangentPoint(1.0, 1.5, 1.2, 0.0, 1.0, 0.3, 0.2, 0.1))
-        assert len(calls) == 1
+        monkeypatch.setattr(form.conn, "abc", lambda t, r: calls.append("abc"))
+        monkeypatch.setattr(ScalarField, "jet", lambda *a: calls.append("field jet"))
+        compiled = []
+        monkeypatch.setattr(metrizer, "compile_fields",
+                            lambda fields: compiled.append(len(fields)) or compile_fields(fields))
+        p = TangentPoint(1.0, 1.5, 1.2, 0.0, 1.0, 0.3, 0.2, 0.1)
+        first = form.jet(p)
+        assert form.jet(p).metric_tensor().tolist() == first.metric_tensor().tolist()
+        assert calls == [] and compiled == [30]
 
     def test_mu_undefined_raises(self, grid):
         # E = b a3 vanishes identically when k8 = 0
         conn = ConnectionProfile({1: "r", 9: "t/3", 10: "t/3"})
         with pytest.raises(MuNotConstant):
             build_exponential(conn, grid)
+
+
+def _paper_L_sympy(name: str):
+    """The paper's closed-form L of Example 1 (alpha = 3) or of the
+    exponential example in sympy, as `ex1_paper_L` and `exp_paper_L`
+    evaluate it, with its chart and velocity symbols."""
+    import sympy
+    t, r, th, td, rd, thd, phd = xs = sympy.symbols("t r theta tdot rdot thetadot phidot")
+    w2 = thd ** 2 + phd ** 2 * sympy.sin(th) ** 2
+    if name == "ex1":
+        alpha = sympy.Integer(3)
+        base = 4 * alpha * r ** 2 * td ** 2 - 4 * td * rd - alpha * w2
+        return td ** (2 / (alpha - 1)) * base ** ((alpha - 2) / (alpha - 1)), xs
+    u2 = (rd - td) ** 2
+    e = sympy.exp(-(r - t) ** 2)
+    scale = sympy.exp((3 * t ** 2 - 2 * r * t - 1) * e)
+    return scale * sympy.exp(e * (2 * rd ** 2 - 2 * td * rd - w2) / u2) * u2, xs
+
+
+class TestFormJetOracle:
+    @pytest.mark.parametrize("name", ["ex1", "exponential"])
+    def test_blocks_match_sympy_derivatives_of_the_closed_form(self, name, grid, exp_form):
+        """All 30 entries of the five blocks (L, d/dxdot, d/dx, the mixed
+        block, the Hessian) at 5 samples against sympy's derivatives of the
+        paper's L times the constant factor read at the first sample."""
+        import mpmath
+        import sympy
+        form = build_power_law(power_law_nonsymmetric(3.0), grid) if name == "ex1" else exp_form
+        L, xs = _paper_L_sympy(name)
+        chart, vel = xs[:3], xs[3:]
+        exprs = ([L] + [sympy.diff(L, y) for y in vel] + [sympy.diff(L, x) for x in chart]
+                 + [sympy.diff(L, x, y) for x in chart for y in vel]
+                 + [sympy.diff(L, y, z) / 2 for y in vel for z in vel])
+        ref = sympy.lambdify(xs, exprs, "mpmath")
+        pts = sample_tangent_points(np.random.default_rng(8), (0.6, 2.4), (0.6, 2.4), 5,
+                                    predicate=form.admissible)
+        factor = None
+        with mpmath.workdps(30):
+            for p in pts:
+                want = np.array([float(v) for v in ref(p.t, p.r, p.theta, p.tdot, p.rdot,
+                                                       p.thetadot, p.phidot)])
+                jet = form.jet(p)
+                factor = factor or jet.value / want[0]
+                blocks = [(np.array([jet.value]), want[:1]),
+                          (jet.vertical_gradient(), want[1:5]),
+                          (jet.horizontal_gradient()[:3], want[5:8]),
+                          (jet.mixed_block()[:3].ravel(), want[8:20]),
+                          (jet.metric_tensor().ravel(), want[20:])]
+                for got, exact in blocks:
+                    exact = factor * exact
+                    assert np.max(np.abs(got - exact)) <= 1e-10 * np.max(np.abs(exact))
 
 
 class TestClass3:
@@ -338,16 +401,23 @@ class TestClass3:
             assert fins.jet(p).value == pytest.approx(riem.jet(p).value, rel=1e-12)
 
     def test_coefficient_jets_read_each_potential_once(self, monkeypatch, c3_forms):
+        """One lookup of the potentials per point, none where their values
+        are given; the partials come from the coefficients' own program."""
         _conn, _fins, riem = c3_forms
         pots = riem.scale_pot
         calls = []
-        jet2 = pots.jet2
-        monkeypatch.setattr(pots, "jet2", lambda *a: calls.append(a) or jet2(*a))
-        riem.coefficient_jets(1.23, 1.37)
-        assert len(calls) == 3
-        vals = pots.values(1.41, 0.93)
-        riem.coefficient_jets(1.41, 0.93, vals)
-        assert len(calls) == 6
+        values = pots.values
+        monkeypatch.setattr(pots, "values", lambda *a: calls.append(a) or values(*a))
+        jets = riem.coefficient_jets(1.23, 1.37)
+        assert calls == [(1.23, 1.37)]
+        vals = values(1.41, 0.93)
+        assert riem.coefficient_jets(1.41, 0.93, vals) != jets and len(calls) == 1
+        # d/dt of e^G (M + m_shift) along the one-forms of G and M
+        G, M = (pots.values(1.23, 1.37)[n] for n in "GM")
+        P = pots._jets_at(1.23, 1.37, pots.values(1.23, 1.37))
+        m_shift = riem.meta["m_shift"]
+        assert jets[0].dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
+                                           rel=1e-12)
 
     def test_square_theta_is_not_quadratic(self, grid, c3_forms):
         conn = c3_forms[0]

@@ -6,20 +6,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berwald.geometry_core import ConnectionProfile
-from berwald.metrizer import PotentialSystem
-from berwald.multijet import IR, IT, MultiJet
+from berwald.geometry_core import ConnectionProfile, TangentPoint
+from berwald.metrizer import ExpressionForm, PotentialSystem
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
-                                  Jet2, Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, compile_expression, compile_fields,
-                                  compile_program, derivative, eval_jet2, evaluate, parse,
-                                  substitute, to_source)
+                                  Neg, Num, Param, ScalarField, UnboundParameter,
+                                  UnknownIdentifier, Var, compile_fields, compile_program,
+                                  derivative, evaluate, parse, substitute, to_source)
 
-from conftest import assert_program_matches_fields, jet_slots, to_sympy
+from conftest import assert_program_matches_fields, to_sympy
 
 
 def jet(src, t, r, **params):
-    return eval_jet2(parse(src), t, r, params)
+    """The first-order jet (value, dt, dr) of an expression at (t, r)."""
+    return ScalarField(src, params).jet(t, r)
+
+
+class FieldForm(ExpressionForm):
+    """L = tdot^2 f(t, r): a form whose horizontal partials are the field's."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def lagrangian(self):
+        return self.field * ScalarField(Var("tdot")) * ScalarField(Var("tdot"))
+
+
+def form_jet(field, t, r):
+    """(L, dL/dt, dL/dr) of `FieldForm` at tdot = 1: the field's jet."""
+    j = FieldForm(field).jet(TangentPoint(t, r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0))
+    return (j.value, *map(float, j.horizontal_gradient()[:2]))
 
 
 class TestParse:
@@ -73,16 +88,19 @@ class TestParse:
 
 
 class TestEvalJet2:
+    """`ScalarField.jet`: a value with its first partials, from one program
+    of the expression and its `derivative`s."""
+
     def test_bilinear(self):
         j = jet("t*r", 2.0, 3.0)
         assert (j.value, j.dt, j.dr) == (6.0, 3.0, 2.0)
-        assert (j.dtt, j.dtr, j.drr) == (0.0, 1.0, 0.0)
+        assert form_jet(ScalarField("t*r"), 2.0, 3.0) == (6.0, 3.0, 2.0)
 
     def test_sin_at_zero(self):
         j = jet("sin(t)", 0.0, 5.0)
         assert j.value == 0.0
         assert j.dt == 1.0
-        assert j.dtt == 0.0
+        assert jet("cos(t)", 0.0, 5.0).dt == 0.0
 
     def test_radial_coefficient_field(self):
         # (1/3) d_r(t*r) = t/3; equals 1 at t = 3
@@ -108,13 +126,13 @@ class TestEvalJet2:
         j = jet("t^3", -2.0, 0.0)
         assert j.value == -8.0
         assert j.dt == 12.0
-        assert j.dtt == -12.0
+        assert jet("3*t^2", -2.0, 0.0).dt == -12.0
 
     def test_abs_kink_flag(self):
-        assert jet("abs(t)", 0.0, 0.0).kink
-        smooth = jet("abs(t)", 2.0, 0.0)
-        assert not smooth.kink
-        assert smooth.dt == 1.0
+        # d|t| divides by |t|: the corner of abs is outside the jet's domain
+        with pytest.raises(DomainError):
+            jet("abs(t)", 0.0, 0.0)
+        assert jet("abs(t)", 2.0, 0.0).dt == 1.0
         assert jet("abs(t)", -2.0, 0.0).dt == -1.0
 
 
@@ -147,6 +165,8 @@ def _fd(expr, t, r, params, h=1e-5):
 
 
 def test_ad_matches_finite_differences_on_random_expressions():
+    """First partials from `ScalarField.jet`, second ones from `derivative`
+    applied twice (as a form's velocity Hessian is), against differences."""
     rng = np.random.default_rng(1234)
     params = {"alpha": 1.3}
     checked = 0
@@ -154,19 +174,20 @@ def test_ad_matches_finite_differences_on_random_expressions():
         expr = _random_ast(rng, int(rng.integers(1, 4)))
         t, r = rng.uniform(0.3, 2.0, size=2)
         try:
-            j = eval_jet2(expr, t, r, params)
+            j = ScalarField(expr, params).jet(t, r)
+            second = [ScalarField(derivative(derivative(expr, a), b), params).value(t, r)
+                      for a, b in ("tt", "tr", "rr")]
         except DomainError:
             continue
         if abs(j.value) > 1e3:
             continue
-        dt, dr, dtt, dtr, drr = _fd(expr, t, r, params)
+        dt, dr, *fd2 = _fd(expr, t, r, params)
         scale1 = 1.0 + max(abs(j.dt), abs(j.dr))
-        scale2 = 1.0 + max(abs(j.dtt), abs(j.dtr), abs(j.drr))
+        scale2 = 1.0 + max(map(abs, second))
         assert abs(j.dt - dt) / scale1 < 1e-6
         assert abs(j.dr - dr) / scale1 < 1e-6
-        assert abs(j.dtt - dtt) / scale2 < 1e-4
-        assert abs(j.dtr - dtr) / scale2 < 1e-4
-        assert abs(j.drr - drr) / scale2 < 1e-4
+        for exact, approx in zip(second, fd2):
+            assert abs(exact - approx) / scale2 < 1e-4
         checked += 1
 
 
@@ -178,58 +199,56 @@ def test_product_rule_exact():
         t, r = rng.uniform(0.3, 2.0, size=2)
         params = {"alpha": 0.7}
         try:
-            jf = eval_jet2(f, t, r, params)
-            jg = eval_jet2(g, t, r, params)
-            jfg = eval_jet2(BinOp("*", f, g), t, r, params)
+            jf, jg, jfg = (ScalarField(e, params).jet(t, r) for e in (f, g, BinOp("*", f, g)))
         except DomainError:
             continue
-        leib = jf * jg
-        scale = 1.0 + abs(leib.value) + abs(leib.dtt) + abs(leib.drr)
-        for attr in ("value", "dt", "dr", "dtt", "dtr", "drr"):
-            assert abs(getattr(jfg, attr) - getattr(leib, attr)) / scale < 1e-12
+        leib = (jf.value * jg.value, jf.dt * jg.value + jf.value * jg.dt,
+                jf.dr * jg.value + jf.value * jg.dr)
+        scale = 1.0 + max(map(abs, leib))
+        for got, ref in zip(jfg, leib):
+            assert abs(got - ref) / scale < 1e-12
 
 
 def test_jet_types_share_one_algebra():
-    """On random ASTs, MultiJet seeded at IT, IR agrees with Jet2 up to the
-    order of its sums."""
+    """On random ASTs, a form's jet (L = tdot^2 f at tdot = 1) gives the
+    value and (t, r)-partials of `ScalarField.jet` bit for bit, or both fail:
+    both are `derivative` programs."""
     rng = np.random.default_rng(2024)
     params = {"alpha": 1.3}
     checked = 0
     while checked < 100:
-        expr = _random_ast(rng, int(rng.integers(1, 4)))
-        fn = compile_expression(expr)
+        field = ScalarField(_random_ast(rng, int(rng.integers(1, 4))), params)
         t, r = rng.uniform(0.3, 2.0, size=2)
         try:
-            j2 = eval_jet2(expr, t, r, params)
-        except OverflowError:
+            ref = field.jet(t, r)
+        except (DomainError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                form_jet(field, t, r)
             continue
-        mj = MultiJet._lift(fn({"t": MultiJet.variable(IT, t),
-                                "r": MultiJet.variable(IR, r), **params}))
-        ref = MultiJet.from_jet2(j2)
-        scale = 1.0 + max(abs(x) for x in (j2.value, j2.dt, j2.dr, j2.dtt, j2.dtr, j2.drr))
-        assert abs(mj.value - j2.value) <= 1e-12 * scale
-        assert np.max(np.abs(mj.g - ref.g)) <= 1e-12 * scale
-        assert np.max(np.abs(mj.H - ref.H)) <= 1e-12 * scale
+        assert list(map(repr, form_jet(field, t, r))) == list(map(repr, ref))
         checked += 1
 
 
 def test_jet_domain_errors_agree():
-    for bad in (MultiJet.variable(IT, 0.0).absval, MultiJet.variable(IT, 0.0).sqrt):
+    # d|t| divides by |t| and d sqrt(t) by sqrt(t), in either jet
+    for src in ("abs(t)", "sqrt(t)"):
         with pytest.raises(DomainError):
-            bad()
-    # exponent 0 gives the constant 1 with +0.0 derivatives; Jet2 keeps its kink
-    one = jet("abs(t)", 0.0, 0.0) ** 0
-    assert one.kink and one.value == 1.0
-    assert math.copysign(1.0, (jet("-t", 1.0, 0.0) ** 0).dt) == 1.0
+            jet(src, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            form_jet(ScalarField(src), 0.0, 1.0)
+    # exponent 0 gives the constant 1 with +0.0 derivatives, also at the kink
+    assert jet("abs(t)^0", 0.0, 0.0) == (1.0, 0.0, 0.0)
+    assert math.copysign(1.0, jet("(-t)^0", 1.0, 0.0).dt) == 1.0
 
 
 def test_quotient_rule_exact():
     jf = jet("sin(t) + 2", 0.7, 1.1)
     jg = jet("exp(r) + t", 0.7, 1.1)
     jq = jet("(sin(t) + 2)/(exp(r) + t)", 0.7, 1.1)
-    ref = jf / jg
-    for attr in ("value", "dt", "dr", "dtt", "dtr", "drr"):
-        assert getattr(jq, attr) == pytest.approx(getattr(ref, attr), rel=1e-12, abs=1e-12)
+    ref = (jf.value / jg.value, (jf.dt * jg.value - jf.value * jg.dt) / jg.value ** 2,
+           (jf.dr * jg.value - jf.value * jg.dr) / jg.value ** 2)
+    for got, want in zip(jq, ref):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_parse_print_round_trip_random():
@@ -337,7 +356,7 @@ def _tree_walk(e, env, call=None):
         x = _tree_walk(e.arg, env, call)
         if call is not None:
             return call(e.fn, x)
-        return getattr(math, e.fn)(x) if isinstance(x, float) else getattr(x, e.fn)()
+        return getattr(math, e.fn)(x)
     return _OPS[e.op](_tree_walk(e.left, env, call), _tree_walk(e.right, env, call))
 
 
@@ -370,9 +389,9 @@ def assert_array_run_matches(run, exprs, params, points) -> bool:
 
 def test_program_equals_a_tree_walk_bit_for_bit():
     """Sums, products and quotients of random ASTs, ten to a program so that
-    subtrees are shared, and a constant give the tree walk's floats and jets
-    exactly, and on the array of all test points its floats with numpy's
-    basis (`assert_array_run_matches`)."""
+    subtrees are shared, and a constant give the tree walk's floats exactly,
+    and on the array of all test points its floats with numpy's basis
+    (`assert_array_run_matches`)."""
     rng = np.random.default_rng(5)
     checked = 0
     programs, points = [], []
@@ -384,16 +403,16 @@ def test_program_equals_a_tree_walk_bit_for_bit():
         t, r = rng.uniform(0.3, 2.0, size=2)
         programs.append((run, exprs))
         points.append((t, r))
-        for env in ({"t": t, "r": r}, {"t": Jet2.var_t(t), "r": Jet2.var_r(r)}):
-            try:
-                ref = [Jet2._lift(_tree_walk(e, dict(env, alpha=1.3))) for e in exprs]
-            except (ArithmeticError, DomainError):
-                with pytest.raises((ArithmeticError, DomainError)):
-                    run(env)
-                continue
-            assert [jet_slots(Jet2._lift(v)) for v in run(env)] == list(map(jet_slots, ref))
-            checked += 1
-    assert checked >= 30
+        env = {"t": t, "r": r}
+        try:
+            ref = [_tree_walk(e, dict(env, alpha=1.3)) for e in exprs]
+        except (ArithmeticError, DomainError):
+            with pytest.raises((ArithmeticError, DomainError)):
+                run(env)
+            continue
+        assert list(map(repr, run(env))) == list(map(repr, ref))
+        checked += 1
+    assert checked >= 15
     compared = [assert_array_run_matches(run, exprs, [{"alpha": 1.3}] * len(exprs), pts)
                 for run, exprs in programs for pts in (points, points[:1])]
     assert sum(compared) >= 10
@@ -441,22 +460,22 @@ def test_program_raises_the_first_failure_of_a_tree_walk():
 
 
 def test_jets_fail_with_domain_error():
-    for src in ("1/t", "ln(t)", "sqrt(t)"):
+    # d(1/t) = -(1/t)/t leaves the floats at t = 1e-170; the others leave the
+    # domain of the function or of its derivative
+    for src, t in (("1/t", 1e-170), ("ln(t)", 0.0), ("sqrt(t)", 0.0), ("t^0.5", 0.0)):
         with pytest.raises(DomainError):
-            ScalarField(src).jet(1e-300 if src == "sqrt(t)" else 1e-170, 1.0)
-    for src in ("sin(t)", "cos(t)", "tan(t)"):   # the jet path of math.sin(inf)
+            ScalarField(src).jet(t, 1.0)
+    for src in ("sin(t)", "cos(t)", "tan(t)"):   # math.sin(inf) raises ValueError
         with pytest.raises(DomainError):
             ScalarField(src).jet(math.inf, 1.0)
+    pot = PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0))
     with pytest.raises(DomainError):   # the one-form jets of a potential, too
-        PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0)).jet2("psi", 1e-170, 1.0, {"psi": 0.0})
-    # ordinary v keep their arithmetic
+        pot._jets_at(1e-170, 1.0, {"psi": 0.0})
+    # ordinary v keep the derivative rules' arithmetic
     v = 0.3
-    j = ScalarField("1/t").jet(v, 1.0)
-    assert (j.value, j.dt, j.dtt) == (1.0 / v, -1.0 / v ** 2, 2.0 / v ** 3)
-    j = ScalarField("ln(t)").jet(v, 1.0)
-    assert (j.value, j.dt, j.dtt) == (math.log(v), 1.0 / v, -1.0 / v ** 2)
-    j = PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0)).jet2("psi", v, 1.0, {"psi": 0.0})
-    assert (j.dt, j.dtt) == (1.0 / v, pytest.approx(-1.0 / v ** 2, rel=1e-15))
+    assert ScalarField("1/t").jet(v, 1.0) == (1.0 / v, -(1.0 / v) / v, 0.0)
+    assert ScalarField("ln(t)").jet(v, 1.0) == (math.log(v), 1.0 / v, 0.0)
+    assert pot._jets_at(v, 1.0, {"psi": 0.0})[0] == (1.0 / v, -(1.0 / v) / v, 0.0)
 
 
 # -- derivative: forward mode by source transformation -----------------------
@@ -472,27 +491,26 @@ ASTS = st.recursive(_AST_LEAVES, lambda kids: st.one_of(
 @given(ASTS, st.sampled_from("tr"), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
 @settings(max_examples=300, deadline=None)
 def test_derivative_matches_sympy_and_the_jets(e, var, t, r):
-    """Where e and its Jet2 evaluate, the compiled derivative either raises
-    DomainError or matches sympy.diff (at 30 digits) and the Jet2 partial to
-    1e-10 relative; no other exception escapes it."""
+    """Where e evaluates to a float below 1e100, the compiled derivative, and
+    the jet's partial with it, either raise DomainError or match sympy.diff
+    (at 30 digits) to 1e-10 relative; no other exception escapes them."""
     import sympy
     try:
-        j2 = ScalarField(e).jet(t, r)
+        value = ScalarField(e).value(t, r)
     except (DomainError, OverflowError):
         return
-    slots = (j2.value, j2.dt, j2.dr)
-    if not all(math.isfinite(x) and abs(x) < 1e100 for x in slots):
+    if not (math.isfinite(value) and abs(value) < 1e100):
         return
     try:
         d = ScalarField(derivative(e, var)).value(t, r)
+        j = ScalarField(e).jet(t, r)
     except DomainError:
         return
     syms = {"t": sympy.Symbol("t", positive=True), "r": sympy.Symbol("r", positive=True)}
     ref = complex(sympy.diff(to_sympy(e, syms), syms[var])
                   .subs({syms["t"]: t, syms["r"]: r}).evalf(30))
-    partial = j2.dt if var == "t" else j2.dr
     assert abs(d - ref) <= 1e-10 * (1.0 + abs(ref))
-    assert abs(d - partial) <= 1e-10 * (1.0 + abs(partial))
+    assert (j.dt if var == "t" else j.dr) == d
 
 
 def test_derivative_folds_only_zeros_and_ones_and_shares_subtrees():

@@ -7,10 +7,9 @@ import pytest
 from berwald.geodesic_engine import integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    sample_tangent_points)
-from berwald.metrizer import (RiemannForm, build_class3, build_class4, build_class5,
-                              build_exponential, build_power_law)
-from berwald.multijet import MultiJet, w2_jet
-from berwald.scalar_field import Jet2
+from berwald.metrizer import (RDOT, TDOT, W2, ExpressionForm, RiemannForm, build_class3,
+                              build_class4, build_class5, build_exponential, build_power_law)
+from berwald.scalar_field import ScalarField
 from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
                               check_hessian, check_homogeneity,
                               check_horizontal_constancy, geodesic_agreement,
@@ -37,19 +36,14 @@ def forms():
     return out
 
 
-class SimpleQuadratic:
+class SimpleQuadratic(ExpressionForm):
     """L = tdot^2 only: degenerate, and not horizontally constant for k1 = 1."""
 
-    def admissible(self, p):
-        return True
-
-    def jet(self, p):
-        _, _, _, td, _, _, _ = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
-                                                   p.rdot, p.thetadot, p.phidot)
-        return td * td
+    def lagrangian(self):
+        return TDOT * TDOT
 
 
-class RandersLike:
+class RandersLike(ExpressionForm):
     """L = (sqrt(tdot^2 + rdot^2 + w^2) + (r/4) tdot)^2: 2-homogeneous and
     non-Berwald (the one-form is not parallel for the product metric)."""
 
@@ -57,12 +51,23 @@ class RandersLike:
         root = math.sqrt(p.tdot ** 2 + p.rdot ** 2 + p.w2)
         return root > 0.3 and root + 0.25 * p.r * p.tdot > 0.2
 
-    def jet(self, p):
-        _, r, th, td, rd, thd, phd = MultiJet.seed_point(p.t, p.r, p.theta, p.tdot,
-                                                         p.rdot, p.thetadot, p.phidot)
-        root = (td * td + rd * rd + w2_jet(th, thd, phd)).sqrt()
-        f = root + 0.25 * r * td
+    def lagrangian(self):
+        f = (TDOT * TDOT + RDOT * RDOT + W2).call("sqrt") + 0.25 * ScalarField("r") * TDOT
         return f * f
+
+
+class Scaled(ExpressionForm):
+    """c L: the same form with L multiplied by the constant c."""
+
+    def __init__(self, form, c):
+        self.form, self.c, self.scale_pot = form, c, getattr(form, "scale_pot", None)
+
+    def admissible(self, p):
+        return self.form.admissible(p)
+
+    def lagrangian(self):
+        return self.c * self.form.lagrangian()
+
 
 
 class TestHorizontalConstancy:
@@ -93,6 +98,25 @@ class TestHorizontalConstancy:
         r1 = check_horizontal_constancy(form, conn, pts)
         r2 = check_horizontal_constancy(form.scaled(37.0), conn, pts)
         assert r1.passed == r2.passed
+
+    def test_residuals_do_not_depend_on_the_scale_of_L(self, forms, rng):
+        # a residual divided by 1 + |L| would pass any form made small enough
+        from generators import make_class3
+        fixtures = list(forms.values()) + [
+            (exponential_example(), build_exponential(exponential_example(), default_grid()))]
+        class3 = make_class3(51)[0]
+        fixtures.append((class3, build_class3(class3, default_grid(), "square")[0]))
+        for conn, form in fixtures:
+            pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 15,
+                                        predicate=form.admissible)
+            for check in (lambda f: check_horizontal_constancy(f, conn, pts),
+                          lambda f: check_homogeneity(f, pts)):
+                assert [check(Scaled(form, c)).passed for c in (1e-6, 1.0, 1e6)] == [True] * 3
+        conn = ConnectionProfile({1: "1"})
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 10)
+        for c in (1e-12, 1e-6, 1.0, 1e6):
+            res = check_horizontal_constancy(Scaled(SimpleQuadratic(), c), conn, pts)
+            assert not res.passed and res.residual > 1e-2
 
 
 class TestHessian:
@@ -130,19 +154,6 @@ class TestHessian:
         assert not res.passed
         with pytest.raises(Degenerate):
             signature_observation(SimpleQuadratic(), pts)
-
-
-class Scaled:
-    """c L: the same form with L multiplied by the constant c."""
-
-    def __init__(self, form, c):
-        self.form, self.c = form, c
-
-    def admissible(self, p):
-        return self.form.admissible(p)
-
-    def jet(self, p):
-        return self.form.jet(p) * self.c
 
 
 class TestHessianScale:
@@ -189,8 +200,8 @@ class TestLeviCivitaRoundtrip:
 
     def test_corrupted_metric_fails(self, forms, grid):
         conn, A = forms["flat"]
-        bad = RiemannForm(lambda t, r: Jet2(A.att(t, r).value + 0.1 + 0.05 * t, 0.05),
-                          A.atr, A.arr, A.aw)
+        bad = RiemannForm(A.att + 0.1 + 0.05 * ScalarField("t"), A.atr, A.arr, A.aw,
+                          scale_pot=A.scale_pot)
         res = levi_civita_roundtrip(bad, conn, grid)
         assert not res.passed
         assert res.residual > 1e-2
