@@ -27,9 +27,9 @@ from .metrizer import (DeltaVanishes, GradientNotClosed, LambdaEqualsOne,
                        build_class5, build_exponential, build_power_law, path_integral)
 from .geodesic_engine import (ChartExit, StepFailure, Trajectory, integrate_finsler,
                               integrate_spray)
-from .verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
+from .verifier import (CheckResult, Degenerate, ResidualReport, SampleJets, berwald_check,
                        check_hessian, check_homogeneity, check_horizontal_constancy,
                        geodesic_agreement, levi_civita_roundtrip,
-                       riemann_falsification)
+                       riemann_falsification, sample_jets)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,8 @@ from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_
                        build_class5, build_exponential, build_power_law)
 from .scalar_field import ExpressionError, compile_expression, parameter_names, parse
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
-                       check_horizontal_constancy, levi_civita_roundtrip, ResidualReport)
+                       check_horizontal_constancy, levi_civita_roundtrip, ResidualReport,
+                       sample_jets)
 
 SCHEMA = "berwald-report/1"
 
@@ -354,22 +355,20 @@ def _verify_forms(cfg: JobConfig, conn: ConnectionProfile, forms: dict,
 
     fins = forms.get("finsler")
     if fins is not None:
-        pts = samples_for(fins, cfg.sample_count)
-        report.add(check_horizontal_constancy(fins, conn, pts,
-                                              overrides.get("horiz", 1e-7)))
-        report.add(check_homogeneity(fins, pts))
-        report.add(check_hessian(fins, pts, overrides.get("hessian_det", 1e-10)))
+        jets = sample_jets(fins, samples_for(fins, cfg.sample_count))
+        report.add(check_horizontal_constancy(jets, conn, overrides.get("horiz", 1e-7)))
+        report.add(check_homogeneity(jets))
+        report.add(check_hessian(jets, overrides.get("hessian_det", 1e-10)))
         if deep:
-            report.add(berwald_check(fins, pts[:6], overrides.get("berwald", 1e-5)))
+            report.add(berwald_check(jets, conn, overrides.get("berwald", 1e-5)))
     riem = forms.get("riemann")
     if riem is not None:
-        pts = samples_for(riem, max(20, cfg.sample_count // 2))
+        jets = sample_jets(riem, samples_for(riem, max(20, cfg.sample_count // 2)))
         report.add(levi_civita_roundtrip(riem, conn, grid,
                                          overrides.get("lc_roundtrip", 1e-6)))
-        report.add(check_horizontal_constancy(
-            riem, conn, pts, overrides.get("horiz", 1e-7),
-            name="horizontal-constancy-riemann"))
-        report.add(check_hessian(riem, pts, overrides.get("hessian_det", 1e-10),
+        report.add(check_horizontal_constancy(jets, conn, overrides.get("horiz", 1e-7),
+                                              name="horizontal-constancy-riemann"))
+        report.add(check_hessian(jets, overrides.get("hessian_det", 1e-10),
                                  name="hessian-nondegeneracy-riemann"))
     return report
 
@@ -424,6 +423,11 @@ def cmd_verify(cfg: JobConfig, args, overrides: dict) -> int:
     return cmd_metrize(cfg, args, overrides, deep=True, command=args.command)
 
 
+def _usage_error(message: str) -> int:
+    print("error: %s" % message, file=sys.stderr)
+    return EXIT_USAGE
+
+
 def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
     conn = cfg.connection_profile()
     try:
@@ -431,10 +435,18 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
         if len(state) != 8:
             raise ValueError
     except ValueError:
-        print("error: --state needs 8 comma-separated numbers "
-              "(t,r,theta,phi,tdot,rdot,thetadot,phidot)", file=sys.stderr)
-        return EXIT_USAGE
-    p0 = TangentPoint(*state)
+        return _usage_error("--state needs 8 comma-separated numbers "
+                            "(t,r,theta,phi,tdot,rdot,thetadot,phidot)")
+    if not all(map(math.isfinite, state)):
+        return _usage_error("--state components must be finite")
+    try:
+        p0 = TangentPoint(*state)
+    except ValueError as exc:
+        return _usage_error("--state: %s" % exc)
+    if args.T == 0.0 or not math.isfinite(args.T):
+        return _usage_error("--T must be finite and nonzero")
+    if args.n_out < 2:
+        return _usage_error("--n-out must be at least 2")
     doc = {"schema": SCHEMA, "command": "geodesic", "seed": cfg.seed,
            "config": cfg.to_dict(), "T": args.T, "n_out": args.n_out,
            "initial_state": state}
@@ -464,6 +476,8 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
         fins = forms.get("finsler")
         if fins is None:
             print("error: no Finsler form available for --both", file=sys.stderr)
+            doc["exit_status"] = EXIT_FAIL
+            _emit_json(args.json, doc)
             return EXIT_FAIL
         traj_f = integrate_finsler(fins, p0, args.T, args.n_out)
         out2 = out_path + ".finsler"
@@ -527,19 +541,16 @@ def main(argv=None) -> int:
     overrides = {}
     for item in args.tol_override:
         if "=" not in item:
-            print("error: --tol-override needs NAME=VALUE", file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("--tol-override needs NAME=VALUE")
         name, value = item.split("=", 1)
         name = name.strip()
         if name not in TOLERANCE_NAMES:
-            print("error: unknown tolerance %r (valid: %s)"
-                  % (name, ", ".join(TOLERANCE_NAMES)), file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("unknown tolerance %r (valid: %s)"
+                                % (name, ", ".join(TOLERANCE_NAMES)))
         try:
             overrides[name] = float(value)
         except ValueError:
-            print("error: bad tolerance value %r" % value, file=sys.stderr)
-            return EXIT_USAGE
+            return _usage_error("bad tolerance value %r" % value)
 
     try:
         cfg = load_config(args.config)
@@ -547,11 +558,9 @@ def main(argv=None) -> int:
             try:
                 n, m = (int(x) for x in args.grid.lower().split("x"))
             except ValueError:
-                print("error: --grid needs NxM", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage_error("--grid needs NxM")
             if n < 2 or m < 2:
-                print("error: --grid needs at least 2 points per side", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage_error("--grid needs at least 2 points per side")
             cfg.t_n, cfg.r_n = n, m
         if args.seed is not None:
             cfg.seed = args.seed

@@ -2,12 +2,13 @@
 
 Every check reports a normalized residual with the sample where it was
 attained; nothing is trusted from the construction path it certifies.  The
-horizontal-constancy, homogeneity and Hessian checks read the exact blocks of
-the form's jet (`FormJet`: L and its partials from one compiled program);
-the Levi-Civita round trip rebuilds Christoffel coefficients from
-metric derivatives; geodesic agreement runs two independent integrations;
-the quadratic-fit falsification searches for *any* metric compatible with
-the bracket constraints and reports the least-squares floor.
+form checks read one `FormJet` per admissible sample (`sample_jets`: L and
+its partials from one compiled program); the Berwald check compares L's
+Euler-Lagrange spray with the connection's own; the Levi-Civita round trip
+rebuilds Christoffel coefficients from metric derivatives; geodesic
+agreement runs two independent integrations; the quadratic-fit
+falsification searches for *any* metric compatible with the bracket
+constraints and reports the least-squares floor.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesic_engine import integrate_finsler, integrate_spray, jet_spray
+from .geodesic_engine import integrate_finsler, integrate_spray
 from .geometry_core import (ConnectionProfile, TangentPoint, bracket_matrix,
-                            curvature_profile, nonlinear_connection)
+                            curvature_profile, nonlinear_connection, spray_coefficients)
 from .metrizer import RiemannForm
 from .scalar_field import DomainError
 
@@ -82,38 +83,54 @@ def _sample_key(p: TangentPoint) -> tuple:
     return tuple(p.state())
 
 
-def _scaled_residual(x: float, jet, p: TangentPoint) -> float:
-    """|x| / (|L| + |y| |d L / d y|): x measured in the size of L and of its
-    velocity gradient at p, so that neither L -> cL nor y -> s y moves it
-    (0/0 reads 0, x/0 infinity)."""
-    scale = abs(jet.value) + float(np.linalg.norm(p.velocity)
-                                   * np.linalg.norm(jet.vertical_gradient()))
+def _ratio(x: float, scale: float) -> float:
+    """|x| / scale, with 0/0 read as 0 and x/0 as infinity."""
     return abs(x) / scale if scale > 0.0 else (math.inf if x else 0.0)
 
 
+def _scaled_residual(x: float, jet, p: TangentPoint) -> float:
+    """|x| / (|L| + |y| |d L / d y|) at p, which neither L -> cL nor y -> s y moves."""
+    return _ratio(x, abs(jet.value) + float(np.linalg.norm(p.velocity)
+                                            * np.linalg.norm(jet.vertical_gradient())))
+
+
 # ---------------------------------------------------------------------------
-# Pointwise checks on an L evaluator
+# Pointwise checks on the jets of a form at its samples
 # ---------------------------------------------------------------------------
 
-def check_horizontal_constancy(evaluator, conn: ConnectionProfile,
-                               samples: Sequence[TangentPoint],
+@dataclass
+class SampleJets:
+    """A form's admissible samples, each with its jet, and how many were skipped."""
+    points: list
+    jets: list
+    skipped: int
+
+    def __iter__(self):
+        return zip(self.points, self.jets)
+
+
+def sample_jets(evaluator, samples: Sequence[TangentPoint]) -> SampleJets:
+    """One jet per sample that `evaluator` admits and can evaluate (a sample
+    whose jet raises `DomainError` is skipped)."""
+    points, jets = [], []
+    for p in samples:
+        if evaluator.admissible(p):
+            try:
+                jets.append(evaluator.jet(p))
+            except DomainError:
+                continue
+            points.append(p)
+    if not points:
+        raise VerificationError("no admissible samples: each is outside the form's domain")
+    return SampleJets(points, jets, len(samples) - len(points))
+
+
+def check_horizontal_constancy(jets: SampleJets, conn: ConnectionProfile,
                                tol: float = 1e-7, name: str = "horizontal-constancy"
                                ) -> CheckResult:
-    """max_a |delta_a L| / (|L| + |y| |d L / d y|) over admissible samples."""
-    worst = 0.0
-    where = None
-    used = 0
-    skipped = 0
-    for p in samples:
-        if not evaluator.admissible(p):
-            skipped += 1
-            continue
-        try:
-            jet = evaluator.jet(p)
-        except DomainError:
-            skipped += 1
-            continue
-        used += 1
+    """max_a |delta_a L| / (|L| + |y| |d L / d y|) over the samples."""
+    worst, where = 0.0, None
+    for p, jet in jets:
         N = nonlinear_connection(conn, p)
         dv = jet.vertical_gradient()
         dh = jet.horizontal_gradient()
@@ -121,37 +138,25 @@ def check_horizontal_constancy(evaluator, conn: ConnectionProfile,
             res = _scaled_residual(dh[a] - N[:, a] @ dv, jet, p)
             if res > worst:
                 worst, where = res, _sample_key(p)
-    if used == 0:
-        raise VerificationError("no admissible samples for horizontal constancy")
     return CheckResult(name, worst, tol, worst < tol, where,
-                       {"samples_used": used, "samples_skipped": skipped})
+                       {"samples_used": len(jets.points), "samples_skipped": jets.skipped})
 
 
-def check_homogeneity(evaluator, samples: Sequence[TangentPoint],
-                      tol: float = 1e-10, name: str = "euler-homogeneity") -> CheckResult:
+def check_homogeneity(jets: SampleJets, tol: float = 1e-10,
+                      name: str = "euler-homogeneity") -> CheckResult:
     """C(L) = 2L: Euler vector field applied through exact vertical gradients;
     the residual |C(L) - 2L| / (|L| + |y| |d L / d y|)."""
-    worst = 0.0
-    where = None
-    used = 0
-    for p in samples:
-        if not evaluator.admissible(p):
-            continue
-        try:
-            jet = evaluator.jet(p)
-        except DomainError:
-            continue
-        used += 1
+    worst, where = 0.0, None
+    for p, jet in jets:
         cl = p.velocity @ jet.vertical_gradient()
         res = _scaled_residual(cl - 2.0 * jet.value, jet, p)
         if res > worst:
             worst, where = res, _sample_key(p)
-    if used == 0:
-        raise VerificationError("no admissible samples for homogeneity")
-    return CheckResult(name, worst, tol, worst < tol, where, {"samples_used": used})
+    return CheckResult(name, worst, tol, worst < tol, where,
+                       {"samples_used": len(jets.points)})
 
 
-def check_hessian(evaluator, samples: Sequence[TangentPoint], det_floor: float = 1e-10,
+def check_hessian(jets: SampleJets, det_floor: float = 1e-10,
                   name: str = "hessian-nondegeneracy") -> CheckResult:
     """g_ab = (1/2) ddot_a ddot_b L nonsingular; eigenvalue sign pattern observed.
 
@@ -160,18 +165,9 @@ def check_hessian(evaluator, samples: Sequence[TangentPoint], det_floor: float =
     ``slogdet``, must exceed log(det_floor) at every sample.  The residual is
     the smallest such ratio.
     """
-    worst = math.inf
-    where = None
+    worst, where = math.inf, None
     signatures = set()
-    used = 0
-    for p in samples:
-        if not evaluator.admissible(p):
-            continue
-        try:
-            jet = evaluator.jet(p)
-        except DomainError:
-            continue
-        used += 1
+    for p, jet in jets:
         g = jet.metric_tensor()
         sign, logdet = np.linalg.slogdet(g)
         eig = np.linalg.eigvalsh(g)
@@ -181,19 +177,17 @@ def check_hessian(evaluator, samples: Sequence[TangentPoint], det_floor: float =
                  + 8.0 * math.log(float(np.linalg.norm(p.velocity))) - 4.0 * math.log(L))
         if level < worst or where is None:
             worst, where = level, _sample_key(p)
-    if used == 0:
-        raise VerificationError("no admissible samples for the Hessian check")
     floor = math.log(det_floor) if det_floor > 0.0 else -math.inf
     passed = worst > floor and len(signatures) == 1
-    sig = sorted(signatures)
     return CheckResult(name, math.exp(min(worst, 700.0)), det_floor, passed, where,
-                       {"signatures": [list(s) for s in sig], "samples_used": used,
+                       {"signatures": [list(s) for s in sorted(signatures)],
+                        "samples_used": len(jets.points),
                         "comparison": "residual is min |det g| |y|^8 / L^4, must exceed tolerance"})
 
 
 def signature_observation(evaluator, samples: Sequence[TangentPoint]) -> tuple:
     """(n_positive, n_negative) eigenvalue counts, if consistent across samples."""
-    res = check_hessian(evaluator, samples)
+    res = check_hessian(sample_jets(evaluator, samples))
     sigs = res.extra["signatures"]
     if not res.passed or len(sigs) != 1:
         raise Degenerate(res.sample, res.residual)
@@ -235,41 +229,22 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
                         "steps_affine": tr_a.steps, "steps_finsler": tr_f.steps})
 
 
-def berwald_check(evaluator, samples: Sequence[TangentPoint], tol: float = 1e-5,
-                  h: float = 0.05, name: str = "berwald-quadratic-spray") -> CheckResult:
-    """Third vertical derivative of the spray of L (finite differences of the
-    jet-exact spray) must vanish: quadratic G^a characterizes Berwald.  Stencils
-    whose round-off bound 3 eps max cond(g) / h^3 reaches ``tol`` are skipped."""
-    worst = 0.0
-    where = None
-    used = unresolved = 0
-    for p in samples:
-        base = p.state()
-        for b in range(4):
-            try:
-                vals, cond = [], 0.0
-                for m in (-2, -1, 1, 2):
-                    q = TangentPoint(*(base + m * h * np.eye(8)[4 + b]))
-                    if not evaluator.admissible(q):
-                        raise DomainError("shifted sample outside the conic domain")
-                    jet = evaluator.jet(q)
-                    vals.append(jet_spray(jet, q.velocity))
-                    cond = max(cond, float(np.linalg.cond(jet.metric_tensor())))
-                third = (vals[3] - 2.0 * vals[2] + 2.0 * vals[1] - vals[0]) / (2.0 * h ** 3)
-            except (DomainError, np.linalg.LinAlgError):
-                continue
-            if not 3.0 * np.finfo(float).eps * cond / h ** 3 < tol:
-                unresolved += 1
-                continue
-            used += 1
-            scale = 1.0 + max(float(np.max(np.abs(v))) for v in vals)
-            res = float(np.max(np.abs(third))) / scale
-            if res > worst:
-                worst, where = res, _sample_key(p)
-    if used == 0:
-        raise VerificationError("no admissible stencils for the Berwald check")
+def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5,
+                  name: str = "berwald-spray") -> CheckResult:
+    """L's spray is the connection's G^a = (1/2) Gamma^a_bc xdot^b xdot^c: the
+    Euler-Lagrange identity 4 g_ab G^b = xdot^c d_c ddot_a L - d_a L (no solve with
+    g), relative to max |rhs| + max |4 g| max |G|, which L -> cL, y -> s y keep."""
+    worst, where = 0.0, None
+    for p, jet in jets:
+        rhs = p.velocity @ jet.mixed_block() - jet.horizontal_gradient()
+        g4 = 4.0 * jet.metric_tensor()
+        G = np.array(spray_coefficients(conn, p))
+        res = _ratio(float(np.max(np.abs(g4 @ G - rhs))),
+                     float(np.max(np.abs(rhs)) + np.max(np.abs(g4)) * np.max(np.abs(G))))
+        if res > worst:
+            worst, where = res, _sample_key(p)
     return CheckResult(name, worst, tol, worst < tol, where,
-                       {"stencils_used": used, "stencils_unresolved": unresolved})
+                       {"samples_used": len(jets.points)})
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from berwald.metrizer import (NotRiemannMetrizable, build_class3, build_class4,
                               build_class5, build_exponential, build_power_law,
                               class3_delta, class5_det_formula)
 from berwald.verifier import (check_horizontal_constancy, levi_civita_roundtrip,
-                              riemann_falsification, signature_observation)
+                              riemann_falsification, sample_jets, signature_observation)
 
 from conftest import (class5_curved_block, default_grid, ex1_paper_L, ex2_paper_L,
                       exp_paper_L, exponential_example, flat_cartesian,
@@ -77,7 +77,7 @@ def test_criterion_1_power_law_pipeline(ex1):
     assert np.all(ratios > 0)
     assert float(np.var(ratios)) < 1e-8
     # horizontal constancy and Lorentzian signature
-    res = check_horizontal_constancy(form, conn, pts, tol=1e-7)
+    res = check_horizontal_constancy(sample_jets(form, pts), conn, tol=1e-7)
     assert res.passed
     assert sorted(signature_observation(form, pts)) == [1, 3]
     _ok(1, "power-law pipeline (curvature, Ricci -8, class 1/rank 3/no, "
@@ -131,7 +131,7 @@ def test_criterion_3_exponential(exp3):
     rng = np.random.default_rng(SEED + 2)
     pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 40,
                                 predicate=form.admissible)
-    res = check_horizontal_constancy(form, conn, pts, tol=1e-6)
+    res = check_horizontal_constancy(sample_jets(form, pts), conn, tol=1e-6)
     assert res.passed
     _ok(3, "exponential pipeline (class 2, mu %.1e, phi %.1e, deltaL %.1e)"
         % (worst_mu, worst_phi, res.residual))
@@ -206,7 +206,7 @@ def test_criterion_6_class5_suite():
     A = build_class5(conn, GRID, C1=1.0, C2=1.0)
     rng = np.random.default_rng(SEED + 4)
     pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 30)
-    res = check_horizontal_constancy(A, conn, pts, tol=1e-6,
+    res = check_horizontal_constancy(sample_jets(A, pts), conn, tol=1e-6,
                                      name="horizontal-constancy-A")
     assert res.passed
     worst_det = 0.0

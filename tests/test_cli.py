@@ -281,9 +281,32 @@ class TestGeodesicCommand:
         assert rc == EXIT_FAIL
         assert "chart exit" in capsys.readouterr().out
 
-    def test_bad_state(self, cfg_file):
-        assert main(["geodesic", cfg_file(FLAT_CFG), "--state", "1,2,3",
-                     "--T", "1.0"]) == EXIT_USAGE
+    def test_bad_state(self, cfg_file, tmp_path, capsys):
+        cfg, out = cfg_file(FLAT_CFG), tmp_path / "t.txt"
+        for state, T, n_out, message in (
+                ("1,2,3", "1.0", "100", "--state needs 8 comma-separated numbers"),
+                ("1,1,0,0,1,0,0,0", "1.0", "100", "--state: sin(theta) = 0"),
+                ("1,1,1,0,0,0,0,0", "1.0", "100", "--state: zero velocity"),
+                ("1,1,1,0,nan,0,0,0", "1.0", "100", "--state components must be finite"),
+                ("1,2,1.5,0,1,1,0,0", "0", "100", "--T must be finite and nonzero"),
+                ("1,2,1.5,0,1,1,0,0", "inf", "100", "--T must be finite and nonzero"),
+                ("1,2,1.5,0,1,1,0,0", "nan", "100", "--T must be finite and nonzero"),
+                ("1,2,1.5,0,1,1,0,0", "1.0", "1", "--n-out must be at least 2")):
+            assert main(["geodesic", cfg, "--state", state, "--T", T, "--n-out", n_out,
+                         "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: " + message) and "Traceback" not in err
+            assert not out.exists()
+
+    def test_both_without_a_finsler_form_writes_its_report(self, cfg_file, tmp_path):
+        rc = main(["geodesic", cfg_file(FLAT_CFG), "--state",
+                   "1,2,1.5707963267948966,0,1,1,0,0", "--T", "1.0", "--n-out", "11",
+                   "--out", str(tmp_path / "t.txt"), "--both", "--quiet",
+                   "--json", str(tmp_path / "g.json")])
+        assert rc == EXIT_FAIL
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert doc["exit_status"] == EXIT_FAIL
+        assert "finsler_trajectory_file" not in doc
 
     def test_both_integrators(self, cfg_file, tmp_path):
         out = tmp_path / "traj.txt"
@@ -295,6 +318,32 @@ class TestGeodesicCommand:
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["discrepancy"] < 1e-6
         assert (tmp_path / "traj.txt.finsler").exists()
+
+
+class TestVerifyCommand:
+    def test_one_jet_per_sample_and_form(self, cfg_file, tmp_path, monkeypatch):
+        """The four form checks read one jet per sample: no form is evaluated
+        more often than it has samples."""
+        from berwald.metrizer import ExpressionForm
+        calls = {}
+        jet = ExpressionForm.jet
+
+        def counted(self, p, vals=None):
+            calls[type(self).__name__] = calls.get(type(self).__name__, 0) + 1
+            return jet(self, p, vals)
+        monkeypatch.setattr(ExpressionForm, "jet", counted)
+        text = EX1_CFG.replace("0.5:2.5:8", "0.5:2.5:15").replace("count = 40", "count = 50")
+        rc = main(["verify", cfg_file(text), "--json", str(tmp_path / "v.json"), "--quiet"])
+        assert rc == EXIT_OK
+        doc = json.loads((tmp_path / "v.json").read_text())
+        assert list(doc["forms"]) == ["finsler"]
+        assert [c["name"] for c in doc["checks"]["checks"]] == [
+            "horizontal-constancy", "euler-homogeneity", "hessian-nondegeneracy",
+            "berwald-spray"]
+        assert list(calls.values()) == [50]
+        calls.clear()
+        assert main(["verify", cfg_file(FLAT_CFG), "--quiet"]) == EXIT_OK
+        assert list(calls.values()) == [25]
 
 
 class TestReportCommand:

@@ -13,11 +13,12 @@ from berwald.scalar_field import ScalarField
 from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
                               check_hessian, check_homogeneity,
                               check_horizontal_constancy, geodesic_agreement,
-                              levi_civita_roundtrip, riemann_falsification,
+                              levi_civita_roundtrip, riemann_falsification, sample_jets,
                               signature_observation, VerificationError)
 
-from conftest import (class5_curved_block, default_grid, exponential_example,
-                      flat_cartesian, power_law_nonsymmetric, power_law_symmetric)
+from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
+                      exponential_example, flat_cartesian, power_law_nonsymmetric,
+                      power_law_symmetric)
 
 
 @pytest.fixture(scope="module")
@@ -69,25 +70,47 @@ class Scaled(ExpressionForm):
         return self.c * self.form.lagrangian()
 
 
+def stretched(p, lam):
+    """p with its velocity multiplied by lam."""
+    return TangentPoint(p.t, p.r, p.theta, p.phi, *(lam * p.velocity))
+
+
+class TestSampleJets:
+    def test_one_jet_per_admissible_sample(self, forms, rng):
+        _, form = forms["ex1"]
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20)
+        jets = sample_jets(form, pts)
+        assert jets.points == [p for p in pts if form.admissible(p)]
+        assert jets.skipped == len(pts) - len(jets.points) > 0
+        for p, jet in jets:
+            assert jet.value == form.jet(p).value
+
+    def test_no_admissible_sample_is_an_error(self, forms):
+        _, form = forms["ex1"]
+        backwards = TangentPoint(1.2, 1.4, 1.0, 0.0, -1.0, 0.5, 0.2, 0.1)   # tdot < 0
+        assert not form.admissible(backwards)
+        with pytest.raises(VerificationError, match="no admissible samples"):
+            sample_jets(form, [backwards])
+
 
 class TestHorizontalConstancy:
     def test_power_law_form(self, forms, rng):
         conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 50,
                                     predicate=form.admissible)
-        res = check_horizontal_constancy(form, conn, pts)
+        res = check_horizontal_constancy(sample_jets(form, pts), conn)
         assert res.passed and res.residual < 1e-7
 
     def test_flat_metric(self, forms, rng):
         conn, A = forms["flat"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20)
-        res = check_horizontal_constancy(A, conn, pts, tol=1e-10)
+        res = check_horizontal_constancy(sample_jets(A, pts), conn, tol=1e-10)
         assert res.passed
 
     def test_negative_control(self, rng):
         conn = ConnectionProfile({1: "1"})
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 10)
-        res = check_horizontal_constancy(SimpleQuadratic(), conn, pts)
+        res = check_horizontal_constancy(sample_jets(SimpleQuadratic(), pts), conn)
         assert not res.passed
         assert res.residual > 1e-2
 
@@ -95,12 +118,13 @@ class TestHorizontalConstancy:
         conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
                                     predicate=form.admissible)
-        r1 = check_horizontal_constancy(form, conn, pts)
-        r2 = check_horizontal_constancy(form.scaled(37.0), conn, pts)
+        r1 = check_horizontal_constancy(sample_jets(form, pts), conn)
+        r2 = check_horizontal_constancy(sample_jets(form.scaled(37.0), pts), conn)
         assert r1.passed == r2.passed
 
     def test_residuals_do_not_depend_on_the_scale_of_L(self, forms, rng):
-        # a residual divided by 1 + |L| would pass any form made small enough
+        # a residual divided by 1 + |L| would pass any form made small enough;
+        # L -> cL and y -> lambda y move none of the three checks
         from generators import make_class3
         fixtures = list(forms.values()) + [
             (exponential_example(), build_exponential(exponential_example(), default_grid()))]
@@ -109,13 +133,18 @@ class TestHorizontalConstancy:
         for conn, form in fixtures:
             pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 15,
                                         predicate=form.admissible)
-            for check in (lambda f: check_horizontal_constancy(f, conn, pts),
-                          lambda f: check_homogeneity(f, pts)):
-                assert [check(Scaled(form, c)).passed for c in (1e-6, 1.0, 1e6)] == [True] * 3
+            checks = (lambda jets: check_horizontal_constancy(jets, conn),
+                      check_homogeneity, lambda jets: berwald_check(jets, conn))
+            for check in checks:
+                assert [check(sample_jets(Scaled(form, c), pts)).passed
+                        for c in (1e-6, 1.0, 1e6)] == [True] * 3
+                assert [check(sample_jets(form, [stretched(p, lam) for p in pts])).passed
+                        for lam in (1e-3, 1e3)] == [True] * 2
         conn = ConnectionProfile({1: "1"})
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 10)
         for c in (1e-12, 1e-6, 1.0, 1e6):
-            res = check_horizontal_constancy(Scaled(SimpleQuadratic(), c), conn, pts)
+            res = check_horizontal_constancy(sample_jets(Scaled(SimpleQuadratic(), c), pts),
+                                             conn)
             assert not res.passed and res.residual > 1e-2
 
 
@@ -150,7 +179,7 @@ class TestHessian:
 
     def test_degenerate_detected(self, rng):
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 5)
-        res = check_hessian(SimpleQuadratic(), pts)
+        res = check_hessian(sample_jets(SimpleQuadratic(), pts))
         assert not res.passed
         with pytest.raises(Degenerate):
             signature_observation(SimpleQuadratic(), pts)
@@ -162,7 +191,7 @@ class TestHessianScale:
         form = dataclasses.replace(forms["ex1"][1], lam=0.0)
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
                                     predicate=form.admissible)
-        res = check_hessian(form, pts)
+        res = check_hessian(sample_jets(form, pts))
         assert not res.passed and res.residual == 0.0
 
     def test_verdict_and_residual_do_not_depend_on_the_scale_of_L(self, forms, rng):
@@ -171,7 +200,8 @@ class TestHessianScale:
         for form in fixtures:
             pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
                                         predicate=form.admissible)
-            results = [check_hessian(Scaled(form, c), pts) for c in (1e-6, 1.0, 1e6)]
+            results = [check_hessian(sample_jets(Scaled(form, c), pts))
+                       for c in (1e-6, 1.0, 1e6)]
             assert len({res.passed for res in results}) == 1
             for res in results:
                 assert res.residual == pytest.approx(results[1].residual, rel=1e-9)
@@ -183,7 +213,7 @@ class TestHessianScale:
         assert form.jet(p).value == 0.0 and not form.admissible(p)
         pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 50,
                                     predicate=form.admissible)
-        assert check_hessian(form, pts).passed
+        assert check_hessian(sample_jets(form, pts)).passed
 
 
 class TestLeviCivitaRoundtrip:
@@ -237,38 +267,48 @@ class TestGeodesicAgreement:
 
 class TestBerwald:
     def test_power_law_is_berwald(self, forms, rng):
-        _, form = forms["ex1"]
+        conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 6,
                                     predicate=form.admissible)
-        res = berwald_check(form, pts)
+        res = berwald_check(sample_jets(form, pts), conn)
         assert res.passed
+        assert res.extra == {"samples_used": 6}
 
     def test_quadratic_form_is_berwald(self, forms, rng):
-        _, A = forms["c5"]
+        conn, A = forms["c5"]
         pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 6)
-        assert berwald_check(A, pts).passed
+        assert berwald_check(sample_jets(A, pts), conn).passed
 
     def test_randers_like_is_not(self, rng):
         pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 8,
                                     predicate=RandersLike().admissible)
-        res = berwald_check(RandersLike(), pts)
+        res = berwald_check(sample_jets(RandersLike(), pts), ConnectionProfile({}))
         assert not res.passed
         assert res.residual > 1e-2
 
-    def test_stencils_below_round_off_are_skipped(self):
+    def test_a_form_is_refused_against_another_connection(self, forms, rng):
+        # each form is Berwald for its own connection only: Example 1's
+        # (alpha = 3) against alpha = 2.5, and the class-5 metric against
+        # the connection with k6 = 0.1 r added
+        for (_, form), other in ((forms["ex1"], power_law_nonsymmetric(2.5)),
+                                 (forms["c5"], class5_broken_ricci(0.1))):
+            pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 20,
+                                        predicate=form.admissible)
+            res = berwald_check(sample_jets(form, pts), other)
+            assert not res.passed
+            assert res.residual > 1e-3
+
+    def test_exponential_form_near_the_edge_of_its_domain(self):
         form = build_exponential(exponential_example(), default_grid())
-        # mu v / u^2 falls to about -240 around p: cond(g) ~ 3e8 there, and
-        # the third differences of the sprays at h = 0.05 are round-off
-        # (~5e-5) alone; the other two stencils of p leave the domain
+        conn = exponential_example()
+        # mu v / u^2 falls to about -240 around p and cond(g) is about 3e8
+        # there: the identity needs no solve with g, so p passes on its own
         p = TangentPoint(1.3457195427322641, 1.584350534446866, 0.22440300155037754,
                          0.2562261640364504, 1.1353738708972745, 1.2309547017512195,
                          1.5820194811293216, 0.6394755077903636)
-        q = TangentPoint(1.2, 1.4, 1.0, 0.0, 1.0, 0.5, 0.2, 0.1)
-        res = berwald_check(form, [p, q])
+        res = berwald_check(sample_jets(form, [p]), conn)
         assert res.passed and res.residual < 1e-9
-        assert res.extra == {"stencils_used": 4, "stencils_unresolved": 2}
-        with pytest.raises(VerificationError):
-            berwald_check(form, [p])
+        assert res.extra == {"samples_used": 1}
 
 
 class TestRiemannFalsification:
