@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field as dc_field
@@ -42,6 +43,10 @@ EXIT_USAGE = 64
 # tolerances of the verifier checks and of geodesic --both
 TOLERANCE_NAMES = ("zero", "nonzero", "rank_svd", "ricci", "horiz", "lc_roundtrip",
                    "hessian_det", "berwald", "geodesic")
+
+
+class OutputError(RuntimeError):
+    """An output file that cannot be written."""
 
 
 class ConfigError(ValueError):
@@ -182,6 +187,8 @@ def load_config(path: str) -> JobConfig:
                         raise ValueError("sample count must be at least 1")
                 elif key == "seed":
                     cfg.seed = int(value)
+                    if cfg.seed < 0:
+                        raise ValueError("sample seed must be a non-negative integer")
                 elif key == "require":
                     parse(value)
                     cfg.requires.append(value)
@@ -242,25 +249,19 @@ def _print_checks(report: ResidualReport, quiet: bool):
 def _grid_table(form, grid) -> dict:
     """Serialize metric coefficients / scale values over the grid."""
     out = {"points": [[t, r] for (t, r) in grid]}
+    pots = form.scale_pot
+    table = pots.values_at(grid) if pots is not None else None
     if hasattr(form, "coefficient_jets"):
         vals = {"att": [], "atr": [], "arr": [], "aw": []}
-        for (t, r) in grid:
-            att, atr, arr, aw = form.coefficient_jets(t, r)
-            vals["att"].append(att.value)
-            vals["atr"].append(atr.value)
-            vals["arr"].append(arr.value)
-            vals["aw"].append(aw.value)
+        for i, (t, r) in enumerate(grid):
+            at = dict(zip(pots.names, table[i])) if pots is not None else None
+            for key, jet in zip(vals, form.coefficient_jets(t, r, at)):
+                vals[key].append(jet.value)
         out["coefficients"] = vals
-    elif form.scale_pot.names == ["psi"]:
-        out["scale"] = [math.exp(form.scale_pot.values(t, r)["psi"] + form.log_scale)
-                        for (t, r) in grid]
+    elif pots.names == ["psi"]:
+        out["scale"] = [math.exp(psi + form.log_scale) for psi in table[:, 0].tolist()]
     else:
-        vals = {n: [] for n in form.scale_pot.names}
-        for (t, r) in grid:
-            v = form.scale_pot.values(t, r)
-            for n in form.scale_pot.names:
-                vals[n].append(v[n])
-        out["potentials"] = vals
+        out["potentials"] = dict(zip(pots.names, table.T.tolist()))
     return out
 
 
@@ -276,12 +277,32 @@ def _json_default(o):
     raise TypeError("not JSON serializable: %r" % type(o))
 
 
-def _emit_json(path: Optional[str], doc: dict):
-    if not path:
+def _check_writable(path: str) -> None:
+    """Raise OutputError, before any work, where ``path`` cannot be written."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        reason = "no such directory %s" % folder
+    elif os.path.isdir(path):
+        reason = "is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        reason = "permission denied"
+    else:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    raise OutputError("cannot write %s: %s" % (path, reason))
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError("cannot write %s: %s" % (path, exc.strerror or exc)) from None
+
+
+def _emit_json(path: Optional[str], doc: dict):
+    if path:
+        _write_text(path, json.dumps(doc, indent=2, sort_keys=True, default=_json_default)
+                    + "\n")
 
 
 def _tol_from_overrides(overrides: dict) -> Tolerances:
@@ -428,28 +449,47 @@ def _usage_error(message: str) -> int:
     return EXIT_USAGE
 
 
-def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
-    conn = cfg.connection_profile()
+class _BadArgument(ValueError):
+    """A bad command-line argument: a usage error (exit 64)."""
+
+
+def _grid_size(text: str) -> tuple:
+    try:
+        n, m = (int(x) for x in text.lower().split("x"))
+    except ValueError:
+        raise _BadArgument("--grid needs NxM") from None
+    if n < 2 or m < 2:
+        raise _BadArgument("--grid needs at least 2 points per side")
+    return n, m
+
+
+def _initial_point(args) -> TangentPoint:
+    """The geodesic's initial tangent point from --state; --T and --n-out checked."""
     try:
         state = [float(x) for x in args.state.split(",")]
         if len(state) != 8:
             raise ValueError
     except ValueError:
-        return _usage_error("--state needs 8 comma-separated numbers "
-                            "(t,r,theta,phi,tdot,rdot,thetadot,phidot)")
+        raise _BadArgument("--state needs 8 comma-separated numbers "
+                           "(t,r,theta,phi,tdot,rdot,thetadot,phidot)") from None
     if not all(map(math.isfinite, state)):
-        return _usage_error("--state components must be finite")
+        raise _BadArgument("--state components must be finite")
     try:
         p0 = TangentPoint(*state)
     except ValueError as exc:
-        return _usage_error("--state: %s" % exc)
+        raise _BadArgument("--state: %s" % exc) from None
     if args.T == 0.0 or not math.isfinite(args.T):
-        return _usage_error("--T must be finite and nonzero")
+        raise _BadArgument("--T must be finite and nonzero")
     if args.n_out < 2:
-        return _usage_error("--n-out must be at least 2")
+        raise _BadArgument("--n-out must be at least 2")
+    return p0
+
+
+def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int:
+    conn = cfg.connection_profile()
     doc = {"schema": SCHEMA, "command": "geodesic", "seed": cfg.seed,
            "config": cfg.to_dict(), "T": args.T, "n_out": args.n_out,
-           "initial_state": state}
+           "initial_state": p0.state().tolist()}
     try:
         traj = integrate_spray(conn, p0, args.T, args.n_out)
     except ChartExit as exc:
@@ -461,9 +501,8 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
             print("chart exit at s = %g (%s); last good state %s"
                   % (exc.s, exc.reason, ["%.6g" % x for x in last]))
         return EXIT_FAIL
-    out_path = args.out or "trajectory.txt"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(traj.to_text())
+    out_path = args.out
+    _write_text(out_path, traj.to_text())
     doc["trajectory_file"] = out_path
     doc["stats"] = {"steps": traj.steps, "rejected_steps": traj.rejected_steps,
                     "max_error_estimate": traj.max_error_estimate}
@@ -471,7 +510,7 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
         print("wrote %s (%d states, %d steps, %d rejected)"
               % (out_path, len(traj.s), traj.steps, traj.rejected_steps))
     if args.both:
-        rep = classify(conn, cfg.grid(), seed=cfg.seed)
+        rep = classify(conn, cfg.grid(), seed=cfg.seed, tols=_tol_from_overrides(overrides))
         forms = _build_forms(cfg, conn, rep)
         fins = forms.get("finsler")
         if fins is None:
@@ -481,8 +520,7 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict) -> int:
             return EXIT_FAIL
         traj_f = integrate_finsler(fins, p0, args.T, args.n_out)
         out2 = out_path + ".finsler"
-        with open(out2, "w", encoding="utf-8") as fh:
-            fh.write(traj_f.to_text())
+        _write_text(out2, traj_f.to_text())
         scale = 1.0 + float(np.max(np.abs(traj.states)))
         disc = float(np.max(np.abs(traj.states - traj_f.states))) / scale
         doc["finsler_trajectory_file"] = out2
@@ -532,7 +570,7 @@ def main(argv=None) -> int:
                     help="initial t,r,theta,phi,tdot,rdot,thetadot,phidot")
     gp.add_argument("--T", type=float, required=True, help="parameter span")
     gp.add_argument("--n-out", type=int, default=100)
-    gp.add_argument("--out", help="trajectory file path")
+    gp.add_argument("--out", default="trajectory.txt", help="trajectory file path")
     gp.add_argument("--both", action="store_true",
                     help="also integrate the built Finsler form and compare")
 
@@ -551,22 +589,32 @@ def main(argv=None) -> int:
             overrides[name] = float(value)
         except ValueError:
             return _usage_error("bad tolerance value %r" % value)
+        if not (math.isfinite(overrides[name]) and overrides[name] > 0.0):
+            return _usage_error("tolerance %s must be finite and > 0, not %s"
+                                % (name, value.strip()))
+    if args.seed is not None and args.seed < 0:
+        return _usage_error("--seed must be a non-negative integer, not %d" % args.seed)
 
     try:
+        size = _grid_size(args.grid) if args.grid else None
+        p0 = _initial_point(args) if args.command == "geodesic" else None
+    except _BadArgument as exc:
+        return _usage_error(str(exc))
+
+    try:
+        # every argument is checked: now the outputs, before any work
+        for path in (args.json, getattr(args, "out", None)):
+            if path:
+                _check_writable(path)
         cfg = load_config(args.config)
-        if args.grid:
-            try:
-                n, m = (int(x) for x in args.grid.lower().split("x"))
-            except ValueError:
-                return _usage_error("--grid needs NxM")
-            if n < 2 or m < 2:
-                return _usage_error("--grid needs at least 2 points per side")
-            cfg.t_n, cfg.r_n = n, m
+        if size is not None:
+            cfg.t_n, cfg.r_n = size
         if args.seed is not None:
             cfg.seed = args.seed
+        if p0 is not None:
+            return cmd_geodesic(cfg, args, overrides, p0)
         handler = {"classify": cmd_classify, "metrize": cmd_metrize,
-                   "verify": cmd_verify, "geodesic": cmd_geodesic,
-                   "report": cmd_verify}[args.command]
+                   "verify": cmd_verify, "report": cmd_verify}[args.command]
         return handler(cfg, args, overrides)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
@@ -575,7 +623,7 @@ def main(argv=None) -> int:
         print("expression error: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
     except (GeometryError, ClassifierError, MetrizerError, VerificationError,
-            StepFailure) as exc:
+            StepFailure, OutputError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_FAIL
 

@@ -110,6 +110,35 @@ def _chebyshev_panel(n: int) -> tuple:
 
 
 _PANEL_X, _PANEL_C, _PANEL_S = _chebyshev_panel(_PANEL_N)
+# the cumulative integration rows, then the tail rows of the coefficient map
+_PANEL_SC = np.vstack([_PANEL_S, _PANEL_C[-_PANEL_TAIL:]])
+
+
+def _panel_rows(F: np.ndarray) -> np.ndarray:
+    """`_PANEL_SC` applied to each panel of F, shape (k, _PANEL_N, n): an
+    array (k, _PANEL_N + _PANEL_TAIL, n), summed over the nodes in order.
+    A matrix product rounds a panel's sums differently with other panels
+    beside it; these sums do not."""
+    rows = _PANEL_SC[:, :1] * F[:, None, 0]
+    for j in range(1, _PANEL_N):
+        rows += _PANEL_SC[:, j:j + 1] * F[:, None, j]
+    return rows
+
+
+def _panel_nodes(fixed, a, b) -> tuple:
+    """h = (b - a)/2, the Chebyshev-Lobatto nodes s of each [a, b], one row
+    per panel, and ``fixed`` at each node."""
+    h = 0.5 * (b - a)
+    s = a[:, None] + h[:, None] * (_PANEL_X + 1.0)
+    return h, s, np.broadcast_to(fixed[:, None], s.shape)
+
+
+def _acceptance(Y, tail) -> tuple:
+    """The bound _TRANSPORT_TOL (1 + |Y|) of each panel and component, Y the
+    transported values on the panel's nodes (..., _PANEL_N, n), and whether
+    the panel's Chebyshev tail (..., n) is within it."""
+    bound = _TRANSPORT_TOL * (1.0 + np.max(np.abs(Y), axis=-2))
+    return bound, np.all(tail <= bound, axis=-1)
 
 
 class PotentialSystem:
@@ -121,21 +150,22 @@ class PotentialSystem:
     into one program, which transport runs on arrays and `rates` on floats.
     The closedness check runs a second one: P_i and Q_i with their total
     partials (`total_partials`), in which the components move by their own
-    one-forms, so every derivative is exact.  Values are transported from the
-    base point along the L-shaped path (t0, r0) -> (t, r0) -> (t, r).
+    one-forms, so every derivative is exact.
 
-    Transport runs on Chebyshev panels, one between consecutive target nodes
-    of a leg (`_panel`): Picard iteration with cumulative Clenshaw-Curtis
-    integration, one array run of the program per pass.  A panel is bisected
-    until it converges; one whose array run fails, or that has not converged
-    after `_BISECTIONS` bisections, is an adaptive scalar ODE leg instead
-    (`_ode_leg`), which raises the scalar program's own errors.
+    Transport runs on Chebyshev panels (`_panel`): Picard iteration with
+    cumulative Clenshaw-Curtis integration, k one-panel legs at once in one
+    array run of the program per pass.  Each leg is accepted on its own; a
+    leg that is not is bisected until it is, and one whose array run fails,
+    or that is not accepted after `_BISECTIONS` bisections, is an adaptive
+    scalar ODE leg instead (`_ode_leg`), which raises the scalar program's
+    own errors.
 
-    The path-independence certificate compares that t-first transport with
-    the r-first one (t0, r0) -> (t0, r) -> (t, r), both swept afresh from the
-    base point.  The t-first sweep's values at the probes become anchors: any
-    other point is reached from the nearest anchor, which is sound only where
-    the certificate has passed, and its value is a function of (t, r) alone.
+    The path-independence certificate tables two sweeps from the base point
+    at every node of a grid (`table`): t-first, (t0, r0) -> (t, r0) -> (t, r),
+    and r-first, (t0, r0) -> (t0, r) -> (t, r).  The t-first table is what
+    values are read from: any other point is reached by two legs from the
+    nearest node (`values_at`), which is sound only where the certificate has
+    passed, and its value is a function of (t, r) alone.
     """
 
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
@@ -151,8 +181,11 @@ class PotentialSystem:
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
                                     else [0.0] * n, dtype=float)
-        self._anchors = [self.base]
-        # the anchors' values, and the values transported from them
+        # the table's node coordinates and t-first values: the base point
+        # until `path_independence_residual` tables a grid
+        self._table = (np.array(self.base[:1]), np.array(self.base[1:]),
+                       self.base_values[None, None])
+        # the table's values by node, and those `values` has transported from it
         self._value_cache = {self.base: self.base_values.copy()}
         self._jets = lru_cache(maxsize=1)(self._one_form_jets)
 
@@ -189,75 +222,164 @@ class PotentialSystem:
         return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
 
     def values(self, t: float, r: float) -> dict:
+        """The components at (t, r): a one-point `values_at`, kept in the cache."""
         key = (t, r)
-        hit = self._value_cache.get(key)
-        if hit is not None:
-            return dict(zip(self.names, hit))
-        # continue from the nearest anchor: any axis path from there gives the
-        # same value only because the certificate (path_independence_residual)
-        # has compared two independent routes
-        t_from, r_from = min(self._anchors, key=lambda a: (a[0] - t) ** 2 + (a[1] - r) ** 2)
-        vec = self._value_cache[(t_from, r_from)]
-        vec = self._leg(True, r_from, vec, t_from, [t])[t]
-        vec = self._leg(False, t, vec, r_from, [r])[r]
-        self._value_cache[key] = vec
+        vec = self._value_cache.get(key)
+        if vec is None:
+            vec = self._value_cache[key] = self.values_at([key])[0]
         return dict(zip(self.names, vec))
 
-    def _leg(self, along_t: bool, fixed: float, y0, s0: float, targets) -> dict:
-        """States at every parameter in ``targets`` on the axis line through
-        ``fixed`` (r for a t-leg, t for an r-leg) from (s0, y0): one
-        `_transport` per gap between consecutive nodes on each side of s0."""
-        out = {s0: y0}
-        above = sorted({s for s in targets if s > s0})
-        below = sorted({s for s in targets if s < s0}, reverse=True)
-        for nodes in (above, below):
-            a, y = s0, y0
-            for b in nodes:
-                y = out[b] = self._transport(along_t, fixed, a, b, y)
-                a = b
+    def values_at(self, points: Sequence[tuple]) -> np.ndarray:
+        """The components at each (t, r) of ``points``, one row per point: a
+        cached value as it is, any other by two legs from the nearest table
+        node, along t and then along r, all points' legs along one axis in
+        one `_transport` call.  A row depends on its point and the table
+        alone, never on the other points or on earlier queries; that the
+        route from the node does not matter is what the certificate
+        (`path_independence_residual`) has compared at every node."""
+        pts = [(float(t), float(r)) for (t, r) in points]
+        out = np.empty((len(pts), len(self.names)))
+        miss = []
+        for i, key in enumerate(pts):
+            hit = self._value_cache.get(key)
+            if hit is None:
+                miss.append(i)
+            else:
+                out[i] = hit
+        if miss:
+            t, r = np.array([pts[i] for i in miss]).T
+            ts, rs, table = self._table
+            i = np.argmin(np.abs(t[:, None] - ts), axis=1)
+            j = np.argmin(np.abs(r[:, None] - rs), axis=1)
+            y = self._legs(True, rs[j], ts[i], t, table[i, j])
+            out[miss] = self._legs(False, t, rs[j], r, y)
         return out
 
-    def _transport(self, along_t: bool, fixed: float, a: float, b: float, ya,
-                   depth: int = 0) -> np.ndarray:
-        """The state at b from ``ya`` at a: one panel, else its two halves,
-        else (after `_BISECTIONS` halvings, or where the array run fails) an
-        ODE leg."""
-        try:
-            yb = self._panel(along_t, fixed, a, b, ya)
-        except (DomainError, FloatingPointError, OverflowError):
-            return self._ode_leg(along_t, fixed, a, b, ya)
-        if yb is not None:
-            return yb
-        if depth == _BISECTIONS:
-            return self._ode_leg(along_t, fixed, a, b, ya)
-        m = 0.5 * (a + b)
-        ym = self._transport(along_t, fixed, a, m, ya, depth + 1)
-        return self._transport(along_t, fixed, m, b, ym, depth + 1)
+    def _legs(self, along_t: bool, fixed, a, b, y) -> np.ndarray:
+        """The states at b from the states ``y`` at a, one one-panel leg per
+        row; a leg of length zero keeps its state."""
+        y = y.copy()
+        moving = a != b
+        if moving.any():
+            y[moving] = self._transport(along_t, fixed[moving], a[moving], b[moving],
+                                        y[moving])
+        return y
 
-    def _panel(self, along_t: bool, fixed: float, a: float, b: float, ya):
-        """The state at b by Picard iteration Y <- ya + h S F(s, Y) on the
-        Chebyshev-Lobatto nodes s of [a, b], h = (b - a)/2, F the P rows (a
-        t-leg) or the Q rows (an r-leg) from one array run per pass; None
-        where the panel does not converge.  Converged: the change of Y (a
-        form that reads no component takes one pass) and h times the
-        Chebyshev tail of F are both within _TRANSPORT_TOL (1 + |Y|)."""
+    def _lines(self, along_t: bool, fixed, s0: float, y0, nodes) -> np.ndarray:
+        """The states at ``nodes`` (ascending) on the axis lines through
+        ``fixed`` (r for t-lines, t for r-lines) from their states ``y0``, one
+        row per line, at s0: an array (lines, nodes, n).  On each side of s0
+        a line has one panel per gap between consecutive nodes, and the same
+        gap of every line is one `_transport` call; where the one-form does
+        not read its components, every gap of every line is one array run,
+        and the states are its cumulative sums (`_summed`)."""
+        nodes = np.asarray(nodes, dtype=float)
+        out = np.empty((len(fixed), len(nodes), len(self.names)))
+        out[:, nodes == s0] = y0[:, None]
+        for side in (np.flatnonzero(nodes > s0), np.flatnonzero(nodes < s0)[::-1]):
+            if not len(side):
+                continue
+            ends = nodes[side]
+            starts = np.concatenate([[s0], ends[:-1]])
+            summed = (None if self._reads[0 if along_t else 1]
+                      else self._summed(along_t, fixed, starts, ends, y0))
+            if summed is not None:
+                out[:, side] = summed
+                continue
+            y = y0
+            for j, a, b in zip(side, starts, ends):
+                y = out[:, j] = self._transport(along_t, fixed, np.full(len(fixed), a),
+                                                np.full(len(fixed), b), y)
+        return out
+
+    def _summed(self, along_t: bool, fixed, starts, ends, y0):
+        """`_lines` on one side of s0 for a half that reads no component: the
+        increments h S F of every gap of every line from one array run, the
+        states their cumulative sums from ``y0``.  Each panel is accepted as
+        `_panel` accepts it, on its transported values y_a + h S F.  None
+        where the run fails or a panel is not accepted: the caller then goes
+        gap by gap."""
+        lines, gaps, n = len(fixed), len(starts), len(self.names)
+        h, s, fixed = _panel_nodes(np.repeat(fixed, gaps), np.tile(starts, lines),
+                                   np.tile(ends, lines))
+        # the run computes both halves, and the other one may read the components
+        Y = np.broadcast_to(np.repeat(y0, gaps, axis=0)[:, None], (lines * gaps, _PANEL_N, n))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                inc, tail = self._quadrature(along_t, fixed, s, h, Y)
+                inc = inc.reshape(lines, gaps, _PANEL_N, n)
+                y = np.cumsum(np.concatenate([y0[:, None], inc[:, :, -1]], axis=1), axis=1)
+                Y = y[:, :-1, None] + inc
+        except (DomainError, FloatingPointError, OverflowError):
+            return None
+        return y[:, 1:] if _acceptance(Y, tail.reshape(lines, gaps, n))[1].all() else None
+
+    def _transport(self, along_t: bool, fixed, a, b, ya, depth: int = 0) -> np.ndarray:
+        """The states at b from the states ``ya`` at a, one leg per row on
+        the axis line through ``fixed`` (r for a t-leg, t for an r-leg): one
+        batched `_panel`; a leg that it does not accept is halved, each half
+        again a panel, and is an ODE leg after `_BISECTIONS` halvings or
+        where its panel's array run fails.  Where a batch's run fails, each
+        of its legs runs alone, so no leg's state depends on its batch."""
+        try:
+            yb, ok = self._panel(along_t, fixed, a, b, ya)
+        except (DomainError, FloatingPointError, OverflowError):
+            if len(a) == 1:
+                return self._ode_leg(along_t, float(fixed[0]), float(a[0]), float(b[0]),
+                                     ya[0])[None]
+            return np.concatenate([self._transport(along_t, fixed[i:i + 1], a[i:i + 1],
+                                                   b[i:i + 1], ya[i:i + 1], depth)
+                                   for i in range(len(a))])
+        for i in np.flatnonzero(~ok):
+            if depth == _BISECTIONS:
+                yb[i] = self._ode_leg(along_t, float(fixed[i]), float(a[i]), float(b[i]), ya[i])
+                continue
+            leg = slice(i, i + 1)
+            m = 0.5 * (a[leg] + b[leg])
+            ym = self._transport(along_t, fixed[leg], a[leg], m, ya[leg], depth + 1)
+            yb[i] = self._transport(along_t, fixed[leg], m, b[leg], ym, depth + 1)[0]
+        return yb
+
+    def _panel(self, along_t: bool, fixed, a, b, ya) -> tuple:
+        """k one-panel legs by Picard iteration Y <- ya + h S F(s, Y) on the
+        Chebyshev-Lobatto nodes s of each [a, b], h = (b - a)/2, F the P rows
+        (t-legs) or the Q rows (r-legs), one array run per pass for all legs
+        still iterating.  A leg stops once the change of its Y is within
+        _TRANSPORT_TOL (1 + |Y|) (a form that reads no component takes one
+        pass), and is accepted if h times the Chebyshev tail of its F is
+        within that bound too; one still iterating after `_PICARD_PASSES` is
+        not.  Returns the states at b and which legs were accepted."""
         n = len(self.names)
-        rows = slice(0, n) if along_t else slice(n, 2 * n)
         reads = self._reads[0 if along_t else 1]
-        h = 0.5 * (b - a)
-        s = a + h * (_PANEL_X + 1.0)
-        env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
-        Y = np.broadcast_to(ya, (_PANEL_N, n))
+        h, s, fixed = _panel_nodes(fixed, a, b)
+        yb, ok = np.empty_like(ya), np.zeros(len(a), dtype=bool)
+        live = np.arange(len(a))
+        Y = np.broadcast_to(ya[:, None], (len(a), _PANEL_N, n))
         with np.errstate(over="raise", invalid="raise"):
             for _ in range(_PICARD_PASSES):
-                env.update(zip(self.names, Y.T))
-                F = np.stack(self._run.on_arrays(env)[rows], axis=1)
-                Y, prev = ya + h * (_PANEL_S @ F), Y
-                bound = _TRANSPORT_TOL * (1.0 + np.max(np.abs(Y), axis=0))
-                if not reads or np.all(np.max(np.abs(Y - prev), axis=0) <= bound):
-                    tail = abs(h) * np.max(np.abs(_PANEL_C[-_PANEL_TAIL:] @ F), axis=0)
-                    return Y[-1] if np.all(tail <= bound) else None
-        return None
+                inc, tail = self._quadrature(along_t, fixed[live], s[live], h[live], Y)
+                Y, prev = ya[live, None] + inc, Y
+                bound, accepted = _acceptance(Y, tail)
+                done = (np.all(np.max(np.abs(Y - prev), axis=1) <= bound, axis=1) if reads
+                        else np.ones(len(live), dtype=bool))
+                yb[live[done]] = Y[done, -1]
+                ok[live[done]] = accepted[done]
+                live, Y = live[~done], Y[~done]
+                if not len(live):
+                    break
+        return yb, ok
+
+    def _quadrature(self, along_t: bool, fixed, s, h, Y) -> tuple:
+        """h S F and h times the Chebyshev tail of F (its largest trailing
+        coefficient) on the panels with nodes ``s`` and ``fixed``, shape (k,
+        _PANEL_N), the components at ``Y`` (k, _PANEL_N, n): one array run."""
+        n = len(self.names)
+        env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
+        env.update(zip(self.names, np.moveaxis(Y, 2, 0)))
+        out = self._run.on_arrays(env)
+        rows = _panel_rows(np.stack(out[:n] if along_t else out[n:], axis=2))
+        return (h[:, None, None] * rows[:, :_PANEL_N],
+                np.abs(h)[:, None] * np.max(np.abs(rows[:, _PANEL_N:]), axis=1))
 
     def _ode_leg(self, along_t: bool, fixed: float, a: float, b: float, ya) -> np.ndarray:
         """The state at b from ``ya`` at a by the adaptive scalar ODE, with
@@ -283,19 +405,17 @@ class PotentialSystem:
                               % (",".join(self.names), *where[0])) from None
         return states[1]
 
-    def _sweep(self, probes: Sequence[tuple], t_first: bool) -> dict:
-        """Values at the probes transported from the base point, without the
-        cache: one leg along the base line of the first axis through every
-        probe coordinate on it, then one leg per such coordinate along the
-        other axis through its probes."""
-        a0, b0 = self.base if t_first else self.base[::-1]
-        pairs = [(t, r) if t_first else (r, t) for (t, r) in probes]
-        out = {}
-        for a, y in self._leg(t_first, b0, self.base_values, a0, [a for a, _ in pairs]).items():
-            on_line = [b for (pa, b) in pairs if pa == a]
-            for b, v in self._leg(not t_first, a, y, b0, on_line).items():
-                out[(a, b) if t_first else (b, a)] = v
-        return out
+    def table(self, ts, rs) -> tuple:
+        """The t-first and the r-first sweep from the base point at every node
+        (t_i, r_j), each an array (len(ts), len(rs), n): one leg along the
+        base line of the first axis through every node coordinate, then all
+        legs along the other axis at once (`_lines`)."""
+        ts, rs = np.asarray(ts, dtype=float), np.asarray(rs, dtype=float)
+        (t0, r0), y0 = self.base, self.base_values[None]
+        base_t = self._lines(True, np.array([r0]), t0, y0, ts)[0]
+        base_r = self._lines(False, np.array([t0]), r0, y0, rs)[0]
+        return (self._lines(False, ts, r0, base_t, rs),
+                self._lines(True, rs, t0, base_r, ts).transpose(1, 0, 2))
 
     def rates(self, t: float, r: float, vals: dict, tdot: float, rdot: float) -> np.ndarray:
         """d(psi_i)/ds = P_i tdot + Q_i rdot along a curve through (t, r)
@@ -313,28 +433,32 @@ class PotentialSystem:
             worst = max([worst] + [abs(pq[n + i].dt - pq[i].dr) for i in range(n)])
         return worst
 
-    def path_independence_residual(self, probes: Sequence[tuple]) -> float:
-        """max over probes and components of the relative gap between the
-        t-first and the r-first sweep from the base point.  Neither sweep
+    def path_independence_residual(self, points: Sequence[tuple]) -> float:
+        """max over the components and the nodes of the grid that ``points``
+        span (each of their t against each of their r) of the relative gap
+        between the t-first and the r-first sweep (`table`).  Neither sweep
         reads the value cache, so the residual does not depend on earlier
-        queries; the t-first values become anchors, and values transported
-        from the earlier anchors are dropped."""
-        probes = [(float(t), float(r)) for (t, r) in probes]
-        a = self._sweep(probes, t_first=True)
-        b = self._sweep(probes, t_first=False)
-        worst = 0.0
-        for key in probes:
-            worst = max(worst, float(np.max(np.abs(a[key] - b[key]) / (1.0 + np.abs(a[key])))))
-        self._anchors = list(dict.fromkeys(self._anchors + probes))
-        self._value_cache = {k: self._value_cache.get(k) for k in self._anchors}
-        self._value_cache.update((k, a[k]) for k in probes)
-        return worst
+        queries.  The t-first table becomes the one values are read from,
+        and the values transported from the earlier table are dropped."""
+        # (np.unique would import numpy.ma, 2 MB of resident memory)
+        ts = np.array(sorted({float(t) for t, _ in points}))
+        rs = np.array(sorted({float(r) for _, r in points}))
+        a, b = self.table(ts, rs)
+        self._table = (ts, rs, a)
+        self._value_cache = {(float(t), float(r)): a[i, j]
+                             for i, t in enumerate(ts) for j, r in enumerate(rs)}
+        return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
-    def certify(self, probes: Sequence[tuple], closed_tol: float = 1e-8,
-                path_tol: float = 1e-8, label: str = "", error_cls=NotClosed):
-        # the sweep first, so that the curl check reads cached probe values
-        path_res = self.path_independence_residual(probes)
-        res = self.closedness_residual(probes)
+    def certify(self, grid: Sequence[tuple], closed_tol: float = 1e-8,
+                path_tol: float = 1e-8, label: str = "", error_cls=NotClosed,
+                probes: Sequence[tuple] | None = None):
+        """Both sweeps at every node of ``grid`` within ``path_tol``, and the
+        curl within ``closed_tol`` at ``probes`` (default: the grid's
+        `_grid_probes`); else ``error_cls``.  Returns the path residual."""
+        grid = list(grid)
+        # the sweep first, so that the curl check reads tabled values
+        path_res = self.path_independence_residual(grid)
+        res = self.closedness_residual(_grid_probes(grid) if probes is None else probes)
         if res > closed_tol:
             raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
                             % (label or ",".join(self.names), res, closed_tol))
@@ -350,15 +474,17 @@ def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
 
     P, Q are expression text or ScalarFields in t and r.  The one-form is
     certified (`PotentialSystem.certify`) on the probe set (default: a 5 x 5
-    lattice over the bounding box) and at ``to``: closedness exactly, the
-    transport against the transposed path.
+    lattice over the bounding box) and ``to``: closedness exactly at each of
+    them, the transport against the transposed path at every node of the
+    grid that they span.
     """
     if closedness_probes is None:
         ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
         rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
         closedness_probes = [(a, b) for a in ts for b in rs]
+    probes = list(closedness_probes) + [to]
     pot = PotentialSystem(["psi"], [P], [Q], frm)
-    pot.certify(list(closedness_probes) + [to], closed_tol, agree_tol, label="path integral")
+    pot.certify(probes, closed_tol, agree_tol, label="path integral", probes=probes)
     return pot.values(*to)["psi"]
 
 
@@ -662,9 +788,10 @@ class RiemannForm(ExpressionForm):
         att, atr, arr, _ = self.values(t, r)
         return att * arr - atr * atr
 
-    def christoffels(self, t: float, r: float) -> np.ndarray:
-        """k1..k12 of the Levi-Civita connection of A at (t, r)."""
-        att, atr, arr, aw = self.coefficient_jets(t, r)
+    def christoffels(self, t: float, r: float, vals: dict | None = None) -> np.ndarray:
+        """k1..k12 of the Levi-Civita connection of A at (t, r), the
+        potentials at their values ``vals`` there (None: transported)."""
+        att, atr, arr, aw = self.coefficient_jets(t, r, vals)
         B = np.array([[att.value, atr.value], [atr.value, arr.value]])
         dB = {0: np.array([[att.dt, atr.dt], [atr.dt, arr.dt]]),
               1: np.array([[att.dr, atr.dr], [atr.dr, arr.dr]])}
@@ -748,7 +875,7 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
 
     _a, _abc, (D, E, _F), (G, Gt, H, Ht) = conn.curvature_fields()
     pot = PotentialSystem(["psi"], [G - lam * Gt], [H - lam * Ht], _base_point(grid))
-    pot.certify(_grid_probes(grid), label="power-law scale")
+    pot.certify(grid, label="power-law scale")
     return PowerLawForm(conn, lam, E / D, pot)
 
 
@@ -765,7 +892,7 @@ def build_exponential(conn: ConnectionProfile, grid: Sequence[tuple]) -> Exponen
     mu = F / E
     pot = PotentialSystem(["psi"], [G + 2.0 * conn.k_field(4) * b * mu],
                           [H + 2.0 * conn.k_field(6) * b * mu], _base_point(grid))
-    pot.certify(_grid_probes(grid), label="exponential scale")
+    pot.certify(grid, label="exponential scale")
     return ExponentialForm(conn, mu, pot)
 
 
@@ -782,8 +909,8 @@ def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> P
 def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureGrid,
                     floor_tol: float = 1e-6):
     """Shift of the free additive constant in M keeping Delta away from zero."""
-    vals = [pots.values(t, r) for (t, r) in grid]
-    G, K, M = (np.array([v[n] for v in vals]) for n in ("G", "K", "M"))
+    vals = dict(zip(pots.names, pots.values_at(grid).T))
+    G, K, M = (vals[n] for n in ("G", "K", "M"))
     a, b, c = cg.abc.T
     wgt = np.exp(G) * (2.0 * a * b + c)
     delta0 = M * wgt - b * b * np.exp(2.0 * K)
@@ -816,7 +943,7 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     cg = curvature_grid(conn, grid)
     _first_failure(grid, cg, NotClosed, "w-corner degenerate at (%g, %g): not a Class-3 input")
     pots = build_class3_potentials(conn, grid)
-    pots.certify(_grid_probes(grid), label="class-3 potentials")
+    pots.certify(grid, label="class-3 potentials")
     m_shift = _choose_m_shift(pots, grid, cg)
 
     if isinstance(theta, str):
@@ -852,7 +979,7 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
     """Class-4 constructor: parallel-transport a flat 2-metric h over the
     tr-corner and attach +/- w^2.  Flatness is certified by path independence:
     the t-first and r-first transports of h from the base point must agree at
-    the grid probes, which a curved corner's holonomy prevents."""
+    every grid node, which a curved corner's holonomy prevents."""
     try:
         h0, aw_sign = SIGNATURES[signature]
     except KeyError:
@@ -868,7 +995,7 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
         [2.0 * (k[2] * htt + k[6] * htr), k[3] * htt + (k[2] + k[5]) * htr + k[6] * hrr,
          2.0 * (k[3] * htr + k[5] * hrr)],
         _base_point(grid), base_values=h0)
-    res = pots.path_independence_residual(_grid_probes(grid))
+    res = pots.path_independence_residual(grid)
     if res > path_tol:
         raise PathDependent("flat-transport legs disagree (residual %.3g > %.3g): "
                             "tr-corner is not flat" % (res, path_tol))
@@ -922,7 +1049,7 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     pot = PotentialSystem(["phi"], [dphi("t", k[1] * td + k[2] * rd, k[4] * td + k[6] * rd)],
                           [dphi("r", k[2] * td + k[3] * rd, k[6] * td + k[5] * rd)],
                           _base_point(grid))
-    pot.certify(_grid_probes(grid), closed_tol=closed_tol, label="class-5 phi",
+    pot.certify(grid, closed_tol=closed_tol, label="class-5 phi",
                 error_cls=GradientNotClosed)
 
     conformal = C1 * ScalarField("exp(-2*phi)")

@@ -320,6 +320,8 @@ def _load_param(name: str, env):
 
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
 _ARRAY_BINARY = dict(_BINARY, **{"/": _div_array, "^": _pow_array})
+# array runs on at least this many points reuse registers (`_reuse_registers`)
+_LEAN_POINTS = 1024
 
 
 def compile_program(exprs, bound=None):
@@ -342,7 +344,12 @@ def compile_program(exprs, bound=None):
     `DomainError` where any point leaves a domain, FloatingPointError where
     an operation overflows or is invalid or an output is not finite, and
     returns each output as an array of the points' shape.  Where it fails,
-    only a run per point says which point failed and how.
+    only a run per point says which point failed and how.  A run on at least
+    `_LEAN_POINTS` points reuses a register once the register's last reader
+    has run, so it holds only the arrays still to be read.  The renaming
+    (`_reuse_registers`) is made on the first such run; smaller runs skip
+    it, as it costs about as much per instruction as running the instruction
+    on a thousand points.
     """
     regs = [None]        # register 0 holds env during a call
     code = []
@@ -399,14 +406,21 @@ def compile_program(exprs, bound=None):
             r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
         return tuple([r[i] for i in outs])
 
+    lean = []   # array_code and outs with registers reused, made on the first large run
+
     def on_arrays(env):
         shape = np.broadcast_shapes(*map(np.shape, env.values()))
+        steps, results = array_code, outs
+        if math.prod(shape) >= _LEAN_POINTS:
+            if not lean:
+                lean.extend(_reuse_registers(array_code, outs))
+            steps, results = lean
         r = regs.copy()
         r[0] = env
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            for fn, d, a, b in array_code:
+            for fn, d, a, b in steps:
                 r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
-        out = tuple(np.broadcast_to(np.asarray(r[i], dtype=float), shape) for i in outs)
+        out = tuple(np.broadcast_to(np.asarray(r[i], dtype=float), shape) for i in results)
         for i, x in enumerate(out):
             if not np.isfinite(x).all():
                 raise FloatingPointError("output %d is not finite" % i)
@@ -414,6 +428,27 @@ def compile_program(exprs, bound=None):
 
     run.on_arrays = on_arrays
     return run
+
+
+def _reuse_registers(code: list, outs: list) -> tuple:
+    """``code`` and ``outs`` with the computed registers renamed so that one
+    is reused once its last reader has run.  An instruction reads its
+    operands before it writes, so its result may take an operand's place."""
+    last = {}
+    for pos, (_fn, _d, a, b) in enumerate(code):
+        last[a] = last[b] = pos
+    last.update((i, len(code)) for i in outs)
+    dying = {}   # position -> the computed registers it reads for the last time
+    for _fn, d, _a, _b in code:
+        if last.get(d, len(code)) < len(code):
+            dying.setdefault(last[d], []).append(d)
+    name, free, renamed = {}, [], []
+    for pos, (fn, d, a, b) in enumerate(code):
+        a, b = name.get(a, a), name.get(b, b)
+        free.extend([name[x] for x in dying.get(pos, ())])
+        name[d] = slot = free.pop() if free else d
+        renamed.append((fn, slot, a, b))
+    return renamed, [name.get(i, i) for i in outs]
 
 
 def compile_fields(fields):

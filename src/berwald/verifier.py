@@ -109,17 +109,32 @@ class SampleJets:
         return zip(self.points, self.jets)
 
 
+def _potential_values(evaluator, points: Sequence[tuple]) -> list:
+    """The values of the potentials that ``evaluator`` reads at each (t, r)
+    of ``points`` as dicts, from one `values_at` call (None where it reads
+    none)."""
+    pots = getattr(evaluator, "scale_pot", None)
+    if pots is None:
+        return [None] * len(points)
+    return [dict(zip(pots.names, row)) for row in pots.values_at(points)]
+
+
 def sample_jets(evaluator, samples: Sequence[TangentPoint]) -> SampleJets:
     """One jet per sample that `evaluator` admits and can evaluate (a sample
-    whose jet raises `DomainError` is skipped)."""
+    whose jet raises `DomainError` is skipped), the potentials of all samples
+    read at once."""
+    admitted = [p for p in samples if evaluator.admissible(p)]
+    try:
+        vals = _potential_values(evaluator, [(p.t, p.r) for p in admitted])
+    except DomainError:   # some sample's transport fails: each jet transports its own
+        vals = [None] * len(admitted)
     points, jets = [], []
-    for p in samples:
-        if evaluator.admissible(p):
-            try:
-                jets.append(evaluator.jet(p))
-            except DomainError:
-                continue
-            points.append(p)
+    for p, v in zip(admitted, vals):
+        try:
+            jets.append(evaluator.jet(p, v))
+        except DomainError:
+            continue
+        points.append(p)
     if not points:
         raise VerificationError("no admissible samples: each is outside the form's domain")
     return SampleJets(points, jets, len(samples) - len(points))
@@ -200,8 +215,8 @@ def levi_civita_roundtrip(A: RiemannForm, conn: ConnectionProfile,
     """Christoffels rebuilt from A's coefficient partials vs the input k-table."""
     worst = 0.0
     where = None
-    for (t, r) in grid:
-        k_round = A.christoffels(t, r)
+    for (t, r), vals in zip(grid, _potential_values(A, grid)):
+        k_round = A.christoffels(t, r, vals)
         k_in = conn.k_values(t, r)
         denom = 1.0 + float(np.max(np.abs(k_in)))
         res = float(np.max(np.abs(k_round - k_in))) / denom
@@ -215,12 +230,15 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
                        drift_tol: float = 1e-8, name: str = "geodesic-agreement"
                        ) -> CheckResult:
     """Affine autoparallel vs Finsler Euler-Lagrange trajectory, plus the
-    conservation of L along the autoparallel."""
+    conservation of L along the autoparallel, its potentials read at all
+    states at once."""
     tr_a = integrate_spray(conn, p0, T, n_out)
     tr_f = integrate_finsler(evaluator, p0, T, n_out)
     scale = 1.0 + float(np.max(np.abs(tr_a.states)))
     disc = float(np.max(np.abs(tr_a.states - tr_f.states))) / scale
-    Ls = np.array([evaluator.jet(TangentPoint(*st)).value for st in tr_a.states])
+    vals = _potential_values(evaluator, tr_a.states[:, :2])
+    Ls = np.array([evaluator.jet(TangentPoint(*st), v).value
+                   for st, v in zip(tr_a.states, vals)])
     drift = float(np.max(np.abs(Ls - Ls[0]))) / (1.0 + abs(Ls[0]))
     passed = disc < disc_tol and drift < drift_tol
     return CheckResult(name, max(disc, drift), max(disc_tol, drift_tol), passed,

@@ -11,6 +11,9 @@ import berwald
 from berwald.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE,
                          ConfigError, load_config, main)
 
+from conftest import exponential_example
+from generators import make_class3
+
 EX1_CFG = """
 # power-law connection, non-symmetric Ricci
 [connection]
@@ -110,6 +113,11 @@ class TestConfig:
             load_config(cfg_file("[samples]\nseed = 3\ncount = 0\n"))
         assert exc.value.line_no == 3
         assert "count" in str(exc.value)
+
+    def test_negative_seed(self, cfg_file):
+        with pytest.raises(ConfigError, match=r"job\.cfg:19: sample seed must be a "
+                                              r"non-negative integer"):
+            load_config(cfg_file(EX1_CFG.replace("seed = 20240601", "seed = -1")))
 
     def test_predicate(self, cfg_file):
         cfg = load_config(cfg_file(EX1_CFG))
@@ -247,6 +255,18 @@ class TestMetrizeCommand:
         assert main(["metrize", cfg_file(FLAT_CFG), "--tol-override", "nonsense",
                      "--quiet"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("item", ["hessian_det=nan", "horiz=inf", "zero=-1", "berwald=0"])
+    def test_tol_override_must_be_finite_and_positive(self, cfg_file, capsys, item):
+        name, value = item.split("=")
+        assert main(["verify", cfg_file(FLAT_CFG), "--tol-override", item,
+                     "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: tolerance %s must be finite and > 0, not %s\n" % (name, value))
+
+    def test_negative_seed_is_a_usage_error(self, cfg_file, capsys):
+        assert main(["verify", cfg_file(FLAT_CFG), "--seed", "-1", "--quiet"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, not -1\n"
+
     def test_tol_override_unknown_name(self, cfg_file, capsys):
         assert main(["metrize", cfg_file(FLAT_CFG), "--tol-override", "zer0=1",
                      "--quiet"]) == EXIT_USAGE
@@ -307,6 +327,19 @@ class TestGeodesicCommand:
         doc = json.loads((tmp_path / "g.json").read_text())
         assert doc["exit_status"] == EXIT_FAIL
         assert "finsler_trajectory_file" not in doc
+
+    def test_both_classifies_with_the_tolerance_overrides(self, cfg_file, tmp_path, capsys):
+        """zero=1e6 reads every residual as zero: metrize and geodesic --both
+        both meet the same inconsistent verdict."""
+        cfg = cfg_file(EX1_CFG.replace("0.5:2.5:8", "0.5:2.5:6"))
+        tol = ["--tol-override", "zero=1e6", "--quiet"]
+        assert main(["metrize", cfg] + tol) == EXIT_FAIL
+        metrize_err = capsys.readouterr().err
+        assert metrize_err.startswith("InternalInconsistency: ")
+        rc = main(["geodesic", cfg, "--state", "1.0,2.0,1.5707963267948966,0,0.2,0.02,0.01,0.004",
+                   "--T", "0.1", "--n-out", "5", "--both", "--out", str(tmp_path / "t.txt")] + tol)
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().err == metrize_err
 
     def test_both_integrators(self, cfg_file, tmp_path):
         out = tmp_path / "traj.txt"
@@ -433,3 +466,61 @@ def test_require_with_unbound_parameter_is_a_config_error(cfg_file, capsys):
     assert err.startswith("config error: [samples] require = foo*tdot: "
                           "parameter 'foo' is not set in [params]")
     assert "Traceback" not in err
+
+
+class TestOutputPaths:
+    STATE = ["--state", "1.0,1.0,1.5707963267948966,0,1.0,0.5,0.0,0.0", "--T", "0.5"]
+
+    def test_unopenable_json_path_fails_before_any_work(self, cfg_file, capsys, monkeypatch):
+        import berwald.cli as cli
+        monkeypatch.setattr(cli, "load_config", lambda path: pytest.fail("work began"))
+        for command in (["verify"], ["geodesic"] + self.STATE):
+            rc = main(command[:1] + [cfg_file(FLAT_CFG), "--json", "/nonexistent/dir/x.json",
+                                     "--quiet"] + command[1:])
+            assert rc == EXIT_FAIL
+            assert capsys.readouterr().err == ("OutputError: cannot write /nonexistent/dir/x.json:"
+                                               " no such directory /nonexistent/dir\n")
+
+    def test_bad_arguments_come_before_unopenable_outputs(self, cfg_file, capsys):
+        bad = ["--json", "/nonexistent/dir/x.json", "--out", "/nonexistent/t.traj", "--quiet"]
+        assert main(["verify", cfg_file(FLAT_CFG), "--grid", "1x3"] + bad[:2]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --grid needs at least 2 points per side\n"
+        assert main(["geodesic", cfg_file(FLAT_CFG), "--state", "1,2,3", "--T", "1"]
+                    + bad) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --state needs 8 comma-separated")
+
+    def test_unopenable_trajectory_path(self, cfg_file, tmp_path, capsys):
+        rc = main(["geodesic", cfg_file(FLAT_CFG), "--out", "/nonexistent/t.traj",
+                   "--quiet"] + self.STATE)
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().err == ("OutputError: cannot write /nonexistent/t.traj: "
+                                           "no such directory /nonexistent\n")
+        rc = main(["geodesic", cfg_file(FLAT_CFG), "--out", str(tmp_path), "--quiet"] + self.STATE)
+        assert rc == EXIT_FAIL
+        assert capsys.readouterr().err == "OutputError: cannot write %s: is a directory\n" % tmp_path
+
+
+def _config_of(conn) -> str:
+    ks = ["k%d = %s" % (i, conn.k_field(i).source()) for i in range(1, 13)
+          if not conn.k_field(i).is_structural_zero()]
+    return "\n".join(["[connection]"] + ks + ["[grid]", "t = 0.5:2.5:5", "r = 0.5:2.5:5",
+                                                "[samples]", "count = 30", "seed = 5"]) + "\n"
+
+
+@pytest.mark.parametrize("conn", [exponential_example(), make_class3(41)[0]],
+                         ids=["exponential", "class3"])
+def test_verify_reports_do_not_depend_on_the_hash_seed(conn, tmp_path):
+    """The same job in two processes whose str hashes differ (so do set and
+    dict orders keyed on names): byte-identical JSON reports."""
+    cfg = tmp_path / "job.cfg"
+    cfg.write_text(_config_of(conn))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berwald.__file__)))
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / ("%s.json" % seed)
+        subprocess.run([sys.executable, "-m", "berwald.cli", "verify", str(cfg), "--json",
+                        str(out), "--quiet"], check=True,
+                       env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed))
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["exit_status"] == EXIT_OK

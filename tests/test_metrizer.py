@@ -54,6 +54,18 @@ class TestPathIntegral:
         with pytest.raises(NotClosed):
             path_integral("r*r", "0", (0, 0), (1, 1))
 
+    def test_curl_is_checked_at_every_probe(self):
+        # curl g'(t) h'(r) with g(t) = (t - 1) exp(-100 (t - 1)^2) and h the
+        # same in r - 2: 1 at the probe (1, 2), below 1e-40 at every other
+        # lattice point, and g, h vanish at every node, so both sweeps agree
+        P, Q = "0", "(t - 1) * exp(-100 * (t - 1)^2) * (1 - 200 * (r - 2)^2) * exp(-100 * (r - 2)^2)"
+        lattice = [(float(t), float(r)) for t in range(5) for r in range(5)]
+        probes = lattice + [(4.0, 4.0)]
+        assert (1.0, 2.0) not in _grid_probes(probes)
+        PotentialSystem(["psi"], [P], [Q], (0.0, 0.0)).certify(probes)
+        with pytest.raises(NotClosed, match="curl residual 1 "):
+            path_integral(P, Q, (0.0, 0.0), (4.0, 4.0))
+
     def test_matches_potential_system(self):
         pots = PotentialSystem(["psi"], ["cos(t) * r"], ["sin(t) + 2 * r"], (0.3, 0.4))
         quad = path_integral("cos(t) * r", "sin(t) + 2 * r", (0.3, 0.4), (1.7, 2.1))
@@ -194,6 +206,76 @@ class TestPanelTransport:
         a = [forward.values(*q)["psi"] for q in points]
         b = [backward.values(*q)["psi"] for q in points[::-1]][::-1]
         assert a == b
+
+
+class TestBatchedTransport:
+    """`values_at` and `table`: legs batched across points and lines."""
+
+    @pytest.mark.parametrize("build", [
+        lambda g: build_power_law(power_law_nonsymmetric(3.0), g).scale_pot,
+        lambda g: build_exponential(exponential_example(), g).scale_pot,
+        _c3_pots,
+    ], ids=["example1", "exponential", "class3"])
+    def test_a_value_does_not_depend_on_its_batch(self, build):
+        grid = default_grid(5)
+        points = [tuple(q) for q in np.random.default_rng(3).uniform(0.6, 2.4, size=(50, 2))]
+        pot = build(grid)
+        cached = len(pot._value_cache)
+        alone = [pot.values_at([q])[0] for q in points]
+        batch = pot.values_at(points)
+        backwards = build(grid).values_at(points[::-1])[::-1]
+        assert all(np.array_equal(a, b) for a, b in zip(alone, batch))
+        assert np.array_equal(batch, backwards)
+        # off the table nothing is cached, but values() stores its one point
+        assert len(pot._value_cache) == cached
+        assert np.array_equal([pot.values(*points[0])[n] for n in pot.names], batch[0])
+
+    def test_sweeps_that_agree_at_the_probes_only_are_refused(self):
+        """d(psi) = -bump(r) dt has curl bump'(r), zero off r in (0.69, 0.89),
+        which holds only r_2 of the 15 x 15 grid's r and no probe's: the two
+        sweeps differ by (t - t0) bump(r) there, and agree at every probe."""
+        grid = default_grid(15)
+        x = "(1 - ((r - %r)/0.1)^2)" % grid[2][1]
+        bump = "((%s + abs(%s))/2)^4" % (x, x)
+
+        def system():
+            return PotentialSystem(["psi"], ["-" + bump], ["0"], _base_point(grid))
+
+        probes = _grid_probes(grid)
+        assert grid[2][1] not in {r for _, r in probes}
+        assert system().path_independence_residual(probes) == 0.0
+        assert system().closedness_residual(probes) == 0.0
+        with pytest.raises(NotClosed, match="path-dependent transport"):
+            system().certify(grid)
+
+    @pytest.mark.parametrize("build", [
+        lambda g: build_exponential(exponential_example(), g).scale_pot,
+        lambda g: build_class5(class5_curved_block(), g).scale_pot,
+    ], ids=["exponential", "class5"])
+    def test_summed_lines_are_the_panels_one_by_one(self, build, monkeypatch):
+        grid = default_grid(15)
+        pot = build(grid)
+        ts, rs, _ = pot._table
+        summed = pot.table(ts, rs)
+        monkeypatch.setattr(PotentialSystem, "_summed", lambda self, *args: None)
+        one_by_one = pot.table(ts, rs)
+        assert all(np.array_equal(a, b) for a, b in zip(summed, one_by_one))
+
+    def test_panels_are_accepted_on_the_transported_values(self):
+        """The tail bound scales with the value the panel ends at, base value
+        and increment together: psi = 1e8 + sin(20 t) - sin(10) takes one
+        panel per gap, most of which the increment's own size would refuse."""
+        pot = PotentialSystem(["psi"], ["20*cos(20*t)"], ["0"], (0.5, 0.5), [1e8])
+        nodes = np.linspace(0.5, 2.5, 15)
+        a, b = nodes[:-1], nodes[1:]
+        h = 0.5 * (b - a)
+        s = a[:, None] + h[:, None] * (metrizer._PANEL_X + 1.0)
+        inc, tail = pot._quadrature(True, np.full(s.shape, 0.5), s, h, np.zeros(s.shape + (1,)))
+        assert np.sum(tail > metrizer._TRANSPORT_TOL * (1.0 + np.max(np.abs(inc), axis=1))) >= 10
+        y = pot._summed(True, np.array([0.5]), a, b, pot.base_values[None])
+        assert y is not None
+        assert y[0, :, 0] == pytest.approx(1e8 + np.sin(20 * nodes[1:]) - math.sin(10.0),
+                                           abs=1e-6)
 
 
 class TestPowerLaw:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from berwald import scalar_field
 from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import ExpressionForm, PotentialSystem
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
@@ -416,6 +417,37 @@ def test_program_equals_a_tree_walk_bit_for_bit():
     compared = [assert_array_run_matches(run, exprs, [{"alpha": 1.3}] * len(exprs), pts)
                 for run, exprs in programs for pts in (points, points[:1])]
     assert sum(compared) >= 10
+
+
+def test_large_array_runs_reuse_registers():
+    """A run on `_LEAN_POINTS` points or more holds only the arrays still to
+    be read: a chain of 200 products holds a few, not 200.  Its floats are
+    those of runs on fewer points, which keep every register."""
+    import tracemalloc
+    n = 2 * scalar_field._LEAN_POINTS
+    env = {"t": np.linspace(0.5, 1.5, n), "r": np.linspace(1.0, 2.0, n)}
+    chain = compile_fields([ScalarField("t" + " * (r - 0.5)" * 200)])
+    tracemalloc.start()
+    try:
+        chain.on_arrays(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * n
+    rng = np.random.default_rng(8)
+    halves = [{k: v[:n // 2] for k, v in env.items()}, {k: v[n // 2:] for k, v in env.items()}]
+    compared = 0
+    for _ in range(10):
+        exprs = [_random_ast(rng, 4) for _ in range(6)]
+        run = compile_program(exprs, [{"alpha": 1.3}] * len(exprs))
+        try:
+            whole = run.on_arrays(env)
+        except (ArithmeticError, DomainError):
+            continue
+        parts = [run.on_arrays(half) for half in halves]
+        assert [x.tolist() for x in whole] == [a.tolist() + b.tolist() for a, b in zip(*parts)]
+        compared += 1
+    assert compared >= 5
 
 
 @pytest.mark.parametrize("src, bad", [

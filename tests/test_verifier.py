@@ -256,6 +256,25 @@ class TestGeodesicAgreement:
         tr_a = integrate_spray(conn, p0, 1.0, 100)
         assert float(np.max(np.abs(tr_f.states - tr_a.states))) < 1e-9
 
+    def test_L_drift_reads_every_state_in_one_batch(self, forms, monkeypatch):
+        """The potentials at the 100 states of the autoparallel come from one
+        `values_at` call; `values` runs once, at the Finsler flow's start,
+        and the value cache keeps at most that one point."""
+        conn, A = forms["flat"]
+        pots = A.scale_pot
+        batches, single = [], []
+        values_at, values = pots.values_at, pots.values
+        monkeypatch.setattr(pots, "values_at",
+                            lambda points: batches.append(len(points)) or values_at(points))
+        monkeypatch.setattr(pots, "values", lambda t, r: single.append((t, r)) or values(t, r))
+        cached = len(pots._value_cache)
+        p0 = TangentPoint(1.1, 1.3, math.pi / 2, 0.0, 1.0, 0.5, 0.0, 0.0)
+        res = geodesic_agreement(A, conn, p0, T=1.0, n_out=100)
+        assert res.passed
+        assert single == [(1.1, 1.3)]
+        assert batches == [1, 100]
+        assert len(pots._value_cache) <= cached + 1
+
     def test_power_law_dual_integrators(self, forms):
         conn, form = forms["ex1"]
         p0 = TangentPoint(1.0, 2.0, math.pi / 2, 0.0, 0.2, 0.02, 0.01, 0.004)
