@@ -22,15 +22,15 @@ import numpy as np
 
 from . import __version__
 from .classifier import (ClassificationReport, ClassifierError, Tolerances, classify)
-from .geodesic_engine import ChartExit, StepFailure, integrate_finsler, integrate_spray
-from .geometry_core import (ConnectionProfile, GeometryError, TangentPoint,
-                            sample_tangent_points)
+from .geodesic_engine import (ChartExit, StepFailure, discrepancy, integrate_finsler,
+                              integrate_spray)
+from .geometry_core import ConnectionProfile, GeometryError, TangentPoint
 from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
                        build_class5, build_exponential, build_power_law)
 from .scalar_field import ExpressionError, compile_expression, parameter_names, parse
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
-                       check_horizontal_constancy, levi_civita_roundtrip, ResidualReport,
-                       sample_jets)
+                       check_horizontal_constancy, draw_jets, levi_civita_roundtrip,
+                       ResidualReport)
 
 SCHEMA = "berwald-report/1"
 
@@ -367,16 +367,9 @@ def _verify_forms(cfg: JobConfig, conn: ConnectionProfile, forms: dict,
     report = ResidualReport(seed=cfg.seed)
     pred = cfg.predicate()
 
-    def samples_for(form, n):
-        def ok(p):
-            if pred is not None and not pred(p):
-                return False
-            return form.admissible(p)
-        return sample_tangent_points(rng, cfg.t_range, cfg.r_range, n, ok)
-
     fins = forms.get("finsler")
     if fins is not None:
-        jets = sample_jets(fins, samples_for(fins, cfg.sample_count))
+        jets = draw_jets(fins, rng, cfg.t_range, cfg.r_range, cfg.sample_count, pred)
         report.add(check_horizontal_constancy(jets, conn, overrides.get("horiz", 1e-7)))
         report.add(check_homogeneity(jets))
         report.add(check_hessian(jets, overrides.get("hessian_det", 1e-10)))
@@ -384,7 +377,8 @@ def _verify_forms(cfg: JobConfig, conn: ConnectionProfile, forms: dict,
             report.add(berwald_check(jets, conn, overrides.get("berwald", 1e-5)))
     riem = forms.get("riemann")
     if riem is not None:
-        jets = sample_jets(riem, samples_for(riem, max(20, cfg.sample_count // 2)))
+        jets = draw_jets(riem, rng, cfg.t_range, cfg.r_range, max(20, cfg.sample_count // 2),
+                         pred)
         report.add(levi_civita_roundtrip(riem, conn, grid,
                                          overrides.get("lc_roundtrip", 1e-6)))
         report.add(check_horizontal_constancy(jets, conn, overrides.get("horiz", 1e-7),
@@ -521,8 +515,7 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int
         traj_f = integrate_finsler(fins, p0, args.T, args.n_out)
         out2 = out_path + ".finsler"
         _write_text(out2, traj_f.to_text())
-        scale = 1.0 + float(np.max(np.abs(traj.states)))
-        disc = float(np.max(np.abs(traj.states - traj_f.states))) / scale
+        disc = discrepancy(traj, traj_f)
         doc["finsler_trajectory_file"] = out2
         doc["discrepancy"] = disc
         if not args.quiet:

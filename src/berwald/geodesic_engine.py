@@ -151,6 +151,12 @@ def _guard(state):
     return None
 
 
+def discrepancy(a: Trajectory, f: Trajectory) -> float:
+    """The sup-norm gap max |a - f| / (1 + max |a|) between the states of
+    two trajectories sampled at the same parameters."""
+    return float(np.max(np.abs(a.states - f.states))) / (1.0 + float(np.max(np.abs(a.states))))
+
+
 def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
                     n_out: int = 100) -> Trajectory:
     """Autoparallels of the connection: xddot^a = -2 G^a(x, xdot)."""

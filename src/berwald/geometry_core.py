@@ -135,9 +135,17 @@ class ConnectionProfile:
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
 
-    def k_values(self, t: float, r: float) -> np.ndarray:
+    def k_values(self, t, r) -> np.ndarray:
+        """k1..k12 at (t, r); where t and r are arrays, one row per point
+        from one array run.  Where that run fails, the points are evaluated
+        one by one, which raises the located error of the first that fails."""
         if self._run is None:
             self._run = compile_fields(self.k)
+        if np.ndim(t):
+            try:
+                return np.stack(self._run.on_arrays({"t": t, "r": r}), axis=1)
+            except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
+                return np.array([self.k_values(a, b) for a, b in zip(t, r)])
         try:
             return np.array([float(v) for v in self._run({"t": float(t), "r": float(r)})])
         except (DomainError, OverflowError):
@@ -363,7 +371,7 @@ def ricci_asymmetry(cp: CurvatureProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Christoffel table, spray, nonlinear connection
+# Christoffel table and spray
 # ---------------------------------------------------------------------------
 
 def christoffel_table(kvals, theta) -> np.ndarray:
@@ -410,13 +418,6 @@ def spray_coefficients(conn: ConnectionProfile, p: TangentPoint) -> tuple:
     xd = p.velocity
     G = 0.5 * np.einsum("abc,b,c->a", Gam, xd, xd)
     return tuple(G)
-
-
-def nonlinear_connection(conn: ConnectionProfile, p: TangentPoint) -> np.ndarray:
-    """N^a_b = Gamma^a_bc xdot^c."""
-    kv = conn.k_values(p.t, p.r)
-    Gam = christoffel_table(kv, p.theta)
-    return np.einsum("abc,c->ab", Gam, p.velocity)
 
 
 # ---------------------------------------------------------------------------
@@ -577,27 +578,56 @@ def holonomy_rank_details(conn: ConnectionProfile, samples: Sequence[TangentPoin
 # ---------------------------------------------------------------------------
 
 def sample_tangent_points(rng: np.random.Generator, t_range: tuple, r_range: tuple,
-                          n: int, predicate=None) -> list:
+                          n: int, predicate=None, admit=None) -> list:
     """Random admissible points: tdot > 0, sin(theta) in [0.2, 0.98],
-    velocity components in [-2, 2]; an optional predicate filters further."""
+    velocity components in [-2, 2].  An optional predicate filters further,
+    one point at a time, and an optional ``admit`` a batch: it maps a list
+    of points to whether each is admitted.
+
+    A candidate is nine uniform draws (t, r, sin(theta), the side of the
+    equator, phi, tdot, rdot, thetadot, phidot).  Candidates come in chunks
+    of one ``rng.random`` call each; once the n-th is accepted the generator
+    is set back and advanced by the draws of the candidates used, so the
+    points and the generator's next draw are those of drawing one candidate
+    at a time.  In a chunk, ``admit`` sees every candidate with tdot > 1e-6,
+    and the predicate, in order, those a one-at-a-time draw would show it.
+    """
+    lo = np.array([t_range[0], r_range[0], 0.2, 0.0, 0.0, 0.0, -2.0, -2.0, -2.0])
+    hi = np.array([t_range[1], r_range[1], 0.98, 1.0, 2.0 * math.pi, 2.0, 2.0, 2.0, 2.0])
     pts = []
     tries = 0
     while len(pts) < n:
-        tries += 1
-        if tries > _MAX_TRIES:
+        if tries == _MAX_TRIES:
             raise InsufficientSamples("predicate rejected too many samples")
-        t = rng.uniform(*t_range)
-        r = rng.uniform(*r_range)
-        theta = math.asin(rng.uniform(0.2, 0.98))
-        if rng.uniform() < 0.5:
-            theta = math.pi - theta
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        tdot = rng.uniform(0.0, 2.0)
-        rdot, thetadot, phidot = rng.uniform(-2.0, 2.0, size=3)
-        if tdot <= 1e-6:
-            continue
-        p = TangentPoint(t, r, theta, phi, tdot, rdot, thetadot, phidot)
-        if predicate is not None and not predicate(p):
-            continue
-        pts.append(p)
+        # the tries the points still needed take at the acceptance so far, a quarter more
+        need = n - len(pts)
+        k = need * 5 * tries // (4 * max(len(pts), 1)) if tries else need
+        k = min(k + 4, _MAX_TRIES - tries)
+        state = rng.bit_generator.state
+        draws = (lo + (hi - lo) * rng.random((k, 9))).tolist()
+        cands = [(i, _candidate(d)) for i, d in enumerate(draws) if d[5] > 1e-6]
+        admitted = admit([p for _, p in cands]) if admit is not None else None
+        used = k
+        for j, (i, p) in enumerate(cands):
+            if predicate is not None and not predicate(p):
+                continue
+            if admitted is not None and not admitted[j]:
+                continue
+            pts.append(p)
+            if len(pts) == n:
+                used = i + 1
+                break
+        tries += used
+        if used < k:
+            rng.bit_generator.state = state
+            rng.random(9 * used)
     return pts
+
+
+def _candidate(d: list) -> TangentPoint:
+    """The tangent point of one candidate's nine draws."""
+    t, r, s, side, phi, tdot, rdot, thetadot, phidot = d
+    theta = math.asin(s)
+    if side < 0.5:
+        theta = math.pi - theta
+    return TangentPoint(t, r, theta, phi, tdot, rdot, thetadot, phidot)

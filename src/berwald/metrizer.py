@@ -544,30 +544,38 @@ _HESSIAN = np.array([[20 + _UPPER.index((min(a, b), max(a, b))) for b in range(4
 
 
 class FormJet:
-    """L at one tangent point with the blocks of its partials that the
-    checks and the spray read, from one run of the form's program."""
+    """L with the blocks of its partials that the checks and the spray read,
+    from one run of the form's program: at one tangent point, a (30,) array,
+    or at n, an (n, 30) array.  Each block keeps the points' axis first."""
 
-    __slots__ = ("value", "_out")
+    __slots__ = ("out",)
 
-    def __init__(self, out: tuple):
-        self.value = out[0]
-        self._out = np.array(out)
+    def __init__(self, out: np.ndarray):
+        self.out = out
+
+    @property
+    def value(self):
+        """L at the point, or at each of the points."""
+        return self.out.T[0]
 
     def vertical_gradient(self) -> np.ndarray:
         """d L / d xdot^a, a = t, r, theta, phi."""
-        return self._out[1:5].copy()
+        return self.out[..., 1:5]
 
     def horizontal_gradient(self) -> np.ndarray:
         """d L / d x^a, a = t, r, theta, phi (phi identically zero)."""
-        return np.append(self._out[5:8], 0.0)
+        return np.concatenate([self.out[..., 5:8], np.zeros(self.out.shape[:-1] + (1,))],
+                              axis=-1)
 
     def mixed_block(self) -> np.ndarray:
         """Rows x^c in (t, r, theta, phi), columns xdot^b: d^2 L/dx^c dxdot^b."""
-        return np.vstack([self._out[8:20].reshape(3, 4), np.zeros(4)])
+        lead = self.out.shape[:-1]
+        return np.concatenate([self.out[..., 8:20].reshape(lead + (3, 4)),
+                               np.zeros(lead + (1, 4))], axis=-2)
 
     def metric_tensor(self) -> np.ndarray:
         """g_ab = (1/2) d^2 L / d xdot^a d xdot^b."""
-        return 0.5 * self._out[_HESSIAN]
+        return 0.5 * self.out[..., _HESSIAN]
 
 
 class ExpressionForm:
@@ -585,8 +593,25 @@ class ExpressionForm:
     def lagrangian(self) -> ScalarField:
         raise NotImplementedError
 
-    def admissible(self, p: TangentPoint) -> bool:
+    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
+        """Whether p is in the form's domain; ``vals`` are the potentials'
+        values at (p.t, p.r) (None: transported where they are read)."""
         return True
+
+    def admit(self, points: Sequence[TangentPoint]) -> tuple:
+        """Whether each of ``points`` is admissible, and the potentials'
+        values at each as dicts, all read with one `values_at` (None where
+        the form reads none, or that call raised DomainError and each point
+        was admitted alone)."""
+        pots = getattr(self, "scale_pot", None)
+        try:
+            rows = None if pots is None else pots.values_at([(p.t, p.r) for p in points])
+        except DomainError:
+            rows = None
+        if rows is None:
+            return [self.admissible(p) for p in points], None
+        vals = [dict(zip(pots.names, row)) for row in rows]
+        return [self.admissible(p, v) for p, v in zip(points, vals)], vals
 
     def _env(self, t: float, r: float, vals: dict | None) -> dict:
         """t, r and the potentials' values ``vals`` at (t, r) (None: transported)."""
@@ -610,13 +635,24 @@ class ExpressionForm:
         return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
                               + hessian)
 
-    def jet(self, p: TangentPoint, vals: dict | None = None) -> FormJet:
-        """L and its blocks at p; ``vals`` are the potentials' values at
-        (p.t, p.r) (None: transported)."""
-        env = self._env(p.t, p.r, vals)
-        env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
-        env["theta"] = float(p.theta)
-        return FormJet(self._jet_run(env))
+    def jet(self, p, vals=None) -> FormJet:
+        """L and its blocks at p, from the potentials' values ``vals`` at
+        (p.t, p.r) (None: transported).  At a sequence of points, with a
+        sequence of values or None (read with one `values_at`), the program
+        runs once on arrays of them and raises where it fails at any."""
+        if isinstance(p, TangentPoint):
+            env = self._env(p.t, p.r, vals)
+            env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
+            env["theta"] = float(p.theta)
+            return FormJet(np.array(self._jet_run(env)))
+        states = np.array([q.state() for q in p]).T
+        env = dict(zip(("t", "r", "theta", "phi") + VELOCITY, states))
+        pots = getattr(self, "scale_pot", None)
+        if pots is not None:
+            rows = (pots.values_at(states[:2].T) if vals is None
+                    else np.array([[v[n] for n in pots.names] for v in vals]))
+            env.update(zip(pots.names, rows.T))
+        return FormJet(np.stack(self._jet_run.on_arrays(env), axis=1))
 
 
 def _uv(conn: ConnectionProfile) -> tuple:
@@ -659,11 +695,11 @@ class PowerLawForm(ExpressionForm):
         psi = ScalarField("psi") + self.log_scale
         return psi.call("exp") * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
-    def admissible(self, p: TangentPoint) -> bool:
+    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
         try:
             u, v = _uv_values(self.conn, p)
             base = v + self.rho_field.value(p.t, p.r) * u * u
-        except DomainError:
+        except (DomainError, OverflowError):
             return False
         return u > _DOMAIN_FLOOR and base > _DOMAIN_FLOOR
 
@@ -693,14 +729,15 @@ class ExponentialForm(ExpressionForm):
         psi = ScalarField("psi") + self.log_scale
         return psi.call("exp") * u * u * (self.mu_field * v / (u * u)).call("exp")
 
-    def admissible(self, p: TangentPoint) -> bool:
+    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
         """|u| above the floor and L a normal float: where mu v / u^2 is far
         below zero, L underflows and its Hessian with it."""
         try:
             u, v = _uv_values(self.conn, p)
             if abs(u) <= _DOMAIN_FLOOR:
                 return False
-            psi = self.scale_pot.values(p.t, p.r)["psi"] + self.log_scale
+            vals = self.scale_pot.values(p.t, p.r) if vals is None else vals
+            psi = vals["psi"] + self.log_scale
             L = math.exp(psi) * u * u * math.exp(self.mu_field.value(p.t, p.r) * v / (u * u))
         except (DomainError, OverflowError):
             return False
@@ -739,10 +776,10 @@ class Class3FinslerForm(ExpressionForm):
         theta = ScalarField(self.theta).substitute({"z": arg})
         return (G + self.log_scale).call("exp") * u * u * theta
 
-    def admissible(self, p: TangentPoint) -> bool:
+    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
         try:
             u, _ = _uv_values(self.conn, p)
-        except DomainError:
+        except (DomainError, OverflowError):
             return False
         return abs(u) > _DOMAIN_FLOOR
 
@@ -788,36 +825,36 @@ class RiemannForm(ExpressionForm):
         att, atr, arr, _ = self.values(t, r)
         return att * arr - atr * atr
 
-    def christoffels(self, t: float, r: float, vals: dict | None = None) -> np.ndarray:
-        """k1..k12 of the Levi-Civita connection of A at (t, r), the
-        potentials at their values ``vals`` there (None: transported)."""
-        att, atr, arr, aw = self.coefficient_jets(t, r, vals)
-        B = np.array([[att.value, atr.value], [atr.value, arr.value]])
-        dB = {0: np.array([[att.dt, atr.dt], [atr.dt, arr.dt]]),
-              1: np.array([[att.dr, atr.dr], [atr.dr, arr.dr]])}
-        Binv = np.linalg.inv(B)
-        Gam2 = np.zeros((2, 2, 2))
-        for a in range(2):
-            for b in range(2):
-                for c in range(2):
-                    s = 0.0
-                    for d in range(2):
-                        s += Binv[a, d] * (dB[b][d, c] + dB[c][b, d] - dB[d][b, c])
-                    Gam2[a, b, c] = 0.5 * s
-        if aw.value == 0.0:
+    def christoffels(self, points: Sequence[tuple]) -> np.ndarray:
+        """k1..k12 of the Levi-Civita connection of A at each (t, r) of
+        ``points``, one row per point, its potentials read with one
+        `values_at`: the coefficients and their partials from one array run,
+        or from a run per point where that fails, which raises the error of
+        the first point that fails."""
+        t, r = np.array(points, dtype=float).reshape(-1, 2).T
+        env = {"t": t, "r": r}
+        if self.scale_pot is not None:
+            env.update(zip(self.scale_pot.names, self.scale_pot.values_at(points).T))
+        run = self._coefficient_run
+        try:
+            out = np.stack(run.on_arrays(env), axis=1)
+        except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
+            out = np.array([run({k: float(v[i]) for k, v in env.items()}) for i in range(len(t))])
+        jets = out.reshape(-1, 4, 3)             # att, atr, arr, aw; value, d/dt, d/dr
+        B = jets[:, [[0, 1], [1, 2]]]            # (n, 2, 2, 3)
+        dB = np.moveaxis(B[..., 1:], -1, 1)      # dB[:, v] = d B / d x^v, x = (t, r)
+        Binv = np.linalg.inv(B[..., 0])
+        # Gamma^a_bc = (1/2) B^ad (d_b B_dc + d_c B_bd - d_d B_bc)
+        Gam2 = 0.5 * np.einsum("nad,nbcd->nabc", Binv, dB + dB.transpose(0, 2, 1, 3)
+                               - dB.transpose(0, 2, 3, 1))
+        aw, grad_w = jets[:, 3, 0], jets[:, 3, 1:]
+        if np.any(aw == 0.0):
             raise DomainError("degenerate angular block")
-        k = np.zeros(12)
-        k[0] = Gam2[0, 0, 0]          # k1
-        k[1] = Gam2[0, 0, 1]          # k2
-        k[2] = Gam2[0, 1, 1]          # k3
-        k[3] = Gam2[1, 0, 0]          # k4
-        k[4] = Gam2[1, 1, 1]          # k5
-        k[5] = Gam2[1, 0, 1]          # k6
-        grad_w = np.array([aw.dt, aw.dr])
-        k[6] = -0.5 * (Binv[0] @ grad_w)   # k7
-        k[9] = -0.5 * (Binv[1] @ grad_w)   # k10
-        k[7] = 0.5 * aw.dt / aw.value      # k8
-        k[8] = 0.5 * aw.dr / aw.value      # k9
+        k = np.zeros((len(t), 12))
+        k[:, :6] = Gam2[:, [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 0], [0, 1, 1, 0, 1, 1]]   # k1..k6
+        k[:, 6] = -0.5 * np.einsum("nd,nd->n", Binv[:, 0], grad_w)   # k7
+        k[:, 9] = -0.5 * np.einsum("nd,nd->n", Binv[:, 1], grad_w)   # k10
+        k[:, 7:9] = 0.5 * grad_w / aw[:, None]                       # k8, k9
         return k
 
     def describe(self) -> dict:

@@ -2,27 +2,29 @@
 
 Every check reports a normalized residual with the sample where it was
 attained; nothing is trusted from the construction path it certifies.  The
-form checks read one `FormJet` per admissible sample (`sample_jets`: L and
-its partials from one compiled program); the Berwald check compares L's
-Euler-Lagrange spray with the connection's own; the Levi-Civita round trip
-rebuilds Christoffel coefficients from metric derivatives; geodesic
-agreement runs two independent integrations; the quadratic-fit
-falsification searches for *any* metric compatible with the bracket
-constraints and reports the least-squares floor.
+form checks are array passes over the admitted samples (`sample_jets`: L
+and its partials from one run of the form's compiled program on arrays of
+all of them); the Berwald check compares L's Euler-Lagrange spray with the
+connection's own; the Levi-Civita round trip rebuilds Christoffel
+coefficients from metric derivatives; geodesic agreement runs two
+independent integrations; the quadratic-fit falsification searches for
+*any* metric compatible with the bracket constraints and reports the
+least-squares floor.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .geodesic_engine import integrate_finsler, integrate_spray
+from .geodesic_engine import discrepancy, integrate_finsler, integrate_spray
 from .geometry_core import (ConnectionProfile, TangentPoint, bracket_matrix,
-                            curvature_profile, nonlinear_connection, spray_coefficients)
-from .metrizer import RiemannForm
+                            christoffel_table, curvature_profile, sample_tangent_points)
+from .metrizer import FormJet, RiemannForm
 from .scalar_field import DomainError
 
 
@@ -79,96 +81,122 @@ class ResidualReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def _sample_key(p: TangentPoint) -> tuple:
-    return tuple(p.state())
+def _ratio(x, scale):
+    """|x| / scale elementwise, with 0/0 read as 0 and x/0 as infinity."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.abs(x) / scale
+    return np.where(scale > 0.0, q, np.where(x != 0.0, np.inf, 0.0))
 
 
-def _ratio(x: float, scale: float) -> float:
-    """|x| / scale, with 0/0 read as 0 and x/0 as infinity."""
-    return abs(x) / scale if scale > 0.0 else (math.inf if x else 0.0)
-
-
-def _scaled_residual(x: float, jet, p: TangentPoint) -> float:
-    """|x| / (|L| + |y| |d L / d y|) at p, which neither L -> cL nor y -> s y moves."""
-    return _ratio(x, abs(jet.value) + float(np.linalg.norm(p.velocity)
-                                            * np.linalg.norm(jet.vertical_gradient())))
+def _below(name: str, res: np.ndarray, tol: float, where, extra=None) -> CheckResult:
+    """Whether the largest residual of ``res`` (one row per sample) is below
+    ``tol``, at the first sample attaining it (``where[i]`` for sample i),
+    as a scan from 0 that keeps a strictly larger residual finds them: a NaN
+    is never kept, and the sample is None where no residual exceeds 0."""
+    per = np.max(np.where(np.isnan(res), 0.0, res).reshape(len(res), -1), axis=1)
+    i = int(np.argmax(per))
+    worst = float(per[i]) if per[i] > 0.0 else 0.0
+    return CheckResult(name, worst, tol, worst < tol, tuple(where[i]) if worst else None,
+                       extra or {})
 
 
 # ---------------------------------------------------------------------------
-# Pointwise checks on the jets of a form at its samples
+# Checks on the jets of a form at its samples, each an array pass
 # ---------------------------------------------------------------------------
 
 @dataclass
 class SampleJets:
-    """A form's admissible samples, each with its jet, and how many were skipped."""
+    """A form's admitted samples, the jets of L at them as one `FormJet`
+    (one row per sample), and how many samples were skipped."""
     points: list
-    jets: list
+    jet: FormJet
     skipped: int
 
-    def __iter__(self):
-        return zip(self.points, self.jets)
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The samples' (t, r, theta, phi, tdot, rdot, thetadot, phidot), one row each."""
+        return np.array([p.state() for p in self.points])
+
+    def scale(self) -> np.ndarray:
+        """|L| + |y| |d L / d y| per sample, which neither L -> cL nor y -> s y moves."""
+        return (np.abs(self.jet.value) + np.linalg.norm(self.states[:, 4:], axis=1)
+                * np.linalg.norm(self.jet.vertical_gradient(), axis=1))
+
+    def christoffels(self, conn: ConnectionProfile) -> np.ndarray:
+        """Gamma[e, c, d] at each sample (n, 4, 4, 4): k1..k12 in one array run."""
+        return christoffel_table(conn.k_values(*self.states[:, :2].T), self.states[:, 2])
 
 
-def _potential_values(evaluator, points: Sequence[tuple]) -> list:
-    """The values of the potentials that ``evaluator`` reads at each (t, r)
-    of ``points`` as dicts, from one `values_at` call (None where it reads
-    none)."""
-    pots = getattr(evaluator, "scale_pot", None)
-    if pots is None:
-        return [None] * len(points)
-    return [dict(zip(pots.names, row)) for row in pots.values_at(points)]
+def _jets(evaluator, points: list, vals: list | None = None,
+          drawn: int | None = None) -> SampleJets:
+    """The jets at ``points`` from the potentials' values ``vals`` (None:
+    read with one `values_at`): one array run of the form's program.  Where
+    it fails, each point runs alone, and one whose run raises DomainError is
+    skipped.  ``drawn`` (default: all of them) counts the samples the points
+    were admitted from."""
+    drawn = len(points) if drawn is None else drawn
+    if points:
+        try:
+            return SampleJets(points, evaluator.jet(points, vals), drawn - len(points))
+        except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
+            pass
+    kept, rows = [], []
+    for i, p in enumerate(points):
+        try:
+            rows.append(evaluator.jet(p, None if vals is None else vals[i]).out)
+            kept.append(p)
+        except DomainError:
+            continue
+    if not kept:
+        raise VerificationError("no admissible samples: each is outside the form's domain")
+    return SampleJets(kept, FormJet(np.array(rows)), drawn - len(kept))
 
 
 def sample_jets(evaluator, samples: Sequence[TangentPoint]) -> SampleJets:
-    """One jet per sample that `evaluator` admits and can evaluate (a sample
-    whose jet raises `DomainError` is skipped), the potentials of all samples
-    read at once."""
-    admitted = [p for p in samples if evaluator.admissible(p)]
-    try:
-        vals = _potential_values(evaluator, [(p.t, p.r) for p in admitted])
-    except DomainError:   # some sample's transport fails: each jet transports its own
-        vals = [None] * len(admitted)
-    points, jets = [], []
-    for p, v in zip(admitted, vals):
-        try:
-            jets.append(evaluator.jet(p, v))
-        except DomainError:
-            continue
-        points.append(p)
-    if not points:
-        raise VerificationError("no admissible samples: each is outside the form's domain")
-    return SampleJets(points, jets, len(samples) - len(points))
+    """The jets of L at the samples that `evaluator` admits (its `admit`)
+    and can evaluate; the others are skipped."""
+    ok, vals = evaluator.admit(samples)
+    keep = [i for i, a in enumerate(ok) if a]
+    return _jets(evaluator, [samples[i] for i in keep],
+                 None if vals is None else [vals[i] for i in keep], len(samples))
+
+
+def draw_jets(evaluator, rng: np.random.Generator, t_range: tuple, r_range: tuple,
+              n: int, predicate=None) -> SampleJets:
+    """`sample_jets` at n samples drawn by `sample_tangent_points` that
+    ``predicate`` and `evaluator` admit, each chunk of candidates admitted
+    at once, with the potentials' values it read kept for the jets."""
+    kept = {}
+
+    def admit_chunk(points):
+        ok, vals = evaluator.admit(points)
+        kept.update(zip([(p.t, p.r) for p in points], vals or ()))
+        return ok
+
+    points = sample_tangent_points(rng, t_range, r_range, n, predicate, admit_chunk)
+    vals = [kept.get((p.t, p.r)) for p in points]
+    return _jets(evaluator, points, None if None in vals else vals)
 
 
 def check_horizontal_constancy(jets: SampleJets, conn: ConnectionProfile,
                                tol: float = 1e-7, name: str = "horizontal-constancy"
                                ) -> CheckResult:
-    """max_a |delta_a L| / (|L| + |y| |d L / d y|) over the samples."""
-    worst, where = 0.0, None
-    for p, jet in jets:
-        N = nonlinear_connection(conn, p)
-        dv = jet.vertical_gradient()
-        dh = jet.horizontal_gradient()
-        for a in range(4):
-            res = _scaled_residual(dh[a] - N[:, a] @ dv, jet, p)
-            if res > worst:
-                worst, where = res, _sample_key(p)
-    return CheckResult(name, worst, tol, worst < tol, where,
-                       {"samples_used": len(jets.points), "samples_skipped": jets.skipped})
+    """max_a |delta_a L| / (|L| + |y| |d L / d y|) over the samples, where
+    delta_a L = d_a L - N^b_a d L / d ydot^b and N^b_a = Gamma^b_ac ydot^c."""
+    N = np.einsum("nbac,nc->nba", jets.christoffels(conn), jets.states[:, 4:])
+    delta = jets.jet.horizontal_gradient() - np.einsum("nba,nb->na", N,
+                                                       jets.jet.vertical_gradient())
+    return _below(name, _ratio(delta, jets.scale()[:, None]), tol, jets.states,
+                  {"samples_used": len(jets.points), "samples_skipped": jets.skipped})
 
 
 def check_homogeneity(jets: SampleJets, tol: float = 1e-10,
                       name: str = "euler-homogeneity") -> CheckResult:
     """C(L) = 2L: Euler vector field applied through exact vertical gradients;
     the residual |C(L) - 2L| / (|L| + |y| |d L / d y|)."""
-    worst, where = 0.0, None
-    for p, jet in jets:
-        cl = p.velocity @ jet.vertical_gradient()
-        res = _scaled_residual(cl - 2.0 * jet.value, jet, p)
-        if res > worst:
-            worst, where = res, _sample_key(p)
-    return CheckResult(name, worst, tol, worst < tol, where,
-                       {"samples_used": len(jets.points)})
+    cl = np.einsum("na,na->n", jets.states[:, 4:], jets.jet.vertical_gradient())
+    return _below(name, _ratio(cl - 2.0 * jets.jet.value, jets.scale()), tol, jets.states,
+                  {"samples_used": len(jets.points)})
 
 
 def check_hessian(jets: SampleJets, det_floor: float = 1e-10,
@@ -178,23 +206,21 @@ def check_hessian(jets: SampleJets, det_floor: float = 1e-10,
     Nondegeneracy is read from |det g| |y|^8 / L^4, which does not change
     under L -> cL or y -> lambda y: its logarithm, with log |det g| from
     ``slogdet``, must exceed log(det_floor) at every sample.  The residual is
-    the smallest such ratio.
+    the smallest such ratio, at the first sample attaining it.
     """
-    worst, where = math.inf, None
-    signatures = set()
-    for p, jet in jets:
-        g = jet.metric_tensor()
-        sign, logdet = np.linalg.slogdet(g)
-        eig = np.linalg.eigvalsh(g)
-        signatures.add((int(np.sum(eig > 0)), int(np.sum(eig < 0))))
-        L = abs(jet.value)   # 0 on a null direction of a nondegenerate form
-        level = (-math.inf if sign == 0.0 else math.inf if L == 0.0 else float(logdet)
-                 + 8.0 * math.log(float(np.linalg.norm(p.velocity))) - 4.0 * math.log(L))
-        if level < worst or where is None:
-            worst, where = level, _sample_key(p)
+    g = jets.jet.metric_tensor()
+    sign, logdet = np.linalg.slogdet(g)
+    eig = np.linalg.eigvalsh(g)
+    signatures = set(zip(np.sum(eig > 0, axis=1).tolist(), np.sum(eig < 0, axis=1).tolist()))
+    L = np.abs(jets.jet.value)   # 0 on a null direction of a nondegenerate form
+    with np.errstate(divide="ignore", invalid="ignore"):
+        level = logdet + 8.0 * np.log(np.linalg.norm(jets.states[:, 4:], axis=1)) - 4.0 * np.log(L)
+    level = np.where(sign == 0.0, -math.inf, np.where(L == 0.0, math.inf, level))
+    i = int(np.argmin(level))
     floor = math.log(det_floor) if det_floor > 0.0 else -math.inf
-    passed = worst > floor and len(signatures) == 1
-    return CheckResult(name, math.exp(min(worst, 700.0)), det_floor, passed, where,
+    passed = level[i] > floor and len(signatures) == 1
+    return CheckResult(name, math.exp(min(level[i], 700.0)), det_floor, bool(passed),
+                       tuple(jets.states[i]),
                        {"signatures": [list(s) for s in sorted(signatures)],
                         "samples_used": len(jets.points),
                         "comparison": "residual is min |det g| |y|^8 / L^4, must exceed tolerance"})
@@ -212,17 +238,12 @@ def signature_observation(evaluator, samples: Sequence[TangentPoint]) -> tuple:
 def levi_civita_roundtrip(A: RiemannForm, conn: ConnectionProfile,
                           grid: Sequence[tuple], tol: float = 1e-6,
                           name: str = "levi-civita-roundtrip") -> CheckResult:
-    """Christoffels rebuilt from A's coefficient partials vs the input k-table."""
-    worst = 0.0
-    where = None
-    for (t, r), vals in zip(grid, _potential_values(A, grid)):
-        k_round = A.christoffels(t, r, vals)
-        k_in = conn.k_values(t, r)
-        denom = 1.0 + float(np.max(np.abs(k_in)))
-        res = float(np.max(np.abs(k_round - k_in))) / denom
-        if res > worst:
-            worst, where = res, (t, r)
-    return CheckResult(name, worst, tol, worst < tol, where)
+    """Christoffels rebuilt from A's coefficient partials vs the input
+    k-table, max |k_round - k_in| / (1 + max |k_in|) over the grid."""
+    grid = list(grid)
+    k_in = conn.k_values(*np.array(grid, dtype=float).reshape(-1, 2).T)
+    return _below(name, np.max(np.abs(A.christoffels(grid) - k_in), axis=1)
+                  / (1.0 + np.max(np.abs(k_in), axis=1)), tol, grid)
 
 
 def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: float,
@@ -230,16 +251,16 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
                        drift_tol: float = 1e-8, name: str = "geodesic-agreement"
                        ) -> CheckResult:
     """Affine autoparallel vs Finsler Euler-Lagrange trajectory, plus the
-    conservation of L along the autoparallel, its potentials read at all
-    states at once."""
+    conservation of L along the autoparallel: L at all its states from one
+    jet run (`_jets`), the potentials read at all of them at once.  A state
+    where L cannot be evaluated makes the drift infinite."""
     tr_a = integrate_spray(conn, p0, T, n_out)
     tr_f = integrate_finsler(evaluator, p0, T, n_out)
-    scale = 1.0 + float(np.max(np.abs(tr_a.states)))
-    disc = float(np.max(np.abs(tr_a.states - tr_f.states))) / scale
-    vals = _potential_values(evaluator, tr_a.states[:, :2])
-    Ls = np.array([evaluator.jet(TangentPoint(*st), v).value
-                   for st, v in zip(tr_a.states, vals)])
-    drift = float(np.max(np.abs(Ls - Ls[0]))) / (1.0 + abs(Ls[0]))
+    disc = discrepancy(tr_a, tr_f)
+    jets = _jets(evaluator, [TangentPoint(*st) for st in tr_a.states])
+    Ls = jets.jet.value
+    drift = (math.inf if jets.skipped
+             else float(np.max(np.abs(Ls - Ls[0]))) / (1.0 + abs(float(Ls[0]))))
     passed = disc < disc_tol and drift < drift_tol
     return CheckResult(name, max(disc, drift), max(disc_tol, drift_tol), passed,
                        tuple(p0.state()),
@@ -252,24 +273,27 @@ def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5,
     """L's spray is the connection's G^a = (1/2) Gamma^a_bc xdot^b xdot^c: the
     Euler-Lagrange identity 4 g_ab G^b = xdot^c d_c ddot_a L - d_a L (no solve with
     g), relative to max |rhs| + max |4 g| max |G|, which L -> cL, y -> s y keep."""
-    worst, where = 0.0, None
-    for p, jet in jets:
-        rhs = p.velocity @ jet.mixed_block() - jet.horizontal_gradient()
-        g4 = 4.0 * jet.metric_tensor()
-        G = np.array(spray_coefficients(conn, p))
-        res = _ratio(float(np.max(np.abs(g4 @ G - rhs))),
-                     float(np.max(np.abs(rhs)) + np.max(np.abs(g4)) * np.max(np.abs(G))))
-        if res > worst:
-            worst, where = res, _sample_key(p)
-    return CheckResult(name, worst, tol, worst < tol, where,
-                       {"samples_used": len(jets.points)})
+    vel = jets.states[:, 4:]
+    rhs = np.einsum("nc,ncb->nb", vel, jets.jet.mixed_block()) - jets.jet.horizontal_gradient()
+    g4 = 4.0 * jets.jet.metric_tensor()
+    G = 0.5 * np.einsum("nabc,nb,nc->na", jets.christoffels(conn), vel, vel)
+    res = _ratio(np.abs(np.einsum("nab,nb->na", g4, G) - rhs).max(axis=1),
+                 np.abs(rhs).max(axis=1) + np.abs(g4).max(axis=(1, 2)) * np.abs(G).max(axis=1))
+    return _below(name, res, tol, jets.states, {"samples_used": len(jets.points)})
 
 
 # ---------------------------------------------------------------------------
 # Quadratic-fit falsification
 # ---------------------------------------------------------------------------
 
-_SYM10 = [(i, j) for i in range(4) for j in range(i, 4)]
+# the ten symmetric unknowns A_ij, i <= j, row by row: their rows, their columns
+_ROWS, _COLS = zip(*[(i, j) for i in range(4) for j in range(i, 4)])
+
+
+def _sym_matrix(x: np.ndarray) -> np.ndarray:
+    A = np.zeros((4, 4))
+    A[_ROWS, _COLS] = A[_COLS, _ROWS] = x
+    return A
 
 
 def _bracket_coefficient_tensors(conn: ConnectionProfile, t: float, r: float,
@@ -277,49 +301,22 @@ def _bracket_coefficient_tensors(conn: ConnectionProfile, t: float, r: float,
     """The depth-1/2 bracket vectors are linear in the velocity; extract their
     coefficient tensors T[c, d] by evaluating at the four basis velocities."""
     cp = curvature_profile(conn, t, r)
-    per_basis = []
-    for c in range(4):
-        v = np.zeros(4)
-        v[c] = 1.0
-        p = TangentPoint(t, r, theta, 0.0, *v)
-        per_basis.append(bracket_matrix(conn, p, 2, cp))
-    tensors = []
-    for k in range(per_basis[0].shape[0]):
-        T = np.stack([per_basis[c][k] for c in range(4)])  # T[c, d]
-        if float(np.max(np.abs(T))) > 1e-13:
-            tensors.append(T)
-    return tensors
+    per_basis = np.stack([bracket_matrix(conn, TangentPoint(t, r, theta, 0.0, *v), 2, cp)
+                          for v in np.eye(4)])
+    return [T for T in per_basis.transpose(1, 0, 2) if float(np.max(np.abs(T))) > 1e-13]
 
 
-def _annihilation_rows(T: np.ndarray) -> list:
+def _annihilation_rows(T: np.ndarray) -> np.ndarray:
     """Rows of A -> (T o A) + (T o A)^T over the ten symmetric unknowns.
 
     A parallel metric is annihilated by the curvature endomorphism and by its
     horizontal derivatives; both appear among the bracket coefficient tensors
     (their Gamma-correction terms are curvature recombinations, annihilating A
-    as well), so M_ce = T[c, d] A_de + T[e, d] A_dc must vanish.
+    as well), so M_ce = T[c, d] A_de + T[e, d] A_dc must vanish: row (c, e),
+    c <= e, column ij is M_ce at A = E_ij.
     """
-    rows = []
-    for c in range(4):
-        for e in range(c, 4):
-            row = np.zeros(10)
-            for col, (i, j) in enumerate(_SYM10):
-                val = 0.0
-                for d in range(4):
-                    if (min(d, e), max(d, e)) == (i, j):
-                        val += T[c, d]
-                    if (min(d, c), max(d, c)) == (i, j):
-                        val += T[e, d]
-                row[col] = val
-            rows.append(row)
-    return rows
-
-
-def _sym_matrix(x: np.ndarray) -> np.ndarray:
-    A = np.zeros((4, 4))
-    for col, (i, j) in enumerate(_SYM10):
-        A[i, j] = A[j, i] = x[col]
-    return A
+    TE = T @ np.array([_sym_matrix(e) for e in np.eye(10)])   # T o E_ij, E_ij = E_ji = 1
+    return (TE + TE.transpose(0, 2, 1))[:, _ROWS, _COLS].T
 
 
 def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: float,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
-                                   nonlinear_connection)
+                                   christoffel_table)
 from berwald.scalar_field import (Call, DomainError, Neg, Num, Param, Partials, Var,
                                   compile_fields)
 
@@ -91,6 +91,12 @@ def exp_conn():
 
 
 # -- helpers ------------------------------------------------------------------
+
+def nonlinear_connection(conn: ConnectionProfile, p: TangentPoint) -> np.ndarray:
+    """N^a_b = Gamma^a_bc xdot^c at p."""
+    return np.einsum("abc,c->ab", christoffel_table(conn.k_values(p.t, p.r), p.theta),
+                     p.velocity)
+
 
 def horizontal_residual(form, conn: ConnectionProfile, p: TangentPoint) -> float:
     jet = form.jet(p)

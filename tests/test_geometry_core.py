@@ -7,15 +7,15 @@ from berwald.geometry_core import (BRACKET_PAIRS, COORD_NAMES, PH, R, TH, T,
                                    ConnectionProfile, InsufficientSamples, NonFiniteData,
                                    TangentPoint, UnsupportedConnection, bracket_matrix,
                                    bracket_vectors, christoffel_table, curvature_profile,
-                                   nonlinear_connection, numeric_rank, ricci_asymmetry,
-                                   sample_tangent_points, spray_coefficients,
-                                   vertical_holonomy_rank)
+                                   numeric_rank, ricci_asymmetry, sample_tangent_points,
+                                   spray_coefficients, vertical_holonomy_rank)
 
+from berwald import geometry_core
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
 
 from conftest import (assert_program_matches_fields, class5_curved_block, default_grid,
-                      exponential_example, flat_cartesian, power_law_nonsymmetric,
-                      power_law_symmetric, to_sympy)
+                      exponential_example, flat_cartesian, nonlinear_connection,
+                      power_law_nonsymmetric, power_law_symmetric, to_sympy)
 from generators import make_class3, make_class5
 
 
@@ -269,6 +269,96 @@ class TestHolonomyRank:
         mat = np.diag([1.0, 1e-4, 1e-12])
         assert numeric_rank(mat, tol=1e-8) == 2
         assert numeric_rank(np.zeros((3, 4))) == 0
+
+
+def scalar_samples(rng, t_range, r_range, n, predicate=None):
+    """The sampler drawn one candidate at a time, nine scalar draws each."""
+    pts, tries = [], 0
+    while len(pts) < n:
+        tries += 1
+        if tries > geometry_core._MAX_TRIES:
+            raise InsufficientSamples("predicate rejected too many samples")
+        t = rng.uniform(*t_range)
+        r = rng.uniform(*r_range)
+        theta = math.asin(rng.uniform(0.2, 0.98))
+        if rng.uniform() < 0.5:
+            theta = math.pi - theta
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        tdot = rng.uniform(0.0, 2.0)
+        rdot, thetadot, phidot = rng.uniform(-2.0, 2.0, size=3)
+        if tdot <= 1e-6:
+            continue
+        p = TangentPoint(t, r, theta, phi, tdot, rdot, thetadot, phidot)
+        if predicate is not None and not predicate(p):
+            continue
+        pts.append(p)
+    return pts
+
+
+class TestChunkedSampler:
+    """`sample_tangent_points` draws chunks of candidates and gives the
+    points, the predicate's calls and the generator's next draw of drawing
+    one candidate at a time."""
+
+    @staticmethod
+    def both(make_rng, n, predicate=None, admit=None, box=((0.6, 2.4), (0.5, 2.5))):
+        """(points, predicate calls, next draw) of the scalar loop and of the
+        sampler, the scalar loop's predicate being ``predicate`` and then ``admit``."""
+        out = []
+        for chunked in (False, True):
+            rng, seen = make_rng(), []
+
+            def pred(p):
+                seen.append(p.state().tobytes())
+                return predicate is None or predicate(p)
+            if chunked:
+                pts = sample_tangent_points(rng, *box, n, pred, admit)
+            else:
+                pts = scalar_samples(rng, *box, n, lambda p: pred(p) and (
+                    admit is None or admit([p])[0]))
+            out.append(([p.state().tobytes() for p in pts], seen, rng.random()))
+        return out
+
+    def test_same_points_calls_and_generator(self):
+        rarely = lambda p: p.rdot > 1.8   # about one candidate in twenty
+        for seed in range(12):
+            for predicate in (None, rarely, lambda p: p.tdot > p.rdot):
+                for n in (1, 20, 50):
+                    ref, got = self.both(lambda: np.random.default_rng(seed), n, predicate)
+                    assert got == ref
+
+    def test_tiny_tdot_is_skipped(self):
+        # candidate 796 528 of seed 0 draws tdot = 1.27e-7: the 9th after this jump
+        def make_rng():
+            rng = np.random.default_rng(0)
+            rng.bit_generator.advance(9 * 796520)
+            return rng
+        assert 2.0 * make_rng().random((9, 9))[8, 5] <= 1e-6
+        ref, got = self.both(make_rng, 30)
+        assert got == ref
+        # the predicate saw 30 candidates, and one more was drawn: the skipped one
+        assert len(ref[1]) == 30 and ref[2] == make_rng().random(9 * 31 + 1)[-1]
+
+    def test_too_strict_predicate_raises_where_the_scalar_loop_does(self):
+        states = []
+        for chunked in (False, True):
+            rng, seen = np.random.default_rng(4), []
+            with pytest.raises(InsufficientSamples):
+                (sample_tangent_points if chunked else scalar_samples)(
+                    rng, (0.5, 2.5), (0.5, 2.5), 5, lambda p: seen.append(1) and False)
+            states.append((len(seen), rng.random()))
+        assert states[0] == states[1] and states[0][0] > geometry_core._MAX_TRIES - 5
+
+    def test_batch_admission_sees_each_chunk_once(self):
+        def admit(points):
+            return [p.rdot < 0.0 for p in points]
+        ref, got = self.both(lambda: np.random.default_rng(9), 40, lambda p: p.tdot > 0.5,
+                             admit)
+        assert got == ref
+        batches = []
+        sample_tangent_points(np.random.default_rng(9), (0.6, 2.4), (0.5, 2.5), 40, None,
+                              lambda points: batches.append(len(points)) or admit(points))
+        assert 1 < len(batches) <= 4   # half the candidates pass: a few chunks
 
 
 class TestTangentPoint:

@@ -538,7 +538,7 @@ class TestClass4:
     def test_flat_lorentzian(self, grid):
         A = build_class4(flat_cartesian(), grid, "lorentzian")
         assert A.values(1.3, 2.0) == pytest.approx((1.0, 0.0, -1.0, -1.0))
-        k = A.christoffels(1.7, 0.9)
+        k = A.christoffels([(1.7, 0.9)])[0]
         assert np.max(np.abs(k)) == 0.0
 
     def test_flat_euclidean_also_metrizes(self, grid):

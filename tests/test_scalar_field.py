@@ -35,7 +35,7 @@ class FieldForm(ExpressionForm):
 def form_jet(field, t, r):
     """(L, dL/dt, dL/dr) of `FieldForm` at tdot = 1: the field's jet."""
     j = FieldForm(field).jet(TangentPoint(t, r, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0))
-    return (j.value, *map(float, j.horizontal_gradient()[:2]))
+    return (float(j.value), *map(float, j.horizontal_gradient()[:2]))
 
 
 class TestParse:

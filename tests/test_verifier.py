@@ -6,19 +6,20 @@ import pytest
 
 from berwald.geodesic_engine import integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
-                                   sample_tangent_points)
-from berwald.metrizer import (RDOT, TDOT, W2, ExpressionForm, RiemannForm, build_class3,
-                              build_class4, build_class5, build_exponential, build_power_law)
-from berwald.scalar_field import ScalarField
+                                   sample_tangent_points, spray_coefficients)
+from berwald.metrizer import (RDOT, TDOT, W2, ExpressionForm, PotentialSystem, RiemannForm,
+                              build_class3, build_class4, build_class5, build_exponential,
+                              build_power_law)
+from berwald.scalar_field import DomainError, ScalarField
 from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
                               check_hessian, check_homogeneity,
-                              check_horizontal_constancy, geodesic_agreement,
+                              check_horizontal_constancy, draw_jets, geodesic_agreement,
                               levi_civita_roundtrip, riemann_falsification, sample_jets,
                               signature_observation, VerificationError)
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
-                      exponential_example, flat_cartesian, power_law_nonsymmetric,
-                      power_law_symmetric)
+                      exponential_example, flat_cartesian, nonlinear_connection,
+                      power_law_nonsymmetric, power_law_symmetric)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +64,8 @@ class Scaled(ExpressionForm):
     def __init__(self, form, c):
         self.form, self.c, self.scale_pot = form, c, getattr(form, "scale_pot", None)
 
-    def admissible(self, p):
-        return self.form.admissible(p)
+    def admissible(self, p, vals=None):
+        return self.form.admissible(p, vals)
 
     def lagrangian(self):
         return self.c * self.form.lagrangian()
@@ -82,8 +83,8 @@ class TestSampleJets:
         jets = sample_jets(form, pts)
         assert jets.points == [p for p in pts if form.admissible(p)]
         assert jets.skipped == len(pts) - len(jets.points) > 0
-        for p, jet in jets:
-            assert jet.value == form.jet(p).value
+        for p, value in zip(jets.points, jets.jet.value):
+            assert value == pytest.approx(form.jet(p).value, rel=1e-13)
 
     def test_no_admissible_sample_is_an_error(self, forms):
         _, form = forms["ex1"]
@@ -91,6 +92,183 @@ class TestSampleJets:
         assert not form.admissible(backwards)
         with pytest.raises(VerificationError, match="no admissible samples"):
             sample_jets(form, [backwards])
+
+
+class SqrtScale(ExpressionForm):
+    """L = e^psi (tdot^2 + rdot^2 + w^2), psi carried by d psi = sqrt(2 - t) dt
+    from (1, 1): no transport reaches t > 2, and such a sample is refused."""
+
+    def __init__(self):
+        self.scale_pot = PotentialSystem(["psi"], ["sqrt(2 - t)"], ["0"], (1.0, 1.0))
+
+    def admissible(self, p, vals=None):
+        if vals is None:
+            try:
+                self.scale_pot.values(p.t, p.r)
+            except DomainError:
+                return False
+        return True
+
+    def lagrangian(self):
+        return ScalarField("psi").call("exp") * (TDOT * TDOT + RDOT * RDOT + W2)
+
+
+class SqrtTdot(ExpressionForm):
+    """L = sqrt(tdot - 1) (tdot^2 + w^2): its program fails where tdot < 1."""
+
+    def lagrangian(self):
+        return (TDOT - 1.0).call("sqrt") * (TDOT * TDOT + W2)
+
+
+class TestBatchAdmission:
+    def test_one_failing_transport_refuses_that_candidate_only(self, rng):
+        form = SqrtScale()
+        pts = sample_tangent_points(rng, (1.2, 1.9), (0.6, 2.4), 6)
+        far = dataclasses.replace(pts[2], t=2.2)
+        pts[2] = far
+        with pytest.raises(DomainError):
+            form.scale_pot.values_at([(p.t, p.r) for p in pts])
+        ok, vals = form.admit(pts)
+        assert ok == [True, True, False, True, True, True] and vals is None
+        jets = sample_jets(form, pts)
+        assert jets.points == pts[:2] + pts[3:] and jets.skipped == 1
+
+    def test_admitted_values_are_the_single_point_values(self, rng):
+        form = build_exponential(exponential_example(), default_grid())
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30)
+        pts.insert(7, TangentPoint(1.0, 1.5, 1.2, 0.0, 0.701, 0.7, 0.2, 0.1))  # L underflows
+        ok, vals = form.admit(pts)
+        assert ok == [form.admissible(p) for p in pts] and not ok[7]
+        assert [v["psi"] for v in vals] == [form.scale_pot.values(p.t, p.r)["psi"] for p in pts]
+
+    def test_drawn_jets_match_sampled_jets(self, forms):
+        # the samples and jets of one chunked draw equal those of drawing the
+        # points first and admitting them one at a time
+        conn, form = forms["ex1"]
+        jets = draw_jets(form, np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 30)
+        pts = sample_tangent_points(np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 30,
+                                    predicate=form.admissible)
+        assert jets.points == pts and jets.skipped == 0
+        assert np.array_equal(jets.jet.out, sample_jets(form, pts).jet.out)
+
+
+class TestArrayJets:
+    @pytest.mark.parametrize("which", ["ex1", "exponential", "class3", "flat"])
+    def test_array_run_matches_per_sample_jets(self, forms, which, rng):
+        from generators import make_class3
+        if which == "exponential":
+            form = build_exponential(exponential_example(), default_grid())
+        elif which == "class3":
+            form = build_class3(make_class3(51)[0], default_grid(), "square")[0]
+        else:
+            form = forms[which][1]
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30, predicate=form.admissible)
+        jets = sample_jets(form, pts)
+        assert jets.points == pts and jets.jet.out.shape == (30, 30)
+        one = np.array([form.jet(p).out for p in pts])
+        # each block against its own size at that sample
+        for block in (slice(0, 1), slice(1, 5), slice(5, 8), slice(8, 20), slice(20, 30)):
+            scale = np.max(np.abs(one[:, block]), axis=1, keepdims=True)
+            assert np.all(np.abs(jets.jet.out[:, block] - one[:, block]) <= 1e-13 * scale)
+
+    def test_failing_program_skips_exactly_those_samples(self, rng):
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 40)
+        jets = sample_jets(SqrtTdot(), pts)
+        kept = [p for p in pts if p.tdot > 1.0]
+        assert 0 < len(kept) < 40
+        assert jets.points == kept and jets.skipped == 40 - len(kept)
+        assert np.array_equal(jets.jet.out, np.array([SqrtTdot().jet(p).out for p in kept]))
+
+
+class NotHomogeneous(ExpressionForm):
+    """L = tdot^2 + rdot^2 + w^2 + r tdot: degrees 2 and 1 mixed."""
+
+    def lagrangian(self):
+        return TDOT * TDOT + RDOT * RDOT + W2 + ScalarField("r") * TDOT
+
+
+def reference_checks(form, conn, points) -> dict:
+    """(residual, sample) of the four form checks, one sample at a time:
+    per-point jets, the nonlinear connection and the spray of each sample,
+    the worst kept by strict comparison as it is met."""
+    worst = {"horizontal": (0.0, None), "homogeneity": (0.0, None),
+             "berwald": (0.0, None), "hessian": (math.inf, None)}
+
+    def keep(key, res, p, larger=True):
+        if (res > worst[key][0]) if larger else (res < worst[key][0] or worst[key][1] is None):
+            worst[key] = (res, tuple(p.state()))
+    for p in points:
+        jet = form.jet(p)
+        y, dv, dh = p.velocity, jet.vertical_gradient(), jet.horizontal_gradient()
+        scale = abs(jet.value) + np.linalg.norm(y) * np.linalg.norm(dv)
+        N = nonlinear_connection(conn, p)
+        for a in range(4):
+            keep("horizontal", abs(dh[a] - N[:, a] @ dv) / scale, p)
+        keep("homogeneity", abs(y @ dv - 2.0 * jet.value) / scale, p)
+        g = jet.metric_tensor()
+        rhs = y @ jet.mixed_block() - dh
+        G = np.array(spray_coefficients(conn, p))
+        keep("berwald", np.max(np.abs(4.0 * g @ G - rhs))
+             / (np.max(np.abs(rhs)) + np.max(np.abs(4.0 * g)) * np.max(np.abs(G))), p)
+        level = (np.linalg.slogdet(g)[1] + 8.0 * math.log(np.linalg.norm(y))
+                 - 4.0 * math.log(abs(jet.value)))
+        keep("hessian", level, p, larger=False)
+    return worst
+
+
+class TestArrayChecks:
+    """Each check's array pass against its per-sample loop, on inputs where
+    the residuals are far from round-off, so the worst sample is unambiguous."""
+
+    def test_form_checks_match_per_sample_loops(self, forms, rng):
+        cases = [(power_law_nonsymmetric(2.5), forms["ex1"][1]),   # another connection
+                 (ConnectionProfile({}), RandersLike()),
+                 (forms["c5"][0], NotHomogeneous())]
+        for conn, form in cases:
+            pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 25,
+                                        predicate=form.admissible)
+            jets = sample_jets(form, pts)
+            ref = reference_checks(form, conn, pts)
+            got = {"horizontal": check_horizontal_constancy(jets, conn),
+                   "homogeneity": check_homogeneity(jets),
+                   "berwald": berwald_check(jets, conn)}
+            for key, res in got.items():
+                if ref[key][0] > 1e-6:
+                    assert res.residual == pytest.approx(ref[key][0], rel=1e-10)
+                    assert res.sample == ref[key][1]
+                else:
+                    assert res.residual < 1e-12
+            hess = check_hessian(jets)
+            assert math.log(hess.residual) == pytest.approx(ref["hessian"][0], rel=1e-10)
+            assert hess.sample == ref["hessian"][1]
+
+    def test_levi_civita_matches_per_point_formula(self, forms, grid):
+        conn, A = forms["flat"]
+        bad = RiemannForm(A.att + 0.1 + 0.05 * ScalarField("t") * ScalarField("r"), A.atr,
+                          A.arr, A.aw * (1.0 + 0.1 * ScalarField("r")), scale_pot=A.scale_pot)
+        worst, where = 0.0, None
+        for t, r in grid:
+            att, atr, arr, aw = bad.coefficient_jets(t, r)
+            B = np.array([[att.value, atr.value], [atr.value, arr.value]])
+            dB = [np.array([[att.dt, atr.dt], [atr.dt, arr.dt]]),
+                  np.array([[att.dr, atr.dr], [atr.dr, arr.dr]])]
+            Binv = np.linalg.inv(B)
+            Gam = [[[0.5 * sum(Binv[a, d] * (dB[b][d, c] + dB[c][b, d] - dB[d][b, c])
+                               for d in range(2)) for c in range(2)] for b in range(2)]
+                   for a in range(2)]
+            gw = np.array([aw.dt, aw.dr])
+            k = np.zeros(12)
+            k[:6] = [Gam[0][0][0], Gam[0][0][1], Gam[0][1][1], Gam[1][0][0], Gam[1][1][1],
+                     Gam[1][0][1]]
+            k[6:10] = [-0.5 * Binv[0] @ gw, 0.5 * aw.dt / aw.value, 0.5 * aw.dr / aw.value,
+                       -0.5 * Binv[1] @ gw]
+            k_in = conn.k_values(t, r)
+            res = np.max(np.abs(k - k_in)) / (1.0 + np.max(np.abs(k_in)))
+            if res > worst:
+                worst, where = res, (t, r)
+        got = levi_civita_roundtrip(bad, conn, grid)
+        assert worst > 1e-2 and got.residual == pytest.approx(worst, rel=1e-12)
+        assert got.sample == where
 
 
 class TestHorizontalConstancy:
