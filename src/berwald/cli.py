@@ -251,13 +251,9 @@ def _grid_table(form, grid) -> dict:
     out = {"points": [[t, r] for (t, r) in grid]}
     pots = form.scale_pot
     table = pots.values_at(grid) if pots is not None else None
-    if hasattr(form, "coefficient_jets"):
-        vals = {"att": [], "atr": [], "arr": [], "aw": []}
-        for i, (t, r) in enumerate(grid):
-            at = dict(zip(pots.names, table[i])) if pots is not None else None
-            for key, jet in zip(vals, form.coefficient_jets(t, r, at)):
-                vals[key].append(jet.value)
-        out["coefficients"] = vals
+    if hasattr(form, "coefficient_table"):
+        values = form.coefficient_table(grid, table)[:, :, 0]
+        out["coefficients"] = dict(zip(("att", "atr", "arr", "aw"), values.T.tolist()))
     elif pots.names == ["psi"]:
         out["scale"] = [math.exp(psi + form.log_scale) for psi in table[:, 0].tolist()]
     else:

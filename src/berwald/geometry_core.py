@@ -143,7 +143,7 @@ class ConnectionProfile:
             self._run = compile_fields(self.k)
         if np.ndim(t):
             try:
-                return np.stack(self._run.on_arrays({"t": t, "r": r}), axis=1)
+                return self._run.on_arrays({"t": t, "r": r})
             except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
                 return np.array([self.k_values(a, b) for a, b in zip(t, r)])
         try:
@@ -353,12 +353,12 @@ def curvature_grid(conn: ConnectionProfile, points: Sequence[tuple]) -> Curvatur
     r = np.array([q[1] for q in points], dtype=float)
     first, second = conn._curvature_programs()
     try:
-        out = np.stack(first.on_arrays({"t": t, "r": r}), axis=1)
+        out = first.on_arrays({"t": t, "r": r})
         corner = _corners(out[:, :12])
         generic = corner == W_CORNER_GENERIC
         g = np.full((len(points), 10), math.nan)
         if generic.any():
-            g[generic] = np.stack(second.on_arrays({"t": t[generic], "r": r[generic]}), axis=1)
+            g[generic] = second.on_arrays({"t": t[generic], "r": r[generic]})
     except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
         return CurvatureGrid.from_profiles([curvature_profile(conn, *q) for q in points])
     return CurvatureGrid(t, r, out[:, :12], out[:, 12:].reshape(-1, 14, 3), corner,

@@ -377,7 +377,7 @@ class PotentialSystem:
         env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
         env.update(zip(self.names, np.moveaxis(Y, 2, 0)))
         out = self._run.on_arrays(env)
-        rows = _panel_rows(np.stack(out[:n] if along_t else out[n:], axis=2))
+        rows = _panel_rows(out[..., :n] if along_t else out[..., n:])
         return (h[:, None, None] * rows[:, :_PANEL_N],
                 np.abs(h)[:, None] * np.max(np.abs(rows[:, _PANEL_N:]), axis=1))
 
@@ -652,7 +652,7 @@ class ExpressionForm:
             rows = (pots.values_at(states[:2].T) if vals is None
                     else np.array([[v[n] for n in pots.names] for v in vals]))
             env.update(zip(pots.names, rows.T))
-        return FormJet(np.stack(self._jet_run.on_arrays(env), axis=1))
+        return FormJet(self._jet_run.on_arrays(env))
 
 
 def _uv(conn: ConnectionProfile) -> tuple:
@@ -825,22 +825,29 @@ class RiemannForm(ExpressionForm):
         att, atr, arr, _ = self.values(t, r)
         return att * arr - atr * atr
 
-    def christoffels(self, points: Sequence[tuple]) -> np.ndarray:
-        """k1..k12 of the Levi-Civita connection of A at each (t, r) of
-        ``points``, one row per point, its potentials read with one
-        `values_at`: the coefficients and their partials from one array run,
-        or from a run per point where that fails, which raises the error of
-        the first point that fails."""
+    def coefficient_table(self, points: Sequence[tuple], vals=None) -> np.ndarray:
+        """att, atr, arr, aw with their t- and r-partials at each (t, r) of
+        ``points``, shape (n, 4, 3), the potentials at their rows ``vals``
+        (None: read with one `values_at`): one array run, or a run per point
+        where that fails, which raises the error of the first point that
+        fails."""
         t, r = np.array(points, dtype=float).reshape(-1, 2).T
         env = {"t": t, "r": r}
         if self.scale_pot is not None:
-            env.update(zip(self.scale_pot.names, self.scale_pot.values_at(points).T))
+            if vals is None:
+                vals = self.scale_pot.values_at(points)
+            env.update(zip(self.scale_pot.names, vals.T))
         run = self._coefficient_run
         try:
-            out = np.stack(run.on_arrays(env), axis=1)
+            out = run.on_arrays(env)
         except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
             out = np.array([run({k: float(v[i]) for k, v in env.items()}) for i in range(len(t))])
-        jets = out.reshape(-1, 4, 3)             # att, atr, arr, aw; value, d/dt, d/dr
+        return out.reshape(-1, 4, 3)
+
+    def christoffels(self, points: Sequence[tuple]) -> np.ndarray:
+        """k1..k12 of the Levi-Civita connection of A at each (t, r) of
+        ``points``, one row per point, from one `coefficient_table`."""
+        jets = self.coefficient_table(points)    # att, atr, arr, aw; value, d/dt, d/dr
         B = jets[:, [[0, 1], [1, 2]]]            # (n, 2, 2, 3)
         dB = np.moveaxis(B[..., 1:], -1, 1)      # dB[:, v] = d B / d x^v, x = (t, r)
         Binv = np.linalg.inv(B[..., 0])
@@ -850,7 +857,7 @@ class RiemannForm(ExpressionForm):
         aw, grad_w = jets[:, 3, 0], jets[:, 3, 1:]
         if np.any(aw == 0.0):
             raise DomainError("degenerate angular block")
-        k = np.zeros((len(t), 12))
+        k = np.zeros((len(jets), 12))
         k[:, :6] = Gam2[:, [0, 0, 0, 1, 1, 1], [0, 0, 1, 0, 1, 0], [0, 1, 1, 0, 1, 1]]   # k1..k6
         k[:, 6] = -0.5 * np.einsum("nd,nd->n", Binv[:, 0], grad_w)   # k7
         k[:, 9] = -0.5 * np.einsum("nd,nd->n", Binv[:, 1], grad_w)   # k10

@@ -1,9 +1,10 @@
 """Closed-form scalar fields with exact derivatives.
 
 Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
-immutable AST.  `compile_program` hash-conses ASTs into one straight-line
-program that runs on plain floats or on numpy arrays of points
-(``on_arrays``).  `derivative` applies the forward-mode rules to an AST
+immutable, interned AST: one live node per structure, so equal subexpressions
+are one object.  `compile_program` turns ASTs into one straight-line program
+that runs on plain floats or on numpy arrays of points (``on_arrays``).
+`derivative` applies the forward-mode rules to an AST
 (source transformation), so a partial derivative is again an expression, to
 be compiled with its function or differentiated further: derivatives of any
 parsed expression are exact for the supported function basis, with no finite
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, NamedTuple, Union
@@ -61,38 +64,136 @@ class DomainError(ExpressionError):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 VARIABLES = ("t", "r")
 
+# Nodes are hash-consed: each class's constructor returns the one live node of
+# its structure, so equal subexpressions are one object, ``==`` is identity,
+# and every walk memoized on ``id`` visits each distinct subexpression once.
+# `_INTERNED` maps a node's key to a weak reference, dropped when the node
+# dies.  A key is the class and the fields, a child by its ``id``, which is
+# safe because a node holds its children alive.  Numbers are keyed on their
+# type and value, a zero on its repr, so 0.0 and -0.0, or 1 and 1.0, stay
+# apart as `compile_program`'s registers do (the repr of every number made
+# parsing a tenth slower).
+_INTERNED = {}
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
+class _Entry(weakref.ref):
+    """`_INTERNED`'s weak reference to a node, which knows the node's key."""
+    __slots__ = ("key",)
+
+
+def _forget(entry, drop=_remove_dead_weakref, table=_INTERNED):
+    """Drop the entry of a node that died (``drop`` and ``table`` are bound
+    here, so that a node that dies at interpreter exit still finds them)."""
+    drop(table, entry.key)
+
+
+def _keep(key, node):
+    """Enter ``node`` in `_INTERNED` under ``key`` until it dies."""
+    entry = _INTERNED[key] = _Entry(node, _forget)
+    entry.key = key
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Num:
+    __slots__ = ("value", "__weakref__")
     value: float
 
+    def __new__(cls, value):
+        key = (cls, type(value), value if value else repr(value))
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "value", value)
+            _keep(key, node)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Var:
+    __slots__ = ("name", "__weakref__")
     name: str
 
+    def __new__(cls, name):
+        key = (cls, name)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            _keep(key, node)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Param:
+    __slots__ = ("name", "__weakref__")
     name: str
 
+    def __new__(cls, name):
+        key = (cls, name)
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "name", name)
+            _keep(key, node)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Neg:
+    __slots__ = ("arg", "__weakref__")
     arg: "Expression"
 
+    def __new__(cls, arg):
+        key = (cls, id(arg))
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "arg", arg)
+            _keep(key, node)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class BinOp:
+    __slots__ = ("op", "left", "right", "__weakref__")
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
+    def __new__(cls, op, left, right):
+        key = (cls, op, id(left), id(right))
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "op", op)
+            _set(node, "left", left)
+            _set(node, "right", right)
+            _keep(key, node)
+        return node
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Call:
+    __slots__ = ("fn", "arg", "__weakref__")
     fn: str
     arg: "Expression"
+
+    def __new__(cls, fn, arg):
+        key = (cls, fn, id(arg))
+        ref = _INTERNED.get(key)
+        node = ref and ref()
+        if node is None:
+            node = object.__new__(cls)
+            _set(node, "fn", fn)
+            _set(node, "arg", arg)
+            _keep(key, node)
+        return node
 
 
 Expression = Union[Num, Var, Param, Neg, BinOp, Call]
@@ -342,8 +443,10 @@ def compile_program(exprs, bound=None):
     (vector mode): its instructions differ only in division, powers and the
     function basis, whose domain checks test all points at once.  It raises
     `DomainError` where any point leaves a domain, FloatingPointError where
-    an operation overflows or is invalid or an output is not finite, and
-    returns each output as an array of the points' shape.  Where it fails,
+    an operation overflows or is invalid or an output is not finite (naming
+    the first such output), and returns one C-contiguous array of shape
+    ``points + (n_outputs,)``: output j, a constant too, fills column
+    ``[..., j]``.  Where it fails,
     only a run per point says which point failed and how.  A run on at least
     `_LEAN_POINTS` points reuses a register once the register's last reader
     has run, so it holds only the arrays still to be read.  The renaming
@@ -420,10 +523,13 @@ def compile_program(exprs, bound=None):
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             for fn, d, a, b in steps:
                 r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
-        out = tuple(np.broadcast_to(np.asarray(r[i], dtype=float), shape) for i in results)
-        for i, x in enumerate(out):
-            if not np.isfinite(x).all():
-                raise FloatingPointError("output %d is not finite" % i)
+        out = np.empty(shape + (len(results),))
+        for j, i in enumerate(results):
+            out[..., j] = r[i]
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = ~finite.reshape(-1, len(results)).all(axis=0)
+            raise FloatingPointError("output %d is not finite" % np.argmax(bad))
         return out
 
     run.on_arrays = on_arrays
@@ -467,30 +573,52 @@ def evaluate(e: Expression, env: Mapping[str, object]):
 
 
 def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression:
-    """Replace variables/parameters by expressions (capture-free tree rewrite);
-    an empty ``mapping`` returns ``e`` itself."""
-    if isinstance(e, Num) or not mapping:
+    """Replace variables/parameters by expressions (capture-free rewrite of
+    each distinct subexpression once); an empty ``mapping`` returns ``e``
+    itself."""
+    if not mapping:
         return e
-    if isinstance(e, (Var, Param)):
-        return mapping.get(e.name, e)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, mapping))
-    if isinstance(e, Call):
-        return Call(e.fn, substitute(e.arg, mapping))
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
-    raise TypeError("not an expression node: %r" % (e,))
+    memo = {}
+
+    def sub(x):
+        if id(x) in memo:
+            return memo[id(x)]
+        if isinstance(x, Num):
+            y = x
+        elif isinstance(x, (Var, Param)):
+            y = mapping.get(x.name, x)
+        elif isinstance(x, Neg):
+            y = Neg(sub(x.arg))
+        elif isinstance(x, Call):
+            y = Call(x.fn, sub(x.arg))
+        elif isinstance(x, BinOp):
+            y = BinOp(x.op, sub(x.left), sub(x.right))
+        else:
+            raise TypeError("not an expression node: %r" % (x,))
+        memo[id(x)] = y
+        return y
+
+    out = sub(e)
+    del sub   # a recursive closure: free the memo now, not at a gc pass
+    return out
 
 
 def parameter_names(e: Expression) -> set:
-    """Names of the parameters ``e`` reads."""
-    if isinstance(e, Param):
-        return {e.name}
-    if isinstance(e, (Neg, Call)):
-        return parameter_names(e.arg)
-    if isinstance(e, BinOp):
-        return parameter_names(e.left) | parameter_names(e.right)
-    return set()
+    """Names of the parameters ``e`` reads, each distinct subexpression
+    visited once."""
+    names, seen, todo = set(), set(), [e]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Param):
+            names.add(x.name)
+        elif isinstance(x, (Neg, Call)):
+            todo.append(x.arg)
+        elif isinstance(x, BinOp):
+            todo += (x.left, x.right)
+    return names
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -565,7 +693,9 @@ def derivative(e: Expression, var: str) -> Expression:
         n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
         return _mul(_mul(b, BinOp("^", a, n1)), da)
 
-    return tuple(map(d, e)) if isinstance(e, tuple) else d(e)
+    out = tuple(map(d, e)) if isinstance(e, tuple) else d(e)
+    del d, rule   # recursive closures: free the memo now, not at a gc pass
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -436,6 +436,23 @@ def test_verify_runs_in_one_process_do_not_share_state(cfg_file, tmp_path):
     assert outs[0] == outs[2] != outs[1]
 
 
+def test_verify_runs_leave_no_interned_nodes(cfg_file, tmp_path):
+    """The expression nodes of a job die with it: after in-process `verify`
+    runs and a gc pass, the intern tables are as large as before."""
+    import gc
+    from berwald import scalar_field
+
+    def interned():
+        gc.collect()
+        return len(scalar_field._INTERNED)
+
+    before = interned()
+    for i, text in enumerate((EX2_CFG, EX1_CFG, EX2_CFG)):
+        cfg = cfg_file(text, "job%d.cfg" % i)
+        assert main(["verify", cfg, "--json", str(tmp_path / "out.json"), "--quiet"]) == EXIT_OK
+    assert interned() == before
+
+
 def test_readme_job_configuration_loads(tmp_path):
     readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                           "README.md")

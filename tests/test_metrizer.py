@@ -501,6 +501,20 @@ class TestClass3:
         assert jets[0].dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
                                            rel=1e-12)
 
+    def test_coefficient_table_is_the_coefficient_jets(self, monkeypatch, grid, c3_forms):
+        """One array run over the grid gives each node's `coefficient_jets`
+        to a few ulps; where that run fails, a run per node gives them
+        exactly."""
+        _conn, _fins, riem = c3_forms
+        table = riem.coefficient_table(grid)
+        ref = np.array([riem.coefficient_jets(t, r) for (t, r) in grid])
+        assert table.shape == (len(grid), 4, 3)
+        assert np.all(np.abs(table - ref) <= 8 * np.spacing(np.abs(ref)))
+        vals = riem.scale_pot.values_at(grid)
+        assert riem.coefficient_table(grid, vals).tolist() == table.tolist()
+        monkeypatch.setattr(riem._coefficient_run, "on_arrays", lambda env: 1 / 0)
+        assert riem.coefficient_table(grid, vals).tolist() == ref.tolist()
+
     def test_square_theta_is_not_quadratic(self, grid, c3_forms):
         conn = c3_forms[0]
         fins, _ = build_class3(conn, grid, "square")

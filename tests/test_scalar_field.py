@@ -383,8 +383,8 @@ def assert_array_run_matches(run, exprs, params, points) -> bool:
         out = run.on_arrays({"t": t, "r": r})
     except FloatingPointError:
         return False
-    assert [x.shape for x in out] == [t.shape] * len(exprs)
-    assert np.stack(out, axis=1).tolist() == refs
+    assert out.shape == t.shape + (len(exprs),)
+    assert out.tolist() == refs
     return True
 
 
@@ -445,7 +445,8 @@ def test_large_array_runs_reuse_registers():
         except (ArithmeticError, DomainError):
             continue
         parts = [run.on_arrays(half) for half in halves]
-        assert [x.tolist() for x in whole] == [a.tolist() + b.tolist() for a, b in zip(*parts)]
+        assert [x.tolist() for x in whole.T] == [a.tolist() + b.tolist()
+                                                 for a, b in zip(parts[0].T, parts[1].T)]
         compared += 1
     assert compared >= 5
 
@@ -461,7 +462,7 @@ def test_array_run_of_the_function_basis(src, bad):
     the scalar run's DomainError text."""
     run = compile_program([parse(src)])
     t, r = np.linspace(0.25, 3.0, 12), np.linspace(-1.5, 2.5, 12)
-    got = run.on_arrays({"t": t, "r": r})[0]
+    got = run.on_arrays({"t": t, "r": r})[:, 0]
     ref = np.array([run({"t": a, "r": b})[0] for a, b in zip(t.tolist(), r.tolist())])
     ulps = 0 if src.startswith(("abs", "sqrt", "r/", "1.5")) else 1
     assert got.shape == t.shape
@@ -557,3 +558,82 @@ def test_derivative_folds_only_zeros_and_ones_and_shares_subtrees():
         ScalarField(derivative(parse("sqrt(t)"), "t")).value(0.0, 1.0)
     with pytest.raises(DomainError):                      # d|t| divides by |t|
         ScalarField(derivative(parse("abs(t)"), "t")).value(0.0, 1.0)
+
+
+class TestInterning:
+    """Nodes are hash-consed: one live node per structure."""
+
+    SRC = "(0.25 + t*r)^2 / (1 + (0.25 + t*r)) - sin(alpha*t)"
+
+    def test_equal_sources_parse_to_one_node(self):
+        e = parse(self.SRC)
+        assert parse(self.SRC) is e
+        assert e.left.left.left is e.left.right.right         # (0.25 + t*r) once
+        assert derivative(parse(self.SRC), "t") is derivative(e, "t")
+        assert parse("t + r") is not parse("r + t")
+
+    def test_numbers_keep_sign_and_type_apart(self):
+        assert Num(0.0) is not Num(-0.0)
+        assert Num(1) is not Num(1.0)
+        assert Num(1.0) is Num(1.0) == Num(1.0)
+        assert Num(0.0) != Num(-0.0)
+
+    @pytest.mark.parametrize("node, field", [
+        (Num(2.0), "value"), (Var("t"), "name"), (Param("a"), "name"), (Neg(Var("t")), "arg"),
+        (BinOp("+", Var("t"), Var("r")), "left"), (Call("sin", Var("t")), "fn")])
+    def test_nodes_are_immutable(self, node, field):
+        with pytest.raises(AttributeError):
+            setattr(node, field, Var("r"))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+
+    def test_field_algebra_of_equal_operands_is_one_node(self):
+        def build():
+            t, r = ScalarField("t"), ScalarField("r")
+            return ((t * r + 1.5) / (2.0 - t)).call("exp") ** 2
+        assert build().expr is build().expr
+        assert (-ScalarField("t")).expr is Neg(Var("t"))
+
+    def test_shared_chain_is_walked_once(self):
+        """A 60-level chain x_{k+1} = x_k * x_k + p is a tree of about 2^60
+        nodes and a DAG of 122: every walk is linear in the DAG.  (Results
+        are compared as booleans: printing such a node walks the tree.)"""
+        import time
+        start = time.perf_counter()
+        x, p = Var("t"), Param("p")
+        for _ in range(60):
+            x = BinOp("+", BinOp("*", x, x), p)
+        assert scalar_field.parameter_names(x) == {"p"}
+        y = substitute(x, {"p": Num(-0.5)})
+        assert scalar_field.parameter_names(y) == set()
+        same = y is substitute(x, {"p": Num(-0.5)})
+        shared = y.right is Num(-0.5) and y.left.left is y.left.right
+        assert same and shared
+        value, slope = compile_program([y, derivative(y, "t")])({"t": 0.25})
+        v, dv = 0.25, 1.0
+        for _ in range(60):
+            v, dv = v * v - 0.5, dv * v + v * dv
+        assert (value, slope) == (v, dv)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestArrayRunLayout:
+    def test_points_first_and_contiguous(self):
+        run = compile_program([parse("t*r"), parse("2.5"), parse("t - r")])
+        for shape in ((7,), (3, 5)):
+            t = np.linspace(0.5, 1.5, math.prod(shape)).reshape(shape)
+            r = np.full(shape, 2.0)
+            out = run.on_arrays({"t": t, "r": r})
+            assert out.shape == shape + (3,)
+            assert out.flags.c_contiguous and out.dtype == np.float64
+            assert out[..., 0].tolist() == (t * r).tolist()
+            assert out[..., 1].tolist() == np.full(shape, 2.5).tolist()   # a constant fills its column
+            assert out[..., 2].tolist() == (t - r).tolist()
+
+    def test_non_finite_output_names_the_first(self):
+        run = compile_program([parse("r"), parse("t + r"), parse("t")])
+        t, r = np.array([1.0, np.inf, 2.0]), np.array([1.0, 2.0, 3.0])
+        with pytest.raises(FloatingPointError, match="^output 1 is not finite$"):
+            run.on_arrays({"t": t, "r": r})
+        with pytest.raises(FloatingPointError, match="^output 0 is not finite$"):
+            run.on_arrays({"t": r, "r": t})
