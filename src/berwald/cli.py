@@ -27,7 +27,8 @@ from .geodesic_engine import (ChartExit, StepFailure, discrepancy, integrate_fin
 from .geometry_core import ConnectionProfile, GeometryError, TangentPoint
 from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
                        build_class5, build_exponential, build_power_law)
-from .scalar_field import ExpressionError, compile_expression, parameter_names, parse
+from .scalar_field import (FUNCTIONS, ExpressionError, Param, compile_expression,
+                           parameter_names, parse)
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
                        check_horizontal_constancy, draw_jets, levi_civita_roundtrip,
                        ResidualReport)
@@ -170,6 +171,13 @@ def load_config(path: str) -> JobConfig:
                 parse(value)  # early diagnostic with position
                 cfg.connection[key] = value
             elif section == "params":
+                try:   # the key must be what an expression reads as a parameter
+                    read_as = parse(key)
+                except ExpressionError:
+                    read_as = None
+                if not isinstance(read_as, Param):
+                    raise ValueError("%r is not a parameter name: t and r are variables, pi "
+                                     "a number and %s functions" % (key, ", ".join(FUNCTIONS)))
                 cfg.params[key] = float(value)
             elif section == "grid":
                 if key == "t":

@@ -110,23 +110,14 @@ class ConnectionProfile:
     k1..k12 are Gamma^t_tt, Gamma^t_tr, Gamma^t_rr, Gamma^r_tt, Gamma^r_rr,
     Gamma^r_tr, Gamma^t_thth, Gamma^ph_pht, Gamma^ph_phr, Gamma^r_thth,
     sin(th) Gamma^ph_tth and sin(th) Gamma^ph_rth (see `christoffel_table`).
+    ``params`` binds the parameters of each k_i as `ScalarField` does; a
+    field's own bound values stay.
     """
 
     def __init__(self, fields: Mapping[int, object], params: Mapping[str, float] | None = None):
-        params = dict(params or {})
-        self.params = params
-        ks = []
-        for i in range(1, 13):
-            f = fields.get(i)
-            if f is None:
-                ks.append(ScalarField.zero())
-            elif isinstance(f, ScalarField):
-                merged = dict(f.params)
-                merged.update(params)
-                ks.append(ScalarField(f.expr, merged))
-            else:
-                ks.append(ScalarField(f, params))
-        self.k = tuple(ks)  # k[0] is k1
+        self.k = tuple(ScalarField.zero() if f is None else
+                       ScalarField(f.expr if isinstance(f, ScalarField) else f, params)
+                       for f in map(fields.get, range(1, 13)))  # k[0] is k1
         self._run = None   # k1..k12 as one program, compiled on first use
         self._curvature_fields = None
         self._curvature_runs = None
@@ -284,9 +275,8 @@ class CurvatureGrid:
 def curvature_formulas(k: Sequence[ScalarField]) -> tuple:
     """a1..a14 (a dict), (a, b, c), (D, E, F) and (G, Gt, H, Ht) as fields
     of k1..k12 (``k[0]`` is k1) and their (t, r)-partials by `derivative`;
-    (a, b, c) and what depends on them are defined where k10 != 0.  Each k_i
-    has its parameters substituted, so two may bind one name differently."""
-    k = {i: f.substitute(f.params) for i, f in enumerate(k, start=1)}
+    (a, b, c) and what depends on them are defined where k10 != 0."""
+    k = dict(enumerate(k, start=1))
     exprs = tuple(f.expr for f in k.values())
     kt, kr = ({i: ScalarField(d) for i, d in zip(k, derivative(exprs, v))} for v in "tr")
     a = {

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -171,7 +171,7 @@ class PotentialSystem:
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
                  base: tuple, base_values: Sequence[float] | None = None):
         self.names = list(names)
-        self._pq = self._fields(list(P) + list(Q))
+        self._pq = [f if isinstance(f, ScalarField) else ScalarField(f) for f in list(P) + list(Q)]
         self._run = compile_fields(self._pq)
         self._jet_run = None   # `_one_form_jets`' program, compiled on first use
         n = len(self.names)
@@ -187,15 +187,7 @@ class PotentialSystem:
                        self.base_values[None, None])
         # the table's values by node, and those `values` has transported from it
         self._value_cache = {self.base: self.base_values.copy()}
-        self._jets = lru_cache(maxsize=1)(self._one_form_jets)
-
-    def _fields(self, fields: list) -> list:
-        """ScalarFields in t, r and the components, none of which they bind."""
-        fields = [f if isinstance(f, ScalarField) else ScalarField(f) for f in fields]
-        bound = sorted({k for f in fields for k in f.params if k in self.names})
-        if bound:
-            raise MetrizerError("parameter %s shadows a potential" % ", ".join(bound))
-        return fields
+        self._last_jets = (None, None)   # the last `_jets_at` key and its jets
 
     def _forms(self, t, r, vec) -> tuple:
         """P_1..P_n, Q_1..Q_n at (t, r) and component values ``vec``."""
@@ -219,7 +211,10 @@ class PotentialSystem:
         return jets
 
     def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
-        return self._jets(t, r, tuple(float(vals[n]) for n in self.names))
+        key = (t, r, tuple(float(vals[n]) for n in self.names))
+        if self._last_jets[0] != key:
+            self._last_jets = key, self._one_form_jets(*key)
+        return self._last_jets[1]
 
     def values(self, t: float, r: float) -> dict:
         """The components at (t, r): a one-point `values_at`, kept in the cache."""
@@ -500,17 +495,16 @@ def total_partials(fields: Sequence[ScalarField], pots: PotentialSystem | None =
     shared subtrees are differentiated once."""
     exprs = tuple(f.expr for f in fields)
     names = pots.names if pots is not None else []
-    # the one-forms with their parameters as numbers: they join each field's own
-    forms = [f.substitute(f.params) for f in pots._pq] if pots is not None else []
+    forms = pots._pq if pots is not None else []
     d = {v: derivative(exprs, v) for v in ["t", "r"] + names}
     out = []
     for var, along in (("t", forms[:len(names)]), ("r", forms[len(names):])):
         totals = []
-        for m, f in enumerate(fields):
-            total = ScalarField(d[var][m], f.params)
+        for m in range(len(fields)):
+            total = ScalarField(d[var][m])
             for name, form in zip(names, along):
                 if not (isinstance(d[name][m], Num) and d[name][m].value == 0.0):
-                    total = total + form * ScalarField(d[name][m], f.params)
+                    total = total + form * ScalarField(d[name][m])
             totals.append(total)
         out.append(totals)
     return tuple(out)
@@ -628,10 +622,9 @@ class ExpressionForm:
         L = self.lagrangian()
         dv = [L.derivative(v) for v in VELOCITY]
         dt, dr = total_partials([L] + dv, getattr(self, "scale_pot", None))
-        dth = [ScalarField(e, L.params)
-               for e in derivative(tuple(f.expr for f in [L] + dv), "theta")]
+        dth = [ScalarField(e) for e in derivative(tuple(f.expr for f in [L] + dv), "theta")]
         ddv = [derivative(tuple(f.expr for f in dv[:b + 1]), v) for b, v in enumerate(VELOCITY)]
-        hessian = [ScalarField(ddv[b][a], L.params) for a, b in _UPPER]
+        hessian = [ScalarField(ddv[b][a]) for a, b in _UPPER]
         return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
                               + hessian)
 

@@ -17,8 +17,7 @@ import math
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -197,23 +196,23 @@ class Call:
 
 
 Expression = Union[Num, Var, Param, Neg, BinOp, Call]
+_NODES = Expression.__args__
 
 
-def _apply_fn(name: str, x):
-    try:
-        if name == "ln":
-            if x <= 0.0:
-                raise DomainError("ln of non-positive value")
-            return math.log(x)
-        if name == "sqrt":
-            if x < 0.0:
-                raise DomainError("sqrt of negative value")
-            return math.sqrt(x)
-        if name == "abs":
-            return abs(x)
-        return getattr(math, name)(x)
-    except ValueError as exc:
-        raise DomainError(str(exc))
+def _node_repr(e, depth: int = 6) -> str:
+    """The dataclass repr of a node down to ``depth`` levels, "..." below: a
+    shared subexpression prints where it occurs, so the whole text can be
+    exponentially longer than the DAG."""
+    if not isinstance(e, _NODES):
+        return repr(e)
+    if depth == 0:
+        return "..."
+    return "%s(%s)" % (type(e).__name__, ", ".join(
+        "%s=%s" % (f.name, _node_repr(getattr(e, f.name), depth - 1)) for f in fields(e)))
+
+
+for _node in _NODES:
+    _node.__repr__ = _node_repr
 
 
 # ---------------------------------------------------------------------------
@@ -382,20 +381,27 @@ def _pow(a, b):
     return a ** b
 
 
-# The array backend: the same domain checks, each one test over all points.
-# Overflow and invalid operations raise FloatingPointError (see `on_arrays`).
-
-_NUMPY_FNS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-              "ln": np.log, "sqrt": np.sqrt, "abs": np.abs}
-
-
-def _apply_fn_array(name: str, x):
-    if name == "ln" and np.any(x <= 0.0):
+def _ln(x):
+    if x <= 0.0:
         raise DomainError("ln of non-positive value")
-    if name == "sqrt" and np.any(x < 0.0):
-        raise DomainError("sqrt of negative value")
-    return _NUMPY_FNS[name](x)
+    return math.log(x)
 
+
+def _sqrt(x):
+    if x < 0.0:
+        raise DomainError("sqrt of negative value")
+    return math.sqrt(x)
+
+
+def _load_param(env, name: str):
+    try:
+        return env[name]
+    except KeyError:
+        raise UnboundParameter(name) from None
+
+
+# The array arithmetic: the same domain checks, each one test over all points.
+# Overflow and invalid operations raise FloatingPointError (see `on_arrays`).
 
 def _div_array(a, b):
     if np.any(b == 0.0):
@@ -412,117 +418,120 @@ def _pow_array(a, b):
     return np.power(a, b)
 
 
-def _load_param(name: str, env):
-    try:
-        return env[name]
-    except KeyError:
-        raise UnboundParameter(name) from None
+def _ln_array(x):
+    if np.any(x <= 0.0):
+        raise DomainError("ln of non-positive value")
+    return np.log(x)
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
-_ARRAY_BINARY = dict(_BINARY, **{"/": _div_array, "^": _pow_array})
-# array runs on at least this many points reuse registers (`_reuse_registers`)
+def _sqrt_array(x):
+    if np.any(x < 0.0):
+        raise DomainError("sqrt of negative value")
+    return np.sqrt(x)
+
+
+# An instruction (op, dst, a, b) sets r[dst] = table[op](r[a]), or (r[a], r[b])
+# where b is not None; "var" and "param" load the name in r[b] from env, r[0].
+_FLOAT = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow,
+          "neg": operator.neg, "var": operator.getitem, "param": _load_param,
+          "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
+          "ln": _ln, "sqrt": _sqrt, "abs": abs}
+_ARRAY = dict(_FLOAT, **{"/": _div_array, "^": _pow_array, "sin": np.sin, "cos": np.cos,
+                         "tan": np.tan, "exp": np.exp, "ln": _ln_array, "sqrt": _sqrt_array,
+                         "abs": np.abs})
 _LEAN_POINTS = 1024
 
 
-def compile_program(exprs, bound=None):
+def compile_program(exprs):
     """Compile ASTs into one function env -> tuple of their values: the
     package's one evaluator, a hash-consed DAG run as a straight-line program.
 
-    Each distinct subexpression gets one register and runs once per call, where
-    a left-to-right walk of exprs[0], exprs[1], ... first meets it, so the first
-    failure is the walk's.  Nothing is rewritten or folded: an instruction is an
-    AST node with its domain checks.  Numbers and the parameters valued in
-    ``bound[i]`` for ``exprs[i]`` are pre-filled registers keyed on (type,
-    repr), so 0.0 and -0.0, or 1 and 1.0, stay apart.  ``env`` gives the
-    variables and the other parameters as floats.  A node met
-    again under the same bound values is not walked again: derivatives share
-    their subtrees, which a walk per occurrence would revisit exponentially.
+    Each distinct subexpression is one instruction (op, dst, a, b), run once
+    per call where a left-to-right walk of exprs[0], exprs[1], ... first meets
+    it, so the first failure is the walk's.  Nothing is rewritten or folded:
+    ``op`` is a key of the float and the array table, `_FLOAT` and `_ARRAY`,
+    whose entries carry the domain checks.  Numbers are pre-filled registers
+    keyed on (type, repr), so 0.0 and -0.0, or 1 and 1.0, stay apart, and so
+    are the names that variables and unbound parameters load from ``env``.
 
-    ``run.on_arrays(env)`` runs the same registers on numpy arrays of points
-    (vector mode): its instructions differ only in division, powers and the
-    function basis, whose domain checks test all points at once.  It raises
-    `DomainError` where any point leaves a domain, FloatingPointError where
-    an operation overflows or is invalid or an output is not finite (naming
-    the first such output), and returns one C-contiguous array of shape
-    ``points + (n_outputs,)``: output j, a constant too, fills column
-    ``[..., j]``.  Where it fails,
-    only a run per point says which point failed and how.  A run on at least
-    `_LEAN_POINTS` points reuses a register once the register's last reader
-    has run, so it holds only the arrays still to be read.  The renaming
-    (`_reuse_registers`) is made on the first such run; smaller runs skip
-    it, as it costs about as much per instruction as running the instruction
-    on a thousand points.
+    ``run.on_arrays(env)`` runs the same instructions on numpy arrays of
+    points (vector mode), each domain check one test over all points.  It
+    raises `DomainError` where any point leaves a domain, FloatingPointError
+    where an operation overflows or is invalid or an output is not finite
+    (naming the first such output), and returns one C-contiguous array of
+    shape ``points + (n_outputs,)``: output j, a constant too, fills column
+    ``[..., j]``.  Where it fails, only a run per point says which point
+    failed and how.  A run on at least `_LEAN_POINTS` points holds only the
+    arrays still to be read: a register is reused once its last reader has
+    run (`_reuse_registers`, renamed on the first such run, as the renaming
+    costs about as much as running the instructions on a thousand points).
     """
     regs = [None]        # register 0 holds env during a call
     code = []
-    array_code = []      # the same instructions for `on_arrays`
-    index = {}
-    seen = {}            # bound values -> {id(node): register} of operations, this call only
+    index = {}           # (type, repr) of a constant -> its register
+    memo = {}            # id(node) -> its register
 
-    def visit(e, params, memo):
-        if id(e) in memo:
-            return memo[id(e)]
-        if isinstance(e, Num) or (isinstance(e, Param) and e.name in params):
-            v = e.value if isinstance(e, Num) else params[e.name]
-            key = (type(v), repr(v))
-            if key not in index:
-                index[key] = len(regs)
-                regs.append(v)
-            return index[key]
-        if isinstance(e, (Var, Param)):   # loaded from env (register 0)
-            key, a, b = (type(e), e.name), 0, None
-            fn = operator.itemgetter(e.name) if isinstance(e, Var) else partial(_load_param, e.name)
-            array_fn = fn
-        elif isinstance(e, Neg):
-            a = visit(e.arg, params, memo)
-            key, fn, array_fn, b = ("neg", a), operator.neg, operator.neg, None
-        elif isinstance(e, Call):
-            a = visit(e.arg, params, memo)
-            key, b = (e.fn, a), None
-            fn, array_fn = partial(_apply_fn, e.fn), partial(_apply_fn_array, e.fn)
-        elif isinstance(e, BinOp) and e.op in _BINARY:
-            a = visit(e.left, params, memo)
-            b = visit(e.right, params, memo)
-            key, fn, array_fn = (e.op, a, b), _BINARY[e.op], _ARRAY_BINARY[e.op]
-        else:
-            raise TypeError("not an expression node: %r" % (e,))
+    def constant(v):
+        key = (type(v), repr(v))
         if key not in index:
             index[key] = len(regs)
-            code.append((fn, len(regs), a, b))
-            array_code.append((array_fn, len(regs), a, b))
-            regs.append(None)
-        memo[id(e)] = index[key]
+            regs.append(v)
         return index[key]
 
-    outs = []
-    for i, e in enumerate(exprs):
-        params = bound[i] if bound else {}
-        pkey = tuple(sorted((k, type(v), repr(v)) for k, v in params.items()))
-        outs.append(visit(e, params, seen.setdefault(pkey, {})))
+    def visit(e):
+        if id(e) in memo:
+            return memo[id(e)]
+        if isinstance(e, Num):
+            memo[id(e)] = constant(e.value)
+            return memo[id(e)]
+        if isinstance(e, (Var, Param)):   # loads the name in register b from env
+            op, a, b = "var" if isinstance(e, Var) else "param", 0, constant(e.name)
+        elif isinstance(e, Neg):
+            op, a, b = "neg", visit(e.arg), None
+        elif isinstance(e, Call) and e.fn in FUNCTIONS:
+            op, a, b = e.fn, visit(e.arg), None
+        elif isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "^"):
+            op, a, b = e.op, visit(e.left), visit(e.right)
+        else:
+            raise TypeError("not an expression node: %r" % (e,))
+        memo[id(e)] = len(regs)
+        code.append((op, len(regs), a, b))
+        regs.append(None)
+        return memo[id(e)]
+
+    outs = [visit(e) for e in exprs]
     del visit   # a recursive closure: free the memo now, not at a gc pass
 
-    def run(env):
+    def execute(steps, env):
         r = regs.copy()
         r[0] = env
-        for fn, d, a, b in code:
+        for fn, d, a, b in steps:
             r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
-        return tuple([r[i] for i in outs])
+        return r
 
-    lean = []   # array_code and outs with registers reused, made on the first large run
+    floats = []   # code through _FLOAT, made on the first run
+    arrays = {}   # lean -> (code through _ARRAY, outs), registers reused when lean
+
+    def run(env):
+        if not floats:
+            floats[:] = [(_FLOAT[op], d, a, b) for op, d, a, b in code]
+        try:
+            r = execute(floats, env)
+        except ExpressionError:
+            raise
+        except ValueError as exc:   # math's own: sin, cos or tan of +-inf
+            raise DomainError(str(exc))
+        return tuple([r[i] for i in outs])
 
     def on_arrays(env):
         shape = np.broadcast_shapes(*map(np.shape, env.values()))
-        steps, results = array_code, outs
-        if math.prod(shape) >= _LEAN_POINTS:
-            if not lean:
-                lean.extend(_reuse_registers(array_code, outs))
-            steps, results = lean
-        r = regs.copy()
-        r[0] = env
+        lean = math.prod(shape) >= _LEAN_POINTS
+        if lean not in arrays:
+            steps, results = _reuse_registers(code, outs) if lean else (code, outs)
+            arrays[lean] = [(_ARRAY[op], d, a, b) for op, d, a, b in steps], results
+        steps, results = arrays[lean]
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            for fn, d, a, b in steps:
-                r[d] = fn(r[a]) if b is None else fn(r[a], r[b])
+            r = execute(steps, env)
         out = np.empty(shape + (len(results),))
         for j, i in enumerate(results):
             out[..., j] = r[i]
@@ -541,25 +550,25 @@ def _reuse_registers(code: list, outs: list) -> tuple:
     is reused once its last reader has run.  An instruction reads its
     operands before it writes, so its result may take an operand's place."""
     last = {}
-    for pos, (_fn, _d, a, b) in enumerate(code):
+    for pos, (_op, _d, a, b) in enumerate(code):
         last[a] = last[b] = pos
     last.update((i, len(code)) for i in outs)
     dying = {}   # position -> the computed registers it reads for the last time
-    for _fn, d, _a, _b in code:
+    for _op, d, _a, _b in code:
         if last.get(d, len(code)) < len(code):
             dying.setdefault(last[d], []).append(d)
     name, free, renamed = {}, [], []
-    for pos, (fn, d, a, b) in enumerate(code):
+    for pos, (op, d, a, b) in enumerate(code):
         a, b = name.get(a, a), name.get(b, b)
         free.extend([name[x] for x in dying.get(pos, ())])
         name[d] = slot = free.pop() if free else d
-        renamed.append((fn, slot, a, b))
+        renamed.append((op, slot, a, b))
     return renamed, [name.get(i, i) for i in outs]
 
 
 def compile_fields(fields):
-    """One program for ScalarFields, each with its own bound parameters."""
-    return compile_program([f.expr for f in fields], [f.params for f in fields])
+    """One program of ScalarFields' expressions."""
+    return compile_program([f.expr for f in fields])
 
 
 def compile_expression(e: Expression):
@@ -576,26 +585,27 @@ def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression
     """Replace variables/parameters by expressions (capture-free rewrite of
     each distinct subexpression once); an empty ``mapping`` returns ``e``
     itself."""
-    if not mapping:
-        return e
-    memo = {}
+    return _rewrite(e, {leaf(name): x for name, x in mapping.items() for leaf in (Var, Param)})
+
+
+def _rewrite(e: Expression, memo: dict) -> Expression:
+    """``e`` with each node that is a key of ``memo`` replaced by its value,
+    each distinct subexpression rewritten once (into ``memo``)."""
 
     def sub(x):
-        if id(x) in memo:
-            return memo[id(x)]
-        if isinstance(x, Num):
-            y = x
-        elif isinstance(x, (Var, Param)):
-            y = mapping.get(x.name, x)
-        elif isinstance(x, Neg):
-            y = Neg(sub(x.arg))
-        elif isinstance(x, Call):
-            y = Call(x.fn, sub(x.arg))
-        elif isinstance(x, BinOp):
-            y = BinOp(x.op, sub(x.left), sub(x.right))
-        else:
-            raise TypeError("not an expression node: %r" % (x,))
-        memo[id(x)] = y
+        y = memo.get(x)
+        if y is None:
+            if isinstance(x, (Num, Var, Param)):
+                y = x
+            elif isinstance(x, Neg):
+                y = Neg(sub(x.arg))
+            elif isinstance(x, Call):
+                y = Call(x.fn, sub(x.arg))
+            elif isinstance(x, BinOp):
+                y = BinOp(x.op, sub(x.left), sub(x.right))
+            else:
+                raise TypeError("not an expression node: %r" % (x,))
+            memo[x] = y
         return y
 
     out = sub(e)
@@ -752,7 +762,7 @@ def to_source(e: Expression) -> str:
 
 
 # ---------------------------------------------------------------------------
-# ScalarField: expression + bound parameters
+# ScalarField: an expression with its parameters as numbers
 # ---------------------------------------------------------------------------
 
 class Partials(NamedTuple):
@@ -762,29 +772,24 @@ class Partials(NamedTuple):
     dr: float
 
 
-def _merge_params(params: dict, more: Mapping[str, float]) -> dict:
-    """Add ``more`` to ``params`` in place; a name bound to two values is an error."""
-    for k, v in more.items():
-        if k in params and params[k] != v:
-            raise ValueError("conflicting values for parameter %r" % k)
-        params[k] = v
-    return params
-
-
 class ScalarField:
-    """A function of (t, r): parsed expression plus bound parameter values.
-
-    Fields support +, -, *, / and unary minus, which compose the underlying
-    ASTs; derivatives of composites therefore stay exact.
+    """A function of (t, r): a parsed expression.  ``params`` binds
+    parameters when the field is built: each `Param` node it names becomes a
+    `Num` of its value (a `Var`, such as t or r, is never replaced), so a
+    field keeps its values in any composite, and a program reads an unbound
+    parameter from its env.  Fields support +, -, *, / and unary minus,
+    which compose the underlying ASTs; derivatives of composites therefore
+    stay exact.
     """
 
-    __slots__ = ("expr", "params", "_run", "_jet_run")
+    __slots__ = ("expr", "_run", "_jet_run")
 
     def __init__(self, expr, params: Mapping[str, float] | None = None):
         if isinstance(expr, str):
             expr = parse(expr)
+        if params:
+            expr = _rewrite(expr, {Param(k): Num(v) for k, v in params.items()})
         self.expr = expr
-        self.params = dict(params or {})
         self._run = None       # compiled on first evaluation
         self._jet_run = None   # with its (t, r)-partials, compiled on first `jet`
 
@@ -815,15 +820,14 @@ class ScalarField:
         return to_source(self.expr)
 
     def derivative(self, var: str) -> "ScalarField":
-        return ScalarField(derivative(self.expr, var), self.params)
+        return ScalarField(derivative(self.expr, var))
 
     # -- field algebra ------------------------------------------------------
 
     def _binop(self, op: str, other) -> "ScalarField":
         if not isinstance(other, ScalarField):
             other = ScalarField.constant(other)
-        return ScalarField(BinOp(op, self.expr, other.expr),
-                           _merge_params(dict(self.params), other.params))
+        return ScalarField(BinOp(op, self.expr, other.expr))
 
     def __add__(self, o):
         return self._binop("+", o)
@@ -841,11 +845,11 @@ class ScalarField:
         return self._binop("^", o)
 
     def __neg__(self):
-        return ScalarField(Neg(self.expr), dict(self.params))
+        return ScalarField(Neg(self.expr))
 
     def call(self, fn: str) -> "ScalarField":
         """fn(self) for a basis function ``fn`` (see FUNCTIONS)."""
-        return ScalarField(Call(fn, self.expr), dict(self.params))
+        return ScalarField(Call(fn, self.expr))
 
     def __rmul__(self, o):
         return ScalarField.constant(o)._binop("*", self)
@@ -861,14 +865,9 @@ class ScalarField:
 
     def substitute(self, mapping: Mapping[str, "ScalarField"]) -> "ScalarField":
         """Compose with fields: replace named variables by other fields' ASTs."""
-        expr_map = {}
-        params = dict(self.params)
-        for name, f in mapping.items():
-            if not isinstance(f, ScalarField):
-                f = ScalarField.constant(f)
-            expr_map[name] = f.expr
-            _merge_params(params, f.params).pop(name, None)
-        return ScalarField(substitute(self.expr, expr_map), params)
+        return ScalarField(substitute(self.expr, {
+            name: (f if isinstance(f, ScalarField) else ScalarField.constant(f)).expr
+            for name, f in mapping.items()}))
 
     def __repr__(self):
-        return "ScalarField(%r)" % self.source()
+        return "ScalarField(%r)" % (self.expr,)

@@ -488,6 +488,17 @@ def test_require_with_unbound_parameter_is_a_config_error(cfg_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["t", "r", "pi", "exp"])
+def test_params_key_that_is_not_a_parameter_is_a_config_error(cfg_file, capsys, name):
+    """Expressions read t and r as variables, pi as a number and exp as a
+    function, so such a [params] line could never bind; on k2 = t*r,
+    t = 5 would reach some programs and not others."""
+    path = cfg_file("[connection]\nk2 = t*r\nk10 = 1\n\n[params]\n%s = 5\n" % name)
+    assert main(["classify", path, "--quiet"]) == EXIT_FAIL
+    assert capsys.readouterr().err.startswith(
+        "config error: %s:6: %r is not a parameter name: t and r are variables" % (path, name))
+
+
 class TestOutputPaths:
     STATE = ["--state", "1.0,1.0,1.5707963267948966,0,1.0,0.5,0.0,0.0", "--T", "0.5"]
 

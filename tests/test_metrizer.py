@@ -9,7 +9,7 @@ from berwald.geodesic_engine import StepFailure, integrate_ode
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    curvature_profile, sample_tangent_points)
 from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
-                              MetrizerError, MuNotConstant, NotClosed, NotRiemannMetrizable,
+                              MuNotConstant, NotClosed, NotRiemannMetrizable,
                               PathDependent, PotentialSystem, RiemannForm,
                               SingularQuadratic, _base_point, _grid_probes, build_class3,
                               build_class4, build_class5, build_exponential,
@@ -115,9 +115,28 @@ class TestPotentialSystem:
         with pytest.raises(DomainError, match="jet is not finite at"):
             pot.closedness_residual([(1.0, 1.0)])
 
-    def test_parameter_named_like_a_potential_is_refused(self):
-        with pytest.raises(MetrizerError):
-            PotentialSystem(["psi"], [ScalarField("psi*t", {"psi": 1.0})], ["0"], (0.0, 0.0))
+    def test_freed_without_a_gc_pass(self):
+        """No reference cycle holds a system: it dies, with its programs,
+        when its last reference goes, not at a later cyclic gc pass."""
+        import gc
+        import weakref
+        gc.disable()
+        try:
+            pot = PotentialSystem(["psi"], ["t + psi"], ["0"], (0.0, 0.0))
+            assert pot.closedness_residual([(0.5, 0.0), (0.5, 0.0)]) == 0.0
+            ref = weakref.ref(pot)
+            del pot
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_parameter_named_like_a_potential_keeps_its_value(self):
+        """A field built with psi = 1 reads 1 there; the component psi in the
+        same one-form moves: psi' = 1*t + psi, psi(0) = 0, is e^t - t - 1."""
+        pot = PotentialSystem(["psi"], [ScalarField("psi*t", {"psi": 1.0}) + ScalarField("psi")],
+                              ["0"], (0.0, 0.0))
+        assert pot.values(1.0, 0.0)["psi"] == pytest.approx(math.e - 2.0, rel=1e-12)
+        assert pot.closedness_residual([(0.5, 0.0), (1.0, 0.0)]) < 1e-12
 
 
 def _ode_table(pot: PotentialSystem, grid, tol: float = 1e-13) -> dict:

@@ -298,11 +298,15 @@ def test_field_algebra_jets_are_exact():
     assert j.dr == pytest.approx((g(1.1, 0.8 + h) - g(1.1, 0.8 - h)) / (2 * h), rel=1e-7)
 
 
-def test_conflicting_parameter_values_rejected():
+def test_fields_keep_their_own_parameter_values():
+    """A parameter is a number from the moment a field is built, so fields
+    that bind one name to different values combine, each with its own."""
     f = ScalarField("alpha*t", {"alpha": 1.0})
     g = ScalarField("alpha*r", {"alpha": 2.0})
-    with pytest.raises(ValueError):
-        f + g
+    assert (f + g).value(3.0, 5.0) == 1.0 * 3.0 + 2.0 * 5.0
+    assert (f * g).jet(3.0, 5.0) == (30.0, 10.0, 6.0)
+    assert ScalarField("alpha*t + beta", {"alpha": 1.0}).substitute(
+        {"beta": g}).value(3.0, 5.0) == 13.0
 
 
 # -- the compiled program ------------------------------------------------------
@@ -315,17 +319,17 @@ def test_program_matches_per_field_evaluation_on_random_asts():
     exprs = [_random_ast(rng, int(rng.integers(1, 4))) for _ in range(200)]
     for i in range(0, 200, 12):
         chunk = exprs[i:i + 12]
-        fields = {j + 1: ScalarField(e, {"alpha": 0.5 * j - 1.0}) for j, e in enumerate(chunk)}
+        spec = {j + 1: (e, {"alpha": 0.5 * j - 1.0}) for j, e in enumerate(chunk)}
         if i % 24:
-            fields[10] = ScalarField(Call("sqrt", chunk[9]), {"alpha": 1.0})
-            fields[11] = ScalarField(BinOp("/", chunk[0], chunk[1]), {"alpha": 0.0})
-            fields[12] = ScalarField(Call("ln", chunk[2]), {"alpha": -0.0})
-        conn = ConnectionProfile(fields)
+            spec[10] = (Call("sqrt", chunk[9]), {"alpha": 1.0})
+            spec[11] = (BinOp("/", chunk[0], chunk[1]), {"alpha": 0.0})
+            spec[12] = (Call("ln", chunk[2]), {"alpha": -0.0})
+        conn = ConnectionProfile({j: ScalarField(e, p) for j, (e, p) in spec.items()})
         pts = [tuple(rng.uniform(0.3, 2.0, size=2)) for _ in range(4)]
         pts += [tuple(rng.uniform(-2.0, 2.0, size=2)), (0.0, 0.0)]
         assert_program_matches_fields(conn, pts)
-        assert_array_run_matches(compile_fields(conn.k), [f.expr for f in conn.k],
-                                 [f.params for f in conn.k], pts)
+        walked, params = zip(*(spec.get(j, (Num(0.0), {})) for j in range(1, 13)))
+        assert_array_run_matches(compile_fields(conn.k), walked, params, pts)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -400,7 +404,7 @@ def test_program_equals_a_tree_walk_bit_for_bit():
         parts = [_random_ast(rng, int(rng.integers(1, 5))) for _ in range(4)]
         exprs = parts + [BinOp(op, a, b) for op in "+*/" for a, b in
                          ((parts[0], parts[1]), (parts[2], parts[0]))] + [Num(2.5)]
-        run = compile_program(exprs, [{"alpha": 1.3}] * len(exprs))
+        run = compile_fields([ScalarField(e, {"alpha": 1.3}) for e in exprs])
         t, r = rng.uniform(0.3, 2.0, size=2)
         programs.append((run, exprs))
         points.append((t, r))
@@ -439,7 +443,7 @@ def test_large_array_runs_reuse_registers():
     compared = 0
     for _ in range(10):
         exprs = [_random_ast(rng, 4) for _ in range(6)]
-        run = compile_program(exprs, [{"alpha": 1.3}] * len(exprs))
+        run = compile_fields([ScalarField(e, {"alpha": 1.3}) for e in exprs])
         try:
             whole = run.on_arrays(env)
         except (ArithmeticError, DomainError):
@@ -476,9 +480,9 @@ def test_array_run_of_the_function_basis(src, bad):
 
 
 def test_program_keeps_signed_zeros_and_number_types_apart():
-    prog = compile_program([Num(0.0), Num(-0.0), Num(1), Num(1.0),
-                            BinOp("*", Param("a"), Var("t")), BinOp("*", Param("a"), Var("t"))],
-                           [{}, {}, {}, {}, {"a": -0.0}, {"a": 0.0}])
+    prog = compile_fields([ScalarField(Num(0.0)), ScalarField(Num(-0.0)), ScalarField(Num(1)),
+                           ScalarField(Num(1.0)), ScalarField("a*t", {"a": -0.0}),
+                           ScalarField("a*t", {"a": 0.0})])
     out = prog({"t": 2.0})
     assert [repr(v) for v in out] == ["0.0", "-0.0", "1", "1.0", "-0.0", "0.0"]
 
@@ -596,8 +600,7 @@ class TestInterning:
 
     def test_shared_chain_is_walked_once(self):
         """A 60-level chain x_{k+1} = x_k * x_k + p is a tree of about 2^60
-        nodes and a DAG of 122: every walk is linear in the DAG.  (Results
-        are compared as booleans: printing such a node walks the tree.)"""
+        nodes and a DAG of 122: every walk is linear in the DAG."""
         import time
         start = time.perf_counter()
         x, p = Var("t"), Param("p")
@@ -615,6 +618,29 @@ class TestInterning:
             v, dv = v * v - 0.5, dv * v + v * dv
         assert (value, slope) == (v, dv)
         assert time.perf_counter() - start < 1.0
+
+
+    def test_repr_is_bounded(self):
+        """The repr of a node or a field prints the tree to a bounded depth:
+        a 21-level chain (a tree of 4 M nodes, a DAG of 43) is cut short."""
+        import time
+        x = Var("t")
+        for _ in range(21):
+            x = BinOp("+", BinOp("*", x, x), Param("p"))
+        start = time.perf_counter()
+        texts = [repr(x), repr(ScalarField(x))]
+        assert time.perf_counter() - start < 0.2
+        assert texts[0].startswith("BinOp(op='+', left=BinOp(op='*', left=BinOp(op='+', ")
+        assert "left=..." in texts[0] and len(texts[0]) < 2000
+        assert texts[1] == "ScalarField(%s)" % texts[0]
+        assert repr(parse("sin(-t) + a")) == ("BinOp(op='+', left=Call(fn='sin', arg=Neg("
+                                              "arg=Var(name='t'))), right=Param(name='a'))")
+
+
+def test_float_and_array_tables_have_the_same_ops():
+    ops = scalar_field._FLOAT.keys()
+    assert ops == scalar_field._ARRAY.keys()
+    assert set(FUNCTIONS) | set("+-*/^") <= ops
 
 
 class TestArrayRunLayout:
