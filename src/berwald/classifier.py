@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry_core import (R, T, ConnectionProfile, CurvatureGrid, TangentPoint,
+from .geometry_core import (R, T, ConnectionProfile, CurvatureGrid,
                             W_CORNER_GENERIC, W_CORNER_K10_DEGENERATE, W_CORNER_ZERO,
                             K10Degenerate, NonFiniteData, UnsupportedConnection,
                             _bracket_rows, curvature_grid, holonomy_rank_details,
@@ -244,9 +244,7 @@ def assign_class(conn: ConnectionProfile, grid: Sequence[tuple],
     raise MixedClass("w-corner regime changes across the grid", {})
 
 
-def classify(conn: ConnectionProfile, grid: Sequence[tuple],
-             samples: Optional[Sequence[TangentPoint]] = None,
-             seed: int = 20240601, n_samples: int = 25,
+def classify(conn: ConnectionProfile, grid: Sequence[tuple], seed: int = 20240601,
              tols: Tolerances = Tolerances()) -> ClassificationReport:
     """Full classification pipeline; see the module docstring."""
     grid = list(grid)
@@ -277,14 +275,12 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple],
     report.ricci_asymmetry = float(ric[np.argmax(np.abs(ric))])
     report.evidence["ricci_witness"] = _worst(np.abs(ric) / node_scale, grid)
 
-    if samples is None:
-        rng = np.random.default_rng(seed)
-        tmin = min(q[0] for q in grid)
-        tmax = max(q[0] for q in grid)
-        rmin = min(q[1] for q in grid)
-        rmax = max(q[1] for q in grid)
-        samples = sample_tangent_points(rng, (tmin, tmax), (rmin, rmax),
-                                        max(n_samples, 20))
+    rng = np.random.default_rng(seed)
+    tmin = min(q[0] for q in grid)
+    tmax = max(q[0] for q in grid)
+    rmin = min(q[1] for q in grid)
+    rmax = max(q[1] for q in grid)
+    samples = sample_tangent_points(rng, (tmin, tmax), (rmin, rmax), 25)
     rank, raw_rank, _per = holonomy_rank_details(conn, samples, tols.rank_svd)
     report.holonomy_rank = rank
     report.evidence["holonomy_rank_raw"] = raw_rank

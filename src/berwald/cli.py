@@ -10,6 +10,7 @@ document (schema "berwald-report/1").  Exit codes: 0 pass/determinate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -62,9 +63,18 @@ class ConfigError(ValueError):
 _STATE_NAMES = ("t", "r", "theta", "phi", "tdot", "rdot", "thetadot", "phidot")
 
 
+class _Source(str):
+    """Expression text that carries its parsed expression, ``expr``."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.expr = parse(text)
+        return self
+
+
 @dataclass
 class JobConfig:
-    connection: dict = dc_field(default_factory=dict)   # "k1".."k12" -> source text
+    connection: dict = dc_field(default_factory=dict)   # "k1".."k12" -> `_Source`
     params: dict = dc_field(default_factory=dict)
     t_range: tuple = (0.5, 2.5)
     r_range: tuple = (0.5, 2.5)
@@ -72,7 +82,7 @@ class JobConfig:
     r_n: int = 15
     sample_count: int = 50
     seed: int = 20240601
-    requires: list = dc_field(default_factory=list)     # admissibility expressions
+    requires: list = dc_field(default_factory=list)     # admissibility `_Source`s
     signature: str = "lorentzian"
     c1: float = 1.0
     c2: float = 1.0
@@ -86,19 +96,18 @@ class JobConfig:
     def connection_profile(self) -> ConnectionProfile:
         fields = {}
         for key, src in self.connection.items():
-            fields[int(key[1:])] = src
+            fields[int(key[1:])] = src.expr
         return ConnectionProfile(fields, self.params)
 
     def predicate(self):
         if not self.requires:
             return None
-        exprs = [parse(src) for src in self.requires]
-        for src, e in zip(self.requires, exprs):
-            unbound = sorted(parameter_names(e) - set(self.params) - set(_STATE_NAMES))
+        for src in self.requires:
+            unbound = sorted(parameter_names(src.expr) - set(self.params) - set(_STATE_NAMES))
             if unbound:
                 raise ConfigError("[samples] require = %s" % src, 0,
                                   "parameter %r is not set in [params]" % unbound[0])
-        fns = [compile_expression(e) for e in exprs]
+        fns = [compile_expression(src.expr) for src in self.requires]
 
         def pred(p: TangentPoint) -> bool:
             env = dict(self.params)
@@ -163,13 +172,13 @@ def load_config(path: str) -> JobConfig:
         if "=" not in line:
             raise ConfigError(path, no, "expected key = value")
         key, value = (s.strip() for s in line.split("=", 1))
-        key = key.lower()
+        if section != "params":   # a parameter's name is case-sensitive, as expressions are
+            key = key.lower()
         try:
             if section == "connection":
                 if key not in _K_KEYS:
                     raise ValueError("unknown connection coefficient %r (k1..k12)" % key)
-                parse(value)  # early diagnostic with position
-                cfg.connection[key] = value
+                cfg.connection[key] = _Source(value)   # a bad one fails here, with its position
             elif section == "params":
                 try:   # the key must be what an expression reads as a parameter
                     read_as = parse(key)
@@ -198,8 +207,7 @@ def load_config(path: str) -> JobConfig:
                     if cfg.seed < 0:
                         raise ValueError("sample seed must be a non-negative integer")
                 elif key == "require":
-                    parse(value)
-                    cfg.requires.append(value)
+                    cfg.requires.append(_Source(value))
                 else:
                     raise ValueError("unknown samples key %r" % key)
             elif section == "task":
@@ -263,7 +271,7 @@ def _grid_table(form, grid) -> dict:
         values = form.coefficient_table(grid, table)[:, :, 0]
         out["coefficients"] = dict(zip(("att", "atr", "arr", "aw"), values.T.tolist()))
     elif pots.names == ["psi"]:
-        out["scale"] = [math.exp(psi + form.log_scale) for psi in table[:, 0].tolist()]
+        out["scale"] = [math.exp(psi) for psi in table[:, 0].tolist()]
     else:
         out["potentials"] = dict(zip(pots.names, table.T.tolist()))
     return out
@@ -554,7 +562,9 @@ def _add_common(sp):
     sp.add_argument("--quiet", action="store_true")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once: each is a cycle that only a gc pass frees."""
     parser = _Parser(prog="berwald",
                      description="Classify and metrize SO(3)-invariant connections.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -570,8 +580,11 @@ def main(argv=None) -> int:
     gp.add_argument("--out", default="trajectory.txt", help="trajectory file path")
     gp.add_argument("--both", action="store_true",
                     help="also integrate the built Finsler form and compare")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     overrides = {}
     for item in args.tol_override:

@@ -66,8 +66,7 @@ class OdeStats:
     max_error_estimate: float = 0.0
 
 
-def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10,
-                  max_steps: int = 200000):
+def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10):
     """Integrate y' = f(s, y) through the strictly monotone nodes ``s_eval``.
 
     Returns (array of states at the nodes, OdeStats).  The first node is the
@@ -90,7 +89,7 @@ def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10,
     for iout in range(1, len(s_eval)):
         target = s_eval[iout]
         while direction * (target - s) > 1e-14 * max(1.0, abs(target)):
-            if stats.steps + stats.rejected > max_steps:
+            if stats.steps + stats.rejected > 200000:
                 raise StepFailure(s, y)
             if direction * (s + h - target) > 0.0:
                 h = target - s

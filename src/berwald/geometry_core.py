@@ -121,7 +121,6 @@ class ConnectionProfile:
         self._run = None   # k1..k12 as one program, compiled on first use
         self._curvature_fields = None
         self._curvature_runs = None
-        self._abc_run = None
 
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
@@ -191,12 +190,12 @@ class ConnectionProfile:
         """True when k11 or k12 is structurally present."""
         return not (self.k[10].is_structural_zero() and self.k[11].is_structural_zero())
 
-    def require_classifiable(self, grid: Iterable[tuple] = (), tol: float = 1e-12):
+    def require_classifiable(self, grid: Iterable[tuple] = ()):
         """The classification covers the 10-function family only (k11 = k12 = 0)."""
-        if self.k[10].is_structural_zero() and self.k[11].is_structural_zero():
+        if not self.has_angular_rotation():
             return
         for (t, r) in grid:
-            if abs(self.k[10].value(t, r)) > tol or abs(self.k[11].value(t, r)) > tol:
+            if abs(self.k[10].value(t, r)) > 1e-12 or abs(self.k[11].value(t, r)) > 1e-12:
                 raise UnsupportedConnection(
                     "k11/k12 nonzero at (t, r) = (%g, %g); outside the classified family" % (t, r))
         if not grid:
@@ -208,12 +207,6 @@ class ConnectionProfile:
         if self._curvature_fields is None:
             self._curvature_fields = curvature_formulas(self.k)
         return self._curvature_fields
-
-    def abc(self, t: float, r: float) -> tuple:
-        """(a, b, c) at (t, r): one program, compiled on first use."""
-        if self._abc_run is None:
-            self._abc_run = compile_fields(self.curvature_fields()[1])
-        return self._abc_run({"t": t, "r": r})
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,8 @@ _PANEL_N = 16            # Chebyshev-Lobatto nodes per panel
 _PANEL_TAIL = 3          # trailing Chebyshev coefficients of the tail test
 _PICARD_PASSES = 12      # Picard passes before a panel is bisected
 _BISECTIONS = 8          # bisections before a panel falls back to the ODE
+_PATH_TOL = 1e-8         # relative gap of the two sweeps allowed at a node
+_N_PROBES = 9            # grid nodes a default curl check reads (`_grid_probes`)
 
 
 def _chebyshev_panel(n: int) -> tuple:
@@ -444,10 +446,9 @@ class PotentialSystem:
                              for i, t in enumerate(ts) for j, r in enumerate(rs)}
         return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
-    def certify(self, grid: Sequence[tuple], closed_tol: float = 1e-8,
-                path_tol: float = 1e-8, label: str = "", error_cls=NotClosed,
-                probes: Sequence[tuple] | None = None):
-        """Both sweeps at every node of ``grid`` within ``path_tol``, and the
+    def certify(self, grid: Sequence[tuple], closed_tol: float = 1e-8, label: str = "",
+                error_cls=NotClosed, probes: Sequence[tuple] | None = None):
+        """Both sweeps at every node of ``grid`` within `_PATH_TOL`, and the
         curl within ``closed_tol`` at ``probes`` (default: the grid's
         `_grid_probes`); else ``error_cls``.  Returns the path residual."""
         grid = list(grid)
@@ -457,29 +458,26 @@ class PotentialSystem:
         if res > closed_tol:
             raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
                             % (label or ",".join(self.names), res, closed_tol))
-        if path_res > path_tol:
+        if path_res > _PATH_TOL:
             raise error_cls("%s: path-dependent transport (residual %.3g > %.3g)"
-                            % (label or ",".join(self.names), path_res, path_tol))
+                            % (label or ",".join(self.names), path_res, _PATH_TOL))
         return path_res
 
 
-def path_integral(P, Q, frm: tuple, to: tuple, closedness_probes=None,
-                  closed_tol: float = 1e-8, agree_tol: float = 1e-8) -> float:
+def path_integral(P, Q, frm: tuple, to: tuple) -> float:
     """Integral of P dt + Q dr from ``frm`` to ``to`` along the L-shaped path.
 
     P, Q are expression text or ScalarFields in t and r.  The one-form is
-    certified (`PotentialSystem.certify`) on the probe set (default: a 5 x 5
-    lattice over the bounding box) and ``to``: closedness exactly at each of
-    them, the transport against the transposed path at every node of the
-    grid that they span.
+    certified (`PotentialSystem.certify`) on a 5 x 5 lattice over the
+    bounding box and ``to``: closedness exactly at each of them, the
+    transport against the transposed path at every node of the grid that
+    they span.
     """
-    if closedness_probes is None:
-        ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
-        rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
-        closedness_probes = [(a, b) for a in ts for b in rs]
-    probes = list(closedness_probes) + [to]
+    ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
+    rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
+    probes = [(a, b) for a in ts for b in rs] + [to]
     pot = PotentialSystem(["psi"], [P], [Q], frm)
-    pot.certify(probes, closed_tol, agree_tol, label="path integral", probes=probes)
+    pot.certify(probes, label="path integral", probes=probes)
     return pot.values(*to)["psi"]
 
 
@@ -582,15 +580,39 @@ class ExpressionForm:
     per chart variable and potential on L with its velocity partials, the t-
     and r-partials moving the potentials along their one-forms
     (`total_partials`), and one per velocity on the velocity partials.
+    `domain` states where L is defined, in the same expressions L is made
+    of; `admissible` runs it, compiled once too.
     """
 
     def lagrangian(self) -> ScalarField:
         raise NotImplementedError
 
+    def domain(self) -> list:
+        """(field, bound) pairs, fields in L's own variables: the form is
+        defined where each field is finite and above its bound (no pairs:
+        everywhere)."""
+        return []
+
+    @cached_property
+    def _domain_run(self):
+        """`domain`'s program, its bounds, and whether it reads a potential."""
+        pairs = self.domain()
+        pots = getattr(self, "scale_pot", None)
+        reads = pots is not None and any(parameter_names(f.expr) & set(pots.names)
+                                         for f, _ in pairs)
+        return compile_fields([f for f, _ in pairs]), [b for _, b in pairs], reads
+
     def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
-        """Whether p is in the form's domain; ``vals`` are the potentials'
-        values at (p.t, p.r) (None: transported where they are read)."""
-        return True
+        """Whether p is in the form's domain: one float run of `domain`
+        raises no DomainError or OverflowError, and each output is finite
+        and above its bound.  ``vals`` are the potentials' values at (p.t,
+        p.r) (None: transported, where the domain reads them)."""
+        run, bounds, reads = self._domain_run
+        try:
+            out = run(self._point_env(p, vals, reads))
+        except (DomainError, OverflowError):
+            return False
+        return all(math.isfinite(x) and x > b for x, b in zip(out, bounds))
 
     def admit(self, points: Sequence[TangentPoint]) -> tuple:
         """Whether each of ``points`` is admissible, and the potentials'
@@ -617,6 +639,14 @@ class ExpressionForm:
             env.update((n, float(vals[n])) for n in pots.names)
         return env
 
+    def _point_env(self, p: TangentPoint, vals: dict | None, potentials: bool) -> dict:
+        """`_env` at (p.t, p.r), without the potentials unless ``potentials``,
+        and p's theta and velocities."""
+        env = self._env(p.t, p.r, vals) if potentials else {"t": float(p.t), "r": float(p.r)}
+        env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
+        env["theta"] = float(p.theta)
+        return env
+
     @cached_property
     def _jet_run(self):
         L = self.lagrangian()
@@ -634,10 +664,7 @@ class ExpressionForm:
         sequence of values or None (read with one `values_at`), the program
         runs once on arrays of them and raises where it fails at any."""
         if isinstance(p, TangentPoint):
-            env = self._env(p.t, p.r, vals)
-            env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
-            env["theta"] = float(p.theta)
-            return FormJet(np.array(self._jet_run(env)))
+            return FormJet(np.array(self._jet_run(self._point_env(p, vals, True))))
         states = np.array([q.state() for q in p]).T
         env = dict(zip(("t", "r", "theta", "phi") + VELOCITY, states))
         pots = getattr(self, "scale_pot", None)
@@ -654,21 +681,13 @@ def _uv(conn: ConnectionProfile) -> tuple:
     return TDOT - a * RDOT, c * RDOT * RDOT + 2.0 * b * TDOT * RDOT - W2
 
 
-def _uv_values(conn: ConnectionProfile, p: TangentPoint):
-    """The values of `_uv`, in the same order of operations."""
-    a, b, c = conn.abc(p.t, p.r)
-    s = math.sin(p.theta)
-    w2 = p.thetadot * p.thetadot + p.phidot * p.phidot * s * s
-    return (p.tdot - a * p.rdot,
-            c * p.rdot * p.rdot + 2.0 * b * p.tdot * p.rdot - w2)
-
-
 # ---------------------------------------------------------------------------
 # Finsler forms
 # ---------------------------------------------------------------------------
 
-_DOMAIN_FLOOR = 1e-6   # admissible(): |u| (u and the power-law base) above it
-_NORMAL_MIN = sys.float_info.min   # admissible(): the exponential L is a normal float
+_DOMAIN_FLOOR = 1e-6   # |u| (u and the power-law base) above it
+# the largest subnormal float: the exponential L above it is a normal float
+_SUBNORMAL_MAX = math.nextafter(sys.float_info.min, 0.0)
 
 
 @dataclass
@@ -679,28 +698,18 @@ class PowerLawForm(ExpressionForm):
     lam: float
     rho_field: ScalarField              # rho = E / D
     scale_pot: PotentialSystem          # theta = exp(psi)
-    log_scale: float = 0.0
     tag: str = "power-law"
 
-    def lagrangian(self) -> ScalarField:
+    def _u_base(self) -> tuple:
         u, v = _uv(self.conn)
-        base = v + self.rho_field * u * u
-        psi = ScalarField("psi") + self.log_scale
-        return psi.call("exp") * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
+        return u, v + self.rho_field * u * u
 
-    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
-        try:
-            u, v = _uv_values(self.conn, p)
-            base = v + self.rho_field.value(p.t, p.r) * u * u
-        except (DomainError, OverflowError):
-            return False
-        return u > _DOMAIN_FLOOR and base > _DOMAIN_FLOOR
+    def lagrangian(self) -> ScalarField:
+        u, base = self._u_base()
+        return ScalarField("psi").call("exp") * u ** (2.0 - 2.0 * self.lam) * base ** self.lam
 
-    def scaled(self, c: float) -> "PowerLawForm":
-        if c <= 0.0:
-            raise ValueError("scale must be positive")
-        return PowerLawForm(self.conn, self.lam, self.rho_field, self.scale_pot,
-                            self.log_scale + math.log(c), self.tag)
+    def domain(self) -> list:
+        return [(f, _DOMAIN_FLOOR) for f in self._u_base()]
 
     def describe(self) -> dict:
         return {"kind": self.tag, "lambda": self.lam,
@@ -714,33 +723,17 @@ class ExponentialForm(ExpressionForm):
     conn: ConnectionProfile
     mu_field: ScalarField               # mu = F / E
     scale_pot: PotentialSystem          # phi = exp(psi)
-    log_scale: float = 0.0
     tag: str = "exponential"
 
     def lagrangian(self) -> ScalarField:
         u, v = _uv(self.conn)
-        psi = ScalarField("psi") + self.log_scale
-        return psi.call("exp") * u * u * (self.mu_field * v / (u * u)).call("exp")
+        return ScalarField("psi").call("exp") * u * u * (self.mu_field * v / (u * u)).call("exp")
 
-    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
+    def domain(self) -> list:
         """|u| above the floor and L a normal float: where mu v / u^2 is far
         below zero, L underflows and its Hessian with it."""
-        try:
-            u, v = _uv_values(self.conn, p)
-            if abs(u) <= _DOMAIN_FLOOR:
-                return False
-            vals = self.scale_pot.values(p.t, p.r) if vals is None else vals
-            psi = vals["psi"] + self.log_scale
-            L = math.exp(psi) * u * u * math.exp(self.mu_field.value(p.t, p.r) * v / (u * u))
-        except (DomainError, OverflowError):
-            return False
-        return _NORMAL_MIN <= L <= sys.float_info.max
-
-    def scaled(self, c: float) -> "ExponentialForm":
-        if c <= 0.0:
-            raise ValueError("scale must be positive")
-        return ExponentialForm(self.conn, self.mu_field, self.scale_pot,
-                               self.log_scale + math.log(c), self.tag)
+        return [(_uv(self.conn)[0].call("abs"), _DOMAIN_FLOOR),
+                (self.lagrangian(), _SUBNORMAL_MAX)]
 
     def describe(self) -> dict:
         return {"kind": self.tag,
@@ -758,7 +751,6 @@ class Class3FinslerForm(ExpressionForm):
     scale_pot: PotentialSystem          # components "G", "K", "M"; e^G scales L
     m_shift: float
     theta: Expression                   # Theta, an expression in z
-    log_scale: float = 0.0
     tag: str = "class-3"
 
     def lagrangian(self) -> ScalarField:
@@ -767,14 +759,10 @@ class Class3FinslerForm(ExpressionForm):
         z = v / (u * u)
         arg = z * (-(G - 2.0 * K)).call("exp") + (ScalarField("M") + self.m_shift)
         theta = ScalarField(self.theta).substitute({"z": arg})
-        return (G + self.log_scale).call("exp") * u * u * theta
+        return G.call("exp") * u * u * theta
 
-    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
-        try:
-            u, _ = _uv_values(self.conn, p)
-        except (DomainError, OverflowError):
-            return False
-        return abs(u) > _DOMAIN_FLOOR
+    def domain(self) -> list:
+        return [(_uv(self.conn)[0].call("abs"), _DOMAIN_FLOOR)]
 
     def describe(self) -> dict:
         return {"kind": self.tag, "m_shift": self.m_shift}
@@ -867,11 +855,11 @@ class RiemannForm(ExpressionForm):
 # Builders
 # ---------------------------------------------------------------------------
 
-def _grid_probes(grid: Sequence[tuple], n: int = 9) -> list:
+def _grid_probes(grid: Sequence[tuple]) -> list:
     grid = list(grid)
-    if len(grid) <= n:
+    if len(grid) <= _N_PROBES:
         return grid
-    idx = np.linspace(0, len(grid) - 1, n).astype(int)
+    idx = np.linspace(0, len(grid) - 1, _N_PROBES).astype(int)
     return [grid[i] for i in idx]
 
 
@@ -893,8 +881,7 @@ def _first_failure(grid: Sequence[tuple], cg: CurvatureGrid, error_cls, corner_m
         raise error_cls((small_msg if generic[i] else corner_msg) % tuple(grid[i]))
 
 
-def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
-                    lam_var_tol: float = 1e-8) -> PowerLawForm:
+def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple]) -> PowerLawForm:
     """Class-1 constructor: lambda = F/D (grid-constant), rho = E/D field,
     conformal factor from the (G - lambda Gt, H - lambda Ht) one-form."""
     grid = list(grid)
@@ -903,7 +890,7 @@ def build_power_law(conn: ConnectionProfile, grid: Sequence[tuple],
     _first_failure(grid, cg, LambdaNotConstant, "w-corner not generic at (%g, %g)",
                    (D, F), "D vanishes at (t, r) = (%g, %g)")
     lams = F / D
-    if float(np.var(lams)) > lam_var_tol:
+    if float(np.var(lams)) > 1e-8:
         raise LambdaNotConstant("lambda = F/D varies over the grid (variance %.3g)"
                                 % float(np.var(lams)))
     lam = float(np.mean(lams))
@@ -943,8 +930,7 @@ def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> P
                            _base_point(grid))
 
 
-def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureGrid,
-                    floor_tol: float = 1e-6):
+def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureGrid):
     """Shift of the free additive constant in M keeping Delta away from zero."""
     vals = dict(zip(pots.names, pots.values_at(grid).T))
     G, K, M = (vals[n] for n in ("G", "K", "M"))
@@ -963,7 +949,7 @@ def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureG
         return float(np.min(np.abs(delta0 + m * wgt)))
 
     best = max(candidates, key=score)
-    if score(best) <= floor_tol * scale:
+    if score(best) <= 1e-6 * scale:
         raise DeltaVanishes("no additive constant for M keeps Delta away from zero "
                             "(best min |Delta| = %.3g)" % score(best))
     return best
@@ -1012,7 +998,7 @@ SIGNATURES = {"lorentzian": ((1.0, 0.0, -1.0), -1.0),
 
 
 def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
-                 signature: str = "lorentzian", path_tol: float = 1e-8) -> RiemannForm:
+                 signature: str = "lorentzian") -> RiemannForm:
     """Class-4 constructor: parallel-transport a flat 2-metric h over the
     tr-corner and attach +/- w^2.  Flatness is certified by path independence:
     the t-first and r-first transports of h from the base point must agree at
@@ -1033,16 +1019,15 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
          2.0 * (k[3] * htr + k[5] * hrr)],
         _base_point(grid), base_values=h0)
     res = pots.path_independence_residual(grid)
-    if res > path_tol:
+    if res > _PATH_TOL:
         raise PathDependent("flat-transport legs disagree (residual %.3g > %.3g): "
-                            "tr-corner is not flat" % (res, path_tol))
+                            "tr-corner is not flat" % (res, _PATH_TOL))
     return RiemannForm(htt, htr, hrr, ScalarField.constant(aw_sign), tag="class-4", signature_hint=signature,
                        meta={"potentials": pots}, scale_pot=pots)
 
 
 def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0,
-                 C2: float = 1.0, sym_tol: float = 1e-8, closed_tol: float = 1e-6,
-                 quad_floor: float = 1e-8) -> RiemannForm:
+                 C2: float = 1.0) -> RiemannForm:
     """Class-5 constructor: recover the conformal exponent phi from the
     horizontal-constancy equations and assemble
     A = C1 e^{-2 phi} (-a3 tdot^2 + 2 a1 tdot rdot + a2 rdot^2) + C2 w^2.
@@ -1056,12 +1041,12 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     av = curvature_grid(conn, grid).a[:, :, 0]
     a1, a2, a3, a4 = av[:, :4].T
     local = np.max(np.abs(av), axis=1)
-    singular = np.abs(a1 * a4 - a2 * a3) < quad_floor * (1.0 + local * local)
+    singular = np.abs(a1 * a4 - a2 * a3) < 1e-8 * (1.0 + local * local)
     if singular.any():
         raise SingularQuadratic("a1 a4 - a2 a3 vanishes at (t, r) = (%g, %g)"
                                 % tuple(grid[int(np.argmax(singular))]))
     worst_sym, scale = float(np.max(np.abs(a1 + a4))), float(np.max(local))
-    if worst_sym > sym_tol * (1.0 + scale):
+    if worst_sym > 1e-8 * (1.0 + scale):
         raise NotRiemannMetrizable(
             "a1 + a4 != 0 on the grid (max %.3g): Ricci tensor not symmetric" % worst_sym)
 
@@ -1071,7 +1056,7 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     # fixed admissible velocity for the gradient recovery
     for td, rd in ((1.0, 0.0), (1.0, 0.5)):
         if np.all(np.abs(-a3 * td * td + 2.0 * a1 * td * rd + a2 * rd * rd)
-                  >= quad_floor * (1.0 + scale)):
+                  >= 1e-8 * (1.0 + scale)):
             break
     else:
         raise SingularQuadratic("quadratic vanishes at both candidate velocities")
@@ -1086,7 +1071,7 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
     pot = PotentialSystem(["phi"], [dphi("t", k[1] * td + k[2] * rd, k[4] * td + k[6] * rd)],
                           [dphi("r", k[2] * td + k[3] * rd, k[6] * td + k[5] * rd)],
                           _base_point(grid))
-    pot.certify(grid, closed_tol=closed_tol, label="class-5 phi",
+    pot.certify(grid, closed_tol=1e-6, label="class-5 phi",
                 error_cls=GradientNotClosed)
 
     conformal = C1 * ScalarField("exp(-2*phi)")

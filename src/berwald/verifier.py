@@ -190,13 +190,12 @@ def check_horizontal_constancy(jets: SampleJets, conn: ConnectionProfile,
                   {"samples_used": len(jets.points), "samples_skipped": jets.skipped})
 
 
-def check_homogeneity(jets: SampleJets, tol: float = 1e-10,
-                      name: str = "euler-homogeneity") -> CheckResult:
+def check_homogeneity(jets: SampleJets) -> CheckResult:
     """C(L) = 2L: Euler vector field applied through exact vertical gradients;
-    the residual |C(L) - 2L| / (|L| + |y| |d L / d y|)."""
+    the residual |C(L) - 2L| / (|L| + |y| |d L / d y|), below 1e-10."""
     cl = np.einsum("na,na->n", jets.states[:, 4:], jets.jet.vertical_gradient())
-    return _below(name, _ratio(cl - 2.0 * jets.jet.value, jets.scale()), tol, jets.states,
-                  {"samples_used": len(jets.points)})
+    return _below("euler-homogeneity", _ratio(cl - 2.0 * jets.jet.value, jets.scale()), 1e-10,
+                  jets.states, {"samples_used": len(jets.points)})
 
 
 def check_hessian(jets: SampleJets, det_floor: float = 1e-10,
@@ -236,24 +235,22 @@ def signature_observation(evaluator, samples: Sequence[TangentPoint]) -> tuple:
 
 
 def levi_civita_roundtrip(A: RiemannForm, conn: ConnectionProfile,
-                          grid: Sequence[tuple], tol: float = 1e-6,
-                          name: str = "levi-civita-roundtrip") -> CheckResult:
+                          grid: Sequence[tuple], tol: float = 1e-6) -> CheckResult:
     """Christoffels rebuilt from A's coefficient partials vs the input
     k-table, max |k_round - k_in| / (1 + max |k_in|) over the grid."""
     grid = list(grid)
     k_in = conn.k_values(*np.array(grid, dtype=float).reshape(-1, 2).T)
-    return _below(name, np.max(np.abs(A.christoffels(grid) - k_in), axis=1)
+    return _below("levi-civita-roundtrip", np.max(np.abs(A.christoffels(grid) - k_in), axis=1)
                   / (1.0 + np.max(np.abs(k_in), axis=1)), tol, grid)
 
 
 def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: float,
-                       n_out: int = 100, disc_tol: float = 1e-6,
-                       drift_tol: float = 1e-8, name: str = "geodesic-agreement"
-                       ) -> CheckResult:
-    """Affine autoparallel vs Finsler Euler-Lagrange trajectory, plus the
-    conservation of L along the autoparallel: L at all its states from one
-    jet run (`_jets`), the potentials read at all of them at once.  A state
-    where L cannot be evaluated makes the drift infinite."""
+                       n_out: int = 100) -> CheckResult:
+    """Affine autoparallel vs Finsler Euler-Lagrange trajectory, within
+    1e-6, plus the conservation of L along the autoparallel, within 1e-8: L
+    at all its states from one jet run (`_jets`), the potentials read at all
+    of them at once.  A state where L cannot be evaluated makes the drift
+    infinite."""
     tr_a = integrate_spray(conn, p0, T, n_out)
     tr_f = integrate_finsler(evaluator, p0, T, n_out)
     disc = discrepancy(tr_a, tr_f)
@@ -261,15 +258,14 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
     Ls = jets.jet.value
     drift = (math.inf if jets.skipped
              else float(np.max(np.abs(Ls - Ls[0]))) / (1.0 + abs(float(Ls[0]))))
-    passed = disc < disc_tol and drift < drift_tol
-    return CheckResult(name, max(disc, drift), max(disc_tol, drift_tol), passed,
+    passed = disc < 1e-6 and drift < 1e-8
+    return CheckResult("geodesic-agreement", max(disc, drift), 1e-6, passed,
                        tuple(p0.state()),
                        {"trajectory_discrepancy": disc, "L_drift": drift,
                         "steps_affine": tr_a.steps, "steps_finsler": tr_f.steps})
 
 
-def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5,
-                  name: str = "berwald-spray") -> CheckResult:
+def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5) -> CheckResult:
     """L's spray is the connection's G^a = (1/2) Gamma^a_bc xdot^b xdot^c: the
     Euler-Lagrange identity 4 g_ab G^b = xdot^c d_c ddot_a L - d_a L (no solve with
     g), relative to max |rhs| + max |4 g| max |G|, which L -> cL, y -> s y keep."""
@@ -279,7 +275,7 @@ def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5,
     G = 0.5 * np.einsum("nabc,nb,nc->na", jets.christoffels(conn), vel, vel)
     res = _ratio(np.abs(np.einsum("nab,nb->na", g4, G) - rhs).max(axis=1),
                  np.abs(rhs).max(axis=1) + np.abs(g4).max(axis=(1, 2)) * np.abs(G).max(axis=1))
-    return _below(name, res, tol, jets.states, {"samples_used": len(jets.points)})
+    return _below("berwald-spray", res, tol, jets.states, {"samples_used": len(jets.points)})
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +284,7 @@ def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5,
 
 # the ten symmetric unknowns A_ij, i <= j, row by row: their rows, their columns
 _ROWS, _COLS = zip(*[(i, j) for i in range(4) for j in range(i, 4)])
+_FIT_FLOOR = 1e-3   # the least-squares floor above which a quadratic fit is falsified
 
 
 def _sym_matrix(x: np.ndarray) -> np.ndarray:
@@ -320,9 +317,7 @@ def _annihilation_rows(T: np.ndarray) -> np.ndarray:
 
 
 def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: float,
-                          rng: np.random.Generator, floor: float = 1e-3,
-                          det_tol: float = 1e-6, name: str = "quadratic-fit-floor"
-                          ) -> CheckResult:
+                          rng: np.random.Generator) -> CheckResult:
     """Least-squares evidence that no nondegenerate quadratic form survives the
     pointwise integrability constraints.
 
@@ -346,7 +341,7 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
                 rows.append(row / n)
     if len(rows) < 10:
         # curvature too degenerate to constrain anything (e.g. flat profiles)
-        return CheckResult(name, 0.0, floor, False, (t, r, theta),
+        return CheckResult("quadratic-fit-floor", 0.0, _FIT_FLOOR, False, (t, r, theta),
                            {"rows": len(rows), "kernel_dim": 10,
                             "kernel_max_det": 1.0})
     M = np.stack(rows)
@@ -356,7 +351,8 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
     sigma_min = float(sv[-1]) if len(sv) == 10 else 0.0
 
     if not kernel:
-        return CheckResult(name, sigma_min, floor, sigma_min > floor, (t, r, theta),
+        return CheckResult("quadratic-fit-floor", sigma_min, _FIT_FLOOR, sigma_min > _FIT_FLOOR,
+                           (t, r, theta),
                            {"rows": len(rows), "kernel_dim": 0,
                             "comparison": "residual must exceed tolerance"})
 
@@ -371,9 +367,9 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
         return best
 
     kernel_det = max_det_on_sphere(kernel)
-    if kernel_det > det_tol:
+    if kernel_det > 1e-6:
         # a nondegenerate candidate satisfies every constraint: not falsified
-        return CheckResult(name, sigma_min, floor, False, (t, r, theta),
+        return CheckResult("quadratic-fit-floor", sigma_min, _FIT_FLOOR, False, (t, r, theta),
                            {"rows": len(rows), "kernel_dim": len(kernel),
                             "kernel_max_det": kernel_det})
 
@@ -392,8 +388,8 @@ def riemann_falsification(conn: ConnectionProfile, t: float, r: float, theta: fl
         best_residual = min(best_residual, float(np.linalg.norm(M @ x)))
     if not math.isfinite(best_residual):
         best_residual = sigma_min if sigma_min > 0 else float(sv[-1])
-    return CheckResult(name, best_residual, floor, best_residual > floor,
-                       (t, r, theta),
+    return CheckResult("quadratic-fit-floor", best_residual, _FIT_FLOOR,
+                       best_residual > _FIT_FLOOR, (t, r, theta),
                        {"rows": len(rows), "kernel_dim": len(kernel),
                         "kernel_max_det": kernel_det,
                         "comparison": "residual is the cheapest nondegenerate "

@@ -5,6 +5,7 @@ import pytest
 
 from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
                                    christoffel_table)
+from berwald.metrizer import ExpressionForm
 from berwald.scalar_field import (Call, DomainError, Neg, Num, Param, Partials, Var,
                                   compile_fields)
 
@@ -91,6 +92,19 @@ def exp_conn():
 
 
 # -- helpers ------------------------------------------------------------------
+
+class Scaled(ExpressionForm):
+    """c L: the same form with L multiplied by the constant c."""
+
+    def __init__(self, form, c):
+        self.form, self.c, self.scale_pot = form, c, getattr(form, "scale_pot", None)
+
+    def admissible(self, p, vals=None):
+        return self.form.admissible(p, vals)
+
+    def lagrangian(self):
+        return self.c * self.form.lagrangian()
+
 
 def nonlinear_connection(conn: ConnectionProfile, p: TangentPoint) -> np.ndarray:
     """N^a_b = Gamma^a_bc xdot^c at p."""

@@ -19,7 +19,7 @@ from berwald.metrizer import (NotRiemannMetrizable, build_class3, build_class4,
 from berwald.verifier import (check_horizontal_constancy, levi_civita_roundtrip,
                               riemann_falsification, sample_jets, signature_observation)
 
-from conftest import (class5_curved_block, default_grid, ex1_paper_L, ex2_paper_L,
+from conftest import (Scaled, class5_curved_block, default_grid, ex1_paper_L, ex2_paper_L,
                       exp_paper_L, exponential_example, flat_cartesian,
                       flat_spherical, horizontal_residual, power_law_nonsymmetric,
                       power_law_symmetric)
@@ -97,7 +97,7 @@ def test_criterion_2_symmetric_power_law(ex2):
     # det of the vertical Hessian of the displayed L: -(27/16) e^{2 Phi} sin^2
     # (the half-normalized metric tensor carries an extra 2^-4)
     t0, r0 = min(GRID)
-    anchored = form.scaled(math.exp(0.5 * t0 * r0))
+    anchored = Scaled(form, math.exp(0.5 * t0 * r0))
     rng = np.random.default_rng(SEED + 1)
     pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 25,
                                 predicate=form.admissible)

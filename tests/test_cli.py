@@ -555,3 +555,62 @@ def test_verify_reports_do_not_depend_on_the_hash_seed(conn, tmp_path):
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["exit_status"] == EXIT_OK
+
+
+def test_params_keys_keep_their_case(cfg_file, tmp_path):
+    """Expressions are case-sensitive, so a [params] key is too: Alpha binds
+    Alpha.  Section names and the other sections' keys are read in any case."""
+    text = "[Connection]\nK1 = Alpha*r\nk10 = r\n\n[params]\nAlpha = 3\n\n[Grid]\nT = 0.5:2.5:5\n"
+    cfg = load_config(cfg_file(text))
+    assert cfg.params == {"Alpha": 3.0} and cfg.connection == {"k1": "Alpha*r", "k10": "r"}
+    out = tmp_path / "case.json"
+    assert main(["classify", cfg_file(text), "--json", str(out), "--quiet"]) == EXIT_OK
+    assert json.loads(out.read_text())["config"]["params"] == {"Alpha": 3.0}
+
+
+def test_each_config_expression_is_parsed_once(cfg_file, monkeypatch):
+    """A `verify` parses each [connection], [params] and require line once:
+    the expressions `load_config` parses are the ones the job runs."""
+    from berwald import cli, scalar_field
+    sources = []
+
+    def counted(parse):
+        return lambda source: sources.append(source) or parse(source)
+    monkeypatch.setattr(cli, "parse", counted(cli.parse))
+    monkeypatch.setattr(scalar_field, "parse", counted(scalar_field.parse))
+    assert main(["verify", cfg_file(EX1_CFG), "--quiet"]) == EXIT_OK
+    config = [line.split("=", 1)[1].strip() for line in EX1_CFG.splitlines()
+              if line.startswith(("k", "require"))] + ["alpha"]
+    assert len(config) == 8
+    assert sorted(s for s in sources if s in config) == sorted(config)
+
+
+def test_parser_is_built_once_per_process(cfg_file):
+    """After a first call, `main` builds no argparse parser: a new one is a
+    reference cycle, garbage until a cyclic gc pass."""
+    import gc
+    path = cfg_file(EX2_CFG)
+    assert main(["classify", path, "--quiet"]) == EXIT_OK
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            assert main(["classify", path, "--quiet"]) == EXIT_OK
+        gc.collect()
+        argparse_garbage = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert argparse_garbage == []
+
+
+def test_tol_overrides_do_not_carry_over_between_calls(cfg_file, monkeypatch):
+    from berwald import cli
+    seen = []
+    monkeypatch.setattr(cli, "cmd_classify", lambda cfg, args, overrides: seen.append(overrides)
+                        or EXIT_OK)
+    path = cfg_file(EX2_CFG)
+    assert main(["classify", path, "--tol-override", "zero=1e-9", "--quiet"]) == EXIT_OK
+    assert main(["classify", path, "--quiet"]) == EXIT_OK
+    assert main(["classify", path, "--tol-override", "ricci=1e-7", "--quiet"]) == EXIT_OK
+    assert seen == [{"zero": 1e-9}, {}, {"ricci": 1e-7}]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,15 +9,16 @@ from berwald import metrizer
 from berwald.geodesic_engine import StepFailure, integrate_ode
 from berwald.geometry_core import (ConnectionProfile, TangentPoint,
                                    curvature_profile, sample_tangent_points)
-from berwald.metrizer import (DeltaVanishes, LambdaEqualsOne, LambdaNotConstant,
-                              MuNotConstant, NotClosed, NotRiemannMetrizable,
-                              PathDependent, PotentialSystem, RiemannForm,
+from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
+                              LambdaNotConstant, MuNotConstant, NotClosed,
+                              NotRiemannMetrizable, PathDependent, PotentialSystem,
+                              PowerLawForm, RiemannForm,
                               SingularQuadratic, _base_point, _grid_probes, build_class3,
                               build_class4, build_class5, build_exponential,
                               build_power_law, class3_delta, class5_det_formula,
                               path_integral)
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
-from berwald.verifier import check_horizontal_constancy, levi_civita_roundtrip
+from berwald.verifier import check_horizontal_constancy, draw_jets, levi_civita_roundtrip
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
                       ex1_admissible, ex1_paper_L, ex2_paper_L, exp_admissible,
@@ -335,13 +337,6 @@ class TestPowerLaw:
                                         predicate=form.admissible)
             assert max(horizontal_residual(form, conn, p) for p in pts) < 1e-7
 
-    def test_scale_freedom(self, grid, rng):
-        form = build_power_law(power_law_nonsymmetric(3.0), grid)
-        doubled = form.scaled(2.0)
-        p = sample_tangent_points(rng, (0.8, 2), (0.8, 2), 5,
-                                  predicate=form.admissible)[0]
-        assert doubled.jet(p).value == pytest.approx(2 * form.jet(p).value, rel=1e-12)
-
     def test_lambda_not_constant_when_D_degenerates(self, grid):
         # k1 += t*r^2 shifts a1 by 2 t r, so F/D = a1/(a1 - 2) drifts over the grid
         spoiled = ConnectionProfile(
@@ -396,7 +391,6 @@ class TestExponential:
         form = dataclasses.replace(exp_form)
         assert "_jet_run" not in vars(form)
         calls = []
-        monkeypatch.setattr(form.conn, "abc", lambda t, r: calls.append("abc"))
         monkeypatch.setattr(ScalarField, "jet", lambda *a: calls.append("field jet"))
         compiled = []
         monkeypatch.setattr(metrizer, "compile_fields",
@@ -565,6 +559,90 @@ class TestClass3:
     def test_not_closed_on_class1_input(self, grid):
         with pytest.raises(NotClosed):
             build_class3(power_law_nonsymmetric(3.0), grid)
+
+
+def _domain_candidates(abc, rng, n: int = 300) -> list:
+    """n tangent points whose u = tdot - a rdot has either sign and one of the
+    scales around the 1e-6 floor (w = 0 at every third, every fifth at t =
+    1.5), then points with rdot = 0, where u = tdot: 1e-6 and its float
+    neighbours, and the exponential example's point where L underflows."""
+    pts = []
+    for i in range(n):
+        t = 1.5 if i % 5 == 0 else rng.uniform(0.6, 2.4)
+        r, theta = rng.uniform(0.6, 2.4), rng.uniform(0.2, 2.9)
+        rdot = rng.uniform(-2.0, 2.0)
+        thetadot, phidot = rng.uniform(-2.0, 2.0, 2) if i % 3 else (0.0, 0.0)
+        u = rng.choice([0.0, 1e-7, 1e-6, 1.000001e-6, 1e-5, 1e-3, 0.1, 1.0]) * rng.choice([-1, 1])
+        a = abc({"t": t, "r": r})[0]
+        pts.append(TangentPoint(t, r, theta, 0.0, a * rdot + u, rdot, thetadot, phidot))
+    for tdot in (math.nextafter(1e-6, 0.0), 1e-6, math.nextafter(1e-6, 1.0), -1e-6, 2e-6):
+        pts.append(TangentPoint(1.3, 1.1, 1.0, 0.0, tdot, 0.0, 0.5, 0.3))
+    return pts + [TangentPoint(1.0, 1.5, 1.2, 0.0, 0.701, 0.7, 0.2, 0.1)]
+
+
+def _reference_domain(form, abc, p) -> str:
+    """Whether ``form`` is defined at p ("in"), or why not, from float
+    formulas written out by hand: u = tdot - a rdot, v = c rdot^2 + 2 b tdot
+    rdot - w^2; the power law needs u and v + rho u^2 above 1e-6, the other
+    forms |u| above 1e-6, and the exponential form L a finite normal float."""
+    try:
+        a, b, c = abc({"t": p.t, "r": p.r})
+        s = math.sin(p.theta)
+        w2 = p.thetadot * p.thetadot + p.phidot * p.phidot * s * s
+        u = p.tdot - a * p.rdot
+        v = c * p.rdot * p.rdot + 2.0 * b * p.tdot * p.rdot - w2
+        if isinstance(form, PowerLawForm):
+            base = v + form.rho_field.value(p.t, p.r) * u * u
+            return "in" if u > 1e-6 and base > 1e-6 else "floor"
+        if abs(u) <= 1e-6:
+            return "floor"
+        if isinstance(form, ExponentialForm):
+            psi = form.scale_pot.values(p.t, p.r)["psi"]
+            L = math.exp(psi) * u * u * math.exp(form.mu_field.value(p.t, p.r) * v / (u * u))
+            if L < sys.float_info.min:
+                return "underflow"
+            return "in" if L <= sys.float_info.max else "overflow"
+        return "in"
+    except DomainError:
+        return "domain"
+    except OverflowError:
+        return "overflow"
+
+
+@pytest.fixture(scope="module")
+def finsler_forms(exp_form, c3_forms):
+    ex1 = build_power_law(power_law_nonsymmetric(3.0), default_grid())
+    # rho + 0/(t - 1.5): the same rho, but its division fails at t = 1.5
+    pole = dataclasses.replace(ex1, rho_field=ex1.rho_field + ScalarField("0/(t - 1.5)"))
+    return {"ex1": ex1, "ex1-rho-pole": pole,
+            "ex2": build_power_law(power_law_symmetric(), default_grid()),
+            "exponential": exp_form, "class3": c3_forms[1]}
+
+
+class TestDomain:
+    @pytest.mark.parametrize("name, reasons", [
+        ("ex1", {"in", "floor"}), ("ex1-rho-pole", {"in", "floor", "domain"}),
+        ("ex2", {"in", "floor"}), ("exponential", {"in", "floor", "overflow", "underflow"}),
+        ("class3", {"in", "floor"})])
+    def test_admissible_agrees_with_hand_written_formulas(self, finsler_forms, name, reasons):
+        form = finsler_forms[name]
+        abc = compile_fields(form.conn.curvature_fields()[1])
+        pts = _domain_candidates(abc, np.random.default_rng(17))
+        want = [_reference_domain(form, abc, p) for p in pts]
+        assert set(want) == reasons
+        assert [form.admissible(p) for p in pts] == [w == "in" for w in want]
+        assert form.admit(pts)[0] == [w == "in" for w in want]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "exponential", "class3"])
+    def test_drawing_jets_evaluates_no_field_alone(self, finsler_forms, name, monkeypatch):
+        """Admission runs the form's domain program: no `ScalarField.value`."""
+        form = dataclasses.replace(finsler_forms[name])
+        calls = []
+        value = ScalarField.value
+        monkeypatch.setattr(ScalarField, "value",
+                            lambda f, t, r: calls.append((t, r)) or value(f, t, r))
+        jets = draw_jets(form, np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 20)
+        assert len(jets.points) == 20 and calls == []
 
 
 class TestClass4:

@@ -17,7 +17,7 @@ from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_c
                               levi_civita_roundtrip, riemann_falsification, sample_jets,
                               signature_observation, VerificationError)
 
-from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
+from conftest import (Scaled, class5_broken_ricci, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, nonlinear_connection,
                       power_law_nonsymmetric, power_law_symmetric)
 
@@ -56,19 +56,6 @@ class RandersLike(ExpressionForm):
     def lagrangian(self):
         f = (TDOT * TDOT + RDOT * RDOT + W2).call("sqrt") + 0.25 * ScalarField("r") * TDOT
         return f * f
-
-
-class Scaled(ExpressionForm):
-    """c L: the same form with L multiplied by the constant c."""
-
-    def __init__(self, form, c):
-        self.form, self.c, self.scale_pot = form, c, getattr(form, "scale_pot", None)
-
-    def admissible(self, p, vals=None):
-        return self.form.admissible(p, vals)
-
-    def lagrangian(self):
-        return self.c * self.form.lagrangian()
 
 
 def stretched(p, lam):
@@ -297,7 +284,7 @@ class TestHorizontalConstancy:
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
                                     predicate=form.admissible)
         r1 = check_horizontal_constancy(sample_jets(form, pts), conn)
-        r2 = check_horizontal_constancy(sample_jets(form.scaled(37.0), pts), conn)
+        r2 = check_horizontal_constancy(sample_jets(Scaled(form, 37.0), pts), conn)
         assert r1.passed == r2.passed
 
     def test_residuals_do_not_depend_on_the_scale_of_L(self, forms, rng):
@@ -334,7 +321,7 @@ class TestHessian:
         # displayed L.  The Lorentzian sign is the point either way.
         conn, form = forms["ex2"]
         t0, r0 = 0.5, 0.5
-        anchored = form.scaled(math.exp(0.5 * t0 * r0))  # psi(base) = 0
+        anchored = Scaled(form, math.exp(0.5 * t0 * r0))  # psi(base) = 0
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 25,
                                     predicate=form.admissible)
         for p in pts:
