@@ -16,8 +16,7 @@ from .geometry_core import (BracketVector, ConnectionProfile, CurvatureGrid,
                             CurvatureProfile, InsufficientSamples, K10Degenerate,
                             NonFiniteData, TangentPoint, UnsupportedConnection,
                             bracket_vectors, curvature_grid, curvature_profile,
-                            ricci_asymmetry, sample_tangent_points, spray_coefficients,
-                            vertical_holonomy_rank)
+                            sample_tangent_points, spray_coefficients, vertical_holonomy_rank)
 from .classifier import (ClassificationReport, InternalInconsistency, MixedClass,
                          Tolerances, assign_class, check_finsler_constraints, classify)
 from .metrizer import (DeltaVanishes, GradientNotClosed, LambdaEqualsOne,

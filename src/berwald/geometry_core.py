@@ -127,21 +127,25 @@ class ConnectionProfile:
 
     def k_values(self, t, r) -> np.ndarray:
         """k1..k12 at (t, r); where t and r are arrays, one row per point
-        from one array run.  Where that run fails, the points are evaluated
-        one by one, which raises the located error of the first that fails."""
+        from one array run.  Where a point fails, the first k_i that fails or
+        is not finite there names the error of the first such point."""
         if self._run is None:
             self._run = compile_fields(self.k)
         if np.ndim(t):
-            try:
-                return self._run.on_arrays({"t": t, "r": r})
-            except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
-                return np.array([self.k_values(a, b) for a, b in zip(t, r)])
+            out, ok = self._run.on_arrays({"t": t, "r": r})
+            if not ok.all():
+                i = int(np.argmin(ok))
+                self.k_values(t[i], r[i])
+            return out
+        t, r = float(t), float(r)
         try:
-            return np.array([float(v) for v in self._run({"t": float(t), "r": float(r)})])
+            out = self._run({"t": t, "r": r})
         except (DomainError, OverflowError):
-            for i, f in enumerate(self.k, start=1):
-                _located("k%d" % i, f.value, t, r)
-            raise
+            out = [_located("k%d" % i, f.value, t, r) for i, f in enumerate(self.k, start=1)]
+        for i, v in enumerate(out, start=1):
+            if not math.isfinite(v):
+                raise NonFiniteData("k%d is not finite at (t, r) = (%g, %g)" % (i, t, r))
+        return np.array([float(v) for v in out])
 
     def _curvature_quantities(self, which: int) -> list:
         """(name, field) of `_curvature`'s program ``which``: 0 is k1..k12,
@@ -233,6 +237,7 @@ class CurvatureProfile:
         return np.array([self.a[i].value for i in range(1, 15)])
 
     def ricci_asymmetry(self) -> float:
+        """R_rt - R_tr = a1 + a4 + 2 a5; zero iff the connection Ricci is symmetric."""
         return self.a[1].value + self.a[4].value + 2.0 * self.a[5].value
 
 
@@ -327,30 +332,25 @@ def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureP
 def curvature_grid(conn: ConnectionProfile, points: Sequence[tuple]) -> CurvatureGrid:
     """`curvature_profile` at each (t, r) of ``points``: each program runs
     once, on arrays of the points (the second on the generic ones only).
-
-    Where an array run fails, the points are evaluated one by one in their
-    order, which raises the located error of the first point that fails;
-    where none fails, the grid is made of those profiles."""
+    Where either fails at a point, `curvature_profile` at the first such
+    point raises its located error."""
     points = list(points)
     t = np.array([q[0] for q in points], dtype=float)
     r = np.array([q[1] for q in points], dtype=float)
     first, second = conn._curvature_programs()
-    try:
-        out = first.on_arrays({"t": t, "r": r})
-        corner = _corners(out[:, :12])
-        generic = corner == W_CORNER_GENERIC
-        g = np.full((len(points), 10), math.nan)
-        if generic.any():
-            g[generic] = second.on_arrays({"t": t[generic], "r": r[generic]})
-    except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
-        return CurvatureGrid.from_profiles([curvature_profile(conn, *q) for q in points])
+    out, ok = first.on_arrays({"t": t, "r": r})
+    corner = _corners(out[:, :12])
+    generic = corner == W_CORNER_GENERIC
+    g = np.full((len(points), 10), math.nan)
+    if generic.any():
+        g[generic], ok_generic = second.on_arrays({"t": t[generic], "r": r[generic]})
+        ok[generic] &= ok_generic
+    if not ok.all():
+        i = int(np.argmin(ok))
+        curvature_profile(conn, t[i], r[i])
+        raise NonFiniteData("curvature is not finite at (t, r) = (%g, %g)" % (t[i], r[i]))
     return CurvatureGrid(t, r, out[:, :12], out[:, 12:].reshape(-1, 14, 3), corner,
                          g[:, :3], g[:, 3:6], g[:, 6:])
-
-
-def ricci_asymmetry(cp: CurvatureProfile) -> float:
-    """R_rt - R_tr = a1 + a4 + 2 a5; zero iff the connection Ricci is symmetric."""
-    return cp.ricci_asymmetry()
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry_core import (ConnectionProfile, CurvatureGrid, TangentPoint,
-                            W_CORNER_GENERIC, curvature_grid, curvature_profile)
+from .geometry_core import (ConnectionProfile, CurvatureGrid, NonFiniteData, TangentPoint,
+                            W_CORNER_GENERIC, _located, curvature_grid, curvature_profile)
 from .geodesic_engine import integrate_ode
 from .scalar_field import (DomainError, Expression, Num, Partials, ScalarField, Var,
                            compile_fields, derivative, parameter_names, parse)
@@ -294,41 +294,31 @@ class PotentialSystem:
         increments h S F of every gap of every line from one array run, the
         states their cumulative sums from ``y0``.  Each panel is accepted as
         `_panel` accepts it, on its transported values y_a + h S F.  None
-        where the run fails or a panel is not accepted: the caller then goes
-        gap by gap."""
+        where the run fails at a point, a sum is not finite or a panel is not
+        accepted: the caller then goes gap by gap."""
         lines, gaps, n = len(fixed), len(starts), len(self.names)
         h, s, fixed = _panel_nodes(np.repeat(fixed, gaps), np.tile(starts, lines),
                                    np.tile(ends, lines))
         # the run computes both halves, and the other one may read the components
         Y = np.broadcast_to(np.repeat(y0, gaps, axis=0)[:, None], (lines * gaps, _PANEL_N, n))
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                inc, tail = self._quadrature(along_t, fixed, s, h, Y)
-                inc = inc.reshape(lines, gaps, _PANEL_N, n)
-                y = np.cumsum(np.concatenate([y0[:, None], inc[:, :, -1]], axis=1), axis=1)
-                Y = y[:, :-1, None] + inc
-        except (DomainError, FloatingPointError, OverflowError):
-            return None
-        return y[:, 1:] if _acceptance(Y, tail.reshape(lines, gaps, n))[1].all() else None
+        with np.errstate(all="ignore"):
+            inc, tail, ok = self._quadrature(along_t, fixed, s, h, Y)
+            inc = inc.reshape(lines, gaps, _PANEL_N, n)
+            y = np.cumsum(np.concatenate([y0[:, None], inc[:, :, -1]], axis=1), axis=1)
+            Y = y[:, :-1, None] + inc   # its last nodes are the sums y[:, 1:]
+        ok = ok.all() and np.isfinite(Y).all()
+        return y[:, 1:] if ok and _acceptance(Y, tail.reshape(lines, gaps, n))[1].all() else None
 
     def _transport(self, along_t: bool, fixed, a, b, ya, depth: int = 0) -> np.ndarray:
         """The states at b from the states ``ya`` at a, one leg per row on
         the axis line through ``fixed`` (r for a t-leg, t for an r-leg): one
-        batched `_panel`; a leg that it does not accept is halved, each half
-        again a panel, and is an ODE leg after `_BISECTIONS` halvings or
-        where its panel's array run fails.  Where a batch's run fails, each
-        of its legs runs alone, so no leg's state depends on its batch."""
-        try:
-            yb, ok = self._panel(along_t, fixed, a, b, ya)
-        except (DomainError, FloatingPointError, OverflowError):
-            if len(a) == 1:
-                return self._ode_leg(along_t, float(fixed[0]), float(a[0]), float(b[0]),
-                                     ya[0])[None]
-            return np.concatenate([self._transport(along_t, fixed[i:i + 1], a[i:i + 1],
-                                                   b[i:i + 1], ya[i:i + 1], depth)
-                                   for i in range(len(a))])
+        batched `_panel`; a leg whose panel fails is an ODE leg, and one that
+        it does not accept is halved, each half again a panel, and is an ODE
+        leg after `_BISECTIONS` halvings.  A leg's panel arithmetic is
+        elementwise, so no leg's state depends on its batch."""
+        yb, ok, failed = self._panel(along_t, fixed, a, b, ya)
         for i in np.flatnonzero(~ok):
-            if depth == _BISECTIONS:
+            if failed[i] or depth == _BISECTIONS:
                 yb[i] = self._ode_leg(along_t, float(fixed[i]), float(a[i]), float(b[i]), ya[i])
                 continue
             leg = slice(i, i + 1)
@@ -345,38 +335,44 @@ class PotentialSystem:
         _TRANSPORT_TOL (1 + |Y|) (a form that reads no component takes one
         pass), and is accepted if h times the Chebyshev tail of its F is
         within that bound too; one still iterating after `_PICARD_PASSES` is
-        not.  Returns the states at b and which legs were accepted."""
+        not.  A leg fails, and stops, where a run fails at one of its nodes
+        or its Y is not finite.  Returns the states at b, which legs were
+        accepted and which failed."""
         n = len(self.names)
         reads = self._reads[0 if along_t else 1]
         h, s, fixed = _panel_nodes(fixed, a, b)
-        yb, ok = np.empty_like(ya), np.zeros(len(a), dtype=bool)
+        yb, (ok, failed) = np.empty_like(ya), np.zeros((2, len(a)), dtype=bool)
         live = np.arange(len(a))
         Y = np.broadcast_to(ya[:, None], (len(a), _PANEL_N, n))
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(all="ignore"):
             for _ in range(_PICARD_PASSES):
-                inc, tail = self._quadrature(along_t, fixed[live], s[live], h[live], Y)
+                inc, tail, ran = self._quadrature(along_t, fixed[live], s[live], h[live], Y)
                 Y, prev = ya[live, None] + inc, Y
+                ran &= np.isfinite(Y).all(axis=(1, 2))
+                failed[live[~ran]] = True
                 bound, accepted = _acceptance(Y, tail)
-                done = (np.all(np.max(np.abs(Y - prev), axis=1) <= bound, axis=1) if reads
-                        else np.ones(len(live), dtype=bool))
+                done = ran & (np.all(np.max(np.abs(Y - prev), axis=1) <= bound, axis=1) if reads
+                              else True)
                 yb[live[done]] = Y[done, -1]
                 ok[live[done]] = accepted[done]
-                live, Y = live[~done], Y[~done]
+                live, Y = live[ran & ~done], Y[ran & ~done]
                 if not len(live):
                     break
-        return yb, ok
+        return yb, ok, failed
 
     def _quadrature(self, along_t: bool, fixed, s, h, Y) -> tuple:
         """h S F and h times the Chebyshev tail of F (its largest trailing
         coefficient) on the panels with nodes ``s`` and ``fixed``, shape (k,
-        _PANEL_N), the components at ``Y`` (k, _PANEL_N, n): one array run."""
+        _PANEL_N), the components at ``Y`` (k, _PANEL_N, n): one array run;
+        and whether it succeeded at every node of a panel, with a finite tail."""
         n = len(self.names)
         env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
         env.update(zip(self.names, np.moveaxis(Y, 2, 0)))
-        out = self._run.on_arrays(env)
+        out, ok = self._run.on_arrays(env)
         rows = _panel_rows(out[..., :n] if along_t else out[..., n:])
-        return (h[:, None, None] * rows[:, :_PANEL_N],
-                np.abs(h)[:, None] * np.max(np.abs(rows[:, _PANEL_N:]), axis=1))
+        tail = np.abs(h)[:, None] * np.max(np.abs(rows[:, _PANEL_N:]), axis=1)
+        return (h[:, None, None] * rows[:, :_PANEL_N], tail,
+                ok.all(axis=1) & np.isfinite(tail).all(axis=1))
 
     def _ode_leg(self, along_t: bool, fixed: float, a: float, b: float, ya) -> np.ndarray:
         """The state at b from ``ya`` at a by the adaptive scalar ODE, with
@@ -581,7 +577,7 @@ class ExpressionForm:
     and r-partials moving the potentials along their one-forms
     (`total_partials`), and one per velocity on the velocity partials.
     `domain` states where L is defined, in the same expressions L is made
-    of; `admissible` runs it, compiled once too.
+    of; `admit` runs it on arrays of points, compiled once too.
     """
 
     def lagrangian(self) -> ScalarField:
@@ -595,39 +591,52 @@ class ExpressionForm:
 
     @cached_property
     def _domain_run(self):
-        """`domain`'s program, its bounds, and whether it reads a potential."""
+        """`domain`'s program and its bounds."""
         pairs = self.domain()
-        pots = getattr(self, "scale_pot", None)
-        reads = pots is not None and any(parameter_names(f.expr) & set(pots.names)
-                                         for f, _ in pairs)
-        return compile_fields([f for f, _ in pairs]), [b for _, b in pairs], reads
+        return compile_fields([f for f, _ in pairs]), np.array([b for _, b in pairs])
 
-    def admissible(self, p: TangentPoint, vals: dict | None = None) -> bool:
-        """Whether p is in the form's domain: one float run of `domain`
-        raises no DomainError or OverflowError, and each output is finite
-        and above its bound.  ``vals`` are the potentials' values at (p.t,
-        p.r) (None: transported, where the domain reads them)."""
-        run, bounds, reads = self._domain_run
-        try:
-            out = run(self._point_env(p, vals, reads))
-        except (DomainError, OverflowError):
-            return False
-        return all(math.isfinite(x) and x > b for x, b in zip(out, bounds))
+    def admissible(self, p: TangentPoint) -> bool:
+        """Whether p is in the form's domain: a one-point `admit`."""
+        return self.admit([p])[0][0]
 
     def admit(self, points: Sequence[TangentPoint]) -> tuple:
-        """Whether each of ``points`` is admissible, and the potentials'
-        values at each as dicts, all read with one `values_at` (None where
-        the form reads none, or that call raised DomainError and each point
-        was admitted alone)."""
+        """Whether each of ``points`` is in the form's domain, and the
+        potentials' values at each as dicts (None where the form reads
+        none): one run of `domain`'s program on arrays of them
+        (`_arrays_env`), a point admitted where the run succeeds and each
+        output is above its bound."""
+        run, bounds = self._domain_run
+        env, rows = self._arrays_env(points)
+        out, ok = run.on_arrays(env)
+        ok &= np.all(out > bounds, axis=-1)
+        return ok.tolist(), (None if rows is None
+                             else [dict(zip(self.scale_pot.names, row)) for row in rows])
+
+    def _arrays_env(self, points: Sequence[TangentPoint], vals=None) -> tuple:
+        """The coordinates and velocities of ``points`` as arrays, and the
+        potentials' rows at them (None where the form reads none): from
+        ``vals``, a dict per point, or else one `values_at`; where that
+        raises DomainError, each point is read alone, with NaN where that
+        raises, so that only its own runs fail.  Returns the env and rows."""
+        states = np.array([q.state() for q in points]).reshape(-1, 8).T
+        env = dict(zip(("t", "r", "theta", "phi") + VELOCITY, states))
         pots = getattr(self, "scale_pot", None)
-        try:
-            rows = None if pots is None else pots.values_at([(p.t, p.r) for p in points])
-        except DomainError:
-            rows = None
-        if rows is None:
-            return [self.admissible(p) for p in points], None
-        vals = [dict(zip(pots.names, row)) for row in rows]
-        return [self.admissible(p, v) for p, v in zip(points, vals)], vals
+        if pots is None:
+            return env, None
+        if vals is not None:
+            rows = np.reshape([[v[n] for n in pots.names] for v in vals], (-1, len(pots.names)))
+        else:
+            try:
+                rows = pots.values_at(states[:2].T)
+            except DomainError:
+                rows = np.full((len(points), len(pots.names)), math.nan)
+                for i, key in enumerate(states[:2].T):
+                    try:
+                        rows[i] = pots.values_at([key])[0]
+                    except DomainError:
+                        pass
+        env.update(zip(pots.names, rows.T))
+        return env, rows
 
     def _env(self, t: float, r: float, vals: dict | None) -> dict:
         """t, r and the potentials' values ``vals`` at (t, r) (None: transported)."""
@@ -637,14 +646,6 @@ class ExpressionForm:
             if vals is None:
                 vals = pots.values(t, r)
             env.update((n, float(vals[n])) for n in pots.names)
-        return env
-
-    def _point_env(self, p: TangentPoint, vals: dict | None, potentials: bool) -> dict:
-        """`_env` at (p.t, p.r), without the potentials unless ``potentials``,
-        and p's theta and velocities."""
-        env = self._env(p.t, p.r, vals) if potentials else {"t": float(p.t), "r": float(p.r)}
-        env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
-        env["theta"] = float(p.theta)
         return env
 
     @cached_property
@@ -658,21 +659,19 @@ class ExpressionForm:
         return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
                               + hessian)
 
-    def jet(self, p, vals=None) -> FormJet:
+    def jet(self, p, vals=None):
         """L and its blocks at p, from the potentials' values ``vals`` at
         (p.t, p.r) (None: transported).  At a sequence of points, with a
-        sequence of values or None (read with one `values_at`), the program
-        runs once on arrays of them and raises where it fails at any."""
+        sequence of values or None (`_arrays_env`), the program runs once on
+        arrays of them: the jets, and whether the run succeeded at each point
+        (`on_arrays`)."""
         if isinstance(p, TangentPoint):
-            return FormJet(np.array(self._jet_run(self._point_env(p, vals, True))))
-        states = np.array([q.state() for q in p]).T
-        env = dict(zip(("t", "r", "theta", "phi") + VELOCITY, states))
-        pots = getattr(self, "scale_pot", None)
-        if pots is not None:
-            rows = (pots.values_at(states[:2].T) if vals is None
-                    else np.array([[v[n] for n in pots.names] for v in vals]))
-            env.update(zip(pots.names, rows.T))
-        return FormJet(self._jet_run.on_arrays(env))
+            env = self._env(p.t, p.r, vals)
+            env.update(zip(VELOCITY, map(float, (p.tdot, p.rdot, p.thetadot, p.phidot))))
+            env["theta"] = float(p.theta)
+            return FormJet(np.array(self._jet_run(env)))
+        out, ok = self._jet_run.on_arrays(self._arrays_env(p, vals)[0])
+        return FormJet(out), ok
 
 
 def _uv(conn: ConnectionProfile) -> tuple:
@@ -809,20 +808,23 @@ class RiemannForm(ExpressionForm):
     def coefficient_table(self, points: Sequence[tuple], vals=None) -> np.ndarray:
         """att, atr, arr, aw with their t- and r-partials at each (t, r) of
         ``points``, shape (n, 4, 3), the potentials at their rows ``vals``
-        (None: read with one `values_at`): one array run, or a run per point
-        where that fails, which raises the error of the first point that
-        fails."""
+        (None: read with one `values_at`): one array run.  Where it fails at
+        a point, the float run at the first such point raises, named by its
+        first output that is not finite."""
         t, r = np.array(points, dtype=float).reshape(-1, 2).T
         env = {"t": t, "r": r}
         if self.scale_pot is not None:
             if vals is None:
                 vals = self.scale_pot.values_at(points)
             env.update(zip(self.scale_pot.names, vals.T))
-        run = self._coefficient_run
-        try:
-            out = run.on_arrays(env)
-        except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
-            out = np.array([run({k: float(v[i]) for k, v in env.items()}) for i in range(len(t))])
+        out, ok = self._coefficient_run.on_arrays(env)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            j = int(np.argmin(np.isfinite(out[i])))
+            name = ("%s", "d%s/dt", "d%s/dr")[j % 3] % ("att", "atr", "arr", "aw")[j // 3]
+            at = {k: float(v[i]) for k, v in env.items()}
+            _located(name, lambda *_: self._coefficient_run(at), t[i], r[i])
+            raise NonFiniteData("%s is not finite at (t, r) = (%g, %g)" % (name, t[i], r[i]))
         return out.reshape(-1, 4, 3)
 
     def christoffels(self, points: Sequence[tuple]) -> np.ndarray:

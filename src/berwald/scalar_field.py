@@ -373,6 +373,8 @@ def _div(a, b):
 
 
 def _pow(a, b):
+    if a != a or b != b:   # NaN, which x^0 and 1^x would hide
+        return math.nan
     if float(b).is_integer():
         if a == 0.0 and b < 0:
             raise DomainError("zero raised to negative power")
@@ -400,34 +402,31 @@ def _load_param(env, name: str):
         raise UnboundParameter(name) from None
 
 
-# The array arithmetic: the same domain checks, each one test over all points.
-# Overflow and invalid operations raise FloatingPointError (see `on_arrays`).
+# The array arithmetic: each op is NaN where its `_FLOAT` twin raises (np.sqrt
+# and the sines are as they are), and NaN where an operand is, so a point
+# fails exactly where an output is not finite (see `on_arrays`).
 
 def _div_array(a, b):
-    if np.any(b == 0.0):
-        raise DomainError("division by zero")
-    return a / b
+    q = np.divide(a, b)
+    if np.isfinite(q).all():   # no zero divisor and no overflow: the common case, in 3 ops
+        return q
+    return np.where((b == 0.0) | (np.isinf(q) & np.isfinite(a)), np.nan, q)
 
 
 def _pow_array(a, b):
+    p = np.power(a, b)
     integer = np.isfinite(b) & (np.floor(b) == b)
-    if np.any(integer & (a == 0.0) & (b < 0)):
-        raise DomainError("zero raised to negative power")
-    if np.any(~integer & (a <= 0.0)):
-        raise DomainError("fractional power of non-positive base")
-    return np.power(a, b)
+    bad = np.where(integer, (a == 0.0) & (b < 0), a <= 0.0) | np.isnan(a) | np.isnan(b)
+    return np.where(bad | (np.isinf(p) & np.isfinite(a) & np.isfinite(b)), np.nan, p)
+
+
+def _exp_array(x):
+    y = np.exp(x)
+    return np.where(np.isinf(y) & np.isfinite(x), np.nan, y)
 
 
 def _ln_array(x):
-    if np.any(x <= 0.0):
-        raise DomainError("ln of non-positive value")
-    return np.log(x)
-
-
-def _sqrt_array(x):
-    if np.any(x < 0.0):
-        raise DomainError("sqrt of negative value")
-    return np.sqrt(x)
+    return np.log(np.where(x > 0.0, x, np.nan))
 
 
 # An instruction (op, dst, a, b) sets r[dst] = table[op](r[a]), or (r[a], r[b])
@@ -437,7 +436,7 @@ _FLOAT = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^
           "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp,
           "ln": _ln, "sqrt": _sqrt, "abs": abs}
 _ARRAY = dict(_FLOAT, **{"/": _div_array, "^": _pow_array, "sin": np.sin, "cos": np.cos,
-                         "tan": np.tan, "exp": np.exp, "ln": _ln_array, "sqrt": _sqrt_array,
+                         "tan": np.tan, "exp": _exp_array, "ln": _ln_array, "sqrt": np.sqrt,
                          "abs": np.abs})
 _LEAN_POINTS = 1024
 
@@ -455,15 +454,15 @@ def compile_program(exprs):
     are the names that variables and unbound parameters load from ``env``.
 
     ``run.on_arrays(env)`` runs the same instructions on numpy arrays of
-    points (vector mode), each domain check one test over all points.  It
-    raises `DomainError` where any point leaves a domain, FloatingPointError
-    where an operation overflows or is invalid or an output is not finite
-    (naming the first such output), and returns one C-contiguous array of
-    shape ``points + (n_outputs,)``: output j, a constant too, fills column
-    ``[..., j]``.  Where it fails, only a run per point says which point
-    failed and how.  A run on at least `_LEAN_POINTS` points holds only the
-    arrays still to be read: a register is reused once its last reader has
-    run (`_reuse_registers`, renamed on the first such run, as the renaming
+    points (vector mode) and raises for no point.  It returns one
+    C-contiguous array of shape ``points + (n_outputs,)`` (output j, a
+    constant too, fills column ``[..., j]``) and ``ok``, true exactly where
+    the float run at that point raises nothing and gives finite outputs:
+    there the values are the float run's, with numpy's basis functions.  A
+    caller that must raise runs the float program at its first failed point.
+    A run on at least `_LEAN_POINTS` points holds only the arrays still to
+    be read: a register is reused once its last reader has run
+    (`_reuse_registers`, renamed on the first such run, as the renaming
     costs about as much as running the instructions on a thousand points).
     """
     regs = [None]        # register 0 holds env during a call
@@ -530,16 +529,12 @@ def compile_program(exprs):
             steps, results = _reuse_registers(code, outs) if lean else (code, outs)
             arrays[lean] = [(_ARRAY[op], d, a, b) for op, d, a, b in steps], results
         steps, results = arrays[lean]
-        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        with np.errstate(all="ignore"):
             r = execute(steps, env)
         out = np.empty(shape + (len(results),))
         for j, i in enumerate(results):
             out[..., j] = r[i]
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = ~finite.reshape(-1, len(results)).all(axis=0)
-            raise FloatingPointError("output %d is not finite" % np.argmax(bad))
-        return out
+        return out, np.isfinite(out).all(axis=-1)
 
     run.on_arrays = on_arrays
     return run

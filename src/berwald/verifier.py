@@ -25,7 +25,6 @@ from .geodesic_engine import discrepancy, integrate_finsler, integrate_spray
 from .geometry_core import (ConnectionProfile, TangentPoint, bracket_matrix,
                             christoffel_table, curvature_profile, sample_tangent_points)
 from .metrizer import FormJet, RiemannForm
-from .scalar_field import DomainError
 
 
 class VerificationError(RuntimeError):
@@ -130,26 +129,15 @@ class SampleJets:
 def _jets(evaluator, points: list, vals: list | None = None,
           drawn: int | None = None) -> SampleJets:
     """The jets at ``points`` from the potentials' values ``vals`` (None:
-    read with one `values_at`): one array run of the form's program.  Where
-    it fails, each point runs alone, and one whose run raises DomainError is
-    skipped.  ``drawn`` (default: all of them) counts the samples the points
-    were admitted from."""
+    read by the form): one array run of the form's program, the points where
+    it fails skipped.  ``drawn`` (default: all of them) counts the samples
+    the points were admitted from."""
     drawn = len(points) if drawn is None else drawn
-    if points:
-        try:
-            return SampleJets(points, evaluator.jet(points, vals), drawn - len(points))
-        except (DomainError, ArithmeticError):   # FloatingPointError and OverflowError
-            pass
-    kept, rows = [], []
-    for i, p in enumerate(points):
-        try:
-            rows.append(evaluator.jet(p, None if vals is None else vals[i]).out)
-            kept.append(p)
-        except DomainError:
-            continue
-    if not kept:
+    jet, ok = evaluator.jet(points, vals)
+    if not ok.any():
         raise VerificationError("no admissible samples: each is outside the form's domain")
-    return SampleJets(kept, FormJet(np.array(rows)), drawn - len(kept))
+    kept = [p for p, keep in zip(points, ok.tolist()) if keep]
+    return SampleJets(kept, FormJet(jet.out[ok]), drawn - len(kept))
 
 
 def sample_jets(evaluator, samples: Sequence[TangentPoint]) -> SampleJets:

@@ -99,8 +99,8 @@ class Scaled(ExpressionForm):
     def __init__(self, form, c):
         self.form, self.c, self.scale_pot = form, c, getattr(form, "scale_pot", None)
 
-    def admissible(self, p, vals=None):
-        return self.form.admissible(p, vals)
+    def domain(self):
+        return self.form.domain()
 
     def lagrangian(self):
         return self.c * self.form.lagrangian()

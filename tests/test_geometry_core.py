@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from berwald.geometry_core import (BRACKET_PAIRS, COORD_NAMES, PH, R, TH, T,
-                                   ConnectionProfile, InsufficientSamples, NonFiniteData,
-                                   TangentPoint, UnsupportedConnection, bracket_matrix,
-                                   bracket_vectors, christoffel_table, curvature_profile,
-                                   numeric_rank, ricci_asymmetry, sample_tangent_points,
-                                   spray_coefficients, vertical_holonomy_rank)
+                                   ConnectionProfile, CurvatureGrid, InsufficientSamples,
+                                   NonFiniteData, TangentPoint, UnsupportedConnection,
+                                   bracket_matrix, bracket_vectors, christoffel_table,
+                                   curvature_grid, curvature_profile,
+                                   numeric_rank, sample_tangent_points, spray_coefficients,
+                                   vertical_holonomy_rank)
 
 from berwald import geometry_core, scalar_field
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
@@ -80,10 +81,63 @@ class TestCurvatureProfile:
         for alpha in (2.5, 3.0, 4.0):
             for (t, r) in [(0.6, 0.9), (2.0, 2.2)]:
                 cp = curvature_profile(power_law_nonsymmetric(alpha), t, r)
-                assert ricci_asymmetry(cp) == pytest.approx(-8.0, abs=1e-10)
+                assert cp.ricci_asymmetry() == pytest.approx(-8.0, abs=1e-10)
         cp = curvature_profile(power_law_symmetric(), 1.1, 0.4)
-        assert ricci_asymmetry(cp) == pytest.approx(0.0, abs=1e-12)
-        assert ricci_asymmetry(curvature_profile(flat_cartesian(), 1, 1)) == 0.0
+        assert cp.ricci_asymmetry() == pytest.approx(0.0, abs=1e-12)
+        assert curvature_profile(flat_cartesian(), 1, 1).ricci_asymmetry() == 0.0
+
+
+def first_failure(evaluate, points):
+    """The type and text of the error of ``evaluate`` at the first of
+    ``points`` where it raises, one point at a time (the per-point path the
+    array runs once fell back to); None where none raises."""
+    for q in points:
+        try:
+            evaluate(*q)
+        except (DomainError, NonFiniteData) as exc:
+            return type(exc), str(exc)
+    return None
+
+
+def raised(evaluate):
+    with pytest.raises((DomainError, NonFiniteData)) as exc:
+        evaluate()
+    return exc.type, str(exc.value)
+
+
+class TestMixedBatches:
+    """Failing and passing points in one array run: where none fails, the
+    per-point values; else the error of the first failing point in order."""
+
+    def test_k_values(self):
+        conn = ConnectionProfile({1: "t*t", 2: "1/(r - 1.5)", 10: "r"})
+        good = [(1.0, 1.0), (0.5, 2.0), (2.0, 0.7)]
+        t, r = np.array(good).T
+        assert conn.k_values(t, r).tolist() == [conn.k_values(*q).tolist() for q in good]
+        for bad, want in (([(1.0, 1.5), (1e200, 1.0)],
+                           (DomainError, "k2 at (t, r) = (1, 1.5): division by zero")),
+                          ([(1e200, 1.0), (1.0, 1.5)],
+                           (NonFiniteData, "k1 is not finite at (t, r) = (1e+200, 1)"))):
+            pts = good[:2] + bad + good[2:]
+            assert first_failure(conn.k_values, pts) == want
+            assert raised(lambda: conn.k_values(*np.array(pts).T)) == want
+
+    @pytest.mark.parametrize("fields, bad", [
+        ({1: "1/(t - 1.5)", 2: "t*r", 7: "r*t", 9: "1/r", 10: "r"}, (1.5, 1.0)),
+        # k8/k10 a3 overflows in the second program only, at the generic node r = 1
+        ({4: "1e308*(r - 1)", 8: "100", 10: "1"}, (1.0, 1.0))])
+    def test_curvature_grid(self, fields, bad):
+        conn = ConnectionProfile(fields)
+        good = [(1.0, 2.0), (2.0, 1.2), (0.5, 0.5)]
+        grid = curvature_grid(conn, good)
+        ref = CurvatureGrid.from_profiles([curvature_profile(conn, *q) for q in good])
+        for name in ("k", "a", "abc", "DEF", "GH"):
+            assert np.array_equal(getattr(grid, name), getattr(ref, name), equal_nan=True)
+        assert grid.corner.tolist() == ref.corner.tolist()
+        pts = good[:2] + [bad, (1.0, 1.0), bad] + good[2:]
+        want = first_failure(lambda t, r: curvature_profile(conn, t, r), pts)
+        assert want is not None and "(t, r) = (%g, %g)" % bad in want[1]
+        assert raised(lambda: curvature_grid(conn, pts)) == want
 
 
 class TestSpray:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from berwald import metrizer
 from berwald.geodesic_engine import StepFailure, integrate_ode
-from berwald.geometry_core import (ConnectionProfile, TangentPoint,
+from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
                                    curvature_profile, sample_tangent_points)
 from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
                               LambdaNotConstant, MuNotConstant, NotClosed,
@@ -282,6 +283,25 @@ class TestBatchedTransport:
         one_by_one = pot.table(ts, rs)
         assert all(np.array_equal(a, b) for a, b in zip(summed, one_by_one))
 
+    def test_a_failed_panel_is_an_ode_leg_and_leaves_its_batch_alone(self):
+        """d psi = ((t - c)/(t - c) + t) dt fails at t = c alone, a Chebyshev
+        node of the middle leg's panel: that leg is an ODE leg, which never
+        meets c, and each leg's state is the one it has alone."""
+        a, b = np.zeros(3), np.array([1.0, 2.0, 3.0])
+        c = float(0.5 * (b[1] - a[1]) * (metrizer._PANEL_X[5] + 1.0))
+        pot = PotentialSystem(["psi"], ["(t - %r)/(t - %r) + t" % (c, c)], ["0"], (0.0, 0.0))
+        fixed, ya = np.zeros(3), np.zeros((3, 1))
+        _yb, ok, failed = pot._panel(True, fixed, a, b, ya)
+        assert failed.tolist() == [False, True, False] and ok.tolist() == [True, False, True]
+        batch = pot._transport(True, fixed, a, b, ya)
+        alone = [pot._transport(True, fixed[:1], a[i:i + 1], b[i:i + 1], ya[:1])[0]
+                 for i in range(3)]
+        assert batch.tolist() == np.array(alone).tolist()
+        assert batch[1].tolist() == pot._ode_leg(True, 0.0, 0.0, 2.0, ya[0]).tolist()
+        assert batch[:, 0] == pytest.approx(b + 0.5 * b * b, rel=1e-12)
+        # where every gap is summed in one run, a failed node sends them gap by gap
+        assert pot._summed(True, np.zeros(1), np.zeros(1), b[1:2], ya[:1]) is None
+
     def test_panels_are_accepted_on_the_transported_values(self):
         """The tail bound scales with the value the panel ends at, base value
         and increment together: psi = 1e8 + sin(20 t) - sin(10) takes one
@@ -291,7 +311,8 @@ class TestBatchedTransport:
         a, b = nodes[:-1], nodes[1:]
         h = 0.5 * (b - a)
         s = a[:, None] + h[:, None] * (metrizer._PANEL_X + 1.0)
-        inc, tail = pot._quadrature(True, np.full(s.shape, 0.5), s, h, np.zeros(s.shape + (1,)))
+        inc, tail, ok = pot._quadrature(True, np.full(s.shape, 0.5), s, h, np.zeros(s.shape + (1,)))
+        assert ok.all()
         assert np.sum(tail > metrizer._TRANSPORT_TOL * (1.0 + np.max(np.abs(inc), axis=1))) >= 10
         y = pot._summed(True, np.array([0.5]), a, b, pot.base_values[None])
         assert y is not None
@@ -514,10 +535,9 @@ class TestClass3:
         assert jets[0].dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
                                            rel=1e-12)
 
-    def test_coefficient_table_is_the_coefficient_jets(self, monkeypatch, grid, c3_forms):
+    def test_coefficient_table_is_the_coefficient_jets(self, grid, c3_forms):
         """One array run over the grid gives each node's `coefficient_jets`
-        to a few ulps; where that run fails, a run per node gives them
-        exactly."""
+        to a few ulps."""
         _conn, _fins, riem = c3_forms
         table = riem.coefficient_table(grid)
         ref = np.array([riem.coefficient_jets(t, r) for (t, r) in grid])
@@ -525,8 +545,26 @@ class TestClass3:
         assert np.all(np.abs(table - ref) <= 8 * np.spacing(np.abs(ref)))
         vals = riem.scale_pot.values_at(grid)
         assert riem.coefficient_table(grid, vals).tolist() == table.tolist()
-        monkeypatch.setattr(riem._coefficient_run, "on_arrays", lambda env: 1 / 0)
-        assert riem.coefficient_table(grid, vals).tolist() == ref.tolist()
+
+    def test_coefficient_table_raises_at_the_first_failing_node(self):
+        """Failing and passing nodes in one run: the first failing node in
+        order raises, naming the coefficient and the point; a run per node
+        (the former fallback) raises the same text unlocated at a failing
+        node, and gives inf where a product overflows."""
+        form = RiemannForm(ScalarField("1/(t - 1)"), ScalarField("t*t"), ScalarField("-1"),
+                           ScalarField("-r*r"))
+        good = [(0.5, 1.0), (2.0, 1.5), (3.0, 0.5)]
+        assert form.coefficient_table(good).tolist() == [
+            [list(j) for j in form.coefficient_jets(*q)] for q in good]
+        with pytest.raises(DomainError, match="^division by zero$"):
+            form.coefficient_jets(1.0, 1.0)
+        assert form.coefficient_jets(1e200, 1.0)[1].value == math.inf
+        for bad, error, text in (([(1.0, 1.0), (1e200, 1.0)], DomainError,
+                                  "att at (t, r) = (1, 1): division by zero"),
+                                 ([(1e200, 1.0), (1.0, 1.0)], NonFiniteData,
+                                  "atr is not finite at (t, r) = (1e+200, 1)")):
+            with pytest.raises(error, match="^%s$" % re.escape(text)):
+                form.coefficient_table(good[:2] + bad + good[2:])
 
     def test_square_theta_is_not_quadratic(self, grid, c3_forms):
         conn = c3_forms[0]

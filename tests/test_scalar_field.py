@@ -368,28 +368,22 @@ def _tree_walk(e, env, call=None):
 def assert_array_run_matches(run, exprs, params, points) -> bool:
     """``run.on_arrays`` on all ``points`` as one array against a float tree
     walk of each point with numpy's basis (`_numpy_call`, ``params[i]`` bound
-    for ``exprs[i]``).  Where every walk gives finite floats, an array run
-    that returns gives them bit for bit (it may raise FloatingPointError where
-    an intermediate overflows); where a walk raises or is not finite, the
-    array run raises.  True when the outputs were compared."""
+    for ``exprs[i]``): ``ok`` holds at a point exactly where its walk raises
+    nothing and gives finite floats, and there the outputs are the walk's bit
+    for bit.  True when some point's outputs were compared."""
     t, r = (np.array(x) for x in zip(*points))
-    try:
-        refs = [[_tree_walk(e, dict(p, t=float(tt), r=float(rr)), _numpy_call)
-                 for e, p in zip(exprs, params)] for tt, rr in points]
-        finite = all(map(math.isfinite, np.ravel(refs)))
-    except (ArithmeticError, DomainError):
-        finite = False
-    if not finite:
-        with pytest.raises((ArithmeticError, DomainError)):
-            run.on_arrays({"t": t, "r": r})
-        return False
-    try:
-        out = run.on_arrays({"t": t, "r": r})
-    except FloatingPointError:
-        return False
-    assert out.shape == t.shape + (len(exprs),)
-    assert out.tolist() == refs
-    return True
+    out, ok = run.on_arrays({"t": t, "r": r})
+    assert out.shape == t.shape + (len(exprs),) and ok.shape == t.shape
+    for i, (tt, rr) in enumerate(points):
+        try:
+            ref = [_tree_walk(e, dict(p, t=float(tt), r=float(rr)), _numpy_call)
+                   for e, p in zip(exprs, params)]
+        except (ArithmeticError, DomainError):
+            ref = [math.nan]
+        assert ok[i] == all(map(math.isfinite, ref))
+        if ok[i]:
+            assert out[i].tolist() == ref
+    return bool(ok.any())
 
 
 def test_program_equals_a_tree_walk_bit_for_bit():
@@ -444,14 +438,11 @@ def test_large_array_runs_reuse_registers():
     for _ in range(10):
         exprs = [_random_ast(rng, 4) for _ in range(6)]
         run = compile_fields([ScalarField(e, {"alpha": 1.3}) for e in exprs])
-        try:
-            whole = run.on_arrays(env)
-        except (ArithmeticError, DomainError):
-            continue
+        whole, ok = run.on_arrays(env)
         parts = [run.on_arrays(half) for half in halves]
-        assert [x.tolist() for x in whole.T] == [a.tolist() + b.tolist()
-                                                 for a, b in zip(parts[0].T, parts[1].T)]
-        compared += 1
+        assert ok.tolist() == parts[0][1].tolist() + parts[1][1].tolist()
+        assert whole[ok].tolist() == np.concatenate([parts[0][0], parts[1][0]])[ok].tolist()
+        compared += bool(ok.any())
     assert compared >= 5
 
 
@@ -463,20 +454,48 @@ def test_array_run_of_the_function_basis(src, bad):
     """Each basis function, power and quotient on an array of points: at most
     one ulp from the scalar run at each point (equal for abs, sqrt and
     quotients; a constant is broadcast); where one point leaves the domain,
-    the scalar run's DomainError text."""
+    the scalar run raises DomainError there and the array run fails that
+    point alone, the others' values unchanged."""
     run = compile_program([parse(src)])
     t, r = np.linspace(0.25, 3.0, 12), np.linspace(-1.5, 2.5, 12)
-    got = run.on_arrays({"t": t, "r": r})[:, 0]
+    got, ok = run.on_arrays({"t": t, "r": r})
     ref = np.array([run({"t": a, "r": b})[0] for a, b in zip(t.tolist(), r.tolist())])
     ulps = 0 if src.startswith(("abs", "sqrt", "r/", "1.5")) else 1
-    assert got.shape == t.shape
-    assert np.all(np.abs(got - ref) <= ulps * np.spacing(np.abs(ref)))
+    assert got.shape == t.shape + (1,) and ok.all()
+    assert np.all(np.abs(got[:, 0] - ref) <= ulps * np.spacing(np.abs(ref)))
     if bad is not None:
         t[5] = bad
-        with pytest.raises(DomainError) as scalar:
+        with pytest.raises(DomainError):
             run({"t": bad, "r": float(r[5])})
-        with pytest.raises(DomainError, match="^%s$" % re.escape(str(scalar.value))):
-            run.on_arrays({"t": t, "r": r})
+        failed, ok = run.on_arrays({"t": t, "r": r})
+        assert ok.tolist() == [i != 5 for i in range(12)] and math.isnan(failed[5, 0])
+        assert np.delete(failed, 5).tolist() == np.delete(got, 5).tolist()
+
+
+@pytest.mark.parametrize("src, t", [
+    ("1/(1e300/t)", 1e-10), ("1/t^2", 1e200), ("1/exp(t)", 1000.0), ("ln(t)^0", -1.0),
+    ("1^ln(t)", -1.0), ("(t - 2)^-1", 2.0), ("(2 - t)^0.5", 3.0), ("1/ln(t)", 1.0),
+    ("exp(-exp(t))", 1000.0), ("1/(t*t)", 1e200), ("sin(t*t)", 1e200), ("t*t - t*t", 1e200),
+    ("(t*t - t*t)^0", 1e200), ("1^(t*t - t*t)", 1e200)])
+def test_array_run_fails_exactly_where_the_float_run_does(src, t):
+    """A point fails where its float run raises, also where a later op would
+    hide the failure in the array arithmetic (a quotient, power or exp that
+    overflows from finite operands, x^0 or 1^x of a failed x), or gives a
+    non-finite output (a power of NaN too); an intermediate inf that the
+    float run carries to a finite output is no failure.  The other points
+    are unchanged."""
+    run = compile_program([parse(src)])
+    try:
+        value = run({"t": t})[0]
+    except (ArithmeticError, DomainError):
+        value = math.nan
+    out, ok = run.on_arrays({"t": np.array([1.5, t, 0.75])})
+    assert ok.tolist() == [True, math.isfinite(value), True]
+    assert out[[0, 2], 0].tolist() == [run({"t": 1.5})[0], run({"t": 0.75})[0]]
+    if math.isfinite(value):
+        assert out[1, 0] == value
+    else:
+        assert not math.isfinite(out[1, 0])
 
 
 def test_program_keeps_signed_zeros_and_number_types_apart():
@@ -649,17 +668,17 @@ class TestArrayRunLayout:
         for shape in ((7,), (3, 5)):
             t = np.linspace(0.5, 1.5, math.prod(shape)).reshape(shape)
             r = np.full(shape, 2.0)
-            out = run.on_arrays({"t": t, "r": r})
-            assert out.shape == shape + (3,)
+            out, ok = run.on_arrays({"t": t, "r": r})
+            assert out.shape == shape + (3,) and ok.shape == shape and ok.all()
             assert out.flags.c_contiguous and out.dtype == np.float64
             assert out[..., 0].tolist() == (t * r).tolist()
             assert out[..., 1].tolist() == np.full(shape, 2.5).tolist()   # a constant fills its column
             assert out[..., 2].tolist() == (t - r).tolist()
 
-    def test_non_finite_output_names_the_first(self):
+    def test_non_finite_output_fails_its_point(self):
         run = compile_program([parse("r"), parse("t + r"), parse("t")])
         t, r = np.array([1.0, np.inf, 2.0]), np.array([1.0, 2.0, 3.0])
-        with pytest.raises(FloatingPointError, match="^output 1 is not finite$"):
-            run.on_arrays({"t": t, "r": r})
-        with pytest.raises(FloatingPointError, match="^output 0 is not finite$"):
-            run.on_arrays({"t": r, "r": t})
+        for env, kept in (({"t": t, "r": r}, [[1.0, 2.0, 1.0], [3.0, 5.0, 2.0]]),
+                          ({"t": r, "r": t}, [[1.0, 2.0, 1.0], [2.0, 5.0, 3.0]])):
+            out, ok = run.on_arrays(env)
+            assert ok.tolist() == [True, False, True] and out[[0, 2]].tolist() == kept

@@ -49,9 +49,9 @@ class RandersLike(ExpressionForm):
     """L = (sqrt(tdot^2 + rdot^2 + w^2) + (r/4) tdot)^2: 2-homogeneous and
     non-Berwald (the one-form is not parallel for the product metric)."""
 
-    def admissible(self, p):
-        root = math.sqrt(p.tdot ** 2 + p.rdot ** 2 + p.w2)
-        return root > 0.3 and root + 0.25 * p.r * p.tdot > 0.2
+    def domain(self):
+        root = (TDOT * TDOT + RDOT * RDOT + W2).call("sqrt")
+        return [(root, 0.3), (root + 0.25 * ScalarField("r") * TDOT, 0.2)]
 
     def lagrangian(self):
         f = (TDOT * TDOT + RDOT * RDOT + W2).call("sqrt") + 0.25 * ScalarField("r") * TDOT
@@ -88,13 +88,8 @@ class SqrtScale(ExpressionForm):
     def __init__(self):
         self.scale_pot = PotentialSystem(["psi"], ["sqrt(2 - t)"], ["0"], (1.0, 1.0))
 
-    def admissible(self, p, vals=None):
-        if vals is None:
-            try:
-                self.scale_pot.values(p.t, p.r)
-            except DomainError:
-                return False
-        return True
+    def domain(self):
+        return [(ScalarField("psi"), -math.inf)]   # psi is NaN where transport fails
 
     def lagrangian(self):
         return ScalarField("psi").call("exp") * (TDOT * TDOT + RDOT * RDOT + W2)
@@ -116,7 +111,11 @@ class TestBatchAdmission:
         with pytest.raises(DomainError):
             form.scale_pot.values_at([(p.t, p.r) for p in pts])
         ok, vals = form.admit(pts)
-        assert ok == [True, True, False, True, True, True] and vals is None
+        assert ok == [True, True, False, True, True, True]
+        # each candidate read alone: NaN where its transport fails
+        assert [math.isnan(v["psi"]) for v in vals] == [not a for a in ok]
+        assert [v["psi"] for v in vals if not math.isnan(v["psi"])] == [
+            form.scale_pot.values(p.t, p.r)["psi"] for p in pts[:2] + pts[3:]]
         jets = sample_jets(form, pts)
         assert jets.points == pts[:2] + pts[3:] and jets.skipped == 1
 
@@ -165,6 +164,85 @@ class TestArrayJets:
         assert 0 < len(kept) < 40
         assert jets.points == kept and jets.skipped == 40 - len(kept)
         assert np.array_equal(jets.jet.out, np.array([SqrtTdot().jet(p).out for p in kept]))
+
+
+class ScaledQuadratic(ExpressionForm):
+    """L = s(t) (tdot^2 + rdot^2 + w^2) for an expression s in t."""
+
+    def __init__(self, scale):
+        self.scale = ScalarField(scale)
+
+    def lagrangian(self):
+        return self.scale * (TDOT * TDOT + RDOT * RDOT + W2)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("scale", ["1e307*t^4", "exp(400*t)"])
+    def test_samples_whose_jets_leave_the_floats_are_skipped(self, scale, rng):
+        """A sample where L or a partial of it is not a finite float (the
+        products of 1e307 t^4 (...) overflow; exp(400 t) overflows for t >
+        1.775) is skipped, not used, and no check reads it.  A run per
+        sample once kept the first kind with inf and NaN partials, which
+        every check read as residual 0, and let the second's OverflowError
+        out."""
+        form = ScaledQuadratic(scale)
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20)
+        finite = []
+        for p in pts:
+            try:
+                finite.append(bool(np.isfinite(form.jet(p).out).all()))
+            except (DomainError, OverflowError):
+                finite.append(False)
+        assert 0 < sum(finite) < 20
+        jets = sample_jets(form, pts)
+        assert jets.points == [p for p, f in zip(pts, finite) if f]
+        assert jets.skipped == 20 - sum(finite) and np.isfinite(jets.jet.out).all()
+        np.testing.assert_allclose(jets.jet.out, [form.jet(p).out for p in jets.points],
+                                   rtol=1e-13, atol=0.0)
+        flat = ConnectionProfile({})
+        with np.errstate(over="ignore", invalid="ignore"):   # the checks' own scales
+            results = [check_homogeneity(jets), check_hessian(jets), berwald_check(jets, flat),
+                       check_horizontal_constancy(jets, flat)]
+        assert [res.extra["samples_used"] for res in results] == [sum(finite)] * 4
+
+
+class TestFormDomains:
+    """The test forms state a `domain`, and admit the points that their
+    former `admissible` overrides, written out here, admitted."""
+
+    def test_randers_like(self, rng):
+        def admissible(p):
+            root = math.sqrt(p.tdot ** 2 + p.rdot ** 2 + p.w2)
+            return root > 0.3 and root + 0.25 * p.r * p.tdot > 0.2
+        slow = [TangentPoint(t, r, 1.0, 0.0, *v) for t, r, *v in
+                np.column_stack([rng.uniform(0.6, 2.4, (300, 2)), rng.uniform(-0.4, 0.4, (300, 4))])]
+        want = [admissible(p) for p in slow]
+        assert 0 < sum(want) < 300
+        assert RandersLike().admit(slow)[0] == want
+        assert (sample_tangent_points(np.random.default_rng(9), (0.6, 2.4), (0.6, 2.4), 30,
+                                      predicate=RandersLike().admissible)
+                == sample_tangent_points(np.random.default_rng(9), (0.6, 2.4), (0.6, 2.4), 30,
+                                         predicate=admissible))
+
+    def test_sqrt_scale(self, rng):
+        form = SqrtScale()
+
+        def admissible(p):
+            try:
+                form.scale_pot.values(p.t, p.r)
+            except DomainError:
+                return False
+            return True
+        pts = sample_tangent_points(rng, (1.2, 2.6), (0.6, 2.4), 30)
+        want = [admissible(p) for p in pts]
+        assert 0 < sum(want) < 30
+        assert form.admit(pts)[0] == want == [form.admissible(p) for p in pts]
+
+    def test_scaled(self, forms):
+        _, form = forms["ex1"]
+        pts = sample_tangent_points(np.random.default_rng(4), (0.6, 2.4), (0.6, 2.4), 40)
+        assert Scaled(form, 37.0).admit(pts) == form.admit(pts)
+        assert 0 < sum(form.admit(pts)[0]) < 40
 
 
 class NotHomogeneous(ExpressionForm):
