@@ -154,10 +154,11 @@ class PotentialSystem:
     partials (`total_partials`), in which the components move by their own
     one-forms, so every derivative is exact.
 
-    Transport runs on Chebyshev panels (`_panel`): Picard iteration with
-    cumulative Clenshaw-Curtis integration, k one-panel legs at once in one
-    array run of the program per pass.  Each leg is accepted on its own; a
-    leg that is not is bisected until it is, and one whose array run fails,
+    Transport runs on Chebyshev panels (`_panels`): Picard iteration with
+    cumulative Clenshaw-Curtis integration, every gap of every line at once
+    in one array run of the program per pass.  Each line is accepted on its
+    own; one that is not goes gap by gap (`_transport`), each gap a one-panel
+    leg that is bisected until it is accepted, and one whose array run fails,
     or that is not accepted after `_BISECTIONS` bisections, is an adaptive
     scalar ODE leg instead (`_ode_leg`), which raises the scalar program's
     own errors.
@@ -266,10 +267,10 @@ class PotentialSystem:
         """The states at ``nodes`` (ascending) on the axis lines through
         ``fixed`` (r for t-lines, t for r-lines) from their states ``y0``, one
         row per line, at s0: an array (lines, nodes, n).  On each side of s0
-        a line has one panel per gap between consecutive nodes, and the same
-        gap of every line is one `_transport` call; where the one-form does
-        not read its components, every gap of every line is one array run,
-        and the states are its cumulative sums (`_summed`)."""
+        a line has one panel per gap between consecutive nodes, and every gap
+        of every line moves at once (`_panels`); a line that this does not
+        accept goes gap by gap, the same gap of every such line in one
+        `_transport` call."""
         nodes = np.asarray(nodes, dtype=float)
         out = np.empty((len(fixed), len(nodes), len(self.names)))
         out[:, nodes == s0] = y0[:, None]
@@ -278,45 +279,26 @@ class PotentialSystem:
                 continue
             ends = nodes[side]
             starts = np.concatenate([[s0], ends[:-1]])
-            summed = (None if self._reads[0 if along_t else 1]
-                      else self._summed(along_t, fixed, starts, ends, y0))
-            if summed is not None:
-                out[:, side] = summed
+            out[:, side], ok, _ = self._panels(along_t, fixed, np.tile(starts, (len(fixed), 1)),
+                                               np.tile(ends, (len(fixed), 1)), y0)
+            redo = np.flatnonzero(~ok)
+            if not len(redo):
                 continue
-            y = y0
+            y = y0[redo]
             for j, a, b in zip(side, starts, ends):
-                y = out[:, j] = self._transport(along_t, fixed, np.full(len(fixed), a),
-                                                np.full(len(fixed), b), y)
+                y = out[redo, j] = self._transport(along_t, fixed[redo], np.full(len(redo), a),
+                                                   np.full(len(redo), b), y)
         return out
-
-    def _summed(self, along_t: bool, fixed, starts, ends, y0):
-        """`_lines` on one side of s0 for a half that reads no component: the
-        increments h S F of every gap of every line from one array run, the
-        states their cumulative sums from ``y0``.  Each panel is accepted as
-        `_panel` accepts it, on its transported values y_a + h S F.  None
-        where the run fails at a point, a sum is not finite or a panel is not
-        accepted: the caller then goes gap by gap."""
-        lines, gaps, n = len(fixed), len(starts), len(self.names)
-        h, s, fixed = _panel_nodes(np.repeat(fixed, gaps), np.tile(starts, lines),
-                                   np.tile(ends, lines))
-        # the run computes both halves, and the other one may read the components
-        Y = np.broadcast_to(np.repeat(y0, gaps, axis=0)[:, None], (lines * gaps, _PANEL_N, n))
-        with np.errstate(all="ignore"):
-            inc, tail, ok = self._quadrature(along_t, fixed, s, h, Y)
-            inc = inc.reshape(lines, gaps, _PANEL_N, n)
-            y = np.cumsum(np.concatenate([y0[:, None], inc[:, :, -1]], axis=1), axis=1)
-            Y = y[:, :-1, None] + inc   # its last nodes are the sums y[:, 1:]
-        ok = ok.all() and np.isfinite(Y).all()
-        return y[:, 1:] if ok and _acceptance(Y, tail.reshape(lines, gaps, n))[1].all() else None
 
     def _transport(self, along_t: bool, fixed, a, b, ya, depth: int = 0) -> np.ndarray:
         """The states at b from the states ``ya`` at a, one leg per row on
         the axis line through ``fixed`` (r for a t-leg, t for an r-leg): one
-        batched `_panel`; a leg whose panel fails is an ODE leg, and one that
-        it does not accept is halved, each half again a panel, and is an ODE
-        leg after `_BISECTIONS` halvings.  A leg's panel arithmetic is
-        elementwise, so no leg's state depends on its batch."""
-        yb, ok, failed = self._panel(along_t, fixed, a, b, ya)
+        `_panels` call, one gap per leg; a leg whose panel fails is an ODE
+        leg, and one that it does not accept is halved, each half again a
+        panel, and is an ODE leg after `_BISECTIONS` halvings.  A leg's panel
+        arithmetic is elementwise, so no leg's state depends on its batch."""
+        y, ok, failed = self._panels(along_t, fixed, a[:, None], b[:, None], ya)
+        yb = y[:, 0]
         for i in np.flatnonzero(~ok):
             if failed[i] or depth == _BISECTIONS:
                 yb[i] = self._ode_leg(along_t, float(fixed[i]), float(a[i]), float(b[i]), ya[i])
@@ -327,38 +309,46 @@ class PotentialSystem:
             yb[i] = self._transport(along_t, fixed[leg], m, b[leg], ym, depth + 1)[0]
         return yb
 
-    def _panel(self, along_t: bool, fixed, a, b, ya) -> tuple:
-        """k one-panel legs by Picard iteration Y <- ya + h S F(s, Y) on the
-        Chebyshev-Lobatto nodes s of each [a, b], h = (b - a)/2, F the P rows
-        (t-legs) or the Q rows (r-legs), one array run per pass for all legs
-        still iterating.  A leg stops once the change of its Y is within
-        _TRANSPORT_TOL (1 + |Y|) (a form that reads no component takes one
-        pass), and is accepted if h times the Chebyshev tail of its F is
-        within that bound too; one still iterating after `_PICARD_PASSES` is
-        not.  A leg fails, and stops, where a run fails at one of its nodes
-        or its Y is not finite.  Returns the states at b, which legs were
-        accepted and which failed."""
-        n = len(self.names)
+    def _panels(self, along_t: bool, fixed, starts, ends, y0) -> tuple:
+        """Lines of consecutive panels [starts, ends], (lines, gaps), on the
+        axis lines through ``fixed`` from their states ``y0`` at the first
+        start: Picard iteration Y <- y_a + h S F(s, Y) on each panel's
+        Chebyshev-Lobatto nodes s, h = (end - start)/2, F the P rows (t-lines)
+        or the Q rows (r-lines), one array run per pass for every panel of
+        the lines still iterating.  A panel's y_a is y0 plus the end
+        increments of the panels before it, summed in order; the first guess
+        is y0.  A line stops once the change of its Y is within
+        _TRANSPORT_TOL (1 + |Y|) on every panel (one pass where the half reads
+        no component), and is accepted if h times each panel's Chebyshev tail
+        of F is within that bound too, and not if it still iterates after
+        `_PICARD_PASSES`.  A line fails, and stops, where a run fails at one
+        of its nodes or its Y is not finite.  Returns the states at every
+        panel end (lines, gaps, n), which lines were accepted and which failed."""
+        (lines, gaps), n = starts.shape, len(self.names)
         reads = self._reads[0 if along_t else 1]
-        h, s, fixed = _panel_nodes(fixed, a, b)
-        yb, (ok, failed) = np.empty_like(ya), np.zeros((2, len(a)), dtype=bool)
-        live = np.arange(len(a))
-        Y = np.broadcast_to(ya[:, None], (len(a), _PANEL_N, n))
+        h, s, fixed = _panel_nodes(np.repeat(fixed, gaps), starts.ravel(), ends.ravel())
+        y, (ok, failed) = np.empty((lines, gaps, n)), np.zeros((2, lines), dtype=bool)
+        live = np.arange(lines)
+        Y = np.broadcast_to(y0[:, None, None], (lines, gaps, _PANEL_N, n))
         with np.errstate(all="ignore"):
             for _ in range(_PICARD_PASSES):
-                inc, tail, ran = self._quadrature(along_t, fixed[live], s[live], h[live], Y)
-                Y, prev = ya[live, None] + inc, Y
-                ran &= np.isfinite(Y).all(axis=(1, 2))
+                rows = (gaps * live[:, None] + np.arange(gaps)).ravel()   # the live panels
+                inc, tail, ran = self._quadrature(along_t, fixed[rows], s[rows], h[rows],
+                                                  Y.reshape(-1, _PANEL_N, n))
+                inc = inc.reshape(len(live), gaps, _PANEL_N, n)
+                ya = np.cumsum(np.concatenate([y0[live, None], inc[:, :, -1]], axis=1), axis=1)
+                Y, prev = ya[:, :-1, None] + inc, Y   # its last nodes are the sums ya[:, 1:]
+                ran = ran.reshape(-1, gaps).all(axis=1) & np.isfinite(Y).all(axis=(1, 2, 3))
                 failed[live[~ran]] = True
-                bound, accepted = _acceptance(Y, tail)
-                done = ran & (np.all(np.max(np.abs(Y - prev), axis=1) <= bound, axis=1) if reads
-                              else True)
-                yb[live[done]] = Y[done, -1]
-                ok[live[done]] = accepted[done]
+                bound, accepted = _acceptance(Y, tail.reshape(-1, gaps, n))
+                done = ran & (np.all(np.max(np.abs(Y - prev), axis=2) <= bound, axis=(1, 2))
+                              if reads else True)
+                y[live[done]] = ya[done, 1:]
+                ok[live[done]] = accepted[done].all(axis=1)
                 live, Y = live[ran & ~done], Y[ran & ~done]
                 if not len(live):
                     break
-        return yb, ok, failed
+        return y, ok, failed
 
     def _quadrature(self, along_t: bool, fixed, s, h, Y) -> tuple:
         """h S F and h times the Chebyshev tail of F (its largest trailing

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -103,23 +102,28 @@ def _below(name: str, res: np.ndarray, tol: float, where, extra=None) -> CheckRe
 # Checks on the jets of a form at its samples, each an array pass
 # ---------------------------------------------------------------------------
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """|v| of each row.  Where the plain norm overflows (its squares do from
+    about 1e154), the row is recomputed with its largest entry factored out."""
+    out = np.linalg.norm(v, axis=1)
+    big = np.flatnonzero(np.isinf(out) & np.isfinite(v).all(axis=1))
+    if len(big):
+        top = np.max(np.abs(v[big]), axis=1)
+        out[big] = top * np.linalg.norm(v[big] / top[:, None], axis=1)
+    return out
+
+
 @dataclass
 class SampleJets:
-    """A form's admitted samples, the jets of L at them as one `FormJet`
-    (one row per sample), and how many samples were skipped."""
+    """A form's admitted samples, their (t, r, theta, phi, tdot, rdot,
+    thetadot, phidot) one row each, the jets of L at them as one `FormJet`
+    (one row per sample), |L| + |y| |d L / d y| per sample, which neither L
+    -> cL nor y -> s y moves, and how many samples were skipped."""
     points: list
+    states: np.ndarray
     jet: FormJet
+    scale: np.ndarray
     skipped: int
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        """The samples' (t, r, theta, phi, tdot, rdot, thetadot, phidot), one row each."""
-        return np.array([p.state() for p in self.points])
-
-    def scale(self) -> np.ndarray:
-        """|L| + |y| |d L / d y| per sample, which neither L -> cL nor y -> s y moves."""
-        return (np.abs(self.jet.value) + np.linalg.norm(self.states[:, 4:], axis=1)
-                * np.linalg.norm(self.jet.vertical_gradient(), axis=1))
 
     def christoffels(self, conn: ConnectionProfile) -> np.ndarray:
         """Gamma[e, c, d] at each sample (n, 4, 4, 4): k1..k12 in one array run."""
@@ -130,14 +134,18 @@ def _jets(evaluator, points: list, vals: list | None = None,
           drawn: int | None = None) -> SampleJets:
     """The jets at ``points`` from the potentials' values ``vals`` (None:
     read by the form): one array run of the form's program, the points where
-    it fails skipped.  ``drawn`` (default: all of them) counts the samples
-    the points were admitted from."""
+    it fails or where the scale is not finite skipped.  ``drawn`` (default:
+    all of them) counts the samples the points were admitted from."""
     drawn = len(points) if drawn is None else drawn
     jet, ok = evaluator.jet(points, vals)
+    states = np.array([p.state() for p in points]).reshape(len(points), 8)
+    with np.errstate(all="ignore"):   # inf and NaN at failed points; overflowing norms
+        scale = np.abs(jet.value) + _norm(states[:, 4:]) * _norm(jet.vertical_gradient())
+    ok = ok & np.isfinite(scale)
     if not ok.any():
         raise VerificationError("no admissible samples: each is outside the form's domain")
     kept = [p for p, keep in zip(points, ok.tolist()) if keep]
-    return SampleJets(kept, FormJet(jet.out[ok]), drawn - len(kept))
+    return SampleJets(kept, states[ok], FormJet(jet.out[ok]), scale[ok], drawn - len(kept))
 
 
 def sample_jets(evaluator, samples: Sequence[TangentPoint]) -> SampleJets:
@@ -174,7 +182,7 @@ def check_horizontal_constancy(jets: SampleJets, conn: ConnectionProfile,
     N = np.einsum("nbac,nc->nba", jets.christoffels(conn), jets.states[:, 4:])
     delta = jets.jet.horizontal_gradient() - np.einsum("nba,nb->na", N,
                                                        jets.jet.vertical_gradient())
-    return _below(name, _ratio(delta, jets.scale()[:, None]), tol, jets.states,
+    return _below(name, _ratio(delta, jets.scale[:, None]), tol, jets.states,
                   {"samples_used": len(jets.points), "samples_skipped": jets.skipped})
 
 
@@ -182,7 +190,7 @@ def check_homogeneity(jets: SampleJets) -> CheckResult:
     """C(L) = 2L: Euler vector field applied through exact vertical gradients;
     the residual |C(L) - 2L| / (|L| + |y| |d L / d y|), below 1e-10."""
     cl = np.einsum("na,na->n", jets.states[:, 4:], jets.jet.vertical_gradient())
-    return _below("euler-homogeneity", _ratio(cl - 2.0 * jets.jet.value, jets.scale()), 1e-10,
+    return _below("euler-homogeneity", _ratio(cl - 2.0 * jets.jet.value, jets.scale), 1e-10,
                   jets.states, {"samples_used": len(jets.points)})
 
 
@@ -256,14 +264,19 @@ def geodesic_agreement(evaluator, conn: ConnectionProfile, p0: TangentPoint, T: 
 def berwald_check(jets: SampleJets, conn: ConnectionProfile, tol: float = 1e-5) -> CheckResult:
     """L's spray is the connection's G^a = (1/2) Gamma^a_bc xdot^b xdot^c: the
     Euler-Lagrange identity 4 g_ab G^b = xdot^c d_c ddot_a L - d_a L (no solve with
-    g), relative to max |rhs| + max |4 g| max |G|, which L -> cL, y -> s y keep."""
+    g), relative to max |rhs| + max |4 g| max |G|, which L -> cL, y -> s y keep.
+    A sample where these overflow has residual infinity, not NaN, which
+    `_below` would pass over."""
     vel = jets.states[:, 4:]
-    rhs = np.einsum("nc,ncb->nb", vel, jets.jet.mixed_block()) - jets.jet.horizontal_gradient()
-    g4 = 4.0 * jets.jet.metric_tensor()
-    G = 0.5 * np.einsum("nabc,nb,nc->na", jets.christoffels(conn), vel, vel)
-    res = _ratio(np.abs(np.einsum("nab,nb->na", g4, G) - rhs).max(axis=1),
-                 np.abs(rhs).max(axis=1) + np.abs(g4).max(axis=(1, 2)) * np.abs(G).max(axis=1))
-    return _below("berwald-spray", res, tol, jets.states, {"samples_used": len(jets.points)})
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (np.einsum("nc,ncb->nb", vel, jets.jet.mixed_block())
+               - jets.jet.horizontal_gradient())
+        g4 = 4.0 * jets.jet.metric_tensor()
+        G = 0.5 * np.einsum("nabc,nb,nc->na", jets.christoffels(conn), vel, vel)
+        res = _ratio(np.abs(np.einsum("nab,nb->na", g4, G) - rhs).max(axis=1),
+                     np.abs(rhs).max(axis=1) + np.abs(g4).max(axis=(1, 2)) * np.abs(G).max(axis=1))
+    return _below("berwald-spray", np.where(np.isnan(res), np.inf, res), tol, jets.states,
+                  {"samples_used": len(jets.points)})
 
 
 # ---------------------------------------------------------------------------

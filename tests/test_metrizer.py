@@ -273,15 +273,97 @@ class TestBatchedTransport:
     @pytest.mark.parametrize("build", [
         lambda g: build_exponential(exponential_example(), g).scale_pot,
         lambda g: build_class5(class5_curved_block(), g).scale_pot,
-    ], ids=["exponential", "class5"])
-    def test_summed_lines_are_the_panels_one_by_one(self, build, monkeypatch):
+        _c3_pots,
+        lambda g: build_class4(flat_cartesian(), g).scale_pot,
+        _general_class4,
+    ], ids=["exponential", "class5", "class3", "flat_class4", "general_class4"])
+    def test_whole_lines_are_the_panels_gap_by_gap(self, build):
+        """Every gap of every line at once gives the table that moving one
+        gap at a time gives, bit for bit: in these systems each Picard pass
+        repeats the earlier components' bits, and a gap's start state is
+        the same sum in the same order."""
         grid = default_grid(15)
         pot = build(grid)
         ts, rs, _ = pot._table
-        summed = pot.table(ts, rs)
-        monkeypatch.setattr(PotentialSystem, "_summed", lambda self, *args: None)
-        one_by_one = pot.table(ts, rs)
-        assert all(np.array_equal(a, b) for a, b in zip(summed, one_by_one))
+        whole = pot.table(ts, rs)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, _gap_by_gap_table(pot, ts, rs)))
+
+    @pytest.mark.parametrize("build", [
+        _c3_pots,
+        lambda g: build_class4(flat_cartesian(), g).scale_pot,
+    ], ids=["class3", "flat_class4"])
+    def test_a_tables_array_runs_do_not_grow_with_the_grid(self, build, monkeypatch):
+        """Both systems read their own components; each of their lines moves
+        in one array run per Picard pass, whatever its number of gaps."""
+        runs = []
+        quadrature = PotentialSystem._quadrature
+        monkeypatch.setattr(PotentialSystem, "_quadrature",
+                            lambda self, *args: runs.append(1) or quadrature(self, *args))
+        counts = []
+        for n in (5, 15):
+            pot = build(default_grid(n))
+            ts, rs, _ = pot._table
+            runs.clear()
+            pot.table(ts, rs)
+            counts.append(len(runs))
+        assert counts[0] == counts[1]
+
+    def test_a_line_that_fails_the_whole_line_pass_falls_back_alone(self):
+        """psi' = 0.3 chi X, chi' = -0.3 psi X with X = 1 except at (c, 0.9),
+        where it is 0/0: c is a Chebyshev node of the third gap's panel, so
+        of the t-lines only r = 0.9 fails its whole-line pass.  That line goes
+        gap by gap, its third gap an ODE leg; every other line keeps the
+        states of its whole-line pass."""
+        nodes = np.linspace(0.0, 1.0, 6)
+        rs = np.array([0.5, 0.7, 0.9, 1.1])
+        c = float(nodes[2] + 0.5 * (nodes[3] - nodes[2]) * (metrizer._PANEL_X[5] + 1.0))
+        x = "((t - %r)^2 + (r - 0.9)^2)/((t - %r)^2 + (r - 0.9)^2)" % (c, c)
+        pot = PotentialSystem(["psi", "chi"], ["0.3*chi*" + x, "-0.3*psi*" + x], ["0", "0"],
+                              (0.0, 0.5))
+        y0 = np.tile([1.0, 0.5], (4, 1))
+        ends = np.tile(nodes[1:], (4, 1))
+        starts = np.tile(nodes[:-1], (4, 1))
+        whole, ok, failed = pot._panels(True, rs, starts, ends, y0)
+        assert failed.tolist() == [False, False, True, False]
+        assert ok.tolist() == [True, True, False, True]
+        out = pot._lines(True, rs, 0.0, y0, nodes)
+        assert np.array_equal(out[:, 0], y0)
+        assert np.array_equal(out[[0, 1, 3], 1:], whole[[0, 1, 3]])
+        y, alone = y0[2:3], []
+        for a, b in zip(nodes[:-1], nodes[1:]):
+            y = pot._transport(True, rs[2:3], np.array([a]), np.array([b]), y)
+            alone.append(y[0])
+        assert np.array_equal(out[2, 1:], alone)
+        # the ODE leg and the panels agree on the rotation by 0.3 (t - 0)
+        angle = 0.3 * nodes[1:]
+        want = np.column_stack([np.cos(angle) + 0.5 * np.sin(angle),
+                                0.5 * np.cos(angle) - np.sin(angle)])
+        assert np.max(np.abs(out[:, 1:] - want)) < 1e-11
+
+    def test_a_one_gap_line_is_one_panel_by_picard(self):
+        """One gap per line is Picard iteration on one panel per leg: Y <-
+        y_a + h S F(s, Y) from Y = y_a until the change is within
+        _TRANSPORT_TOL (1 + |Y|), accepted where h times the tail is too;
+        a leg still iterating after `_PICARD_PASSES` is not accepted."""
+        pot = PotentialSystem(["psi"], ["psi*cos(t) + t"], ["0"], (0.0, 0.0))
+        a, b = np.array([0.0, 0.3, 1.0, -2.0]), np.array([0.2, 0.9, 5.0, 4.0])
+        ya = np.array([[0.5], [1.0], [-2.0], [0.1]])
+        y, ok, failed = pot._panels(True, np.zeros(4), a[:, None], b[:, None], ya)
+        assert not failed.any() and ok[:2].all() and not ok[2:].any()
+        for i in range(4):
+            h = 0.5 * (b[i:i + 1] - a[i:i + 1])
+            s = a[i:i + 1, None] + h[:, None] * (metrizer._PANEL_X + 1.0)
+            Y = np.broadcast_to(ya[i], (1, metrizer._PANEL_N, 1))
+            for _ in range(metrizer._PICARD_PASSES):
+                inc, tail, _ran = pot._quadrature(True, np.zeros(s.shape), s, h, Y)
+                Y, prev = ya[i] + inc, Y
+                bound = metrizer._TRANSPORT_TOL * (1.0 + np.max(np.abs(Y), axis=1))
+                if np.all(np.max(np.abs(Y - prev), axis=1) <= bound):
+                    assert ok[i] == np.all(tail <= bound)
+                    assert y[i, 0].tolist() == Y[0, -1].tolist()
+                    break
+            else:
+                assert not ok[i]
 
     def test_a_failed_panel_is_an_ode_leg_and_leaves_its_batch_alone(self):
         """d psi = ((t - c)/(t - c) + t) dt fails at t = c alone, a Chebyshev
@@ -291,7 +373,7 @@ class TestBatchedTransport:
         c = float(0.5 * (b[1] - a[1]) * (metrizer._PANEL_X[5] + 1.0))
         pot = PotentialSystem(["psi"], ["(t - %r)/(t - %r) + t" % (c, c)], ["0"], (0.0, 0.0))
         fixed, ya = np.zeros(3), np.zeros((3, 1))
-        _yb, ok, failed = pot._panel(True, fixed, a, b, ya)
+        _y, ok, failed = pot._panels(True, fixed, a[:, None], b[:, None], ya)
         assert failed.tolist() == [False, True, False] and ok.tolist() == [True, False, True]
         batch = pot._transport(True, fixed, a, b, ya)
         alone = [pot._transport(True, fixed[:1], a[i:i + 1], b[i:i + 1], ya[:1])[0]
@@ -299,8 +381,10 @@ class TestBatchedTransport:
         assert batch.tolist() == np.array(alone).tolist()
         assert batch[1].tolist() == pot._ode_leg(True, 0.0, 0.0, 2.0, ya[0]).tolist()
         assert batch[:, 0] == pytest.approx(b + 0.5 * b * b, rel=1e-12)
-        # where every gap is summed in one run, a failed node sends them gap by gap
-        assert pot._summed(True, np.zeros(1), np.zeros(1), b[1:2], ya[:1]) is None
+        # a line of several gaps fails as a whole where one of its nodes does
+        _y, ok, failed = pot._panels(True, np.zeros(1), np.array([[0.0, 2.0]]),
+                                     np.array([[2.0, 3.0]]), ya[:1])
+        assert ok.tolist() == [False] and failed.tolist() == [True]
 
     def test_panels_are_accepted_on_the_transported_values(self):
         """The tail bound scales with the value the panel ends at, base value
@@ -314,10 +398,32 @@ class TestBatchedTransport:
         inc, tail, ok = pot._quadrature(True, np.full(s.shape, 0.5), s, h, np.zeros(s.shape + (1,)))
         assert ok.all()
         assert np.sum(tail > metrizer._TRANSPORT_TOL * (1.0 + np.max(np.abs(inc), axis=1))) >= 10
-        y = pot._summed(True, np.array([0.5]), a, b, pot.base_values[None])
-        assert y is not None
+        y, ok, failed = pot._panels(True, np.array([0.5]), a[None], b[None], pot.base_values[None])
+        assert ok.tolist() == [True] and failed.tolist() == [False]
         assert y[0, :, 0] == pytest.approx(1e8 + np.sin(20 * nodes[1:]) - math.sin(10.0),
                                            abs=1e-6)
+
+
+def _gap_by_gap_table(pot: PotentialSystem, ts, rs) -> tuple:
+    """`table` with every line moved one gap at a time, the same gap of
+    every line in one `_transport` call."""
+    (t0, r0), n = pot.base, len(pot.names)
+
+    def lines(along_t, fixed, s0, y0, nodes):
+        out = np.empty((len(fixed), len(nodes), n))
+        out[:, nodes == s0] = y0[:, None]
+        for side in (np.flatnonzero(nodes > s0), np.flatnonzero(nodes < s0)[::-1]):
+            y, a = y0, s0
+            for j in side:
+                y = out[:, j] = pot._transport(along_t, fixed, np.full(len(fixed), a),
+                                               np.full(len(fixed), nodes[j]), y)
+                a = nodes[j]
+        return out
+
+    base_t = lines(True, np.array([r0]), t0, pot.base_values[None], ts)[0]
+    base_r = lines(False, np.array([t0]), r0, pot.base_values[None], rs)[0]
+    return (lines(False, ts, r0, base_t, rs),
+            lines(True, rs, t0, base_r, ts).transpose(1, 0, 2))
 
 
 class TestPowerLaw:

@@ -200,10 +200,27 @@ class TestNonFiniteSamples:
         np.testing.assert_allclose(jets.jet.out, [form.jet(p).out for p in jets.points],
                                    rtol=1e-13, atol=0.0)
         flat = ConnectionProfile({})
-        with np.errstate(over="ignore", invalid="ignore"):   # the checks' own scales
-            results = [check_homogeneity(jets), check_hessian(jets), berwald_check(jets, flat),
-                       check_horizontal_constancy(jets, flat)]
+        results = [check_homogeneity(jets), check_hessian(jets), berwald_check(jets, flat),
+                   check_horizontal_constancy(jets, flat)]
         assert [res.extra["samples_used"] for res in results] == [sum(finite)] * 4
+
+    def test_a_scale_beyond_the_squares_range_still_fails(self):
+        """|d L / d y| above about 1e154 overflows a plain norm, whose inf
+        scale once read every ratio as 0: 1e307 t^4 (...) passed
+        horizontal-constancy against the flat connection with residual 0,
+        where t^4 (...) fails it.  The norm with its largest entry factored
+        out gives both the same residual; a sample whose scale is still not
+        finite is skipped."""
+        flat = ConnectionProfile({})
+        results = {}
+        for scale in ("t^4", "1e307*t^4"):
+            pts = sample_tangent_points(np.random.default_rng(0), (0.6, 2.4), (0.6, 2.4), 20)
+            jets = sample_jets(ScaledQuadratic(scale), pts)
+            assert np.isfinite(jets.scale).all() and jets.skipped + len(jets.points) == 20
+            results[scale] = check_horizontal_constancy(jets, flat)
+        assert 0 < results["1e307*t^4"].extra["samples_used"] < 20
+        assert results["1e307*t^4"].residual == pytest.approx(results["t^4"].residual, rel=1e-12)
+        assert not results["1e307*t^4"].passed and not results["t^4"].passed
 
 
 class TestFormDomains:
