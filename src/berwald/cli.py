@@ -496,8 +496,37 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int
     doc = {"schema": SCHEMA, "command": "geodesic", "seed": cfg.seed,
            "config": cfg.to_dict(), "T": args.T, "n_out": args.n_out,
            "initial_state": p0.state().tolist()}
-    try:
+    try:   # a chart exit of either flow ends the command: the spray's or the Finsler form's
         traj = integrate_spray(conn, p0, args.T, args.n_out)
+        out_path = args.out
+        _write_text(out_path, traj.to_text())
+        doc["trajectory_file"] = out_path
+        doc["stats"] = {"steps": traj.steps, "rejected_steps": traj.rejected_steps,
+                        "max_error_estimate": traj.max_error_estimate}
+        if not args.quiet:
+            print("wrote %s (%d states, %d steps, %d rejected)"
+                  % (out_path, len(traj.s), traj.steps, traj.rejected_steps))
+        if args.both:
+            rep = classify(conn, cfg.grid(), seed=cfg.seed, tols=_tol_from_overrides(overrides))
+            forms = _build_forms(cfg, conn, rep)
+            fins = forms.get("finsler")
+            if fins is None:
+                print("error: no Finsler form available for --both", file=sys.stderr)
+                doc["exit_status"] = EXIT_FAIL
+                _emit_json(args.json, doc)
+                return EXIT_FAIL
+            traj_f = integrate_finsler(fins, p0, args.T, args.n_out)
+            out2 = out_path + ".finsler"
+            _write_text(out2, traj_f.to_text())
+            disc = discrepancy(traj, traj_f)
+            doc["finsler_trajectory_file"] = out2
+            doc["discrepancy"] = disc
+            if not args.quiet:
+                print("wrote %s; sup-norm discrepancy %.3g" % (out2, disc))
+            if disc > overrides.get("geodesic", 1e-6):
+                doc["exit_status"] = EXIT_FAIL
+                _emit_json(args.json, doc)
+                return EXIT_FAIL
     except ChartExit as exc:
         last = [float(x) for x in exc.state]
         doc["chart_exit"] = {"s": exc.s, "last_state": last, "reason": exc.reason}
@@ -507,35 +536,6 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int
             print("chart exit at s = %g (%s); last good state %s"
                   % (exc.s, exc.reason, ["%.6g" % x for x in last]))
         return EXIT_FAIL
-    out_path = args.out
-    _write_text(out_path, traj.to_text())
-    doc["trajectory_file"] = out_path
-    doc["stats"] = {"steps": traj.steps, "rejected_steps": traj.rejected_steps,
-                    "max_error_estimate": traj.max_error_estimate}
-    if not args.quiet:
-        print("wrote %s (%d states, %d steps, %d rejected)"
-              % (out_path, len(traj.s), traj.steps, traj.rejected_steps))
-    if args.both:
-        rep = classify(conn, cfg.grid(), seed=cfg.seed, tols=_tol_from_overrides(overrides))
-        forms = _build_forms(cfg, conn, rep)
-        fins = forms.get("finsler")
-        if fins is None:
-            print("error: no Finsler form available for --both", file=sys.stderr)
-            doc["exit_status"] = EXIT_FAIL
-            _emit_json(args.json, doc)
-            return EXIT_FAIL
-        traj_f = integrate_finsler(fins, p0, args.T, args.n_out)
-        out2 = out_path + ".finsler"
-        _write_text(out2, traj_f.to_text())
-        disc = discrepancy(traj, traj_f)
-        doc["finsler_trajectory_file"] = out2
-        doc["discrepancy"] = disc
-        if not args.quiet:
-            print("wrote %s; sup-norm discrepancy %.3g" % (out2, disc))
-        if disc > overrides.get("geodesic", 1e-6):
-            doc["exit_status"] = EXIT_FAIL
-            _emit_json(args.json, doc)
-            return EXIT_FAIL
     doc["exit_status"] = EXIT_OK
     _emit_json(args.json, doc)
     return EXIT_OK

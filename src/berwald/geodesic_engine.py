@@ -3,13 +3,12 @@
 A self-contained embedded Dormand-Prince 5(4) integrator with PI step control
 drives everything that needs an ODE solve: the affine spray equation
 xddot^a = -2 G^a(x, xdot), the Euler-Lagrange flow of a Finsler function
-(whose spray is assembled from the exact partials of the form's jet,
-`metrizer.FormJet`), and the potential
-transport's fallback legs (`PotentialSystem` in `metrizer` transports on
-Chebyshev panels, and runs a scalar ODE leg only where a panel cannot be
-evaluated or does not converge).  Output states land exactly on
-the requested parameter values (steps are clipped), so no interpolation error
-enters trajectory comparisons.
+(whose spray and potentials' rates come from one run of the form's jet,
+`metrizer.FormJet`), and the potential transport's fallback legs
+(`PotentialSystem` in `metrizer` transports on Chebyshev panels, and runs a
+scalar ODE leg only where a panel cannot be evaluated or does not converge).
+Output states land exactly on the requested parameter values (steps are
+clipped), so no interpolation error enters trajectory comparisons.
 """
 
 from __future__ import annotations
@@ -84,7 +83,8 @@ def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10):
 
     span = abs(s_eval[-1] - s_eval[0])
     h = direction * min(1e-3, span / 10.0)
-    k1 = f(s, y)  # FSAL
+    ks = np.empty((7, len(y)))   # the stages, one row each
+    ks[0] = f(s, y)  # FSAL
 
     for iout in range(1, len(s_eval)):
         target = s_eval[iout]
@@ -93,11 +93,8 @@ def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10):
                 raise StepFailure(s, y)
             if direction * (s + h - target) > 0.0:
                 h = target - s
-            ks = [k1]
             for i in range(1, 7):
-                yi = y + h * (_A[i] @ np.stack(ks[: len(_A[i])]))
-                ks.append(f(s + _C[i] * h, yi))
-            ks = np.stack(ks)
+                ks[i] = f(s + _C[i] * h, y + h * (_A[i] @ ks[:i]))
             y5 = y + h * (_B5 @ ks)
             y4 = y + h * (_B4 @ ks)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
@@ -105,12 +102,13 @@ def integrate_ode(f, y0, s_eval, rtol: float = 1e-10, atol: float = 1e-10):
             if err <= 1.0:
                 s = s + h
                 y = y5
-                k1 = ks[6]  # FSAL: last stage evaluated at (s+h, y5)
+                ks[0] = ks[6]  # FSAL: last stage evaluated at (s+h, y5)
                 stats.steps += 1
                 stats.max_error_estimate = max(stats.max_error_estimate, err)
             else:
                 stats.rejected += 1
-            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0
+            # a NaN estimate (a stage not finite) shrinks the step as far as it may
+            factor = 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 0.2 if math.isnan(err) else 5.0
             h *= min(5.0, max(0.2, factor))
             if abs(h) < 1e-15 * max(1.0, abs(s)):
                 raise StepFailure(s, y)
@@ -143,6 +141,8 @@ _SIN_MIN = 1e-3   # ... and at |sin(theta)| < _SIN_MIN
 
 
 def _guard(state):
+    if not all(map(math.isfinite, state.tolist())):
+        return "state not finite"
     if state[1] < _R_MIN:
         return "r < %g" % _R_MIN
     if abs(math.sin(state[2])) < _SIN_MIN:
@@ -177,20 +177,25 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
     return Trajectory(s_eval, states, stats.steps, stats.rejected, stats.max_error_estimate)
 
 
-def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> np.ndarray:
-    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from the exact jet of L.
+def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> tuple:
+    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from the exact jet of L,
+    and d(psi_i)/ds = P_i tdot + Q_i rdot from the one-forms after its 30 numbers.
 
     ``vals`` are the values of the evaluator's potentials at (t, r), as
     carried in the state by `integrate_finsler`; without them the evaluator
     looks its potentials up itself.
     """
-    return jet_spray(evaluator.jet(p) if vals is None else evaluator.jet(p, vals), p.velocity)
+    jet = evaluator.jet(p, vals)
+    pq = jet.out[30:]   # P_1..P_n, Q_1..Q_n
+    return jet_spray(jet, p.velocity), pq[:len(pq) // 2] * p.tdot + pq[len(pq) // 2:] * p.rdot
 
 
 def jet_spray(jet, xd) -> np.ndarray:
-    """The spray G^a of `finsler_spray` from the jet of L at a point of velocity xd."""
-    mixed = jet.mixed_block()
-    rhs = xd[0] * mixed[0] + xd[1] * mixed[1] + xd[2] * mixed[2] - jet.horizontal_gradient()
+    """The spray G^a of `finsler_spray` from the jet of L at a point of velocity
+    xd, read in place from its mixed rows and gradient (their phi parts are zero)."""
+    out = jet.out
+    rhs = xd[0] * out[8:12] + xd[1] * out[12:16] + xd[2] * out[16:20]
+    rhs[:3] -= out[5:8]
     return 0.25 * np.linalg.solve(jet.metric_tensor(), rhs)
 
 
@@ -200,8 +205,9 @@ def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100) -
     The potentials that L reads (``evaluator.scale_pot``, a PotentialSystem,
     or None when there are none) ride in the ODE state after the 8 chart
     components: their values are looked up once at the start point and then
-    advanced with d(psi_i)/ds = P_i tdot + Q_i rdot, so no right-hand-side
-    call transports them afresh.  This relies on the certificate that the
+    advanced with d(psi_i)/ds = P_i tdot + Q_i rdot, read from the same jet
+    as the spray, so no right-hand-side call runs a second program or
+    transports them afresh.  This relies on the certificate that the
     form's constructor ran (closed one-forms, path-independent transport).
     The potentials take part in the step-size control; the trajectory keeps
     the 8 chart components.
@@ -219,9 +225,7 @@ def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100) -
         if reason is not None:
             raise ChartExit(s, x, reason)
         p = TangentPoint(*x)
-        vals = dict(zip(names, y[8:])) if names else None
-        G = finsler_spray(evaluator, p, vals)
-        dpsi = pots.rates(p.t, p.r, vals, p.tdot, p.rdot) if names else []
+        G, dpsi = finsler_spray(evaluator, p, dict(zip(names, y[8:])) if names else None)
         return np.concatenate([x[4:], -2.0 * G, dpsi])
 
     s_eval = np.linspace(0.0, T, n_out)

@@ -149,7 +149,7 @@ class PotentialSystem:
     ``P_i`` and ``Q_i`` are ScalarFields (or expression text) in t, r and the
     component names, which enter as parameters, so later components may depend
     on earlier ones (as the Class-3 potential M does on G and K).  They compile
-    into one program, which transport runs on arrays and `rates` on floats.
+    into one program, which transport runs on arrays and its ODE legs on floats.
     The closedness check runs a second one: P_i and Q_i with their total
     partials (`total_partials`), in which the components move by their own
     one-forms, so every derivative is exact.
@@ -400,13 +400,6 @@ class PotentialSystem:
         return (self._lines(False, ts, r0, base_t, rs),
                 self._lines(True, rs, t0, base_r, ts).transpose(1, 0, 2))
 
-    def rates(self, t: float, r: float, vals: dict, tdot: float, rdot: float) -> np.ndarray:
-        """d(psi_i)/ds = P_i tdot + Q_i rdot along a curve through (t, r)
-        with velocity (tdot, rdot), at the component values ``vals``."""
-        n = len(self.names)
-        pq = self._forms(t, r, [float(vals[name]) for name in self.names])
-        return np.array([pq[i] * tdot + pq[n + i] * rdot for i in range(n)])
-
     def closedness_residual(self, probes: Sequence[tuple]) -> float:
         """max_i max_probes |d_t Q_i - d_r P_i|, exact total derivatives."""
         n = len(self.names)
@@ -523,8 +516,9 @@ _HESSIAN = np.array([[20 + _UPPER.index((min(a, b), max(a, b))) for b in range(4
 
 class FormJet:
     """L with the blocks of its partials that the checks and the spray read,
-    from one run of the form's program: at one tangent point, a (30,) array,
-    or at n, an (n, 30) array.  Each block keeps the points' axis first."""
+    from one run of the form's program: at one tangent point, a (30 + 2k,)
+    array, or at n, an (n, 30 + 2k) array, with the k potentials' P_1..P_k,
+    Q_1..Q_k after the 30 numbers.  Each block keeps the points' axis first."""
 
     __slots__ = ("out",)
 
@@ -565,7 +559,9 @@ class ExpressionForm:
     call (`FormJet` lists them): one `derivative` call per velocity on L, one
     per chart variable and potential on L with its velocity partials, the t-
     and r-partials moving the potentials along their one-forms
-    (`total_partials`), and one per velocity on the velocity partials.
+    (`total_partials`), and one per velocity on the velocity partials; then
+    the one-forms themselves, already nodes of the program, for the rates of
+    the potentials along a geodesic (`finsler_spray`).
     `domain` states where L is defined, in the same expressions L is made
     of; `admit` runs it on arrays of points, compiled once too.
     """
@@ -640,14 +636,14 @@ class ExpressionForm:
 
     @cached_property
     def _jet_run(self):
-        L = self.lagrangian()
+        L, pots = self.lagrangian(), getattr(self, "scale_pot", None)
         dv = [L.derivative(v) for v in VELOCITY]
-        dt, dr = total_partials([L] + dv, getattr(self, "scale_pot", None))
+        dt, dr = total_partials([L] + dv, pots)
         dth = [ScalarField(e) for e in derivative(tuple(f.expr for f in [L] + dv), "theta")]
         ddv = [derivative(tuple(f.expr for f in dv[:b + 1]), v) for b, v in enumerate(VELOCITY)]
         hessian = [ScalarField(ddv[b][a]) for a, b in _UPPER]
         return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
-                              + hessian)
+                              + hessian + (pots._pq if pots is not None else []))
 
     def jet(self, p, vals=None):
         """L and its blocks at p, from the potentials' values ``vals`` at

@@ -10,6 +10,7 @@ import pytest
 import berwald
 from berwald.cli import (EXIT_FAIL, EXIT_OK, EXIT_UNDETERMINED, EXIT_USAGE,
                          ConfigError, load_config, main)
+from berwald.geodesic_engine import ChartExit
 from berwald.geometry_core import TangentPoint
 
 from conftest import exponential_example
@@ -301,6 +302,40 @@ class TestGeodesicCommand:
                    "--out", str(tmp_path / "t.txt")])
         assert rc == EXIT_FAIL
         assert "chart exit" in capsys.readouterr().out
+
+    def test_non_finite_state_is_a_chart_exit(self, tmp_path, capsys):
+        """phidot = 1e200 throws theta to inf in the first steps: a chart exit
+        with its report, not a math domain error from sin(theta)."""
+        flat = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                            "flat_cartesian.cfg")
+        rc = main(["geodesic", flat, "--state", "1,1,1.5,0,1,0,0,1e200", "--T", "0.1",
+                   "--n-out", "5", "--out", str(tmp_path / "X.traj"),
+                   "--json", str(tmp_path / "g.json")])
+        assert rc == EXIT_FAIL
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert doc["chart_exit"]["reason"] == "state not finite"
+        assert doc["exit_status"] == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert not any(line.startswith("Traceback") for line in err.splitlines())
+
+    def test_finsler_chart_exit_is_reported(self, cfg_file, tmp_path, monkeypatch):
+        """A chart exit of the Finsler flow of --both ends as the spray's does."""
+        import berwald.cli as cli
+
+        def leaves(form, p0, T, n_out):
+            raise ChartExit(0.05, p0.state(), "r < 0.001")
+
+        monkeypatch.setattr(cli, "integrate_finsler", leaves)
+        rc = main(["geodesic", cfg_file(EX2_CFG), "--state",
+                   "1,1,1.5707963267948966,0,1,0.5,0.1,0.05", "--T", "0.1", "--n-out", "5",
+                   "--out", str(tmp_path / "t.txt"), "--both", "--quiet",
+                   "--json", str(tmp_path / "g.json")])
+        assert rc == EXIT_FAIL
+        doc = json.loads((tmp_path / "g.json").read_text())
+        assert doc["chart_exit"] == {"s": 0.05, "reason": "r < 0.001",
+                                     "last_state": [1.0, 1.0, 1.5707963267948966, 0.0,
+                                                    1.0, 0.5, 0.1, 0.05]}
+        assert "finsler_trajectory_file" not in doc and doc["exit_status"] == EXIT_FAIL
 
     def test_bad_state(self, cfg_file, tmp_path, capsys):
         cfg, out = cfg_file(FLAT_CFG), tmp_path / "t.txt"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from berwald.geodesic_engine import (ChartExit, Trajectory, integrate_finsler,
-                                     integrate_ode, integrate_spray)
+from berwald.geodesic_engine import (_A, _B4, _B5, _C, ChartExit, StepFailure, Trajectory,
+                                     integrate_finsler, integrate_ode, integrate_spray)
 from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import build_class3, build_power_law
 
@@ -29,6 +29,90 @@ class TestIntegrator:
         s = np.array([0.0, 0.3141592653589793, 1.0])
         ys, _ = integrate_ode(lambda s, y: np.array([1.0]), np.array([0.0]), s)
         assert ys[1, 0] == pytest.approx(s[1], abs=1e-13)
+
+
+    def test_nan_error_estimate_shrinks_the_step(self):
+        """A right-hand side that turns NaN after s = 0.05, and stays NaN,
+        rejects each step and shrinks it to the underflow at once: it used
+        to grow the step five-fold on every NaN estimate, and ran 1.2 M
+        calls into the step limit."""
+        calls, turned = [], []
+
+        def f(s, y):
+            calls.append(s)
+            if s > 0.05:
+                turned.append(s)
+            return np.full(len(y), math.nan) if turned else -y
+
+        with pytest.raises(StepFailure):
+            integrate_ode(f, np.array([1.0]), [0.0, 1.0])
+        assert len(calls) <= 200
+
+    def test_nan_wall_ends_at_the_wall(self):
+        """NaN beyond s = 0.05 only: the steps close in on the wall, where
+        they underflow."""
+        calls = []
+
+        def f(s, y):
+            calls.append(s)
+            return -y if s <= 0.05 else np.full(len(y), math.nan)
+
+        with pytest.raises(StepFailure) as exc:
+            integrate_ode(f, np.array([1.0]), [0.0, 1.0])
+        assert exc.value.s == pytest.approx(0.05, abs=1e-12) and len(calls) <= 1000
+
+
+def _stacked_ode(f, y0, s_eval, rtol=1e-10, atol=1e-10):
+    """`integrate_ode` as it was with its stages in a list, stacked at every
+    stage with np.stack: the reference its stage buffer must match bit for bit."""
+    s_eval = np.asarray(s_eval, dtype=float)
+    direction = 1.0 if s_eval[-1] > s_eval[0] else -1.0
+    y = np.asarray(y0, dtype=float).copy()
+    s = s_eval[0]
+    out = np.empty((len(s_eval), len(y)))
+    out[0] = y
+    steps = rejected = 0
+    worst = 0.0
+    h = direction * min(1e-3, abs(s_eval[-1] - s_eval[0]) / 10.0)
+    k1 = f(s, y)
+    for iout in range(1, len(s_eval)):
+        target = s_eval[iout]
+        while direction * (target - s) > 1e-14 * max(1.0, abs(target)):
+            if direction * (s + h - target) > 0.0:
+                h = target - s
+            ks = [k1]
+            for i in range(1, 7):
+                ks.append(f(s + _C[i] * h, y + h * (_A[i] @ np.stack(ks[: len(_A[i])]))))
+            ks = np.stack(ks)
+            y5 = y + h * (_B5 @ ks)
+            y4 = y + h * (_B4 @ ks)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            err = math.sqrt(float(np.mean(((y5 - y4) / scale) ** 2)))
+            if err <= 1.0:
+                s, y, k1 = s + h, y5, ks[6]
+                steps += 1
+                worst = max(worst, err)
+            else:
+                rejected += 1
+            h *= min(5.0, max(0.2, 0.9 * (1.0 / err) ** 0.2 if err > 0.0 else 5.0))
+        out[iout] = y
+    return out, (steps, rejected, worst)
+
+
+class TestStageBuffer:
+    @pytest.mark.parametrize("f, y0, s_eval", [
+        # stiff relaxation onto (cos s, sin s)
+        (lambda s, y: -60.0 * (y - np.array([math.cos(s), math.sin(s)])),
+         [3.0, -2.0], np.linspace(0.0, 2.0, 9)),
+        # a one-component leg, backwards
+        (lambda s, y: np.array([math.sin(3.0 * s) * y[0] + s]), [0.7], [1.5, 0.25, -0.5])])
+    def test_bit_identical_to_stacked_stages(self, f, y0, s_eval):
+        """Both reject steps, so FSAL is read after a rejection too."""
+        ys, stats = integrate_ode(f, np.array(y0), s_eval)
+        want, counts = _stacked_ode(f, np.array(y0), s_eval)
+        assert ys.tobytes() == want.tobytes()
+        assert (stats.steps, stats.rejected, stats.max_error_estimate) == counts
+        assert stats.steps > 0 and stats.rejected > 0
 
 
 class TestSpray:

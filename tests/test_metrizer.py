@@ -514,7 +514,8 @@ class TestExponential:
     def test_form_jet_runs_one_abc_program(self, monkeypatch, exp_form):
         """The form jet is one program, compiled on the first call, that
         reads (a, b, c) and mu from L's own expression: no (a, b, c)
-        program and no field jet runs beside it."""
+        program and no field jet runs beside it.  Its outputs are the 30
+        numbers of `FormJet` and the potential's one-form P, Q."""
         form = dataclasses.replace(exp_form)
         assert "_jet_run" not in vars(form)
         calls = []
@@ -525,7 +526,7 @@ class TestExponential:
         p = TangentPoint(1.0, 1.5, 1.2, 0.0, 1.0, 0.3, 0.2, 0.1)
         first = form.jet(p)
         assert form.jet(p).metric_tensor().tolist() == first.metric_tensor().tolist()
-        assert calls == [] and compiled == [30]
+        assert calls == [] and compiled == [32]
 
     def test_mu_undefined_raises(self, grid):
         # E = b a3 vanishes identically when k8 = 0
@@ -787,6 +788,25 @@ class TestDomain:
                             lambda f, t, r: calls.append((t, r)) or value(f, t, r))
         jets = draw_jets(form, np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 20)
         assert len(jets.points) == 20 and calls == []
+
+
+class TestJetOneForms:
+    @pytest.mark.parametrize("name", ["ex1", "exponential", "class3"])
+    def test_appended_one_forms_are_the_potentials_own(self, finsler_forms, name):
+        """The jet program's outputs after its 30 numbers are P_1..P_n,
+        Q_1..Q_n: the same floats as the potentials' own program gives at
+        the same (t, r) and values."""
+        form = finsler_forms[name]
+        pots = form.scale_pot
+        pts = sample_tangent_points(np.random.default_rng(11), (0.6, 2.4), (0.6, 2.4), 12,
+                                    predicate=form.admissible)
+        _, vals = form.admit(pts)
+        for p, v in zip(pts, vals):
+            env = {"t": float(p.t), "r": float(p.r)}
+            env.update((n, float(v[n])) for n in pots.names)
+            want = pots._run(env)
+            assert len(want) == 2 * len(pots.names)
+            assert form.jet(p, v).out[30:].tolist() == list(want)
 
 
 class TestClass4:

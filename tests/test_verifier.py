@@ -150,7 +150,8 @@ class TestArrayJets:
             form = forms[which][1]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30, predicate=form.admissible)
         jets = sample_jets(form, pts)
-        assert jets.points == pts and jets.jet.out.shape == (30, 30)
+        n = 0 if form.scale_pot is None else len(form.scale_pot.names)
+        assert jets.points == pts and jets.jet.out.shape == (30, 30 + 2 * n)
         one = np.array([form.jet(p).out for p in pts])
         # each block against its own size at that sample
         for block in (slice(0, 1), slice(1, 5), slice(5, 8), slice(8, 20), slice(20, 30)):
