@@ -23,12 +23,10 @@ from .metrizer import (DeltaVanishes, GradientNotClosed, LambdaEqualsOne,
                        LambdaNotConstant, MuNotConstant, NotClosed,
                        NotRiemannMetrizable, PathDependent, PotentialSystem,
                        RiemannForm, SingularQuadratic, build_class3, build_class4,
-                       build_class5, build_exponential, build_power_law, path_integral)
+                       build_class5, build_exponential, build_power_law)
 from .geodesic_engine import (ChartExit, StepFailure, Trajectory, integrate_finsler,
                               integrate_spray)
-from .verifier import (CheckResult, Degenerate, ResidualReport, SampleJets, berwald_check,
-                       check_hessian, check_homogeneity, check_horizontal_constancy,
-                       geodesic_agreement, levi_civita_roundtrip,
-                       riemann_falsification, sample_jets)
+from .verifier import (CheckResult, ResidualReport, SampleJets, berwald_check, check_hessian,
+                       check_homogeneity, check_horizontal_constancy, levi_civita_roundtrip)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

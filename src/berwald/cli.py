@@ -528,13 +528,15 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int
                 _emit_json(args.json, doc)
                 return EXIT_FAIL
     except ChartExit as exc:
-        last = [float(x) for x in exc.state]
-        doc["chart_exit"] = {"s": exc.s, "last_state": last, "reason": exc.reason}
+        state = [float(x) for x in exc.state]
+        # strict JSON has no inf or NaN: a non-finite component is written as null
+        doc["chart_exit"] = {"s": exc.s, "reason": exc.reason,
+                             "last_state": [x if math.isfinite(x) else None for x in state]}
         doc["exit_status"] = EXIT_FAIL
         _emit_json(args.json, doc)
         if not args.quiet:
-            print("chart exit at s = %g (%s); last good state %s"
-                  % (exc.s, exc.reason, ["%.6g" % x for x in last]))
+            print("chart exit at s = %g (%s) at state %s"
+                  % (exc.s, exc.reason, ["%.6g" % x for x in state]))
         return EXIT_FAIL
     doc["exit_status"] = EXIT_OK
     _emit_json(args.json, doc)

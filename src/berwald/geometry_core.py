@@ -90,14 +90,6 @@ class TangentPoint:
     def velocity(self) -> np.ndarray:
         return np.array([self.tdot, self.rdot, self.thetadot, self.phidot])
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.t, self.r, self.theta, self.phi])
-
-    @property
-    def w2(self) -> float:
-        return self.thetadot ** 2 + self.phidot ** 2 * math.sin(self.theta) ** 2
-
     def state(self) -> np.ndarray:
         return np.array([self.t, self.r, self.theta, self.phi,
                          self.tdot, self.rdot, self.thetadot, self.phidot])
@@ -232,13 +224,6 @@ class CurvatureProfile:
     DEF: Optional[tuple] = None  # (D, E, F) when abc defined
     GH: Optional[tuple] = None   # (G, Gtilde, H, Htilde) when abc defined
     k: tuple = ()                # k1..k12
-
-    def a_values(self) -> np.ndarray:
-        return np.array([self.a[i].value for i in range(1, 15)])
-
-    def ricci_asymmetry(self) -> float:
-        """R_rt - R_tr = a1 + a4 + 2 a5; zero iff the connection Ricci is symmetric."""
-        return self.a[1].value + self.a[4].value + 2.0 * self.a[5].value
 
 
 @dataclass(eq=False)
@@ -511,12 +496,6 @@ def bracket_vectors(conn: ConnectionProfile, p: TangentPoint, depth: int = 1,
     g = CurvatureGrid.from_profiles([cp])
     rows = _bracket_rows(g.k, g.a, np.array([p.theta]), p.velocity[None], depth)[0]
     return [BracketVector(label, row) for label, row in zip(BRACKET_LABELS, rows)]
-
-
-def bracket_matrix(conn: ConnectionProfile, p: TangentPoint, depth: int = 2,
-                   cp: CurvatureProfile | None = None) -> np.ndarray:
-    vecs = bracket_vectors(conn, p, depth, cp)
-    return np.stack([v.components for v in vecs])
 
 
 def numeric_rank(mat: np.ndarray, tol: float = 1e-8):

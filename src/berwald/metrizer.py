@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry_core import (ConnectionProfile, CurvatureGrid, NonFiniteData, TangentPoint,
-                            W_CORNER_GENERIC, _located, curvature_grid, curvature_profile)
+                            W_CORNER_GENERIC, _located, curvature_grid)
 from .geodesic_engine import integrate_ode
 from .scalar_field import (DomainError, Expression, Num, Partials, ScalarField, Var,
                            compile_fields, derivative, parameter_names, parse)
@@ -190,7 +190,6 @@ class PotentialSystem:
                        self.base_values[None, None])
         # the table's values by node, and those `values` has transported from it
         self._value_cache = {self.base: self.base_values.copy()}
-        self._last_jets = (None, None)   # the last `_jets_at` key and its jets
 
     def _forms(self, t, r, vec) -> tuple:
         """P_1..P_n, Q_1..Q_n at (t, r) and component values ``vec``."""
@@ -212,12 +211,6 @@ class PotentialSystem:
                 raise DomainError("%s_%s jet is not finite at (t, r) = (%g, %g)"
                                   % ("PQ"[m // n], self.names[m % n], t, r))
         return jets
-
-    def _jets_at(self, t: float, r: float, vals: dict) -> tuple:
-        key = (t, r, tuple(float(vals[n]) for n in self.names))
-        if self._last_jets[0] != key:
-            self._last_jets = key, self._one_form_jets(*key)
-        return self._last_jets[1]
 
     def values(self, t: float, r: float) -> dict:
         """The components at (t, r): a one-point `values_at`, kept in the cache."""
@@ -405,7 +398,8 @@ class PotentialSystem:
         n = len(self.names)
         worst = 0.0
         for (t, r) in probes:
-            pq = self._jets_at(t, r, self.values(t, r))
+            vals = self.values(t, r)
+            pq = self._one_form_jets(t, r, tuple(float(vals[name]) for name in self.names))
             worst = max([worst] + [abs(pq[n + i].dt - pq[i].dr) for i in range(n)])
         return worst
 
@@ -426,14 +420,14 @@ class PotentialSystem:
         return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
     def certify(self, grid: Sequence[tuple], closed_tol: float = 1e-8, label: str = "",
-                error_cls=NotClosed, probes: Sequence[tuple] | None = None):
+                error_cls=NotClosed):
         """Both sweeps at every node of ``grid`` within `_PATH_TOL`, and the
-        curl within ``closed_tol`` at ``probes`` (default: the grid's
-        `_grid_probes`); else ``error_cls``.  Returns the path residual."""
+        curl within ``closed_tol`` at the grid's `_grid_probes`; else
+        ``error_cls``.  Returns the path residual."""
         grid = list(grid)
         # the sweep first, so that the curl check reads tabled values
         path_res = self.path_independence_residual(grid)
-        res = self.closedness_residual(_grid_probes(grid) if probes is None else probes)
+        res = self.closedness_residual(_grid_probes(grid))
         if res > closed_tol:
             raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
                             % (label or ",".join(self.names), res, closed_tol))
@@ -441,23 +435,6 @@ class PotentialSystem:
             raise error_cls("%s: path-dependent transport (residual %.3g > %.3g)"
                             % (label or ",".join(self.names), path_res, _PATH_TOL))
         return path_res
-
-
-def path_integral(P, Q, frm: tuple, to: tuple) -> float:
-    """Integral of P dt + Q dr from ``frm`` to ``to`` along the L-shaped path.
-
-    P, Q are expression text or ScalarFields in t and r.  The one-form is
-    certified (`PotentialSystem.certify`) on a 5 x 5 lattice over the
-    bounding box and ``to``: closedness exactly at each of them, the
-    transport against the transposed path at every node of the grid that
-    they span.
-    """
-    ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
-    rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
-    probes = [(a, b) for a in ts for b in rs] + [to]
-    pot = PotentialSystem(["psi"], [P], [Q], frm)
-    pot.certify(probes, label="path integral", probes=probes)
-    return pot.values(*to)["psi"]
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +557,6 @@ class ExpressionForm:
         """`domain`'s program and its bounds."""
         pairs = self.domain()
         return compile_fields([f for f, _ in pairs]), np.array([b for _, b in pairs])
-
-    def admissible(self, p: TangentPoint) -> bool:
-        """Whether p is in the form's domain: a one-point `admit`."""
-        return self.admit([p])[0][0]
 
     def admit(self, points: Sequence[TangentPoint]) -> tuple:
         """Whether each of ``points`` is in the form's domain, and the
@@ -779,18 +752,6 @@ class RiemannForm(ExpressionForm):
     def _coefficient_run(self):
         return partials_program([self.att, self.atr, self.arr, self.aw], self.scale_pot)
 
-    def coefficient_jets(self, t: float, r: float, vals: dict | None = None) -> tuple:
-        """att, atr, arr, aw as `Partials` at (t, r), the potentials at their
-        values ``vals`` there (None: transported)."""
-        return _read_partials(self._coefficient_run(self._env(t, r, vals)))
-
-    def values(self, t: float, r: float) -> tuple:
-        return tuple(j.value for j in self.coefficient_jets(t, r))
-
-    def tr_block_det(self, t: float, r: float) -> float:
-        att, atr, arr, _ = self.values(t, r)
-        return att * arr - atr * atr
-
     def coefficient_table(self, points: Sequence[tuple], vals=None) -> np.ndarray:
         """att, atr, arr, aw with their t- and r-partials at each (t, r) of
         ``points``, shape (n, 4, 3), the potentials at their rows ``vals``
@@ -974,13 +935,6 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     return finsler, riemann
 
 
-def class3_delta(riemann: RiemannForm, t: float, r: float) -> float:
-    """Delta = M e^G (2ab + c) - b^2 e^{2K} = e^{-2K} det(tr block)."""
-    pots: PotentialSystem = riemann.meta["potentials"]
-    vals = pots.values(t, r)
-    return riemann.tr_block_det(t, r) / math.exp(2.0 * vals["K"])
-
-
 SIGNATURES = {"lorentzian": ((1.0, 0.0, -1.0), -1.0),
               "euclidean": ((1.0, 0.0, 1.0), 1.0)}
 
@@ -1067,16 +1021,3 @@ def build_class5(conn: ConnectionProfile, grid: Sequence[tuple], C1: float = 1.0
                        ScalarField.constant(C2), tag="class-5",
                        meta={"potentials": pot, "C1": C1, "C2": C2,
                              "recovery_velocity": (td, rd)}, scale_pot=pot)
-
-
-def class5_det_formula(riemann: RiemannForm, conn: ConnectionProfile,
-                       t: float, r: float, theta: float) -> float:
-    """|det g| predicted: C1^2 C2^2 e^{-4 phi} |a1^2 + a2 a3| sin^2(theta)."""
-    pot: PotentialSystem = riemann.meta["potentials"]
-    C1 = riemann.meta["C1"]
-    C2 = riemann.meta["C2"]
-    cp = curvature_profile(conn, t, r)
-    phi = pot.values(t, r)["phi"]
-    val = (C1 ** 2) * (C2 ** 2) * math.exp(-4.0 * phi) \
-        * abs(cp.a[1].value ** 2 + cp.a[2].value * cp.a[3].value) * math.sin(theta) ** 2
-    return val

@@ -572,10 +572,6 @@ def compile_expression(e: Expression):
     return lambda env: run(env)[0]
 
 
-def evaluate(e: Expression, env: Mapping[str, object]):
-    return compile_expression(e)(env)
-
-
 def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression:
     """Replace variables/parameters by expressions (capture-free rewrite of
     each distinct subexpression once); an empty ``mapping`` returns ``e``

@@ -155,6 +155,12 @@ def exp_admissible(p: TangentPoint) -> bool:
     return abs(p.rdot - p.tdot) > 1e-3
 
 
+def admissible(form):
+    """Whether a point is in ``form``'s domain, asked one point at a time:
+    a one-point `admit`."""
+    return lambda p: form.admit([p])[0][0]
+
+
 # -- the compiled k1..k12 program against the fields one by one --------------
 
 def jet_slots(j):

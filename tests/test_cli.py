@@ -305,17 +305,25 @@ class TestGeodesicCommand:
 
     def test_non_finite_state_is_a_chart_exit(self, tmp_path, capsys):
         """phidot = 1e200 throws theta to inf in the first steps: a chart exit
-        with its report, not a math domain error from sin(theta)."""
+        with its report, not a math domain error from sin(theta).  The report
+        is strict JSON: the infinite component of the state is null."""
         flat = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
                             "flat_cartesian.cfg")
         rc = main(["geodesic", flat, "--state", "1,1,1.5,0,1,0,0,1e200", "--T", "0.1",
                    "--n-out", "5", "--out", str(tmp_path / "X.traj"),
                    "--json", str(tmp_path / "g.json")])
         assert rc == EXIT_FAIL
-        doc = json.loads((tmp_path / "g.json").read_text())
+
+        def strict(token):
+            raise ValueError("not strict JSON: %s" % token)
+        doc = json.loads((tmp_path / "g.json").read_text(), parse_constant=strict)
         assert doc["chart_exit"]["reason"] == "state not finite"
+        assert doc["chart_exit"]["last_state"][6] is None
+        assert all(math.isfinite(x) for i, x in enumerate(doc["chart_exit"]["last_state"])
+                   if i != 6)
         assert doc["exit_status"] == EXIT_FAIL
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "(state not finite) at state [" in out and "'inf'" in out
         assert not any(line.startswith("Traceback") for line in err.splitlines())
 
     def test_finsler_chart_exit_is_reported(self, cfg_file, tmp_path, monkeypatch):

@@ -6,18 +6,20 @@ import pytest
 from berwald.geometry_core import (BRACKET_PAIRS, COORD_NAMES, PH, R, TH, T,
                                    ConnectionProfile, CurvatureGrid, InsufficientSamples,
                                    NonFiniteData, TangentPoint, UnsupportedConnection,
-                                   bracket_matrix, bracket_vectors, christoffel_table,
+                                   bracket_vectors, christoffel_table,
                                    curvature_grid, curvature_profile,
                                    numeric_rank, sample_tangent_points, spray_coefficients,
                                    vertical_holonomy_rank)
 
 from berwald import geometry_core, scalar_field
+from berwald.metrizer import W2
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
 
 from conftest import (assert_program_matches_fields, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, nonlinear_connection,
                       power_law_nonsymmetric, power_law_symmetric, to_sympy)
 from generators import make_class3, make_class5
+from oracles import ricci_asymmetry
 
 
 class TestCurvatureProfile:
@@ -81,10 +83,10 @@ class TestCurvatureProfile:
         for alpha in (2.5, 3.0, 4.0):
             for (t, r) in [(0.6, 0.9), (2.0, 2.2)]:
                 cp = curvature_profile(power_law_nonsymmetric(alpha), t, r)
-                assert cp.ricci_asymmetry() == pytest.approx(-8.0, abs=1e-10)
+                assert ricci_asymmetry(cp) == pytest.approx(-8.0, abs=1e-10)
         cp = curvature_profile(power_law_symmetric(), 1.1, 0.4)
-        assert cp.ricci_asymmetry() == pytest.approx(0.0, abs=1e-12)
-        assert curvature_profile(flat_cartesian(), 1, 1).ricci_asymmetry() == 0.0
+        assert ricci_asymmetry(cp) == pytest.approx(0.0, abs=1e-12)
+        assert ricci_asymmetry(curvature_profile(flat_cartesian(), 1, 1)) == 0.0
 
 
 def first_failure(evaluate, points):
@@ -286,7 +288,7 @@ class TestBrackets:
             rows = np.stack([vecs[0].components, vecs[1].components, vecs[2].components])
             minor = np.linalg.det(rows[:, 1:])
             a = {i: cp.a[i].value for i in range(1, 15)}
-            w2 = p.w2
+            w2 = thd ** 2 + phd ** 2 * math.sin(th) ** 2
             closed = (a[8] * td + a[9] * rd) * (
                 a[3] * a[8] * td ** 2 + (a[3] * a[9] + a[4] * a[8]) * td * rd
                 + a[4] * a[9] * rd ** 2 - a[5] * a[7] * w2)
@@ -426,7 +428,8 @@ class TestTangentPoint:
 
     def test_w2(self):
         p = TangentPoint(0, 1, math.pi / 2, 0, 1, 0, 0.3, 0.4)
-        assert p.w2 == pytest.approx(0.09 + 0.16)
+        env = {"theta": p.theta, "thetadot": p.thetadot, "phidot": p.phidot}
+        assert compile_fields([W2])(env)[0] == pytest.approx(0.09 + 0.16)
 
 
 def test_christoffel_table_matches_spray():

@@ -16,17 +16,17 @@ from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
                               PowerLawForm, RiemannForm,
                               SingularQuadratic, _base_point, _grid_probes, build_class3,
                               build_class4, build_class5, build_exponential,
-                              build_power_law, class3_delta, class5_det_formula,
-                              path_integral)
+                              build_power_law)
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
 from berwald.verifier import check_horizontal_constancy, draw_jets, levi_civita_roundtrip
 
-from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
+from conftest import (admissible, class5_broken_ricci, class5_curved_block, default_grid,
                       ex1_admissible, ex1_paper_L, ex2_paper_L, exp_admissible,
                       exp_paper_L, exponential_example, flat_cartesian,
                       flat_spherical, horizontal_residual, power_law_nonsymmetric,
                       power_law_symmetric)
 from generators import make_class3, make_class5
+from oracles import class3_delta, class5_det_formula, path_integral
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +440,7 @@ class TestPowerLaw:
         conn = power_law_nonsymmetric(3.0)
         form = build_power_law(conn, grid)
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 50,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         ratios = np.array([form.jet(p).value / ex1_paper_L(p) for p in pts])
         assert np.all(ratios > 0)
         assert float(np.var(ratios)) < 1e-8
@@ -453,7 +453,7 @@ class TestPowerLaw:
         for (t, r) in grid[::6]:
             assert form.rho_field.value(t, r) == pytest.approx(0.0, abs=1e-12)
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 40,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         ratios = np.array([form.jet(p).value / ex2_paper_L(p) for p in pts])
         assert float(np.var(ratios)) / ratios.mean() ** 2 < 1e-8
 
@@ -461,7 +461,7 @@ class TestPowerLaw:
         for conn in (power_law_nonsymmetric(3.0), power_law_symmetric()):
             form = build_power_law(conn, grid)
             pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 25,
-                                        predicate=form.admissible)
+                                        predicate=admissible(form))
             assert max(horizontal_residual(form, conn, p) for p in pts) < 1e-7
 
     def test_lambda_not_constant_when_D_degenerates(self, grid):
@@ -501,7 +501,7 @@ class TestExponential:
         conn = exponential_example()
         form = exp_form
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         ratios = np.array([form.jet(p).value / exp_paper_L(p) for p in pts])
         assert float(np.var(ratios)) / ratios.mean() ** 2 < 1e-8
         assert max(horizontal_residual(form, conn, p) for p in pts) < 1e-6
@@ -509,7 +509,7 @@ class TestExponential:
     def test_u_degenerate_ray_excluded(self, grid, exp_form):
         form = exp_form
         p = TangentPoint(1.0, 1.5, 1.2, 0.0, 0.7, 0.7, 0.2, 0.1)
-        assert not form.admissible(p)
+        assert not admissible(form)(p)
 
     def test_form_jet_runs_one_abc_program(self, monkeypatch, exp_form):
         """The form jet is one program, compiled on the first call, that
@@ -568,7 +568,7 @@ class TestFormJetOracle:
                  + [sympy.diff(L, y, z) / 2 for y in vel for z in vel])
         ref = sympy.lambdify(xs, exprs, "mpmath")
         pts = sample_tangent_points(np.random.default_rng(8), (0.6, 2.4), (0.6, 2.4), 5,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         factor = None
         with mpmath.workdps(30):
             for p in pts:
@@ -623,35 +623,27 @@ class TestClass3:
             p = TangentPoint(t, r, 1.1, 0.2, 1.0, 0.4, -0.2, 0.3)
             assert fins.jet(p).value == pytest.approx(riem.jet(p).value, rel=1e-12)
 
-    def test_coefficient_jets_read_each_potential_once(self, monkeypatch, c3_forms):
-        """One lookup of the potentials per point, none where their values
-        are given; the partials come from the coefficients' own program."""
-        _conn, _fins, riem = c3_forms
-        pots = riem.scale_pot
-        calls = []
-        values = pots.values
-        monkeypatch.setattr(pots, "values", lambda *a: calls.append(a) or values(*a))
-        jets = riem.coefficient_jets(1.23, 1.37)
-        assert calls == [(1.23, 1.37)]
-        vals = values(1.41, 0.93)
-        assert riem.coefficient_jets(1.41, 0.93, vals) != jets and len(calls) == 1
-        # d/dt of e^G (M + m_shift) along the one-forms of G and M
-        G, M = (pots.values(1.23, 1.37)[n] for n in "GM")
-        P = pots._jets_at(1.23, 1.37, pots.values(1.23, 1.37))
-        m_shift = riem.meta["m_shift"]
-        assert jets[0].dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
-                                           rel=1e-12)
-
     def test_coefficient_table_is_the_coefficient_jets(self, grid, c3_forms):
-        """One array run over the grid gives each node's `coefficient_jets`
-        to a few ulps."""
+        """One array run over the grid gives each node's coefficients and
+        their partials, the coefficients' program run on floats at that node,
+        to a few ulps; the partials move the potentials along their one-forms."""
         _conn, _fins, riem = c3_forms
         table = riem.coefficient_table(grid)
-        ref = np.array([riem.coefficient_jets(t, r) for (t, r) in grid])
+        ref = np.array([riem._coefficient_run(riem._env(t, r, None))
+                        for (t, r) in grid]).reshape(-1, 4, 3)
         assert table.shape == (len(grid), 4, 3)
         assert np.all(np.abs(table - ref) <= 8 * np.spacing(np.abs(ref)))
         vals = riem.scale_pot.values_at(grid)
         assert riem.coefficient_table(grid, vals).tolist() == table.tolist()
+        # d/dt of e^G (M + m_shift) along the one-forms of G and M
+        pots = riem.scale_pot
+        vals = pots.values(1.23, 1.37)
+        G, M = vals["G"], vals["M"]
+        P = pots._one_form_jets(1.23, 1.37, tuple(float(vals[n]) for n in pots.names))
+        m_shift = riem.meta["m_shift"]
+        att_dt = riem.coefficient_table([(1.23, 1.37)])[0, 0, 1]
+        assert att_dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
+                                       rel=1e-12)
 
     def test_coefficient_table_raises_at_the_first_failing_node(self):
         """Failing and passing nodes in one run: the first failing node in
@@ -661,11 +653,12 @@ class TestClass3:
         form = RiemannForm(ScalarField("1/(t - 1)"), ScalarField("t*t"), ScalarField("-1"),
                            ScalarField("-r*r"))
         good = [(0.5, 1.0), (2.0, 1.5), (3.0, 0.5)]
+        run = form._coefficient_run
         assert form.coefficient_table(good).tolist() == [
-            [list(j) for j in form.coefficient_jets(*q)] for q in good]
+            np.reshape(run({"t": t, "r": r}), (4, 3)).tolist() for t, r in good]
         with pytest.raises(DomainError, match="^division by zero$"):
-            form.coefficient_jets(1.0, 1.0)
-        assert form.coefficient_jets(1e200, 1.0)[1].value == math.inf
+            run({"t": 1.0, "r": 1.0})
+        assert run({"t": 1e200, "r": 1.0})[3] == math.inf
         for bad, error, text in (([(1.0, 1.0), (1e200, 1.0)], DomainError,
                                   "att at (t, r) = (1, 1): division by zero"),
                                  ([(1e200, 1.0), (1.0, 1.0)], NonFiniteData,
@@ -687,7 +680,7 @@ class TestClass3:
         conn, _ = make_class3(41)
         fins, _ = build_class3(conn, grid, "square")
         pts = sample_tangent_points(rng, (0.7, 2.3), (0.7, 2.3), 20,
-                                    predicate=fins.admissible)
+                                    predicate=admissible(fins))
         assert max(horizontal_residual(fins, conn, p) for p in pts) < 1e-7
 
     def test_flat_spherical_routes_to_class3(self, grid):
@@ -775,7 +768,7 @@ class TestDomain:
         pts = _domain_candidates(abc, np.random.default_rng(17))
         want = [_reference_domain(form, abc, p) for p in pts]
         assert set(want) == reasons
-        assert [form.admissible(p) for p in pts] == [w == "in" for w in want]
+        assert [admissible(form)(p) for p in pts] == [w == "in" for w in want]
         assert form.admit(pts)[0] == [w == "in" for w in want]
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "exponential", "class3"])
@@ -799,7 +792,7 @@ class TestJetOneForms:
         form = finsler_forms[name]
         pots = form.scale_pot
         pts = sample_tangent_points(np.random.default_rng(11), (0.6, 2.4), (0.6, 2.4), 12,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         _, vals = form.admit(pts)
         for p, v in zip(pts, vals):
             env = {"t": float(p.t), "r": float(p.r)}
@@ -812,13 +805,15 @@ class TestJetOneForms:
 class TestClass4:
     def test_flat_lorentzian(self, grid):
         A = build_class4(flat_cartesian(), grid, "lorentzian")
-        assert A.values(1.3, 2.0) == pytest.approx((1.0, 0.0, -1.0, -1.0))
+        assert tuple(A.coefficient_table([(1.3, 2.0)])[0, :, 0]) == pytest.approx(
+            (1.0, 0.0, -1.0, -1.0))
         k = A.christoffels([(1.7, 0.9)])[0]
         assert np.max(np.abs(k)) == 0.0
 
     def test_flat_euclidean_also_metrizes(self, grid):
         A = build_class4(flat_cartesian(), grid, "euclidean")
-        assert A.values(1.0, 1.0) == pytest.approx((1.0, 0.0, 1.0, 1.0))
+        assert tuple(A.coefficient_table([(1.0, 1.0)])[0, :, 0]) == pytest.approx(
+            (1.0, 0.0, 1.0, 1.0))
         assert levi_civita_roundtrip(A, flat_cartesian(), grid).residual == 0.0
 
     def test_k1_only_transport(self, grid):
@@ -826,7 +821,7 @@ class TestClass4:
         A = build_class4(conn, grid, "lorentzian")
         t0, r0 = min(grid)
         for (t, r) in grid[::4]:
-            att, atr, arr, aw = A.values(t, r)
+            att, atr, arr, aw = A.coefficient_table([(t, r)])[0, :, 0]
             assert att == pytest.approx(math.exp(2 * (t - t0)), rel=1e-10)
             assert atr == pytest.approx(0.0, abs=1e-12)
             assert arr == pytest.approx(-1.0, rel=1e-12)
@@ -898,7 +893,7 @@ class TestHomogeneityProperty:
         conn = power_law_nonsymmetric(3.0)
         form = build_power_law(conn, grid)
         pts = sample_tangent_points(rng, (0.7, 2.3), (0.7, 2.3), 10,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         for p in pts:
             for s in (0.3, 2.0, 7.5):
                 q = TangentPoint(p.t, p.r, p.theta, p.phi, s * p.tdot, s * p.rdot,

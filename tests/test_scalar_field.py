@@ -11,10 +11,15 @@ from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import ExpressionForm, PotentialSystem
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, compile_fields, compile_program,
-                                  derivative, evaluate, parse, substitute, to_source)
+                                  UnknownIdentifier, Var, compile_expression, compile_fields,
+                                  compile_program, derivative, parse, substitute, to_source)
 
 from conftest import assert_program_matches_fields, to_sympy
+
+
+def evaluate(e, env):
+    """The value of ``e`` in ``env``, from its one-output program."""
+    return compile_expression(e)(env)
 
 
 def jet(src, t, r, **params):
@@ -526,12 +531,12 @@ def test_jets_fail_with_domain_error():
             ScalarField(src).jet(math.inf, 1.0)
     pot = PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0))
     with pytest.raises(DomainError):   # the one-form jets of a potential, too
-        pot._jets_at(1e-170, 1.0, {"psi": 0.0})
+        pot._one_form_jets(1e-170, 1.0, (0.0,))
     # ordinary v keep the derivative rules' arithmetic
     v = 0.3
     assert ScalarField("1/t").jet(v, 1.0) == (1.0 / v, -(1.0 / v) / v, 0.0)
     assert ScalarField("ln(t)").jet(v, 1.0) == (math.log(v), 1.0 / v, 0.0)
-    assert pot._jets_at(v, 1.0, {"psi": 0.0})[0] == (1.0 / v, -(1.0 / v) / v, 0.0)
+    assert pot._one_form_jets(v, 1.0, (0.0,))[0] == (1.0 / v, -(1.0 / v) / v, 0.0)
 
 
 # -- derivative: forward mode by source transformation -----------------------

@@ -10,16 +10,16 @@ from berwald.geometry_core import (ConnectionProfile, TangentPoint,
 from berwald.metrizer import (RDOT, TDOT, W2, ExpressionForm, PotentialSystem, RiemannForm,
                               build_class3, build_class4, build_class5, build_exponential,
                               build_power_law)
-from berwald.scalar_field import DomainError, ScalarField
-from berwald.verifier import (CheckResult, Degenerate, ResidualReport, berwald_check,
-                              check_hessian, check_homogeneity,
-                              check_horizontal_constancy, draw_jets, geodesic_agreement,
-                              levi_civita_roundtrip, riemann_falsification, sample_jets,
-                              signature_observation, VerificationError)
+from berwald.scalar_field import DomainError, Partials, ScalarField
+from berwald.verifier import (CheckResult, ResidualReport, berwald_check, check_hessian,
+                              check_homogeneity, check_horizontal_constancy, draw_jets,
+                              levi_civita_roundtrip, VerificationError)
 
-from conftest import (Scaled, class5_broken_ricci, class5_curved_block, default_grid,
-                      exponential_example, flat_cartesian, nonlinear_connection,
+from conftest import (Scaled, admissible, class5_broken_ricci, class5_curved_block,
+                      default_grid, exponential_example, flat_cartesian, nonlinear_connection,
                       power_law_nonsymmetric, power_law_symmetric)
+from oracles import (Degenerate, geodesic_agreement, riemann_falsification, sample_jets,
+                     signature_observation)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ class TestSampleJets:
         _, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20)
         jets = sample_jets(form, pts)
-        assert jets.points == [p for p in pts if form.admissible(p)]
+        assert jets.points == [p for p in pts if admissible(form)(p)]
         assert jets.skipped == len(pts) - len(jets.points) > 0
         for p, value in zip(jets.points, jets.jet.value):
             assert value == pytest.approx(form.jet(p).value, rel=1e-13)
@@ -76,7 +76,7 @@ class TestSampleJets:
     def test_no_admissible_sample_is_an_error(self, forms):
         _, form = forms["ex1"]
         backwards = TangentPoint(1.2, 1.4, 1.0, 0.0, -1.0, 0.5, 0.2, 0.1)   # tdot < 0
-        assert not form.admissible(backwards)
+        assert not admissible(form)(backwards)
         with pytest.raises(VerificationError, match="no admissible samples"):
             sample_jets(form, [backwards])
 
@@ -124,7 +124,7 @@ class TestBatchAdmission:
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30)
         pts.insert(7, TangentPoint(1.0, 1.5, 1.2, 0.0, 0.701, 0.7, 0.2, 0.1))  # L underflows
         ok, vals = form.admit(pts)
-        assert ok == [form.admissible(p) for p in pts] and not ok[7]
+        assert ok == [admissible(form)(p) for p in pts] and not ok[7]
         assert [v["psi"] for v in vals] == [form.scale_pot.values(p.t, p.r)["psi"] for p in pts]
 
     def test_drawn_jets_match_sampled_jets(self, forms):
@@ -133,7 +133,7 @@ class TestBatchAdmission:
         conn, form = forms["ex1"]
         jets = draw_jets(form, np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 30)
         pts = sample_tangent_points(np.random.default_rng(3), (0.6, 2.4), (0.6, 2.4), 30,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         assert jets.points == pts and jets.skipped == 0
         assert np.array_equal(jets.jet.out, sample_jets(form, pts).jet.out)
 
@@ -148,7 +148,7 @@ class TestArrayJets:
             form = build_class3(make_class3(51)[0], default_grid(), "square")[0]
         else:
             form = forms[which][1]
-        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30, predicate=form.admissible)
+        pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 30, predicate=admissible(form))
         jets = sample_jets(form, pts)
         n = 0 if form.scale_pot is None else len(form.scale_pot.names)
         assert jets.points == pts and jets.jet.out.shape == (30, 30 + 2 * n)
@@ -229,32 +229,33 @@ class TestFormDomains:
     former `admissible` overrides, written out here, admitted."""
 
     def test_randers_like(self, rng):
-        def admissible(p):
-            root = math.sqrt(p.tdot ** 2 + p.rdot ** 2 + p.w2)
+        def former(p):
+            w2 = p.thetadot ** 2 + p.phidot ** 2 * math.sin(p.theta) ** 2
+            root = math.sqrt(p.tdot ** 2 + p.rdot ** 2 + w2)
             return root > 0.3 and root + 0.25 * p.r * p.tdot > 0.2
         slow = [TangentPoint(t, r, 1.0, 0.0, *v) for t, r, *v in
                 np.column_stack([rng.uniform(0.6, 2.4, (300, 2)), rng.uniform(-0.4, 0.4, (300, 4))])]
-        want = [admissible(p) for p in slow]
+        want = [former(p) for p in slow]
         assert 0 < sum(want) < 300
         assert RandersLike().admit(slow)[0] == want
         assert (sample_tangent_points(np.random.default_rng(9), (0.6, 2.4), (0.6, 2.4), 30,
-                                      predicate=RandersLike().admissible)
+                                      predicate=admissible(RandersLike()))
                 == sample_tangent_points(np.random.default_rng(9), (0.6, 2.4), (0.6, 2.4), 30,
-                                         predicate=admissible))
+                                         predicate=former))
 
     def test_sqrt_scale(self, rng):
         form = SqrtScale()
 
-        def admissible(p):
+        def former(p):
             try:
                 form.scale_pot.values(p.t, p.r)
             except DomainError:
                 return False
             return True
         pts = sample_tangent_points(rng, (1.2, 2.6), (0.6, 2.4), 30)
-        want = [admissible(p) for p in pts]
+        want = [former(p) for p in pts]
         assert 0 < sum(want) < 30
-        assert form.admit(pts)[0] == want == [form.admissible(p) for p in pts]
+        assert form.admit(pts)[0] == want == [admissible(form)(p) for p in pts]
 
     def test_scaled(self, forms):
         _, form = forms["ex1"]
@@ -309,7 +310,7 @@ class TestArrayChecks:
                  (forms["c5"][0], NotHomogeneous())]
         for conn, form in cases:
             pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 25,
-                                        predicate=form.admissible)
+                                        predicate=admissible(form))
             jets = sample_jets(form, pts)
             ref = reference_checks(form, conn, pts)
             got = {"horizontal": check_horizontal_constancy(jets, conn),
@@ -331,7 +332,7 @@ class TestArrayChecks:
                           A.arr, A.aw * (1.0 + 0.1 * ScalarField("r")), scale_pot=A.scale_pot)
         worst, where = 0.0, None
         for t, r in grid:
-            att, atr, arr, aw = bad.coefficient_jets(t, r)
+            att, atr, arr, aw = (Partials(*row) for row in bad.coefficient_table([(t, r)])[0])
             B = np.array([[att.value, atr.value], [atr.value, arr.value]])
             dB = [np.array([[att.dt, atr.dt], [atr.dt, arr.dt]]),
                   np.array([[att.dr, atr.dr], [atr.dr, arr.dr]])]
@@ -358,7 +359,7 @@ class TestHorizontalConstancy:
     def test_power_law_form(self, forms, rng):
         conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 50,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         res = check_horizontal_constancy(sample_jets(form, pts), conn)
         assert res.passed and res.residual < 1e-7
 
@@ -378,7 +379,7 @@ class TestHorizontalConstancy:
     def test_scale_invariance_of_verdict(self, forms, rng):
         conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         r1 = check_horizontal_constancy(sample_jets(form, pts), conn)
         r2 = check_horizontal_constancy(sample_jets(Scaled(form, 37.0), pts), conn)
         assert r1.passed == r2.passed
@@ -393,7 +394,7 @@ class TestHorizontalConstancy:
         fixtures.append((class3, build_class3(class3, default_grid(), "square")[0]))
         for conn, form in fixtures:
             pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 15,
-                                        predicate=form.admissible)
+                                        predicate=admissible(form))
             checks = (lambda jets: check_horizontal_constancy(jets, conn),
                       check_homogeneity, lambda jets: berwald_check(jets, conn))
             for check in checks:
@@ -419,7 +420,7 @@ class TestHessian:
         t0, r0 = 0.5, 0.5
         anchored = Scaled(form, math.exp(0.5 * t0 * r0))  # psi(base) = 0
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 25,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         for p in pts:
             hess = 2.0 * anchored.jet(p).metric_tensor()   # d^2 L
             det = np.linalg.det(hess)
@@ -435,7 +436,7 @@ class TestHessian:
     def test_ex1_lorentzian_for_alpha_3(self, forms, rng):
         _, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 25,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         assert signature_observation(form, pts) in ((1, 3), (3, 1))
 
     def test_degenerate_detected(self, rng):
@@ -451,7 +452,7 @@ class TestHessianScale:
         # lambda = 0 leaves L = theta u^2, whose vertical Hessian has rank 1
         form = dataclasses.replace(forms["ex1"][1], lam=0.0)
         pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         res = check_hessian(sample_jets(form, pts))
         assert not res.passed and res.residual == 0.0
 
@@ -460,7 +461,7 @@ class TestHessianScale:
         fixtures.append(build_exponential(exponential_example(), default_grid()))
         for form in fixtures:
             pts = sample_tangent_points(rng, (0.6, 2.4), (0.6, 2.4), 20,
-                                        predicate=form.admissible)
+                                        predicate=admissible(form))
             results = [check_hessian(sample_jets(Scaled(form, c), pts))
                        for c in (1e-6, 1.0, 1e6)]
             assert len({res.passed for res in results}) == 1
@@ -471,9 +472,9 @@ class TestHessianScale:
         form = build_exponential(exponential_example(), default_grid())
         # |u| = 1e-3 passes the floor, but mu v / u^2 is about -4e4: L underflows
         p = TangentPoint(1.0, 1.5, 1.2, 0.0, 0.701, 0.7, 0.2, 0.1)
-        assert form.jet(p).value == 0.0 and not form.admissible(p)
+        assert form.jet(p).value == 0.0 and not admissible(form)(p)
         pts = sample_tangent_points(rng, (0.5, 2.5), (0.5, 2.5), 50,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         assert check_hessian(sample_jets(form, pts)).passed
 
 
@@ -549,7 +550,7 @@ class TestBerwald:
     def test_power_law_is_berwald(self, forms, rng):
         conn, form = forms["ex1"]
         pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 6,
-                                    predicate=form.admissible)
+                                    predicate=admissible(form))
         res = berwald_check(sample_jets(form, pts), conn)
         assert res.passed
         assert res.extra == {"samples_used": 6}
@@ -561,7 +562,7 @@ class TestBerwald:
 
     def test_randers_like_is_not(self, rng):
         pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 8,
-                                    predicate=RandersLike().admissible)
+                                    predicate=admissible(RandersLike()))
         res = berwald_check(sample_jets(RandersLike(), pts), ConnectionProfile({}))
         assert not res.passed
         assert res.residual > 1e-2
@@ -573,7 +574,7 @@ class TestBerwald:
         for (_, form), other in ((forms["ex1"], power_law_nonsymmetric(2.5)),
                                  (forms["c5"], class5_broken_ricci(0.1))):
             pts = sample_tangent_points(rng, (0.8, 2.2), (0.8, 2.2), 20,
-                                        predicate=form.admissible)
+                                        predicate=admissible(form))
             res = berwald_check(sample_jets(form, pts), other)
             assert not res.passed
             assert res.residual > 1e-3
