@@ -153,17 +153,15 @@ def _worst(values: np.ndarray, grid: Sequence[tuple]) -> ResidualStat:
 
 
 def check_finsler_constraints(conn: ConnectionProfile, grid: Sequence[tuple],
-                              curvature: Optional[CurvatureGrid] = None) -> dict:
+                              cg: CurvatureGrid) -> dict:
     """Residual map of the algebraic metrizability constraints over the grid.
 
     Returns name -> ResidualStat; the caller owns thresholds.  Raises
     K10Degenerate / MixedClass when the w-corner regime is unusable, and
-    UnsupportedConnection for k11/k12.  ``curvature`` is the grid's
-    `curvature_grid`, evaluated here when not given.
+    UnsupportedConnection for k11/k12.  ``cg`` is the grid's `curvature_grid`.
     """
     grid = list(grid)
     conn.require_classifiable(grid)
-    cg = curvature_grid(conn, grid) if curvature is None else curvature
 
     kinds = set(cg.corner.tolist())
     if W_CORNER_K10_DEGENERATE in kinds:
@@ -208,13 +206,10 @@ def _status(values: np.ndarray, scale: float, tols: Tolerances) -> str:
     return "gap"
 
 
-def assign_class(conn: ConnectionProfile, grid: Sequence[tuple],
-                 curvature: Optional[CurvatureGrid] = None,
-                 tols: Tolerances = Tolerances()) -> Optional[int]:
-    """Class 1..5 per the (D, E, F) / tr-corner decision tree; None when the
-    gap band makes the verdict undetermined.  ``curvature`` is the grid's
-    `curvature_grid`, evaluated here when not given."""
-    cg = curvature_grid(conn, grid) if curvature is None else curvature
+def assign_class(cg: CurvatureGrid, tols: Tolerances = Tolerances()) -> Optional[int]:
+    """Class 1..5 per the (D, E, F) / tr-corner decision tree on the grid's
+    `curvature_grid` ``cg``; None when the gap band makes the verdict
+    undetermined."""
     regime = set(cg.corner.tolist())
     scale = 1.0 + float(np.max(np.abs(cg.a[:, :, 0])))
 
@@ -287,7 +282,7 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple], seed: int = 2024060
     report.evidence["seed"] = seed
 
     if report.finsler_metrizable == "yes":
-        label = assign_class(conn, grid, cg, tols)
+        label = assign_class(cg, tols)
         report.class_label = label
         if label == 1:
             lam = cg.DEF[:, 2] / cg.DEF[:, 0]

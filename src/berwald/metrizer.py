@@ -9,10 +9,11 @@ cumulative Clenshaw-Curtis integration, the one-form program run on arrays),
 with an adaptive scalar ODE leg only where a panel cannot be evaluated or
 does not converge.  Their derivatives come from the defining one-forms
 themselves, so every downstream derivative is analytic in the transported
-values.  Each builder states its one-forms as expressions and reads its
-curvature from one `curvature_grid`.  Path independence is certified, never
-assumed: the curl of the defining form exactly, the agreement of two
-transport routes numerically.
+values.  Each builder states its one-forms as expressions, reads its
+curvature from one `curvature_grid` and certifies its potentials with
+`PotentialSystem.certify`.  Path independence is certified, never assumed,
+at every grid node: the curl of the defining form exactly, the agreement of
+two transport routes numerically.
 
 Every constructed form states L as one expression (`ExpressionForm`) in the
 chart (t, r, theta), the velocities and its potentials; its `jet` runs one
@@ -33,8 +34,8 @@ import numpy as np
 from .geometry_core import (ConnectionProfile, CurvatureGrid, NonFiniteData, TangentPoint,
                             W_CORNER_GENERIC, _located, curvature_grid)
 from .geodesic_engine import integrate_ode
-from .scalar_field import (DomainError, Expression, Num, Partials, ScalarField, Var,
-                           compile_fields, derivative, parameter_names, parse)
+from .scalar_field import (DomainError, Expression, Num, ScalarField, Var, compile_fields,
+                           derivative, parameter_names, parse)
 
 
 class MetrizerError(RuntimeError):
@@ -46,7 +47,7 @@ class NotClosed(MetrizerError):
 
 
 class PathDependent(MetrizerError):
-    """Axis-path transport disagrees between leg orders."""
+    """The class-4 transport of h depends on the path: the (t, r) corner is curved."""
 
 
 class LambdaNotConstant(MetrizerError):
@@ -87,7 +88,6 @@ _PANEL_TAIL = 3          # trailing Chebyshev coefficients of the tail test
 _PICARD_PASSES = 12      # Picard passes before a panel is bisected
 _BISECTIONS = 8          # bisections before a panel falls back to the ODE
 _PATH_TOL = 1e-8         # relative gap of the two sweeps allowed at a node
-_N_PROBES = 9            # grid nodes a default curl check reads (`_grid_probes`)
 
 
 def _chebyshev_panel(n: int) -> tuple:
@@ -150,9 +150,9 @@ class PotentialSystem:
     component names, which enter as parameters, so later components may depend
     on earlier ones (as the Class-3 potential M does on G and K).  They compile
     into one program, which transport runs on arrays and its ODE legs on floats.
-    The closedness check runs a second one: P_i and Q_i with their total
-    partials (`total_partials`), in which the components move by their own
-    one-forms, so every derivative is exact.
+    The closedness check runs a second one on arrays: P_i and Q_i with their
+    total partials (`partials_program`), in which the components move by
+    their own one-forms, so every derivative is exact.
 
     Transport runs on Chebyshev panels (`_panels`): Picard iteration with
     cumulative Clenshaw-Curtis integration, every gap of every line at once
@@ -165,10 +165,11 @@ class PotentialSystem:
 
     The path-independence certificate tables two sweeps from the base point
     at every node of a grid (`table`): t-first, (t0, r0) -> (t, r0) -> (t, r),
-    and r-first, (t0, r0) -> (t0, r) -> (t, r).  The t-first table is what
-    values are read from: any other point is reached by two legs from the
-    nearest node (`values_at`), which is sound only where the certificate has
-    passed, and its value is a function of (t, r) alone.
+    and r-first, (t0, r0) -> (t0, r) -> (t, r).  The t-first table is the
+    one store values are read from: a node's row as it is, any other point
+    by two legs from the nearest node (`values_at`), which is sound only
+    where the certificate has passed, and its value is a function of (t, r)
+    alone.
     """
 
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
@@ -176,7 +177,6 @@ class PotentialSystem:
         self.names = list(names)
         self._pq = [f if isinstance(f, ScalarField) else ScalarField(f) for f in list(P) + list(Q)]
         self._run = compile_fields(self._pq)
-        self._jet_run = None   # `_one_form_jets`' program, compiled on first use
         n = len(self.names)
         # does the P (t-leg) or Q (r-leg) half read the components?
         self._reads = [any(parameter_names(f.expr) & set(self.names) for f in half)
@@ -188,8 +188,6 @@ class PotentialSystem:
         # until `path_independence_residual` tables a grid
         self._table = (np.array(self.base[:1]), np.array(self.base[1:]),
                        self.base_values[None, None])
-        # the table's values by node, and those `values` has transported from it
-        self._value_cache = {self.base: self.base_values.copy()}
 
     def _forms(self, t, r, vec) -> tuple:
         """P_1..P_n, Q_1..Q_n at (t, r) and component values ``vec``."""
@@ -197,54 +195,25 @@ class PotentialSystem:
         env["t"], env["r"] = t, r
         return self._run(env)
 
-    def _one_form_jets(self, t: float, r: float, vec: tuple) -> tuple:
-        """P_1..P_n, Q_1..Q_n as `Partials` of their total derivatives, in
-        which each component moves by its own one-form:
-        d/dt P_i = d_t P_i + sum_j d_{psi_j} P_i P_j, and d/dr with Q_j.
-        A non-finite one raises DomainError: a NaN curl would certify."""
-        n = len(self.names)
-        if self._jet_run is None:
-            self._jet_run = partials_program(self._pq, self)
-        jets = _read_partials(self._jet_run(dict(zip(["t", "r"] + self.names, (t, r, *vec)))))
-        for m, jet in enumerate(jets):
-            if not all(map(math.isfinite, jet)):
-                raise DomainError("%s_%s jet is not finite at (t, r) = (%g, %g)"
-                                  % ("PQ"[m // n], self.names[m % n], t, r))
-        return jets
-
     def values(self, t: float, r: float) -> dict:
-        """The components at (t, r): a one-point `values_at`, kept in the cache."""
-        key = (t, r)
-        vec = self._value_cache.get(key)
-        if vec is None:
-            vec = self._value_cache[key] = self.values_at([key])[0]
-        return dict(zip(self.names, vec))
+        """The components at (t, r): a one-point `values_at`."""
+        return dict(zip(self.names, self.values_at([(t, r)])[0]))
 
     def values_at(self, points: Sequence[tuple]) -> np.ndarray:
-        """The components at each (t, r) of ``points``, one row per point: a
-        cached value as it is, any other by two legs from the nearest table
-        node, along t and then along r, all points' legs along one axis in
-        one `_transport` call.  A row depends on its point and the table
-        alone, never on the other points or on earlier queries; that the
-        route from the node does not matter is what the certificate
-        (`path_independence_residual`) has compared at every node."""
-        pts = [(float(t), float(r)) for (t, r) in points]
-        out = np.empty((len(pts), len(self.names)))
-        miss = []
-        for i, key in enumerate(pts):
-            hit = self._value_cache.get(key)
-            if hit is None:
-                miss.append(i)
-            else:
-                out[i] = hit
-        if miss:
-            t, r = np.array([pts[i] for i in miss]).T
-            ts, rs, table = self._table
-            i = np.argmin(np.abs(t[:, None] - ts), axis=1)
-            j = np.argmin(np.abs(r[:, None] - rs), axis=1)
-            y = self._legs(True, rs[j], ts[i], t, table[i, j])
-            out[miss] = self._legs(False, t, rs[j], r, y)
-        return out
+        """The components at each (t, r) of ``points``, one row per point: two
+        legs from the nearest table node, along t and then along r, all
+        points' legs along one axis in one `_transport` call.  At a node both
+        legs have length zero, so its row is the table's, bit for bit.  A row
+        depends on its point and the table alone, never on the other points
+        or on earlier queries; that the route from the node does not matter
+        is what the certificate (`path_independence_residual`) has compared
+        at every node."""
+        t, r = np.array(points, dtype=float).reshape(-1, 2).T
+        ts, rs, table = self._table
+        i = np.argmin(np.abs(t[:, None] - ts), axis=1)
+        j = np.argmin(np.abs(r[:, None] - rs), axis=1)
+        y = self._legs(True, rs[j], ts[i], t, table[i, j])
+        return self._legs(False, t, rs[j], r, y)
 
     def _legs(self, along_t: bool, fixed, a, b, y) -> np.ndarray:
         """The states at b from the states ``y`` at a, one one-panel leg per
@@ -393,41 +362,51 @@ class PotentialSystem:
         return (self._lines(False, ts, r0, base_t, rs),
                 self._lines(True, rs, t0, base_r, ts).transpose(1, 0, 2))
 
-    def closedness_residual(self, probes: Sequence[tuple]) -> float:
-        """max_i max_probes |d_t Q_i - d_r P_i|, exact total derivatives."""
+    @cached_property
+    def _partials_run(self):
+        """P_1..P_n, Q_1..Q_n, each followed by its total t- and r-partials."""
+        return partials_program(self._pq, self)
+
+    def closedness_residual(self, points: Sequence[tuple]) -> float:
+        """max_i max_points |d_t Q_i - d_r P_i| over each (t, r) of ``points``,
+        exact total derivatives (`partials_program`), the components read
+        with one `values_at`: one array run.  Where it fails at a point, the
+        first such point raises DomainError, named by its first output that
+        is not finite: a NaN curl would certify."""
         n = len(self.names)
-        worst = 0.0
-        for (t, r) in probes:
-            vals = self.values(t, r)
-            pq = self._one_form_jets(t, r, tuple(float(vals[name]) for name in self.names))
-            worst = max([worst] + [abs(pq[n + i].dt - pq[i].dr) for i in range(n)])
-        return worst
+        t, r = np.array(points, dtype=float).reshape(-1, 2).T
+        env = {"t": t, "r": r}
+        env.update(zip(self.names, self.values_at(points).T))
+        out, ok = self._partials_run.on_arrays(env)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            m = int(np.argmin(np.isfinite(out[i]))) // 3
+            raise DomainError("%s_%s jet is not finite at (t, r) = (%g, %g)"
+                              % ("PQ"[m // n], self.names[m % n], t[i], r[i]))
+        return float(np.max(np.abs(out[:, 3 * n + 1::3] - out[:, 2:3 * n:3]), initial=0.0))
 
     def path_independence_residual(self, points: Sequence[tuple]) -> float:
         """max over the components and the nodes of the grid that ``points``
         span (each of their t against each of their r) of the relative gap
         between the t-first and the r-first sweep (`table`).  Neither sweep
-        reads the value cache, so the residual does not depend on earlier
-        queries.  The t-first table becomes the one values are read from,
-        and the values transported from the earlier table are dropped."""
+        reads the earlier table, so the residual does not depend on earlier
+        queries.  The t-first table becomes the one values are read from."""
         # (np.unique would import numpy.ma, 2 MB of resident memory)
         ts = np.array(sorted({float(t) for t, _ in points}))
         rs = np.array(sorted({float(r) for _, r in points}))
         a, b = self.table(ts, rs)
         self._table = (ts, rs, a)
-        self._value_cache = {(float(t), float(r)): a[i, j]
-                             for i, t in enumerate(ts) for j, r in enumerate(rs)}
         return float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
 
     def certify(self, grid: Sequence[tuple], closed_tol: float = 1e-8, label: str = "",
                 error_cls=NotClosed):
         """Both sweeps at every node of ``grid`` within `_PATH_TOL`, and the
-        curl within ``closed_tol`` at the grid's `_grid_probes`; else
+        curl within ``closed_tol`` at every point of ``grid``; else
         ``error_cls``.  Returns the path residual."""
         grid = list(grid)
         # the sweep first, so that the curl check reads tabled values
         path_res = self.path_independence_residual(grid)
-        res = self.closedness_residual(_grid_probes(grid))
+        res = self.closedness_residual(grid)
         if res > closed_tol:
             raise error_cls("%s: one-form not closed (curl residual %.3g > %.3g)"
                             % (label or ",".join(self.names), res, closed_tol))
@@ -468,11 +447,6 @@ def partials_program(fields: Sequence[ScalarField], pots: PotentialSystem | None
     """One program of each field followed by its total t- and r-partials."""
     dt, dr = total_partials(fields, pots)
     return compile_fields([g for trio in zip(fields, dt, dr) for g in trio])
-
-
-def _read_partials(out: tuple) -> tuple:
-    """`partials_program`'s outputs as one `Partials` per field."""
-    return tuple(Partials(*out[i:i + 3]) for i in range(0, len(out), 3))
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +778,6 @@ class RiemannForm(ExpressionForm):
 # Builders
 # ---------------------------------------------------------------------------
 
-def _grid_probes(grid: Sequence[tuple]) -> list:
-    grid = list(grid)
-    if len(grid) <= _N_PROBES:
-        return grid
-    idx = np.linspace(0, len(grid) - 1, _N_PROBES).astype(int)
-    return [grid[i] for i in idx]
-
-
 def _base_point(grid: Sequence[tuple]) -> tuple:
     return min(grid, key=lambda q: (q[0], q[1]))
 
@@ -942,9 +908,10 @@ SIGNATURES = {"lorentzian": ((1.0, 0.0, -1.0), -1.0),
 def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
                  signature: str = "lorentzian") -> RiemannForm:
     """Class-4 constructor: parallel-transport a flat 2-metric h over the
-    tr-corner and attach +/- w^2.  Flatness is certified by path independence:
-    the t-first and r-first transports of h from the base point must agree at
-    every grid node, which a curved corner's holonomy prevents."""
+    tr-corner and attach +/- w^2.  Flatness is certified at every grid node
+    (`certify`): the curl of h's one-form is the corner's curvature acting
+    on h, and the t-first and r-first transports of h from the base point
+    must agree, which a curved corner's holonomy prevents."""
     try:
         h0, aw_sign = SIGNATURES[signature]
     except KeyError:
@@ -960,10 +927,7 @@ def build_class4(conn: ConnectionProfile, grid: Sequence[tuple],
         [2.0 * (k[2] * htt + k[6] * htr), k[3] * htt + (k[2] + k[5]) * htr + k[6] * hrr,
          2.0 * (k[3] * htr + k[5] * hrr)],
         _base_point(grid), base_values=h0)
-    res = pots.path_independence_residual(grid)
-    if res > _PATH_TOL:
-        raise PathDependent("flat-transport legs disagree (residual %.3g > %.3g): "
-                            "tr-corner is not flat" % (res, _PATH_TOL))
+    pots.certify(grid, label="class-4 flat transport of h", error_cls=PathDependent)
     return RiemannForm(htt, htr, hrr, ScalarField.constant(aw_sign), tag="class-4", signature_hint=signature,
                        meta={"potentials": pots}, scale_pot=pots)
 

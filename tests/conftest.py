@@ -106,6 +106,14 @@ class Scaled(ExpressionForm):
         return self.c * self.form.lagrangian()
 
 
+def count_values_at(monkeypatch, pots) -> list:
+    """The number of points of each later `pots.values_at` call, in order."""
+    batches, values_at = [], pots.values_at
+    monkeypatch.setattr(pots, "values_at",
+                        lambda points: batches.append(len(points)) or values_at(points))
+    return batches
+
+
 def nonlinear_connection(conn: ConnectionProfile, p: TangentPoint) -> np.ndarray:
     """N^a_b = Gamma^a_bc xdot^c at p."""
     return np.einsum("abc,c->ab", christoffel_table(conn.k_values(p.t, p.r), p.theta),

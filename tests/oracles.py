@@ -20,7 +20,7 @@ import numpy as np
 from berwald.geodesic_engine import discrepancy, integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, CurvatureProfile, TangentPoint,
                                    bracket_vectors, curvature_profile)
-from berwald.metrizer import _PATH_TOL, NotClosed, PotentialSystem, RiemannForm
+from berwald.metrizer import PotentialSystem, RiemannForm
 from berwald.verifier import (CheckResult, SampleJets, VerificationError, _jets,
                               check_hessian)
 
@@ -97,24 +97,16 @@ def path_integral(P, Q, frm: tuple, to: tuple) -> float:
     """Integral of P dt + Q dr from ``frm`` to ``to`` along the L-shaped path.
 
     P, Q are expression text or ScalarFields in t and r.  The one-form is
-    certified with `PotentialSystem.certify`'s tolerances and errors on a
-    5 x 5 lattice over the bounding box and ``to``: closedness exactly at
-    each of them, the transport against the transposed path at every node
-    of the grid that they span.
+    certified (`PotentialSystem.certify`) on a 5 x 5 lattice over the
+    bounding box and ``to``: closedness exactly at each of them, the
+    transport against the transposed path at every node of the grid that
+    they span.
     """
     ts = np.linspace(min(frm[0], to[0]), max(frm[0], to[0]), 5)
     rs = np.linspace(min(frm[1], to[1]), max(frm[1], to[1]), 5)
     probes = [(a, b) for a in ts for b in rs] + [to]
     pot = PotentialSystem(["psi"], [P], [Q], frm)
-    # the sweep first, so that the curl check reads tabled values
-    path_res = pot.path_independence_residual(probes)
-    res = pot.closedness_residual(probes)
-    if res > 1e-8:
-        raise NotClosed("path integral: one-form not closed (curl residual %.3g > %.3g)"
-                        % (res, 1e-8))
-    if path_res > _PATH_TOL:
-        raise NotClosed("path integral: path-dependent transport (residual %.3g > %.3g)"
-                        % (path_res, _PATH_TOL))
+    pot.certify(probes, label="path integral")
     return pot.values(*to)["psi"]
 
 

@@ -5,7 +5,8 @@ from berwald.classifier import (_PROBE_THETA, _PROBE_VELOCITIES, InternalInconsi
                                 MixedClass, Tolerances, _proportionality_residuals,
                                 assign_class, check_finsler_constraints, classify)
 from berwald.geometry_core import (ConnectionProfile, CurvatureGrid, K10Degenerate,
-                                   TangentPoint, UnsupportedConnection, curvature_profile)
+                                   TangentPoint, UnsupportedConnection, curvature_grid,
+                                   curvature_profile)
 
 from conftest import (class5_broken_ricci, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, flat_spherical,
@@ -26,39 +27,43 @@ def schw_grid():
             for t in np.linspace(0.5, 2.5, 6) for r in np.linspace(2.2, 4.0, 6)]
 
 
+def constraints(conn: ConnectionProfile, grid) -> dict:
+    return check_finsler_constraints(conn, grid, curvature_grid(conn, grid))
+
+
 class TestConstraints:
     def test_power_law_residuals_vanish(self, grid):
-        res = check_finsler_constraints(power_law_nonsymmetric(3.0), grid)
+        res = constraints(power_law_nonsymmetric(3.0), grid)
         res.pop("__regime__")
         assert max(s.value for s in res.values()) < 1e-12
 
     def test_exponential_residuals_vanish(self, grid):
-        res = check_finsler_constraints(exponential_example(), grid)
+        res = constraints(exponential_example(), grid)
         res.pop("__regime__")
         scale = 1e3  # coefficients reach ~e^4 on this grid
         assert max(s.value for s in res.values()) < 1e-10 * scale
 
     def test_flat_trivially_zero(self, grid):
-        res = check_finsler_constraints(flat_cartesian(), grid)
+        res = constraints(flat_cartesian(), grid)
         regime = res.pop("__regime__")
         assert regime.at[0] == "w_zero"
         assert max(s.value for s in res.values()) == 0.0
 
     def test_k11_rejected(self, grid):
         with pytest.raises(UnsupportedConnection):
-            check_finsler_constraints(ConnectionProfile({11: "1"}), grid)
+            constraints(ConnectionProfile({11: "1"}), grid)
 
     def test_k10_degenerate(self):
         grid = [(t, r) for t in np.linspace(0.5, 2.5, 5) for r in (1.0, 2.0)]
         conn = ConnectionProfile({7: "1", 10: "t - 1"})
         with pytest.raises(K10Degenerate):
-            check_finsler_constraints(conn, grid)
+            constraints(conn, grid)
 
     def test_mixed_corner_regime(self):
         grid = [(t, 1.0) for t in (0.5, 1.0, 1.5)]
         conn = ConnectionProfile({10: "t - 1"})
         with pytest.raises(MixedClass):
-            check_finsler_constraints(conn, grid)
+            constraints(conn, grid)
 
 
 def _minor_residual(v1: np.ndarray, v2: np.ndarray, noise_floor: float) -> float:
@@ -111,12 +116,12 @@ class TestProportionalityResiduals:
 
 class TestAssignClass:
     def test_reference_assignments(self, grid):
-        assert assign_class(power_law_nonsymmetric(3.0), grid) == 1
-        assert assign_class(power_law_symmetric(), grid) == 1
-        assert assign_class(exponential_example(), grid) == 2
-        assert assign_class(flat_spherical(), grid) == 3
-        assert assign_class(flat_cartesian(), grid) == 4
-        assert assign_class(class5_curved_block(), grid) == 5
+        assert assign_class(curvature_grid(power_law_nonsymmetric(3.0), grid)) == 1
+        assert assign_class(curvature_grid(power_law_symmetric(), grid)) == 1
+        assert assign_class(curvature_grid(exponential_example(), grid)) == 2
+        assert assign_class(curvature_grid(flat_spherical(), grid)) == 3
+        assert assign_class(curvature_grid(flat_cartesian(), grid)) == 4
+        assert assign_class(curvature_grid(class5_curved_block(), grid)) == 5
 
     def test_power_law_D_value(self):
         # D = 2 - 2 alpha for the non-symmetric power-law family

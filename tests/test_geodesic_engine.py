@@ -8,7 +8,7 @@ from berwald.geodesic_engine import (_A, _B4, _B5, _C, ChartExit, StepFailure, T
 from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import build_class3, build_power_law
 
-from conftest import default_grid, flat_cartesian, power_law_nonsymmetric
+from conftest import count_values_at, default_grid, flat_cartesian, power_law_nonsymmetric
 from generators import make_class3
 
 
@@ -191,14 +191,14 @@ class TestFinslerFlow:
         scale = 1 + np.max(np.abs(tr_a.states))
         assert np.max(np.abs(tr_a.states - tr_f.states)) / scale < 1e-6
 
-    def test_potentials_carried_not_transported(self, ex1):
+    def test_potentials_carried_not_transported(self, ex1, monkeypatch):
         # the scale potential rides in the ODE state: only the start value is
-        # looked up, so the value cache gains at most that one entry
+        # looked up, with one one-point values_at
         conn, form = ex1
         p0 = TangentPoint(1.0, 2.0, math.pi / 2, 0.0, 0.2, 0.02, 0.01, 0.004)
-        cached = len(form.scale_pot._value_cache)
+        batches = count_values_at(monkeypatch, form.scale_pot)
         tr_f = integrate_finsler(form, p0, 0.5, 100)
-        assert len(form.scale_pot._value_cache) <= cached + 1
+        assert batches == [1]
         tr_a = integrate_spray(conn, p0, 0.5, 100)
         assert tr_f.states.shape == tr_a.states.shape
         scale = 1 + np.max(np.abs(tr_a.states))

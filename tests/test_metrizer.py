@@ -14,19 +14,24 @@ from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
                               LambdaNotConstant, MuNotConstant, NotClosed,
                               NotRiemannMetrizable, PathDependent, PotentialSystem,
                               PowerLawForm, RiemannForm,
-                              SingularQuadratic, _base_point, _grid_probes, build_class3,
+                              SingularQuadratic, _base_point, build_class3,
                               build_class4, build_class5, build_exponential,
                               build_power_law)
 from berwald.scalar_field import DomainError, ScalarField, compile_fields
 from berwald.verifier import check_horizontal_constancy, draw_jets, levi_civita_roundtrip
 
-from conftest import (admissible, class5_broken_ricci, class5_curved_block, default_grid,
-                      ex1_admissible, ex1_paper_L, ex2_paper_L, exp_admissible,
+from conftest import (admissible, class5_broken_ricci, class5_curved_block, count_values_at,
+                      default_grid, ex1_admissible, ex1_paper_L, ex2_paper_L, exp_admissible,
                       exp_paper_L, exponential_example, flat_cartesian,
                       flat_spherical, horizontal_residual, power_law_nonsymmetric,
                       power_law_symmetric)
 from generators import make_class3, make_class5
 from oracles import class3_delta, class5_det_formula, path_integral
+
+
+def _sparse_probes(grid) -> list:
+    """Nine nodes of ``grid``, evenly spaced in its order."""
+    return [grid[i] for i in np.linspace(0, len(grid) - 1, 9).astype(int)]
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +64,14 @@ class TestPathIntegral:
 
     def test_curl_is_checked_at_every_probe(self):
         # curl g'(t) h'(r) with g(t) = (t - 1) exp(-100 (t - 1)^2) and h the
-        # same in r - 2: 1 at the probe (1, 2), below 1e-40 at every other
+        # same in r - 2: 1 at the node (1, 2), below 1e-40 at every other
         # lattice point, and g, h vanish at every node, so both sweeps agree
         P, Q = "0", "(t - 1) * exp(-100 * (t - 1)^2) * (1 - 200 * (r - 2)^2) * exp(-100 * (r - 2)^2)"
         lattice = [(float(t), float(r)) for t in range(5) for r in range(5)]
         probes = lattice + [(4.0, 4.0)]
-        assert (1.0, 2.0) not in _grid_probes(probes)
-        PotentialSystem(["psi"], [P], [Q], (0.0, 0.0)).certify(probes)
+        assert (1.0, 2.0) not in _sparse_probes(probes)
+        with pytest.raises(NotClosed, match="curl residual 1 "):
+            PotentialSystem(["psi"], [P], [Q], (0.0, 0.0)).certify(probes)
         with pytest.raises(NotClosed, match="curl residual 1 "):
             path_integral(P, Q, (0.0, 0.0), (4.0, 4.0))
 
@@ -84,7 +90,7 @@ class TestPotentialSystem:
         # d(psi) = r dt is not closed: the t-first and r-first transports to
         # (t, r) differ by (t - 0.5)(r - 0.5), relative gap 2/3 at (1.5, 1.5)
         window = [(t, r) for t in np.linspace(0.5, 1.5, 4) for r in np.linspace(0.5, 1.5, 4)]
-        probes = _grid_probes(window)
+        probes = _sparse_probes(window)
 
         def system():
             return PotentialSystem(["psi"], ["r"], ["0"], (0.5, 0.5))
@@ -109,7 +115,7 @@ class TestPotentialSystem:
             [(0.0, 0.0)]) == 2.0
         # the class-5 form reads second partials of the k_i; its curl is rounding
         pot = build_class5(class5_curved_block(), grid).meta["potentials"]
-        assert pot.closedness_residual(_grid_probes(grid)) < 1e-12
+        assert pot.closedness_residual(_sparse_probes(grid)) < 1e-12
 
     def test_non_finite_curl_is_an_error_not_a_pass(self):
         """A NaN curl would certify: max() passes over it, and NaN > tol is
@@ -221,7 +227,7 @@ class TestPanelTransport:
         def certified():
             pot = PotentialSystem(["psi"], ["cos(t)*r + r^2*exp(t)"],
                                   ["sin(t) + 2*r*exp(t)"], _base_point(grid))
-            pot.certify(_grid_probes(grid))
+            pot.certify(_sparse_probes(grid))
             return pot
 
         forward, backward = certified(), certified()
@@ -238,19 +244,20 @@ class TestBatchedTransport:
         lambda g: build_exponential(exponential_example(), g).scale_pot,
         _c3_pots,
     ], ids=["example1", "exponential", "class3"])
-    def test_a_value_does_not_depend_on_its_batch(self, build):
+    def test_a_value_does_not_depend_on_its_batch(self, build, monkeypatch):
         grid = default_grid(5)
         points = [tuple(q) for q in np.random.default_rng(3).uniform(0.6, 2.4, size=(50, 2))]
         pot = build(grid)
-        cached = len(pot._value_cache)
         alone = [pot.values_at([q])[0] for q in points]
         batch = pot.values_at(points)
         backwards = build(grid).values_at(points[::-1])[::-1]
         assert all(np.array_equal(a, b) for a, b in zip(alone, batch))
         assert np.array_equal(batch, backwards)
-        # off the table nothing is cached, but values() stores its one point
-        assert len(pot._value_cache) == cached
-        assert np.array_equal([pot.values(*points[0])[n] for n in pot.names], batch[0])
+        # values() is one one-point values_at, and stores nothing
+        batches = count_values_at(monkeypatch, pot)
+        for _ in range(2):
+            assert np.array_equal(list(pot.values(*points[0]).values()), batch[0])
+        assert batches == [1, 1]
 
     def test_sweeps_that_agree_at_the_probes_only_are_refused(self):
         """d(psi) = -bump(r) dt has curl bump'(r), zero off r in (0.69, 0.89),
@@ -263,7 +270,7 @@ class TestBatchedTransport:
         def system():
             return PotentialSystem(["psi"], ["-" + bump], ["0"], _base_point(grid))
 
-        probes = _grid_probes(grid)
+        probes = _sparse_probes(grid)
         assert grid[2][1] not in {r for _, r in probes}
         assert system().path_independence_residual(probes) == 0.0
         assert system().closedness_residual(probes) == 0.0
@@ -639,11 +646,10 @@ class TestClass3:
         pots = riem.scale_pot
         vals = pots.values(1.23, 1.37)
         G, M = vals["G"], vals["M"]
-        P = pots._one_form_jets(1.23, 1.37, tuple(float(vals[n]) for n in pots.names))
+        P = pots._forms(1.23, 1.37, [float(vals[n]) for n in pots.names])
         m_shift = riem.meta["m_shift"]
         att_dt = riem.coefficient_table([(1.23, 1.37)])[0, 0, 1]
-        assert att_dt == pytest.approx(math.exp(G) * (P[0].value * (M + m_shift) + P[2].value),
-                                       rel=1e-12)
+        assert att_dt == pytest.approx(math.exp(G) * (P[0] * (M + m_shift) + P[2]), rel=1e-12)
 
     def test_coefficient_table_raises_at_the_first_failing_node(self):
         """Failing and passing nodes in one run: the first failing node in

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from berwald import scalar_field
 from berwald.geometry_core import ConnectionProfile, TangentPoint
-from berwald.metrizer import ExpressionForm, PotentialSystem
+from berwald.metrizer import ExpressionForm, PotentialSystem, partials_program
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
                                   Neg, Num, Param, ScalarField, UnboundParameter,
                                   UnknownIdentifier, Var, compile_expression, compile_fields,
@@ -529,14 +529,17 @@ def test_jets_fail_with_domain_error():
     for src in ("sin(t)", "cos(t)", "tan(t)"):   # math.sin(inf) raises ValueError
         with pytest.raises(DomainError):
             ScalarField(src).jet(math.inf, 1.0)
-    pot = PotentialSystem(["psi"], ["1/t"], ["0"], (1.0, 1.0))
-    with pytest.raises(DomainError):   # the one-form jets of a potential, too
-        pot._one_form_jets(1e-170, 1.0, (0.0,))
-    # ordinary v keep the derivative rules' arithmetic
+    pot = PotentialSystem(["psi"], ["1/t"], ["0"], (1e-170, 1.0))
+    with pytest.raises(DomainError, match="P_psi jet is not finite"):   # a curl check, too
+        pot.closedness_residual([(1e-170, 1.0)])
+    # ordinary v keep the derivative rules' arithmetic, on floats and arrays
     v = 0.3
     assert ScalarField("1/t").jet(v, 1.0) == (1.0 / v, -(1.0 / v) / v, 0.0)
     assert ScalarField("ln(t)").jet(v, 1.0) == (math.log(v), 1.0 / v, 0.0)
-    assert pot._one_form_jets(v, 1.0, (0.0,))[0] == (1.0 / v, -(1.0 / v) / v, 0.0)
+    out, ok = partials_program(pot._pq, pot).on_arrays(
+        {"t": np.array([1e-170, v]), "r": np.ones(2), "psi": np.zeros(2)})
+    assert ok.tolist() == [False, True]
+    assert tuple(out[1, :3]) == (1.0 / v, -(1.0 / v) / v, 0.0)
 
 
 # -- derivative: forward mode by source transformation -----------------------

@@ -16,7 +16,7 @@ from berwald.verifier import (CheckResult, ResidualReport, berwald_check, check_
                               levi_civita_roundtrip, VerificationError)
 
 from conftest import (Scaled, admissible, class5_broken_ricci, class5_curved_block,
-                      default_grid, exponential_example, flat_cartesian, nonlinear_connection,
+                      count_values_at, default_grid, exponential_example, flat_cartesian, nonlinear_connection,
                       power_law_nonsymmetric, power_law_symmetric)
 from oracles import (Degenerate, geodesic_agreement, riemann_falsification, sample_jets,
                      signature_observation)
@@ -507,35 +507,31 @@ class TestGeodesicAgreement:
         assert res.passed
         assert res.extra["trajectory_discrepancy"] < 1e-9
 
-    def test_class4_flow_carries_its_potentials(self, forms):
+    def test_class4_flow_carries_its_potentials(self, forms, monkeypatch):
         # the flat metric h rides in the ODE state: the Euler-Lagrange flow
-        # reads the value cache at the start point only
+        # reads the potentials at the start point only
         conn, A = forms["flat"]
-        cached = len(A.scale_pot._value_cache)
+        batches = count_values_at(monkeypatch, A.scale_pot)
         p0 = TangentPoint(1.0, 1.0, math.pi / 2, 0.0, 1.0, 0.5, 0.0, 0.0)
         tr_f = integrate_finsler(A, p0, 1.0, 100)
-        assert len(A.scale_pot._value_cache) <= cached + 1
+        assert batches == [1]
         tr_a = integrate_spray(conn, p0, 1.0, 100)
         assert float(np.max(np.abs(tr_f.states - tr_a.states))) < 1e-9
 
     def test_L_drift_reads_every_state_in_one_batch(self, forms, monkeypatch):
         """The potentials at the 100 states of the autoparallel come from one
-        `values_at` call; `values` runs once, at the Finsler flow's start,
-        and the value cache keeps at most that one point."""
+        `values_at` call; `values`, one one-point `values_at`, runs once, at
+        the Finsler flow's start."""
         conn, A = forms["flat"]
         pots = A.scale_pot
-        batches, single = [], []
-        values_at, values = pots.values_at, pots.values
-        monkeypatch.setattr(pots, "values_at",
-                            lambda points: batches.append(len(points)) or values_at(points))
+        single, values = [], pots.values
+        batches = count_values_at(monkeypatch, pots)
         monkeypatch.setattr(pots, "values", lambda t, r: single.append((t, r)) or values(t, r))
-        cached = len(pots._value_cache)
         p0 = TangentPoint(1.1, 1.3, math.pi / 2, 0.0, 1.0, 0.5, 0.0, 0.0)
         res = geodesic_agreement(A, conn, p0, T=1.0, n_out=100)
         assert res.passed
         assert single == [(1.1, 1.3)]
         assert batches == [1, 100]
-        assert len(pots._value_cache) <= cached + 1
 
     def test_power_law_dual_integrators(self, forms):
         conn, form = forms["ex1"]
