@@ -26,8 +26,8 @@ from .classifier import (ClassificationReport, ClassifierError, Tolerances, clas
 from .geodesic_engine import (ChartExit, StepFailure, discrepancy, integrate_finsler,
                               integrate_spray)
 from .geometry_core import ConnectionProfile, GeometryError, TangentPoint
-from .metrizer import (MetrizerError, NotRiemannMetrizable, build_class3, build_class4,
-                       build_class5, build_exponential, build_power_law)
+from .metrizer import (SIGNATURES, MetrizerError, NotRiemannMetrizable, build_class3,
+                       build_class4, build_class5, build_exponential, build_power_law)
 from .scalar_field import (FUNCTIONS, ExpressionError, Param, compile_expression,
                            parameter_names, parse)
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
@@ -146,6 +146,8 @@ def _parse_range(text: str):
     if len(parts) != 3:
         raise ValueError("expected lo:hi:n")
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("range bounds must be finite")
     if n < 2 or hi <= lo:
         raise ValueError("range needs hi > lo and n >= 2")
     return lo, hi, n
@@ -213,10 +215,13 @@ def load_config(path: str) -> JobConfig:
             elif section == "task":
                 if key == "signature":
                     cfg.signature = value.lower()
-                elif key == "c1":
-                    cfg.c1 = float(value)
-                elif key == "c2":
-                    cfg.c2 = float(value)
+                    if cfg.signature not in SIGNATURES:
+                        raise ValueError("signature must be one of %s" % ", ".join(SIGNATURES))
+                elif key in ("c1", "c2"):   # the class-5 constants
+                    c = float(value)
+                    if not (math.isfinite(c) and c != 0.0):
+                        raise ValueError("%s must be a finite, nonzero number" % key)
+                    setattr(cfg, key, c)
                 elif key == "theta_choice":
                     cfg.theta_choice = value
                 else:

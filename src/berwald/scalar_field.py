@@ -17,7 +17,6 @@ import math
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass, fields
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -63,15 +62,15 @@ class DomainError(ExpressionError):
 FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 VARIABLES = ("t", "r")
 
-# Nodes are hash-consed: each class's constructor returns the one live node of
-# its structure, so equal subexpressions are one object, ``==`` is identity,
-# and every walk memoized on ``id`` visits each distinct subexpression once.
-# `_INTERNED` maps a node's key to a weak reference, dropped when the node
-# dies.  A key is the class and the fields, a child by its ``id``, which is
-# safe because a node holds its children alive.  Numbers are keyed on their
-# type and value, a zero on its repr, so 0.0 and -0.0, or 1 and 1.0, stay
-# apart as `compile_program`'s registers do (the repr of every number made
-# parsing a tenth slower).
+# Nodes are hash-consed: `_Node`'s one constructor returns the one live node
+# of its structure, so equal subexpressions are one object, ``==`` is
+# identity, and every walk memoized on ``id`` visits each distinct
+# subexpression once.  `_INTERNED` maps a node's key to a weak reference,
+# dropped when the node dies.  A key is the class and the fields; a child
+# hashes and compares by identity, and the key holds it no longer than the
+# node does.  Numbers are keyed on their type and value, a zero on its repr,
+# so 0.0 and -0.0, or 1 and 1.0, stay apart as `compile_program`'s registers
+# do (the repr of every number made parsing a tenth slower).
 _INTERNED = {}
 _set = object.__setattr__
 
@@ -87,132 +86,76 @@ def _forget(entry, drop=_remove_dead_weakref, table=_INTERNED):
     drop(table, entry.key)
 
 
-def _keep(key, node):
-    """Enter ``node`` in `_INTERNED` under ``key`` until it dies."""
-    entry = _INTERNED[key] = _Entry(node, _forget)
-    entry.key = key
+class _Node:
+    """An interned, immutable expression node.  A kind declares its fields
+    once, ``__slots__ = _fields = (...)``, and is built from them in order."""
+    __slots__ = ("__weakref__",)
+    _fields = ()
+    _key = None   # a classmethod where the key is not (kind, *fields)
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class Num:
-    __slots__ = ("value", "__weakref__")
-    value: float
-
-    def __new__(cls, value):
-        key = (cls, type(value), value if value else repr(value))
+    def __new__(cls, *fields):
+        key = (cls, *fields) if cls._key is None else cls._key(*fields)
         ref = _INTERNED.get(key)
         node = ref and ref()
         if node is None:
+            if len(fields) != len(cls._fields):
+                raise TypeError("%s takes %s" % (cls.__name__, ", ".join(cls._fields)))
             node = object.__new__(cls)
-            _set(node, "value", value)
-            _keep(key, node)
+            for name, value in zip(cls._fields, fields):
+                _set(node, name, value)
+            entry = _INTERNED[key] = _Entry(node, _forget)
+            entry.key = key
         return node
 
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot set %r: expression nodes are immutable" % name)
 
-@dataclass(frozen=True, eq=False, init=False)
-class Var:
-    __slots__ = ("name", "__weakref__")
-    name: str
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r: expression nodes are immutable" % name)
 
-    def __new__(cls, name):
-        key = (cls, name)
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "name", name)
-            _keep(key, node)
-        return node
+    def __repr__(self, depth: int = 6) -> str:
+        """The node's fields down to ``depth`` levels, "..." below: a shared
+        subexpression prints where it occurs, so the whole text can be
+        exponentially longer than the DAG."""
+        if depth == 0:
+            return "..."
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%s" % (name, x.__repr__(depth - 1) if isinstance(x, _Node) else repr(x))
+            for name, x in zip(self._fields, self._parts())))
 
-
-@dataclass(frozen=True, eq=False, init=False)
-class Param:
-    __slots__ = ("name", "__weakref__")
-    name: str
-
-    def __new__(cls, name):
-        key = (cls, name)
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "name", name)
-            _keep(key, node)
-        return node
+    def _parts(self) -> list:
+        return [getattr(self, name) for name in self._fields]
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Neg:
-    __slots__ = ("arg", "__weakref__")
-    arg: "Expression"
+class Num(_Node):
+    __slots__ = _fields = ("value",)
 
-    def __new__(cls, arg):
-        key = (cls, id(arg))
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "arg", arg)
-            _keep(key, node)
-        return node
+    @classmethod
+    def _key(cls, value):
+        return (cls, type(value), value if value else repr(value))
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class BinOp:
-    __slots__ = ("op", "left", "right", "__weakref__")
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
-
-    def __new__(cls, op, left, right):
-        key = (cls, op, id(left), id(right))
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "op", op)
-            _set(node, "left", left)
-            _set(node, "right", right)
-            _keep(key, node)
-        return node
+class Var(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Call:
-    __slots__ = ("fn", "arg", "__weakref__")
-    fn: str
-    arg: "Expression"
+class Param(_Node):
+    __slots__ = _fields = ("name",)
 
-    def __new__(cls, fn, arg):
-        key = (cls, fn, id(arg))
-        ref = _INTERNED.get(key)
-        node = ref and ref()
-        if node is None:
-            node = object.__new__(cls)
-            _set(node, "fn", fn)
-            _set(node, "arg", arg)
-            _keep(key, node)
-        return node
+
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+
+class BinOp(_Node):
+    __slots__ = _fields = ("op", "left", "right")   # op: one of + - * / ^
+
+
+class Call(_Node):
+    __slots__ = _fields = ("fn", "arg")
 
 
 Expression = Union[Num, Var, Param, Neg, BinOp, Call]
-_NODES = Expression.__args__
-
-
-def _node_repr(e, depth: int = 6) -> str:
-    """The dataclass repr of a node down to ``depth`` levels, "..." below: a
-    shared subexpression prints where it occurs, so the whole text can be
-    exponentially longer than the DAG."""
-    if not isinstance(e, _NODES):
-        return repr(e)
-    if depth == 0:
-        return "..."
-    return "%s(%s)" % (type(e).__name__, ", ".join(
-        "%s=%s" % (f.name, _node_repr(getattr(e, f.name), depth - 1)) for f in fields(e)))
-
-
-for _node in _NODES:
-    _node.__repr__ = _node_repr
 
 
 # ---------------------------------------------------------------------------
@@ -586,17 +529,11 @@ def _rewrite(e: Expression, memo: dict) -> Expression:
     def sub(x):
         y = memo.get(x)
         if y is None:
-            if isinstance(x, (Num, Var, Param)):
-                y = x
-            elif isinstance(x, Neg):
-                y = Neg(sub(x.arg))
-            elif isinstance(x, Call):
-                y = Call(x.fn, sub(x.arg))
-            elif isinstance(x, BinOp):
-                y = BinOp(x.op, sub(x.left), sub(x.right))
-            else:
+            if not isinstance(x, _Node):
                 raise TypeError("not an expression node: %r" % (x,))
-            memo[x] = y
+            parts = x._parts()
+            kids = [sub(f) if isinstance(f, _Node) else f for f in parts]
+            y = memo[x] = x if kids == parts else type(x)(*kids)
         return y
 
     out = sub(e)
@@ -615,10 +552,7 @@ def parameter_names(e: Expression) -> set:
         seen.add(id(x))
         if isinstance(x, Param):
             names.add(x.name)
-        elif isinstance(x, (Neg, Call)):
-            todo.append(x.arg)
-        elif isinstance(x, BinOp):
-            todo += (x.left, x.right)
+        todo += [f for f in x._parts() if isinstance(f, _Node)]
     return names
 
 
@@ -704,9 +638,12 @@ def derivative(e: Expression, var: str) -> Expression:
 # ---------------------------------------------------------------------------
 
 def _fmt_num(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+    """The shortest text that parses to the float of ``v``, its sign too (a
+    numpy scalar prints as a float, an integral value without ".0")."""
+    if not math.isfinite(v):
+        raise ExpressionError("the number %r has no source text" % (v,))
+    text = repr(float(v))
+    return text[:-2] if text.endswith(".0") else text
 
 
 def to_source(e: Expression) -> str:
@@ -714,7 +651,7 @@ def to_source(e: Expression) -> str:
 
     def atom_str(x: Expression) -> str:
         s = emit(x)
-        if isinstance(x, (Num, Var, Param, Call)):
+        if isinstance(x, (Var, Param, Call)) or isinstance(x, Num) and s[0] != "-":
             return s
         return "(" + s + ")"
 

@@ -542,6 +542,25 @@ def test_params_key_that_is_not_a_parameter_is_a_config_error(cfg_file, capsys, 
         "config error: %s:6: %r is not a parameter name: t and r are variables" % (path, name))
 
 
+@pytest.mark.parametrize("section, line, message", [
+    ("grid", "t = 0:inf:3", "range bounds must be finite"),
+    ("grid", "t = nan:1:3", "range bounds must be finite"),
+    ("grid", "r = 2.5:0.5:3", "range needs hi > lo and n >= 2"),
+    ("grid", "r = 0.5:2.5:1", "range needs hi > lo and n >= 2"),
+    ("task", "signature = foo", "signature must be one of lorentzian, euclidean"),
+    ("task", "c1 = 0", "c1 must be a finite, nonzero number"),
+    ("task", "c1 = nan", "c1 must be a finite, nonzero number"),
+    ("task", "c2 = inf", "c2 must be a finite, nonzero number"),
+    ("task", "c2 = -0.0", "c2 must be a finite, nonzero number")])
+def test_bad_grid_and_task_values_are_config_errors(cfg_file, capsys, section, line, message):
+    """A value no construction can use is refused where it is read: a class-4
+    signature that does not exist, a class-5 constant that is zero or not
+    finite, a grid range with a bound that is not finite (NaN passes hi <= lo)."""
+    path = cfg_file("[connection]\nk2 = r\nk4 = r*exp(r^2)\n\n[%s]\n%s\n" % (section, line))
+    assert main(["verify", path, "--quiet"]) == EXIT_FAIL
+    assert capsys.readouterr().err == "config error: %s:6: %s\n" % (path, message)
+
+
 class TestOutputPaths:
     STATE = ["--state", "1.0,1.0,1.5707963267948966,0,1.0,0.5,0.0,0.0", "--T", "0.5"]
 

@@ -3,11 +3,13 @@ outputs, byte for byte.
 
 The reports under ``golden/`` pin the default JSON output: Example 1 (with
 its parameter and require lines), the exponential example, a class-3
-fixture (``make_class3(41)``) and the flat class-4 connection, whose
-potential reads itself, each at ``--grid 7x7`` with 20 samples.  A
-change that moves any number, key or verdict in them fails here; one that
-means to do so regenerates the reports and says why.  The reports hold no
-path, so they are also the same under every PYTHONHASHSEED.
+fixture (``make_class3(41)``), the flat class-4 connection, whose
+potential reads itself, and the class-4 connection k1 = 1, k5 = 1/r, the
+one whose transport of h redoes lines gap by gap and bisects gaps, each at
+``--grid 7x7`` with 20 samples.  A change that moves any number, key or
+verdict in them fails here; one that means to do so regenerates the reports
+and says why.  The reports hold no path, so they are also the same under
+every PYTHONHASHSEED.
 
 The Finsler examples also pin `geodesic --both` over T = 0.1 at 20 states:
 both trajectory files (``<name>.traj``, ``<name>.traj.finsler``) and the
@@ -25,7 +27,8 @@ from berwald.cli import EXIT_OK, main
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
-@pytest.mark.parametrize("name", ["ex1", "exponential", "class3", "flat_cartesian"])
+@pytest.mark.parametrize("name", ["ex1", "exponential", "class3", "flat_cartesian",
+                                  "class4_general"])
 def test_verify_report_is_byte_identical(name, tmp_path):
     out = tmp_path / ("%s.json" % name)
     rc = main(["verify", os.path.join(GOLDEN, name + ".cfg"), "--grid", "7x7",

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 from berwald import scalar_field
 from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import ExpressionForm, PotentialSystem, partials_program
-from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionSyntaxError,
-                                  Neg, Num, Param, ScalarField, UnboundParameter,
-                                  UnknownIdentifier, Var, compile_expression, compile_fields,
-                                  compile_program, derivative, parse, substitute, to_source)
+from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionError,
+                                  ExpressionSyntaxError, Neg, Num, Param, ScalarField,
+                                  UnboundParameter, UnknownIdentifier, Var, compile_expression,
+                                  compile_fields, compile_program, derivative, parse, substitute,
+                                  to_source)
 
 from conftest import assert_program_matches_fields, to_sympy
 
@@ -577,6 +578,34 @@ def test_derivative_matches_sympy_and_the_jets(e, var, t, r):
     assert (j.dt if var == "t" else j.dr) == d
 
 
+@given(ASTS, st.floats(0.3, 2.0), st.floats(0.3, 2.0))
+@settings(max_examples=300, deadline=None)
+def test_printed_ast_parses_to_the_same_values(e, t, r):
+    """``parse(to_source(e))`` raises where e raises and gives e's value bit
+    for bit elsewhere, also with a negative number under a unary minus."""
+    env = {"t": t, "r": r}
+    try:
+        value = evaluate(e, env)
+    except (DomainError, OverflowError) as exc:
+        with pytest.raises(type(exc)):
+            evaluate(parse(to_source(e)), env)
+        return
+    assert repr(evaluate(parse(to_source(e)), env)) == repr(value)
+
+
+def test_printer_parenthesizes_negative_numbers_and_refuses_non_finite_ones():
+    assert to_source(Neg(Num(-2.0))) == "-(-2)"
+    assert ScalarField("-(a*t)", {"a": -2}).derivative("t").source() == "-(-2)"
+    assert to_source(BinOp("-", Var("t"), Num(-1.5))) == "t - -1.5"   # as before
+    # a numpy parameter prints as its float, a negative zero keeps its sign
+    assert ScalarField("a*t", {"a": np.float64(0.1)}).source() == "0.1 * t"
+    zeros = BinOp("+", Num(-0.0), Num(-0.0))
+    assert repr(evaluate(parse(to_source(zeros)), {})) == repr(evaluate(zeros, {})) == "-0.0"
+    for v in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ExpressionError, match="has no source text"):
+            to_source(BinOp("*", Num(v), Var("t")))
+
+
 def test_derivative_folds_only_zeros_and_ones_and_shares_subtrees():
     d = derivative(parse("t*r + 3*sin(r)"), "t")
     assert d == Var("r")                                  # 1*r + t*0 + 3*0 folded
@@ -617,6 +646,13 @@ class TestInterning:
             setattr(node, field, Var("r"))
         with pytest.raises(AttributeError):
             delattr(node, field)
+
+    def test_a_node_takes_exactly_its_fields(self):
+        for args in (("+", Var("t")), ("+", Var("t"), Var("r"), Var("r"))):
+            with pytest.raises(TypeError, match="BinOp takes op, left, right"):
+                BinOp(*args)
+        with pytest.raises(TypeError):
+            Num()
 
     def test_field_algebra_of_equal_operands_is_one_node(self):
         def build():
