@@ -26,8 +26,9 @@ from .classifier import (ClassificationReport, ClassifierError, Tolerances, clas
 from .geodesic_engine import (ChartExit, StepFailure, discrepancy, integrate_finsler,
                               integrate_spray)
 from .geometry_core import ConnectionProfile, GeometryError, TangentPoint
-from .metrizer import (SIGNATURES, MetrizerError, NotRiemannMetrizable, build_class3,
-                       build_class4, build_class5, build_exponential, build_power_law)
+from .metrizer import (_THETA_BUILTINS, SIGNATURES, MetrizerError, NotRiemannMetrizable,
+                       build_class3, build_class4, build_class5, build_exponential,
+                       build_power_law)
 from .scalar_field import (FUNCTIONS, ExpressionError, Param, compile_expression,
                            parameter_names, parse)
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
@@ -222,7 +223,13 @@ def load_config(path: str) -> JobConfig:
                     if not (math.isfinite(c) and c != 0.0):
                         raise ValueError("%s must be a finite, nonzero number" % key)
                     setattr(cfg, key, c)
-                elif key == "theta_choice":
+                elif key == "theta_choice":   # a built-in name, or Theta as an expression in z
+                    if value not in _THETA_BUILTINS:
+                        other = sorted(parameter_names(parse(value)) - {"z"})
+                        if other:
+                            raise ValueError("theta_choice must be %s or an expression in z "
+                                             "alone: it reads parameter %r"
+                                             % (", ".join(_THETA_BUILTINS), other[0]))
                     cfg.theta_choice = value
                 else:
                     raise ValueError("unknown task key %r" % key)

@@ -846,28 +846,44 @@ def build_class3_potentials(conn: ConnectionProfile, grid: Sequence[tuple]) -> P
 
 
 def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureGrid):
-    """Shift of the free additive constant in M keeping Delta away from zero."""
+    """Shift of the free additive constant in M keeping Delta away from zero.
+
+    The candidate with the largest score (min |Delta| over the grid), the
+    first in list order on a tie.  A midpoint between two forbidden shifts
+    scores at most the smaller of the two nodes' terms, so candidates are
+    scored in decreasing order of that bound until none left can win."""
     vals = dict(zip(pots.names, pots.values_at(grid).T))
     G, K, M = (vals[n] for n in ("G", "K", "M"))
     a, b, c = cg.abc.T
     wgt = np.exp(G) * (2.0 * a * b + c)
     delta0 = M * wgt - b * b * np.exp(2.0 * K)
     scale = 1.0 + float(np.max(np.abs(delta0))) + float(np.max(np.abs(wgt)))
-    forbidden = sorted(-delta0[np.abs(wgt) > 1e-12 * scale] / wgt[np.abs(wgt) > 1e-12 * scale])
+    keep = np.abs(wgt) > 1e-12 * scale
+    roots = -delta0[keep] / wgt[keep]
+    order = np.argsort(roots, kind="stable")
+    forbidden, d0, w = roots[order], delta0[keep][order], wgt[keep][order]
     candidates = [0.0, 1.0, -1.0, 2.0, -2.0]
-    if forbidden:
-        lo, hi = forbidden[0] - 1.0, forbidden[-1] + 1.0
-        candidates += [lo, hi]
-        candidates += [0.5 * (forbidden[i] + forbidden[i + 1]) for i in range(len(forbidden) - 1)]
+    bounds = np.full(len(candidates), np.inf)
+    if len(forbidden):
+        mid = 0.5 * (forbidden[:-1] + forbidden[1:])
+        candidates += [forbidden[0] - 1.0, forbidden[-1] + 1.0] + list(mid)
+        bounds = np.concatenate([bounds, [np.inf, np.inf], np.minimum(
+            np.abs(d0[:-1] + mid * w[:-1]), np.abs(d0[1:] + mid * w[1:]))])
 
     def score(m):
         return float(np.min(np.abs(delta0 + m * wgt)))
 
-    best = max(candidates, key=score)
-    if score(best) <= 1e-6 * scale:
+    best, top = None, -math.inf
+    for i in np.argsort(-bounds, kind="stable").tolist():
+        if top > bounds[i]:
+            break
+        s = score(candidates[i])
+        if s > top or (s == top and i < best):
+            best, top = i, s
+    if top <= 1e-6 * scale:
         raise DeltaVanishes("no additive constant for M keeps Delta away from zero "
-                            "(best min |Delta| = %.3g)" % score(best))
-    return best
+                            "(best min |Delta| = %.3g)" % top)
+    return candidates[best]
 
 
 def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],

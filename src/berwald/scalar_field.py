@@ -70,7 +70,8 @@ VARIABLES = ("t", "r")
 # hashes and compares by identity, and the key holds it no longer than the
 # node does.  Numbers are keyed on their type and value, a zero on its repr,
 # so 0.0 and -0.0, or 1 and 1.0, stay apart as `compile_program`'s registers
-# do (the repr of every number made parsing a tenth slower).
+# do (the repr of every number made parsing a tenth slower).  A node keeps
+# the set of leaves it reads (`_Node.leaves`), a function of its structure.
 _INTERNED = {}
 _set = object.__setattr__
 
@@ -89,7 +90,7 @@ def _forget(entry, drop=_remove_dead_weakref, table=_INTERNED):
 class _Node:
     """An interned, immutable expression node.  A kind declares its fields
     once, ``__slots__ = _fields = (...)``, and is built from them in order."""
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_leaves")
     _fields = ()
     _key = None   # a classmethod where the key is not (kind, *fields)
 
@@ -126,6 +127,30 @@ class _Node:
     def _parts(self) -> list:
         return [getattr(self, name) for name in self._fields]
 
+    def leaves(self) -> frozenset:
+        """The `Var` and `Param` nodes this node reads, found on first use
+        and kept: a node reuses a child's set where the others add nothing."""
+        try:
+            return self._leaves
+        except AttributeError:
+            pass
+        out = frozenset()
+        for x in self._parts():
+            if isinstance(x, _Node):
+                s = x.leaves()
+                out = s if out <= s else out if s <= out else out | s
+        _set(self, "_leaves", out)
+        return out
+
+
+class _Leaf(_Node):
+    """A `Var` or `Param`: the one leaf it reads is itself, a set not kept,
+    as a node holding a set that holds the node would be a reference cycle."""
+    __slots__ = ()
+
+    def leaves(self) -> frozenset:
+        return frozenset((self,))
+
 
 class Num(_Node):
     __slots__ = _fields = ("value",)
@@ -135,11 +160,11 @@ class Num(_Node):
         return (cls, type(value), value if value else repr(value))
 
 
-class Var(_Node):
+class Var(_Leaf):
     __slots__ = _fields = ("name",)
 
 
-class Param(_Node):
+class Param(_Leaf):
     __slots__ = _fields = ("name",)
 
 
@@ -411,7 +436,7 @@ def compile_program(exprs):
     regs = [None]        # register 0 holds env during a call
     code = []
     index = {}           # (type, repr) of a constant -> its register
-    memo = {}            # id(node) -> its register
+    memo = {}            # node -> its register
 
     def constant(v):
         key = (type(v), repr(v))
@@ -421,25 +446,27 @@ def compile_program(exprs):
         return index[key]
 
     def visit(e):
-        if id(e) in memo:
-            return memo[id(e)]
-        if isinstance(e, Num):
-            memo[id(e)] = constant(e.value)
-            return memo[id(e)]
-        if isinstance(e, (Var, Param)):   # loads the name in register b from env
-            op, a, b = "var" if isinstance(e, Var) else "param", 0, constant(e.name)
-        elif isinstance(e, Neg):
-            op, a, b = "neg", visit(e.arg), None
-        elif isinstance(e, Call) and e.fn in FUNCTIONS:
-            op, a, b = e.fn, visit(e.arg), None
-        elif isinstance(e, BinOp) and e.op in ("+", "-", "*", "/", "^"):
+        i = memo.get(e)
+        if i is not None:
+            return i
+        kind = type(e)
+        if kind is BinOp and e.op in ("+", "-", "*", "/", "^"):
             op, a, b = e.op, visit(e.left), visit(e.right)
+        elif kind is Num:
+            i = memo[e] = constant(e.value)
+            return i
+        elif kind is Call and e.fn in FUNCTIONS:
+            op, a, b = e.fn, visit(e.arg), None
+        elif kind is Neg:
+            op, a, b = "neg", visit(e.arg), None
+        elif kind is Var or kind is Param:   # loads the name in register b from env
+            op, a, b = "var" if kind is Var else "param", 0, constant(e.name)
         else:
             raise TypeError("not an expression node: %r" % (e,))
-        memo[id(e)] = len(regs)
-        code.append((op, len(regs), a, b))
+        i = memo[e] = len(regs)
+        code.append((op, i, a, b))
         regs.append(None)
-        return memo[id(e)]
+        return i
 
     outs = [visit(e) for e in exprs]
     del visit   # a recursive closure: free the memo now, not at a gc pass
@@ -542,18 +569,8 @@ def _rewrite(e: Expression, memo: dict) -> Expression:
 
 
 def parameter_names(e: Expression) -> set:
-    """Names of the parameters ``e`` reads, each distinct subexpression
-    visited once."""
-    names, seen, todo = set(), set(), [e]
-    while todo:
-        x = todo.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if isinstance(x, Param):
-            names.add(x.name)
-        todo += [f for f in x._parts() if isinstance(f, _Node)]
-    return names
+    """Names of the parameters ``e`` reads: its `Param` leaves."""
+    return {x.name for x in e.leaves() if type(x) is Param}
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -586,14 +603,18 @@ def derivative(e: Expression, var: str) -> Expression:
     evaluator with the same domain checks (a quotient still divides by its
     denominator, d sqrt(u) divides by sqrt(u), d|u| by |u|).  Only 0*x, x+0
     and 1*x are folded.  Shared subtrees, also of different members of a
-    tuple, are differentiated once.
+    tuple, are differentiated once.  A subtree that reads no leaf named
+    ``var`` is not visited: its partial is `Num(0.0)`, as the rules would
+    fold it.
     """
     memo = {}
+    named = (Var(var), Param(var))
 
     def d(x):
-        if id(x) not in memo:
-            memo[id(x)] = rule(x)
-        return memo[id(x)]
+        y = memo.get(x)
+        if y is None:
+            y = memo[x] = _ZERO if x.leaves().isdisjoint(named) else rule(x)
+        return y
 
     def rule(x):
         if isinstance(x, Num):

@@ -3,9 +3,11 @@
 None of these runs in a command.  Each either states what the package
 computes on arrays as a one-point computation (`sample_jets`,
 `signature_observation`, `class3_delta`, `class5_det_formula`,
-`ricci_asymmetry`, `bracket_matrix`), composes the package's own parts
-the way a user of the library would (`path_integral`,
-`geodesic_agreement`), or gives independent evidence for a verdict
+`ricci_asymmetry`, `bracket_matrix`), does what the package does without
+its shortcut (`m_shift_by_max` scores every candidate shift of class 3's
+M, `derivative_at_every_node` applies the derivative rules to every node),
+composes the package's own parts the way a user of the library would
+(`path_integral`, `geodesic_agreement`), or gives independent evidence for a verdict
 (`riemann_falsification`, the paper's "no nondegenerate quadratic form
 survives the curvature constraints").
 """
@@ -20,7 +22,9 @@ import numpy as np
 from berwald.geodesic_engine import discrepancy, integrate_finsler, integrate_spray
 from berwald.geometry_core import (ConnectionProfile, CurvatureProfile, TangentPoint,
                                    bracket_vectors, curvature_profile)
-from berwald.metrizer import PotentialSystem, RiemannForm
+from berwald.metrizer import DeltaVanishes, PotentialSystem, RiemannForm
+from berwald.scalar_field import (_ONE, _ZERO, BinOp, Call, Neg, Num, Param, Var, _add,
+                                  _is, _mul, _sub)
 from berwald.verifier import (CheckResult, SampleJets, VerificationError, _jets,
                               check_hessian)
 
@@ -67,6 +71,31 @@ def bracket_matrix(conn: ConnectionProfile, p: TangentPoint, depth: int = 2,
     return np.stack([v.components for v in vecs])
 
 
+def m_shift_by_max(pots: PotentialSystem, grid, cg) -> float:
+    """`_choose_m_shift` scoring every candidate: the first candidate of
+    largest score."""
+    vals = dict(zip(pots.names, pots.values_at(grid).T))
+    G, K, M = (vals[n] for n in ("G", "K", "M"))
+    a, b, c = cg.abc.T
+    wgt = np.exp(G) * (2.0 * a * b + c)
+    delta0 = M * wgt - b * b * np.exp(2.0 * K)
+    scale = 1.0 + float(np.max(np.abs(delta0))) + float(np.max(np.abs(wgt)))
+    forbidden = sorted(-delta0[np.abs(wgt) > 1e-12 * scale] / wgt[np.abs(wgt) > 1e-12 * scale])
+    candidates = [0.0, 1.0, -1.0, 2.0, -2.0]
+    if forbidden:
+        candidates += [forbidden[0] - 1.0, forbidden[-1] + 1.0]
+        candidates += [0.5 * (forbidden[i] + forbidden[i + 1]) for i in range(len(forbidden) - 1)]
+
+    def score(m):
+        return float(np.min(np.abs(delta0 + m * wgt)))
+
+    best = max(candidates, key=score)
+    if score(best) <= 1e-6 * scale:
+        raise DeltaVanishes("no additive constant for M keeps Delta away from zero "
+                            "(best min |Delta| = %.3g)" % score(best))
+    return best
+
+
 def class3_delta(riemann: RiemannForm, t: float, r: float) -> float:
     """Delta = M e^G (2ab + c) - b^2 e^{2K} = e^{-2K} det(tr block), the
     block's att, atr, arr from `coefficient_table`."""
@@ -87,6 +116,57 @@ def class5_det_formula(riemann: RiemannForm, conn: ConnectionProfile,
     val = (C1 ** 2) * (C2 ** 2) * math.exp(-4.0 * phi) \
         * abs(cp.a[1].value ** 2 + cp.a[2].value * cp.a[3].value) * math.sin(theta) ** 2
     return val
+
+
+# ---------------------------------------------------------------------------
+# Derivative rules at every node
+# ---------------------------------------------------------------------------
+
+def derivative_at_every_node(e, var: str):
+    """`derivative` with no skip: the chain rule of each node kind applied to
+    every distinct subexpression, also to one that reads no leaf named
+    ``var``, which the rules fold to `Num(0.0)`."""
+    memo = {}
+
+    def d(x):
+        if x not in memo:
+            memo[x] = rule(x)
+        return memo[x]
+
+    def rule(x):
+        if isinstance(x, Num):
+            return _ZERO
+        if isinstance(x, (Var, Param)):
+            return _ONE if x.name == var else _ZERO
+        if isinstance(x, Neg):
+            return _sub(_ZERO, d(x.arg))
+        if isinstance(x, Call):
+            u, du = x.arg, d(x.arg)
+            if _is(du, 0.0):
+                return _ZERO
+            outer = {"sin": lambda: Call("cos", u), "cos": lambda: Neg(Call("sin", u)),
+                     "tan": lambda: BinOp("+", _ONE, BinOp("*", x, x)), "exp": lambda: x,
+                     "ln": lambda: BinOp("/", _ONE, u),
+                     "sqrt": lambda: BinOp("/", Num(0.5), x), "abs": lambda: BinOp("/", u, x)}
+            return _mul(outer[x.fn](), du)
+        a, b = x.left, x.right
+        da, db = d(a), d(b)
+        if x.op in "+-":
+            return _add(da, db) if x.op == "+" else _sub(da, db)
+        if x.op == "*":
+            return _add(_mul(da, b), _mul(a, db))
+        if x.op == "/":
+            if _is(da, 0.0) and _is(db, 0.0):
+                return _ZERO
+            return BinOp("/", _sub(da, _mul(x, db)), b)
+        if not _is(db, 0.0):
+            return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
+        if _is(b, 0.0):
+            return _ZERO
+        n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
+        return _mul(_mul(b, BinOp("^", a, n1)), da)
+
+    return d(e)
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,11 @@ class TestConfig:
             load_config(cfg_file("[connection]\nk1 = 2*\n"))
         assert exc.value.line_no == 2
 
+    def test_theta_choice_is_a_builtin_or_an_expression_in_z(self, cfg_file):
+        for text in ("identity", "square", "exp(z) - 1", "z^3 / 3"):
+            cfg = load_config(cfg_file("[task]\ntheta_choice = %s\n" % text))
+            assert cfg.theta_choice == text
+
     def test_unknown_coefficient(self, cfg_file):
         with pytest.raises(ConfigError):
             load_config(cfg_file("[connection]\nk13 = 1\n"))
@@ -455,6 +460,43 @@ def test_import_leaves_scipy_out():
     assert out.stdout.strip() == "[]"
 
 
+_JOB_NODES = """import gc, json, os, sys
+gc.disable()
+from berwald import cli, scalar_field
+base, golden, out = len(scalar_field._INTERNED), sys.argv[1], sys.argv[2]
+rules, after = [], []
+
+def count(frame, event, _arg):
+    code = frame.f_code
+    rules[-1] += event == "call" and code.co_name == "rule" and code.co_filename == scalar_field.__file__
+
+for name in ("class3", "class3", "ex1", "exponential", "flat_cartesian", "class4_general"):
+    rules.append(0)
+    sys.setprofile(count)
+    rc = cli.main(["verify", os.path.join(golden, name + ".cfg"), "--grid", "7x7",
+                   "--json", out, "--quiet"])
+    sys.setprofile(None)
+    after.append((name, rc, len(scalar_field._INTERNED)))
+print(json.dumps({"base": base, "after": after, "rules": rules}))
+"""
+
+
+def test_job_nodes_are_freed_by_reference_counting(tmp_path):
+    """With the cycle collector off, every node that a `verify` job makes is
+    freed when the job ends: the intern table returns to its size after
+    import, also with the leaf sets that nodes keep.  The same job run twice
+    applies as many derivative rules, so no saving comes from state that
+    outlives a job."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(berwald.__file__)))
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    out = subprocess.run([sys.executable, "-c", _JOB_NODES, golden, str(tmp_path / "r.json")],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                         check=True)
+    got = json.loads(out.stdout)
+    assert [(rc, size) for _name, rc, size in got["after"]] == [(EXIT_OK, got["base"])] * 6
+    assert got["rules"][0] == got["rules"][1] > 0
+
+
 def test_coefficient_jet_outside_the_domain_is_located(cfg_file, capsys):
     rc = main(["classify", cfg_file("[connection]\nk2 = 1/t\n[grid]\n"
                                     "t = 1e-170:1e-169:2\nr = 0.5:2.5:2\n"), "--quiet"])
@@ -551,11 +593,19 @@ def test_params_key_that_is_not_a_parameter_is_a_config_error(cfg_file, capsys, 
     ("task", "c1 = 0", "c1 must be a finite, nonzero number"),
     ("task", "c1 = nan", "c1 must be a finite, nonzero number"),
     ("task", "c2 = inf", "c2 must be a finite, nonzero number"),
-    ("task", "c2 = -0.0", "c2 must be a finite, nonzero number")])
+    ("task", "c2 = -0.0", "c2 must be a finite, nonzero number"),
+    ("task", "theta_choice = z^(", "bad expression: syntax error at offset 3: found 'end of "
+                                   "input', expected one of number, identifier, (, -"),
+    ("task", "theta_choice = q*z", "theta_choice must be identity, square or an expression "
+                                   "in z alone: it reads parameter 'q'"),
+    ("task", "theta_choice = squared", "theta_choice must be identity, square or an "
+                                       "expression in z alone: it reads parameter 'squared'")])
 def test_bad_grid_and_task_values_are_config_errors(cfg_file, capsys, section, line, message):
     """A value no construction can use is refused where it is read: a class-4
     signature that does not exist, a class-5 constant that is zero or not
-    finite, a grid range with a bound that is not finite (NaN passes hi <= lo)."""
+    finite, a grid range with a bound that is not finite (NaN passes hi <= lo),
+    a class-3 Theta that does not parse or reads a parameter other than z,
+    also on a job that is not class 3."""
     path = cfg_file("[connection]\nk2 = r\nk4 = r*exp(r^2)\n\n[%s]\n%s\n" % (section, line))
     assert main(["verify", path, "--quiet"]) == EXIT_FAIL
     assert capsys.readouterr().err == "config error: %s:6: %s\n" % (path, message)

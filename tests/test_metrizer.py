@@ -26,7 +26,7 @@ from conftest import (admissible, class5_broken_ricci, class5_curved_block, coun
                       flat_spherical, horizontal_residual, power_law_nonsymmetric,
                       power_law_symmetric)
 from generators import make_class3, make_class5
-from oracles import class3_delta, class5_det_formula, path_integral
+from oracles import class3_delta, class5_det_formula, m_shift_by_max, path_integral
 
 
 def _sparse_probes(grid) -> list:
@@ -671,6 +671,60 @@ class TestClass3:
                                   "atr is not finite at (t, r) = (1e+200, 1)")):
             with pytest.raises(error, match="^%s$" % re.escape(text)):
                 form.coefficient_table(good[:2] + bad + good[2:])
+
+    def test_m_shift_scores_do_not_grow_with_the_grid(self, monkeypatch):
+        """`_choose_m_shift` scores (min |Delta| over the grid) as many
+        candidates at 60x60 as at 15x15: a midpoint between forbidden shifts
+        is scored only while its bound can beat the best score so far."""
+        choose, counts = metrizer._choose_m_shift, []
+
+        def counted(*args):
+            n = [0]
+
+            def profile(frame, event, _arg):
+                n[0] += event == "call" and frame.f_code.co_name == "score"
+            sys.setprofile(profile)
+            try:
+                return choose(*args)
+            finally:
+                sys.setprofile(None)
+                counts.append(n[0])
+
+        monkeypatch.setattr(metrizer, "_choose_m_shift", counted)
+        conn = make_class3(41)[0]
+        shifts = [build_class3(conn, default_grid(n))[1].meta["m_shift"] for n in (15, 60)]
+        assert counts[0] == counts[1] < 15, counts
+        assert all(math.isfinite(m) for m in shifts)
+
+    def test_m_shift_is_the_first_best_candidate(self):
+        """The bounded search picks what scoring every candidate picks, the
+        first in list order on a tie, and raises where that does, with the
+        same text.  With G = K = b = 0, Delta = (M + m) c at a node.  One node,
+        M = 0 and c = 1: 2 and -2 tie.  Forbidden shifts -M at -2, -1, 0, 1,
+        2, 6, 14, 18, c = 1/4 at 18, else 1: the midpoints 4 and 10 both
+        score 2, and 4, the first, is scored last, as its bound is 2 and
+        that of 10 is 4."""
+        from types import SimpleNamespace
+        rng = np.random.default_rng(5)
+        far = np.array([-2.0, -1.0, 0.0, 1.0, 2.0, 6.0, 14.0, 18.0])
+        cases = [(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]])),
+                 (np.stack([0 * far, 0 * far, -far], axis=1),
+                  np.stack([0 * far, 0 * far, np.where(far == 18.0, 0.25, 1.0)], axis=1))] + [
+            (rng.integers(-2, 3, size=(n, 3)) * np.array([0.5, 0.5, 1.0]),
+             rng.integers(-2, 3, size=(n, 3)).astype(float)) for n in rng.integers(2, 30, 300)]
+        shifts = []
+        for vals, abc in cases:
+            pots = SimpleNamespace(names=["G", "K", "M"], values_at=lambda _grid: vals)
+            cg = SimpleNamespace(abc=abc)
+            try:
+                want = m_shift_by_max(pots, None, cg)
+            except DeltaVanishes as exc:
+                with pytest.raises(DeltaVanishes, match="^%s$" % re.escape(str(exc))):
+                    metrizer._choose_m_shift(pots, None, cg)
+                continue
+            shifts.append(metrizer._choose_m_shift(pots, None, cg))
+            assert repr(shifts[-1]) == repr(want) and type(shifts[-1]) is type(want)
+        assert shifts[:2] == [2.0, 4.0] and len(shifts) > 100
 
     def test_square_theta_is_not_quadratic(self, grid, c3_forms):
         conn = c3_forms[0]

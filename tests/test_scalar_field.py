@@ -16,6 +16,7 @@ from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, Expressio
                                   to_source)
 
 from conftest import assert_program_matches_fields, to_sympy
+from oracles import derivative_at_every_node
 
 
 def evaluate(e, env):
@@ -545,12 +546,19 @@ def test_jets_fail_with_domain_error():
 
 # -- derivative: forward mode by source transformation -----------------------
 
+def _asts(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.tuples(st.sampled_from("+-*/^"), kids, kids).map(lambda x: BinOp(*x)),
+        st.tuples(st.sampled_from(FUNCTIONS), kids).map(lambda x: Call(*x))), max_leaves=8)
+
+
 _AST_LEAVES = st.one_of(st.sampled_from([Var("t"), Var("r")]),
                         st.sampled_from([0.5, 1.0, 2.0, 3.0, -1.5]).map(Num))
-ASTS = st.recursive(_AST_LEAVES, lambda kids: st.one_of(
-    kids.map(Neg),
-    st.tuples(st.sampled_from("+-*/^"), kids, kids).map(lambda x: BinOp(*x)),
-    st.tuples(st.sampled_from(FUNCTIONS), kids).map(lambda x: Call(*x))), max_leaves=8)
+ASTS = _asts(_AST_LEAVES)
+# with parameters too, one of them named as the variable t
+PARAMS = ("a", "b", "t")
+PARAM_ASTS = _asts(st.one_of(_AST_LEAVES, st.sampled_from(PARAMS).map(Param)))
 
 
 @given(ASTS, st.sampled_from("tr"), st.floats(0.3, 2.0), st.floats(0.3, 2.0))
@@ -604,6 +612,30 @@ def test_printer_parenthesizes_negative_numbers_and_refuses_non_finite_ones():
     for v in (math.inf, -math.inf, math.nan):
         with pytest.raises(ExpressionError, match="has no source text"):
             to_source(BinOp("*", Num(v), Var("t")))
+
+
+def _tree(e):
+    """Every node of e's tree, a shared one as often as it occurs."""
+    yield e
+    for x in e._parts():
+        if isinstance(x, scalar_field._Node):
+            yield from _tree(x)
+
+
+@given(PARAM_ASTS)
+@settings(max_examples=300, deadline=None)
+def test_derivative_skips_exactly_what_the_rules_fold(e):
+    """A partial is the very node that the rules applied to every node give;
+    it is Num(0.0) where no leaf is named as the variable.  A node's leaves,
+    and so `parameter_names`, are those of a walk of the whole tree."""
+    leaves = {x for x in _tree(e) if isinstance(x, (Var, Param))}
+    assert e.leaves() == leaves
+    assert scalar_field.parameter_names(e) == {x.name for x in leaves if isinstance(x, Param)}
+    for var in ("r",) + PARAMS:
+        d = derivative(e, var)
+        assert d is derivative_at_every_node(e, var)
+        if all(x.name != var for x in leaves):
+            assert d is Num(0.0)
 
 
 def test_derivative_folds_only_zeros_and_ones_and_shares_subtrees():
