@@ -29,7 +29,7 @@ from .geometry_core import ConnectionProfile, GeometryError, TangentPoint
 from .metrizer import (_THETA_BUILTINS, SIGNATURES, MetrizerError, NotRiemannMetrizable,
                        build_class3, build_class4, build_class5, build_exponential,
                        build_power_law)
-from .scalar_field import (FUNCTIONS, ExpressionError, Param, compile_expression,
+from .scalar_field import (FUNCTIONS, VARIABLES, ExpressionError, Param, compile_program,
                            parameter_names, parse)
 from .verifier import (VerificationError, berwald_check, check_hessian, check_homogeneity,
                        check_horizontal_constancy, draw_jets, levi_civita_roundtrip,
@@ -65,11 +65,11 @@ _STATE_NAMES = ("t", "r", "theta", "phi", "tdot", "rdot", "thetadot", "phidot")
 
 
 class _Source(str):
-    """Expression text that carries its parsed expression, ``expr``."""
+    """Expression text that carries its parsed field, ``field``."""
 
     def __new__(cls, text: str):
         self = super().__new__(cls, text)
-        self.expr = parse(text)
+        self.field = parse(text)
         return self
 
 
@@ -95,20 +95,18 @@ class JobConfig:
         return [(float(t), float(r)) for t in ts for r in rs]
 
     def connection_profile(self) -> ConnectionProfile:
-        fields = {}
-        for key, src in self.connection.items():
-            fields[int(key[1:])] = src.expr
-        return ConnectionProfile(fields, self.params)
+        return ConnectionProfile({int(k[1:]): src.field for k, src in self.connection.items()},
+                                 self.params)
 
     def predicate(self):
         if not self.requires:
             return None
         for src in self.requires:
-            unbound = sorted(parameter_names(src.expr) - set(self.params) - set(_STATE_NAMES))
+            unbound = sorted(parameter_names(src.field) - set(self.params) - set(_STATE_NAMES))
             if unbound:
                 raise ConfigError("[samples] require = %s" % src, 0,
                                   "parameter %r is not set in [params]" % unbound[0])
-        fns = [compile_expression(src.expr) for src in self.requires]
+        fns = [compile_program([src.field]) for src in self.requires]
 
         def pred(p: TangentPoint) -> bool:
             env = dict(self.params)
@@ -117,7 +115,7 @@ class JobConfig:
                         "phidot": p.phidot})
             for src, f in zip(self.requires, fns):
                 try:
-                    if not f(env) > 0.0:
+                    if not f(env)[0] > 0.0:
                         return False
                 except ExpressionError:
                     return False
@@ -225,11 +223,12 @@ def load_config(path: str) -> JobConfig:
                     setattr(cfg, key, c)
                 elif key == "theta_choice":   # a built-in name, or Theta as an expression in z
                     if value not in _THETA_BUILTINS:
-                        other = sorted(parameter_names(parse(value)) - {"z"})
+                        other = sorted(x.name for x in parse(value).leaves() if x is not Param("z"))
                         if other:
+                            kind = "variable" if other[0] in VARIABLES else "parameter"
                             raise ValueError("theta_choice must be %s or an expression in z "
-                                             "alone: it reads parameter %r"
-                                             % (", ".join(_THETA_BUILTINS), other[0]))
+                                             "alone: it reads %s %r"
+                                             % (", ".join(_THETA_BUILTINS), kind, other[0]))
                     cfg.theta_choice = value
                 else:
                     raise ValueError("unknown task key %r" % key)

@@ -178,25 +178,15 @@ def integrate_spray(conn: ConnectionProfile, p0: TangentPoint, T: float,
 
 
 def finsler_spray(evaluator, p: TangentPoint, vals: dict | None = None) -> tuple:
-    """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) from the exact jet of L,
-    and d(psi_i)/ds = P_i tdot + Q_i rdot from the one-forms after its 30 numbers.
+    """The spray G^a and the potentials' rates d(psi_i)/ds at p, from one
+    exact jet of L (`FormJet.spray` and `FormJet.rates`).
 
     ``vals`` are the values of the evaluator's potentials at (t, r), as
     carried in the state by `integrate_finsler`; without them the evaluator
     looks its potentials up itself.
     """
     jet = evaluator.jet(p, vals)
-    pq = jet.out[30:]   # P_1..P_n, Q_1..Q_n
-    return jet_spray(jet, p.velocity), pq[:len(pq) // 2] * p.tdot + pq[len(pq) // 2:] * p.rdot
-
-
-def jet_spray(jet, xd) -> np.ndarray:
-    """The spray G^a of `finsler_spray` from the jet of L at a point of velocity
-    xd, read in place from its mixed rows and gradient (their phi parts are zero)."""
-    out = jet.out
-    rhs = xd[0] * out[8:12] + xd[1] * out[12:16] + xd[2] * out[16:20]
-    rhs[:3] -= out[5:8]
-    return 0.25 * np.linalg.solve(jet.metric_tensor(), rhs)
+    return jet.spray(p.velocity), jet.rates(p.tdot, p.rdot)
 
 
 def integrate_finsler(evaluator, p0: TangentPoint, T: float, n_out: int = 100) -> Trajectory:

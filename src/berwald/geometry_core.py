@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, Partials, ScalarField, compile_fields, derivative
+from .scalar_field import DomainError, Partials, ScalarField, compile_program, derivative
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -107,8 +107,7 @@ class ConnectionProfile:
     """
 
     def __init__(self, fields: Mapping[int, object], params: Mapping[str, float] | None = None):
-        self.k = tuple(ScalarField.zero() if f is None else
-                       ScalarField(f.expr if isinstance(f, ScalarField) else f, params)
+        self.k = tuple(ScalarField.zero() if f is None else ScalarField(f, params)
                        for f in map(fields.get, range(1, 13)))  # k[0] is k1
         self._run = None   # k1..k12 as one program, compiled on first use
         self._curvature_fields = None
@@ -122,7 +121,7 @@ class ConnectionProfile:
         from one array run.  Where a point fails, the first k_i that fails or
         is not finite there names the error of the first such point."""
         if self._run is None:
-            self._run = compile_fields(self.k)
+            self._run = compile_program(self.k)
         if np.ndim(t):
             out, ok = self._run.on_arrays({"t": t, "r": r})
             if not ok.all():
@@ -147,16 +146,15 @@ class ConnectionProfile:
         if which == 1:
             return list(zip(("a", "b", "c", "D", "E", "F", "G", "Gt", "H", "Ht"), abc + DEF + GH))
         out = [("k%d" % i, f) for i, f in enumerate(self.k, start=1)]
-        at, ar = (derivative(tuple(a[i].expr for i in range(1, 15)), v) for v in "tr")
+        at, ar = (derivative(tuple(a[i] for i in range(1, 15)), v) for v in "tr")
         for i in range(1, 15):
-            out += [("a%d" % i, a[i]), ("da%d/dt" % i, ScalarField(at[i - 1])),
-                    ("da%d/dr" % i, ScalarField(ar[i - 1]))]
+            out += [("a%d" % i, a[i]), ("da%d/dt" % i, at[i - 1]), ("da%d/dr" % i, ar[i - 1])]
         return out
 
     def _curvature_programs(self) -> list:
         """The two programs of `_curvature_quantities`, compiled on first use."""
         if self._curvature_runs is None:
-            self._curvature_runs = [compile_fields([f for _, f in self._curvature_quantities(w)])
+            self._curvature_runs = [compile_program([f for _, f in self._curvature_quantities(w)])
                                     for w in (0, 1)]
         return self._curvature_runs
 
@@ -186,16 +184,18 @@ class ConnectionProfile:
         """True when k11 or k12 is structurally present."""
         return not (self.k[10].is_structural_zero() and self.k[11].is_structural_zero())
 
-    def require_classifiable(self, grid: Iterable[tuple] = ()):
-        """The classification covers the 10-function family only (k11 = k12 = 0)."""
+    def require_classifiable(self, grid: Sequence[tuple] = ()):
+        """The classification covers the 10-function family only (k11 = k12 = 0):
+        one `k_values` run over ``grid``, the first node in its order raising."""
         if not self.has_angular_rotation():
             return
-        for (t, r) in grid:
-            if abs(self.k[10].value(t, r)) > 1e-12 or abs(self.k[11].value(t, r)) > 1e-12:
-                raise UnsupportedConnection(
-                    "k11/k12 nonzero at (t, r) = (%g, %g); outside the classified family" % (t, r))
         if not grid:
             raise UnsupportedConnection("k11/k12 structurally nonzero")
+        t, r = np.array(grid, dtype=float).reshape(-1, 2).T
+        bad = np.any(np.abs(self.k_values(t, r)[:, 10:]) > 1e-12, axis=1)
+        if bad.any():
+            raise UnsupportedConnection("k11/k12 nonzero at (t, r) = (%g, %g); outside the "
+                                        "classified family" % tuple(grid[int(np.argmax(bad))]))
 
     def curvature_fields(self) -> tuple:
         """`curvature_formulas` of the k_i: a1..a14, (a, b, c), (D, E, F) and
@@ -260,8 +260,7 @@ def curvature_formulas(k: Sequence[ScalarField]) -> tuple:
     of k1..k12 (``k[0]`` is k1) and their (t, r)-partials by `derivative`;
     (a, b, c) and what depends on them are defined where k10 != 0."""
     k = dict(enumerate(k, start=1))
-    exprs = tuple(f.expr for f in k.values())
-    kt, kr = ({i: ScalarField(d) for i, d in zip(k, derivative(exprs, v))} for v in "tr")
+    kt, kr = (dict(zip(k, derivative(tuple(k.values()), v))) for v in "tr")
     a = {
         1: kr[1] - kt[2] + k[3] * k[4] - k[2] * k[6],
         2: kr[2] - kt[3] + k[2] * k[2] + k[3] * k[6] - k[1] * k[3] - k[2] * k[5],

@@ -9,13 +9,13 @@ cumulative Clenshaw-Curtis integration, the one-form program run on arrays),
 with an adaptive scalar ODE leg only where a panel cannot be evaluated or
 does not converge.  Their derivatives come from the defining one-forms
 themselves, so every downstream derivative is analytic in the transported
-values.  Each builder states its one-forms as expressions, reads its
+values.  Each builder states its one-forms as fields, reads its
 curvature from one `curvature_grid` and certifies its potentials with
 `PotentialSystem.certify`.  Path independence is certified, never assumed,
 at every grid node: the curl of the defining form exactly, the agreement of
 two transport routes numerically.
 
-Every constructed form states L as one expression (`ExpressionForm`) in the
+Every constructed form states L as one field (`ExpressionForm`) in the
 chart (t, r, theta), the velocities and its potentials; its `jet` runs one
 compiled program of L and the partials the checks read, the potentials
 moving along their one-forms (`total_partials`).
@@ -34,8 +34,8 @@ import numpy as np
 from .geometry_core import (ConnectionProfile, CurvatureGrid, NonFiniteData, TangentPoint,
                             W_CORNER_GENERIC, _located, curvature_grid)
 from .geodesic_engine import integrate_ode
-from .scalar_field import (DomainError, Expression, Num, ScalarField, Var, compile_fields,
-                           derivative, parameter_names, parse)
+from .scalar_field import (DomainError, ScalarField, Var, compile_program, derivative,
+                           parameter_names)
 
 
 class MetrizerError(RuntimeError):
@@ -143,6 +143,17 @@ def _acceptance(Y, tail) -> tuple:
     return bound, np.all(tail <= bound, axis=-1)
 
 
+def _nearest(x, nodes) -> np.ndarray:
+    """The index of the node nearest each of ``x``, the lower on a tie, as
+    np.argmin(np.abs(x[:, None] - nodes), axis=1) finds it, from the two
+    neighbours that np.searchsorted finds in the ascending ``nodes``.  Only
+    where rounding makes more than two nodes equally near, far off the axis,
+    may argmin pick a lower one."""
+    hi = np.searchsorted(nodes[:-1], x)   # the first node >= x, else the last
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(x - nodes[lo]) <= np.abs(x - nodes[hi]), lo, hi)
+
+
 class PotentialSystem:
     """Named scalar quantities defined by one-forms d(psi_i) = P_i dt + Q_i dr.
 
@@ -175,11 +186,11 @@ class PotentialSystem:
     def __init__(self, names: Sequence[str], P: Sequence, Q: Sequence,
                  base: tuple, base_values: Sequence[float] | None = None):
         self.names = list(names)
-        self._pq = [f if isinstance(f, ScalarField) else ScalarField(f) for f in list(P) + list(Q)]
-        self._run = compile_fields(self._pq)
+        self._pq = [ScalarField(f) for f in list(P) + list(Q)]
+        self._run = compile_program(self._pq)
         n = len(self.names)
         # does the P (t-leg) or Q (r-leg) half read the components?
-        self._reads = [any(parameter_names(f.expr) & set(self.names) for f in half)
+        self._reads = [any(parameter_names(f) & set(self.names) for f in half)
                        for half in (self._pq[:n], self._pq[n:])]
         self.base = (float(base[0]), float(base[1]))
         self.base_values = np.array(base_values if base_values is not None
@@ -210,8 +221,7 @@ class PotentialSystem:
         at every node."""
         t, r = np.array(points, dtype=float).reshape(-1, 2).T
         ts, rs, table = self._table
-        i = np.argmin(np.abs(t[:, None] - ts), axis=1)
-        j = np.argmin(np.abs(r[:, None] - rs), axis=1)
+        i, j = _nearest(t, ts), _nearest(r, rs)
         y = self._legs(True, rs[j], ts[i], t, table[i, j])
         return self._legs(False, t, rs[j], r, y)
 
@@ -426,18 +436,17 @@ def total_partials(fields: Sequence[ScalarField], pots: PotentialSystem | None =
     one-form: d/dt f = d_t f + sum_i P_i d_{psi_i} f, and d/dr with Q_i.
     One `derivative` call per variable on the tuple of all fields, so their
     shared subtrees are differentiated once."""
-    exprs = tuple(f.expr for f in fields)
     names = pots.names if pots is not None else []
     forms = pots._pq if pots is not None else []
-    d = {v: derivative(exprs, v) for v in ["t", "r"] + names}
+    d = {v: derivative(tuple(fields), v) for v in ["t", "r"] + names}
     out = []
     for var, along in (("t", forms[:len(names)]), ("r", forms[len(names):])):
         totals = []
         for m in range(len(fields)):
-            total = ScalarField(d[var][m])
+            total = d[var][m]
             for name, form in zip(names, along):
-                if not (isinstance(d[name][m], Num) and d[name][m].value == 0.0):
-                    total = total + form * ScalarField(d[name][m])
+                if not d[name][m].is_structural_zero():
+                    total = total + form * d[name][m]
             totals.append(total)
         out.append(totals)
     return tuple(out)
@@ -446,16 +455,16 @@ def total_partials(fields: Sequence[ScalarField], pots: PotentialSystem | None =
 def partials_program(fields: Sequence[ScalarField], pots: PotentialSystem | None = None):
     """One program of each field followed by its total t- and r-partials."""
     dt, dr = total_partials(fields, pots)
-    return compile_fields([g for trio in zip(fields, dt, dr) for g in trio])
+    return compile_program([g for trio in zip(fields, dt, dr) for g in trio])
 
 
 # ---------------------------------------------------------------------------
-# Forms: L as one expression
+# Forms: L as one field
 # ---------------------------------------------------------------------------
 
 VELOCITY = ("tdot", "rdot", "thetadot", "phidot")
-TDOT, RDOT, THETADOT, PHIDOT = (ScalarField(Var(v)) for v in VELOCITY)
-_SIN = ScalarField(Var("theta")).call("sin")
+TDOT, RDOT, THETADOT, PHIDOT = map(Var, VELOCITY)
+_SIN = Var("theta").call("sin")
 W2 = THETADOT * THETADOT + PHIDOT * PHIDOT * _SIN * _SIN   # w^2
 
 # `FormJet` layout: L, d/dxdot (4), d/dx for x = t, r, theta (3), the mixed
@@ -500,9 +509,24 @@ class FormJet:
         """g_ab = (1/2) d^2 L / d xdot^a d xdot^b."""
         return 0.5 * self.out[..., _HESSIAN]
 
+    def spray(self, xd) -> np.ndarray:
+        """G^a = (1/4) g^{ab} (xdot^c d_c ddot_b L - d_b L) at one point of
+        velocity xd, read in place from the mixed rows and the gradient
+        (their phi parts are zero)."""
+        out = self.out
+        rhs = xd[0] * out[8:12] + xd[1] * out[12:16] + xd[2] * out[16:20]
+        rhs[:3] -= out[5:8]
+        return 0.25 * np.linalg.solve(self.metric_tensor(), rhs)
+
+    def rates(self, tdot: float, rdot: float) -> np.ndarray:
+        """d(psi_i)/ds = P_i tdot + Q_i rdot at one point, from the one-forms
+        after the 30 numbers."""
+        pq = self.out[30:]
+        return pq[:len(pq) // 2] * tdot + pq[len(pq) // 2:] * rdot
+
 
 class ExpressionForm:
-    """A form given as one expression, `lagrangian`, in t, r, theta, the
+    """A form given as one field, `lagrangian`, in t, r, theta, the
     velocities tdot, rdot, thetadot, phidot and the components of the form's
     ``scale_pot`` (a PotentialSystem; None or absent where L reads none).
 
@@ -513,7 +537,7 @@ class ExpressionForm:
     (`total_partials`), and one per velocity on the velocity partials; then
     the one-forms themselves, already nodes of the program, for the rates of
     the potentials along a geodesic (`finsler_spray`).
-    `domain` states where L is defined, in the same expressions L is made
+    `domain` states where L is defined, in the same fields L is made
     of; `admit` runs it on arrays of points, compiled once too.
     """
 
@@ -530,7 +554,7 @@ class ExpressionForm:
     def _domain_run(self):
         """`domain`'s program and its bounds."""
         pairs = self.domain()
-        return compile_fields([f for f, _ in pairs]), np.array([b for _, b in pairs])
+        return compile_program([f for f, _ in pairs]), np.array([b for _, b in pairs])
 
     def admit(self, points: Sequence[TangentPoint]) -> tuple:
         """Whether each of ``points`` is in the form's domain, and the
@@ -586,11 +610,11 @@ class ExpressionForm:
         L, pots = self.lagrangian(), getattr(self, "scale_pot", None)
         dv = [L.derivative(v) for v in VELOCITY]
         dt, dr = total_partials([L] + dv, pots)
-        dth = [ScalarField(e) for e in derivative(tuple(f.expr for f in [L] + dv), "theta")]
-        ddv = [derivative(tuple(f.expr for f in dv[:b + 1]), v) for b, v in enumerate(VELOCITY)]
-        hessian = [ScalarField(ddv[b][a]) for a, b in _UPPER]
-        return compile_fields([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
-                              + hessian + (pots._pq if pots is not None else []))
+        dth = list(derivative(tuple([L] + dv), "theta"))
+        ddv = [derivative(tuple(dv[:b + 1]), v) for b, v in enumerate(VELOCITY)]
+        hessian = [ddv[b][a] for a, b in _UPPER]
+        return compile_program([L] + dv + [dt[0], dr[0], dth[0]] + dt[1:] + dr[1:] + dth[1:]
+                               + hessian + (pots._pq if pots is not None else []))
 
     def jet(self, p, vals=None):
         """L and its blocks at p, from the potentials' values ``vals`` at
@@ -672,7 +696,7 @@ class ExponentialForm(ExpressionForm):
                 "scale": "exp(path integral of (G + 2 k4 b mu) dt + (H + 2 k6 b mu) dr)"}
 
 
-_THETA_BUILTINS = {"identity": parse("z"), "square": parse("z^2")}
+_THETA_BUILTINS = {"identity": ScalarField("z"), "square": ScalarField("z^2")}
 
 
 @dataclass
@@ -682,7 +706,7 @@ class Class3FinslerForm(ExpressionForm):
     conn: ConnectionProfile
     scale_pot: PotentialSystem          # components "G", "K", "M"; e^G scales L
     m_shift: float
-    theta: Expression                   # Theta, an expression in z
+    theta: ScalarField                  # Theta, a field in z
     tag: str = "class-3"
 
     def lagrangian(self) -> ScalarField:
@@ -690,7 +714,7 @@ class Class3FinslerForm(ExpressionForm):
         G, K = ScalarField("G"), ScalarField("K")
         z = v / (u * u)
         arg = z * (-(G - 2.0 * K)).call("exp") + (ScalarField("M") + self.m_shift)
-        theta = ScalarField(self.theta).substitute({"z": arg})
+        theta = self.theta.substitute({"z": arg})
         return G.call("exp") * u * u * theta
 
     def domain(self) -> list:
@@ -887,7 +911,7 @@ def _choose_m_shift(pots: PotentialSystem, grid: Sequence[tuple], cg: CurvatureG
 
 
 def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
-                 theta: str | Expression = "identity") -> tuple:
+                 theta: str | ScalarField = "identity") -> tuple:
     """Class-3 constructor.  Returns (Class3FinslerForm, RiemannForm).
 
     The Riemannian member is A = v e^{2K} + (e^G M) u^2; the Finsler member
@@ -900,20 +924,13 @@ def build_class3(conn: ConnectionProfile, grid: Sequence[tuple],
     pots.certify(grid, label="class-3 potentials")
     m_shift = _choose_m_shift(pots, grid, cg)
 
-    if isinstance(theta, str):
-        theta_expr = _THETA_BUILTINS.get(theta)
-        if theta_expr is None:
-            theta_expr = parse(theta)
-    else:
-        theta_expr = theta
-
     _a, (a, b, c), _DEF, _GH = conn.curvature_fields()
     eg_m = ScalarField("exp(G)") * (ScalarField("M") + m_shift)
     e2k = ScalarField("exp(2*K)")
     riemann = RiemannForm(eg_m, b * e2k - a * eg_m, c * e2k + a * a * eg_m, -e2k,
                           tag="class-3", meta={"m_shift": m_shift, "potentials": pots},
                           scale_pot=pots)
-    finsler = Class3FinslerForm(conn, pots, m_shift, theta_expr)
+    finsler = Class3FinslerForm(conn, pots, m_shift, ScalarField(_THETA_BUILTINS.get(theta, theta)))
     return finsler, riemann
 
 

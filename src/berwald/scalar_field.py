@@ -1,14 +1,14 @@
 """Closed-form scalar fields with exact derivatives.
 
-Expressions are parsed from a small arithmetic grammar (see ``parse``) into an
-immutable, interned AST: one live node per structure, so equal subexpressions
-are one object.  `compile_program` turns ASTs into one straight-line program
-that runs on plain floats or on numpy arrays of points (``on_arrays``).
-`derivative` applies the forward-mode rules to an AST
-(source transformation), so a partial derivative is again an expression, to
-be compiled with its function or differentiated further: derivatives of any
-parsed expression are exact for the supported function basis, with no finite
-differencing and no jet arithmetic.
+A field is parsed from a small arithmetic grammar (see ``parse``) into an
+immutable, interned AST whose every node is a `ScalarField`: one live node
+per structure, so equal subexpressions are one object.  `compile_program`
+turns fields into one straight-line program that runs on plain floats or on
+numpy arrays of points (``on_arrays``).  `derivative` applies the
+forward-mode rules to a field (source transformation), so a partial
+derivative is again a field, to be compiled with its function or
+differentiated further: derivatives of any parsed field are exact for the
+supported function basis, with no finite differencing and no jet arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -87,7 +87,105 @@ def _forget(entry, drop=_remove_dead_weakref, table=_INTERNED):
     drop(table, entry.key)
 
 
-class _Node:
+class Partials(NamedTuple):
+    """A value with its first (t, r)-partials."""
+    value: float
+    dt: float
+    dr: float
+
+
+class ScalarField:
+    """A function of (t, r) and of the parameters it reads: an expression
+    node, of one of the six kinds below.  ``ScalarField(text)`` parses the
+    text, ``ScalarField(field)`` is the field; ``params`` binds parameters,
+    each `Param` it names becoming a `Num` of its value (a `Var`, t or r, is
+    never replaced), so a field keeps its values in any composite and a
+    program reads an unbound parameter from its env.  The operators and `call`
+    build nodes; `value` and `jet` compile a program on every call."""
+    __slots__ = ()
+
+    def __new__(cls, expr, params: Mapping[str, float] | None = None):
+        if isinstance(expr, str):
+            expr = parse(expr)
+        elif not isinstance(expr, ScalarField):
+            raise TypeError("not a field or expression text: %r" % (expr,))
+        if params:
+            expr = _rewrite(expr, {Param(k): Num(v) for k, v in params.items()})
+        return expr
+
+    @staticmethod
+    def zero() -> "ScalarField":
+        return Num(0.0)
+
+    @staticmethod
+    def constant(v: float) -> "ScalarField":
+        return Num(float(v))
+
+    def is_structural_zero(self) -> bool:
+        return _is(self, 0.0)
+
+    def value(self, t: float, r: float) -> float:
+        return float(compile_program([self])({"t": float(t), "r": float(r)})[0])
+
+    def jet(self, t: float, r: float) -> Partials:
+        """The value and its t- and r-partials: one program of the field and
+        its `derivative`s, with their domain checks."""
+        run = compile_program([self, derivative(self, "t"), derivative(self, "r")])
+        return Partials(*map(float, run({"t": float(t), "r": float(r)})))
+
+    def source(self) -> str:
+        return to_source(self)
+
+    def derivative(self, var: str) -> "ScalarField":
+        return derivative(self, var)
+
+    def substitute(self, mapping: Mapping[str, object]) -> "ScalarField":
+        """Replace variables/parameters by fields or numbers (capture-free
+        rewrite of each distinct subexpression once); an empty ``mapping``
+        returns the field itself."""
+        return _rewrite(self, {leaf(name): x if isinstance(x, ScalarField) else Num(float(x))
+                               for name, x in mapping.items() for leaf in (Var, Param)})
+
+    def call(self, fn: str) -> "ScalarField":
+        """fn(self) for a basis function ``fn`` (see FUNCTIONS)."""
+        return Call(fn, self)
+
+    def _binop(self, op: str, other) -> "ScalarField":
+        return BinOp(op, self, other if isinstance(other, ScalarField)
+                     else ScalarField.constant(other))
+
+    def __add__(self, o):
+        return self._binop("+", o)
+
+    def __sub__(self, o):
+        return self._binop("-", o)
+
+    def __mul__(self, o):
+        return self._binop("*", o)
+
+    def __truediv__(self, o):
+        return self._binop("/", o)
+
+    def __pow__(self, o):
+        return self._binop("^", o)
+
+    def __neg__(self):
+        return Neg(self)
+
+    def __radd__(self, o):
+        return ScalarField.constant(o)._binop("+", self)
+
+    def __rsub__(self, o):
+        return ScalarField.constant(o)._binop("-", self)
+
+    def __rmul__(self, o):
+        return ScalarField.constant(o)._binop("*", self)
+
+    def __rtruediv__(self, o):
+        return ScalarField.constant(o)._binop("/", self)
+
+
+class _Node(ScalarField):
     """An interned, immutable expression node.  A kind declares its fields
     once, ``__slots__ = _fields = (...)``, and is built from them in order."""
     __slots__ = ("__weakref__", "_leaves")
@@ -153,11 +251,11 @@ class _Leaf(_Node):
 
 
 class Num(_Node):
-    __slots__ = _fields = ("value",)
+    __slots__ = _fields = ("number",)
 
     @classmethod
-    def _key(cls, value):
-        return (cls, type(value), value if value else repr(value))
+    def _key(cls, number):
+        return (cls, type(number), number if number else repr(number))
 
 
 class Var(_Leaf):
@@ -178,9 +276,6 @@ class BinOp(_Node):
 
 class Call(_Node):
     __slots__ = _fields = ("fn", "arg")
-
-
-Expression = Union[Num, Var, Param, Neg, BinOp, Call]
 
 
 # ---------------------------------------------------------------------------
@@ -249,56 +344,56 @@ class _Tokenizer:
 
 
 class _Parser:
-    """expr := term (('+'|'-') term)*
+    """sum := term (('+'|'-') term)*
     term := factor (('*'|'/') factor)*
     factor := unary ('^' factor)?
     unary := '-'? atom
-    atom := number | ident | ident '(' expr ')' | '(' expr ')'
+    atom := number | ident | ident '(' sum ')' | '(' sum ')'
     """
 
     def __init__(self, source: str):
         self.tk = _Tokenizer(source)
 
-    def parse(self) -> Expression:
-        e = self.expr()
+    def parse(self) -> ScalarField:
+        e = self.sum()
         kind, text, pos = self.tk.peek()
         if kind != "end":
             raise ExpressionSyntaxError(pos, ("operator", "end of input"), text)
         return e
 
-    def expr(self) -> Expression:
+    def sum(self) -> ScalarField:
         e = self.term()
         while self.tk.peek()[0] in ("+", "-"):
             op = self.tk.advance()[0]
             e = BinOp(op, e, self.term())
         return e
 
-    def term(self) -> Expression:
+    def term(self) -> ScalarField:
         e = self.factor()
         while self.tk.peek()[0] in ("*", "/"):
             op = self.tk.advance()[0]
             e = BinOp(op, e, self.factor())
         return e
 
-    def factor(self) -> Expression:
+    def factor(self) -> ScalarField:
         e = self.unary()
         if self.tk.peek()[0] == "^":
             self.tk.advance()
             e = BinOp("^", e, self.factor())
         return e
 
-    def unary(self) -> Expression:
+    def unary(self) -> ScalarField:
         if self.tk.peek()[0] == "-":
             self.tk.advance()
             return Neg(self.atom())
         return self.atom()
 
-    def atom(self) -> Expression:
+    def atom(self) -> ScalarField:
         kind, text, pos = self.tk.advance()
         if kind == "num":
             return Num(float(text))
         if kind == "(":
-            e = self.expr()
+            e = self.sum()
             k2, t2, p2 = self.tk.advance()
             if k2 != ")":
                 raise ExpressionSyntaxError(p2, (")",), t2)
@@ -308,7 +403,7 @@ class _Parser:
                 if text not in FUNCTIONS:
                     raise UnknownIdentifier(text, pos)
                 self.tk.advance()
-                arg = self.expr()
+                arg = self.sum()
                 k2, t2, p2 = self.tk.advance()
                 if k2 != ")":
                     raise ExpressionSyntaxError(p2, (")",), t2)
@@ -323,7 +418,7 @@ class _Parser:
         raise ExpressionSyntaxError(pos, ("number", "identifier", "(", "-"), text)
 
 
-def parse(source: str) -> Expression:
+def parse(source: str) -> ScalarField:
     if not source or not source.strip():
         raise ExpressionSyntaxError(0, ("expression",), "")
     return _Parser(source).parse()
@@ -410,7 +505,7 @@ _LEAN_POINTS = 1024
 
 
 def compile_program(exprs):
-    """Compile ASTs into one function env -> tuple of their values: the
+    """Compile fields into one function env -> tuple of their values: the
     package's one evaluator, a hash-consed DAG run as a straight-line program.
 
     Each distinct subexpression is one instruction (op, dst, a, b), run once
@@ -453,7 +548,7 @@ def compile_program(exprs):
         if kind is BinOp and e.op in ("+", "-", "*", "/", "^"):
             op, a, b = e.op, visit(e.left), visit(e.right)
         elif kind is Num:
-            i = memo[e] = constant(e.value)
+            i = memo[e] = constant(e.number)
             return i
         elif kind is Call and e.fn in FUNCTIONS:
             op, a, b = e.fn, visit(e.arg), None
@@ -531,25 +626,7 @@ def _reuse_registers(code: list, outs: list) -> tuple:
     return renamed, [name.get(i, i) for i in outs]
 
 
-def compile_fields(fields):
-    """One program of ScalarFields' expressions."""
-    return compile_program([f.expr for f in fields])
-
-
-def compile_expression(e: Expression):
-    """The one-output program: a function env -> value of ``e``."""
-    run = compile_program([e])
-    return lambda env: run(env)[0]
-
-
-def substitute(e: Expression, mapping: Mapping[str, "Expression"]) -> Expression:
-    """Replace variables/parameters by expressions (capture-free rewrite of
-    each distinct subexpression once); an empty ``mapping`` returns ``e``
-    itself."""
-    return _rewrite(e, {leaf(name): x for name, x in mapping.items() for leaf in (Var, Param)})
-
-
-def _rewrite(e: Expression, memo: dict) -> Expression:
+def _rewrite(e: ScalarField, memo: dict) -> ScalarField:
     """``e`` with each node that is a key of ``memo`` replaced by its value,
     each distinct subexpression rewritten once (into ``memo``)."""
 
@@ -568,7 +645,7 @@ def _rewrite(e: Expression, memo: dict) -> Expression:
     return out
 
 
-def parameter_names(e: Expression) -> set:
+def parameter_names(e: ScalarField) -> set:
     """Names of the parameters ``e`` reads: its `Param` leaves."""
     return {x.name for x in e.leaves() if type(x) is Param}
 
@@ -577,7 +654,7 @@ _ZERO, _ONE = Num(0.0), Num(1.0)
 
 
 def _is(e, v) -> bool:
-    return isinstance(e, Num) and e.value == v
+    return isinstance(e, Num) and e.number == v
 
 
 def _add(a, b):
@@ -594,9 +671,9 @@ def _mul(a, b):
     return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
 
 
-def derivative(e: Expression, var: str) -> Expression:
+def derivative(e: ScalarField, var: str) -> ScalarField:
     """The partial derivative of ``e`` in the variable or parameter ``var``;
-    of a tuple of expressions, the tuple of their partials.
+    of a tuple of fields, the tuple of their partials.
 
     Forward mode by source transformation: each node's rule is the chain rule
     written as an AST, so the result runs through the same
@@ -646,7 +723,7 @@ def derivative(e: Expression, var: str) -> Expression:
             return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
         if _is(b, 0.0):
             return _ZERO
-        n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
+        n1 = Num(b.number - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
         return _mul(_mul(b, BinOp("^", a, n1)), da)
 
     out = tuple(map(d, e)) if isinstance(e, tuple) else d(e)
@@ -667,18 +744,18 @@ def _fmt_num(v: float) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def to_source(e: Expression) -> str:
-    """Print an AST so that ``parse(to_source(e))`` evaluates identically."""
+def to_source(e: ScalarField) -> str:
+    """Print a field so that ``parse(to_source(e))`` evaluates identically."""
 
-    def atom_str(x: Expression) -> str:
+    def atom_str(x: ScalarField) -> str:
         s = emit(x)
         if isinstance(x, (Var, Param, Call)) or isinstance(x, Num) and s[0] != "-":
             return s
         return "(" + s + ")"
 
-    def emit(x: Expression) -> str:
+    def emit(x: ScalarField) -> str:
         if isinstance(x, Num):
-            return _fmt_num(x.value)
+            return _fmt_num(x.number)
         if isinstance(x, (Var, Param)):
             return x.name
         if isinstance(x, Call):
@@ -708,115 +785,3 @@ def to_source(e: Expression) -> str:
         raise TypeError("not an expression node: %r" % (x,))
 
     return emit(e)
-
-
-# ---------------------------------------------------------------------------
-# ScalarField: an expression with its parameters as numbers
-# ---------------------------------------------------------------------------
-
-class Partials(NamedTuple):
-    """A value with its first (t, r)-partials."""
-    value: float
-    dt: float
-    dr: float
-
-
-class ScalarField:
-    """A function of (t, r): a parsed expression.  ``params`` binds
-    parameters when the field is built: each `Param` node it names becomes a
-    `Num` of its value (a `Var`, such as t or r, is never replaced), so a
-    field keeps its values in any composite, and a program reads an unbound
-    parameter from its env.  Fields support +, -, *, / and unary minus,
-    which compose the underlying ASTs; derivatives of composites therefore
-    stay exact.
-    """
-
-    __slots__ = ("expr", "_run", "_jet_run")
-
-    def __init__(self, expr, params: Mapping[str, float] | None = None):
-        if isinstance(expr, str):
-            expr = parse(expr)
-        if params:
-            expr = _rewrite(expr, {Param(k): Num(v) for k, v in params.items()})
-        self.expr = expr
-        self._run = None       # compiled on first evaluation
-        self._jet_run = None   # with its (t, r)-partials, compiled on first `jet`
-
-    @staticmethod
-    def zero() -> "ScalarField":
-        return ScalarField(Num(0.0))
-
-    @staticmethod
-    def constant(v: float) -> "ScalarField":
-        return ScalarField(Num(float(v)))
-
-    def is_structural_zero(self) -> bool:
-        return isinstance(self.expr, Num) and self.expr.value == 0.0
-
-    def value(self, t: float, r: float) -> float:
-        if self._run is None:
-            self._run = compile_fields([self])
-        return float(self._run({"t": float(t), "r": float(r)})[0])
-
-    def jet(self, t: float, r: float) -> Partials:
-        """The value and its t- and r-partials: one program of the expression
-        and its `derivative`s, with their domain checks."""
-        if self._jet_run is None:
-            self._jet_run = compile_fields([self, self.derivative("t"), self.derivative("r")])
-        return Partials(*map(float, self._jet_run({"t": float(t), "r": float(r)})))
-
-    def source(self) -> str:
-        return to_source(self.expr)
-
-    def derivative(self, var: str) -> "ScalarField":
-        return ScalarField(derivative(self.expr, var))
-
-    # -- field algebra ------------------------------------------------------
-
-    def _binop(self, op: str, other) -> "ScalarField":
-        if not isinstance(other, ScalarField):
-            other = ScalarField.constant(other)
-        return ScalarField(BinOp(op, self.expr, other.expr))
-
-    def __add__(self, o):
-        return self._binop("+", o)
-
-    def __sub__(self, o):
-        return self._binop("-", o)
-
-    def __mul__(self, o):
-        return self._binop("*", o)
-
-    def __truediv__(self, o):
-        return self._binop("/", o)
-
-    def __pow__(self, o):
-        return self._binop("^", o)
-
-    def __neg__(self):
-        return ScalarField(Neg(self.expr))
-
-    def call(self, fn: str) -> "ScalarField":
-        """fn(self) for a basis function ``fn`` (see FUNCTIONS)."""
-        return ScalarField(Call(fn, self.expr))
-
-    def __rmul__(self, o):
-        return ScalarField.constant(o)._binop("*", self)
-
-    def __radd__(self, o):
-        return ScalarField.constant(o)._binop("+", self)
-
-    def __rsub__(self, o):
-        return ScalarField.constant(o)._binop("-", self)
-
-    def __rtruediv__(self, o):
-        return ScalarField.constant(o)._binop("/", self)
-
-    def substitute(self, mapping: Mapping[str, "ScalarField"]) -> "ScalarField":
-        """Compose with fields: replace named variables by other fields' ASTs."""
-        return ScalarField(substitute(self.expr, {
-            name: (f if isinstance(f, ScalarField) else ScalarField.constant(f)).expr
-            for name, f in mapping.items()}))
-
-    def __repr__(self):
-        return "ScalarField(%r)" % (self.expr,)

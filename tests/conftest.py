@@ -7,7 +7,7 @@ from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoin
                                    christoffel_table)
 from berwald.metrizer import ExpressionForm
 from berwald.scalar_field import (Call, DomainError, Neg, Num, Param, Partials, Var,
-                                  compile_fields)
+                                  compile_program)
 
 
 def default_grid(n: int = 8):
@@ -191,7 +191,7 @@ def outcome(evaluate_all):
 def assert_program_matches_fields(conn, points):
     """k1..k12 as one program, and with their partials as one program, give
     the per-field values and jets bit for bit and fail alike."""
-    jets = compile_fields([g for f in conn.k for g in (f, f.derivative("t"), f.derivative("r"))])
+    jets = compile_program([g for f in conn.k for g in (f, f.derivative("t"), f.derivative("r"))])
 
     def program_jets(t, r):
         out = jets({"t": t, "r": r})
@@ -211,7 +211,7 @@ def to_sympy(e, syms):
     fns = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp,
            "ln": sympy.log, "sqrt": sympy.sqrt, "abs": sympy.Abs}
     if isinstance(e, Num):
-        return sympy.Rational(repr(e.value))
+        return sympy.Rational(repr(e.number))
     if isinstance(e, (Var, Param)):
         return syms[e.name]
     if isinstance(e, Neg):

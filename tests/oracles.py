@@ -163,7 +163,7 @@ def derivative_at_every_node(e, var: str):
             return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
         if _is(b, 0.0):
             return _ZERO
-        n1 = Num(b.value - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
+        n1 = Num(b.number - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
         return _mul(_mul(b, BinOp("^", a, n1)), da)
 
     return d(e)

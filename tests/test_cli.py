@@ -599,13 +599,17 @@ def test_params_key_that_is_not_a_parameter_is_a_config_error(cfg_file, capsys, 
     ("task", "theta_choice = q*z", "theta_choice must be identity, square or an expression "
                                    "in z alone: it reads parameter 'q'"),
     ("task", "theta_choice = squared", "theta_choice must be identity, square or an "
-                                       "expression in z alone: it reads parameter 'squared'")])
+                                       "expression in z alone: it reads parameter 'squared'"),
+    ("task", "theta_choice = z*(1 + 0.1*t)", "theta_choice must be identity, square or an "
+                                             "expression in z alone: it reads variable 't'"),
+    ("task", "theta_choice = z + r^2", "theta_choice must be identity, square or an "
+                                       "expression in z alone: it reads variable 'r'")])
 def test_bad_grid_and_task_values_are_config_errors(cfg_file, capsys, section, line, message):
     """A value no construction can use is refused where it is read: a class-4
     signature that does not exist, a class-5 constant that is zero or not
     finite, a grid range with a bound that is not finite (NaN passes hi <= lo),
-    a class-3 Theta that does not parse or reads a parameter other than z,
-    also on a job that is not class 3."""
+    a class-3 Theta that does not parse or reads anything but z (a parameter,
+    t or r), also on a job that is not class 3."""
     path = cfg_file("[connection]\nk2 = r\nk4 = r*exp(r^2)\n\n[%s]\n%s\n" % (section, line))
     assert main(["verify", path, "--quiet"]) == EXIT_FAIL
     assert capsys.readouterr().err == "config error: %s:6: %s\n" % (path, message)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from berwald.geometry_core import (BRACKET_PAIRS, COORD_NAMES, PH, R, TH, T,
 
 from berwald import geometry_core, scalar_field
 from berwald.metrizer import W2
-from berwald.scalar_field import DomainError, ScalarField, compile_fields
+from berwald.scalar_field import DomainError, ScalarField, compile_program
 
 from conftest import (assert_program_matches_fields, class5_curved_block, default_grid,
                       exponential_example, flat_cartesian, nonlinear_connection,
@@ -300,6 +301,26 @@ class TestBrackets:
         with pytest.raises(UnsupportedConnection):
             bracket_vectors(conn, p, 1)
 
+    def test_classifiable_check_is_one_array_run(self, monkeypatch):
+        """k11 and k12 are read with one `k_values` run over the grid, no
+        field alone, and the first node in the grid's order that has either
+        nonzero is the one named; a structurally present k12 that vanishes on
+        the grid passes, and on no grid it is refused."""
+        grid = [(t, r) for t in (2.0, 0.5, 1.0) for r in (1.5, 0.5)]
+        runs = []
+        k_values = ConnectionProfile.k_values
+        monkeypatch.setattr(ConnectionProfile, "k_values",
+                            lambda self, t, r: runs.append(np.shape(t)) or k_values(self, t, r))
+        monkeypatch.setattr(ScalarField, "value", lambda *a: pytest.fail("a field alone"))
+        for fields, at in (({12: "(t - 1)*(r - 1.5)"}, (2.0, 0.5)), ({11: "(t - 2)*r"}, (0.5, 1.5))):
+            with pytest.raises(UnsupportedConnection, match=re.escape(
+                    "k11/k12 nonzero at (t, r) = (%g, %g); outside the classified family" % at)):
+                ConnectionProfile(fields).require_classifiable(grid)
+        ConnectionProfile({12: "(t - 1)*(t - 2)*(t - 0.5)"}).require_classifiable(grid)
+        assert runs == [(6,)] * 3
+        with pytest.raises(UnsupportedConnection, match="structurally nonzero"):
+            ConnectionProfile({12: "t - t"}).require_classifiable([])
+
 
 class TestHolonomyRank:
     def test_ranks_of_reference_profiles(self, rng):
@@ -429,7 +450,7 @@ class TestTangentPoint:
     def test_w2(self):
         p = TangentPoint(0, 1, math.pi / 2, 0, 1, 0, 0.3, 0.4)
         env = {"theta": p.theta, "thetadot": p.thetadot, "phidot": p.phidot}
-        assert compile_fields([W2])(env)[0] == pytest.approx(0.09 + 0.16)
+        assert compile_program([W2])(env)[0] == pytest.approx(0.09 + 0.16)
 
 
 def test_christoffel_table_matches_spray():
@@ -458,7 +479,7 @@ class TestProgram:
         exp = scalar_field._FLOAT["exp"]
         monkeypatch.setitem(scalar_field._FLOAT, "exp", lambda x: calls.append(x) or exp(x))
         conn = exponential_example()
-        compile_fields(conn.k)({"t": 1.0, "r": 1.5})
+        compile_program(conn.k)({"t": 1.0, "r": 1.5})
         assert len(calls) == 1
         calls.clear()
         [f.value(1.0, 1.5) for f in conn.k]   # one program per field
@@ -482,7 +503,7 @@ def _rational_polynomial_profile(seed: int) -> ConnectionProfile:
 
 def _sympy_k(conn: ConnectionProfile, x) -> dict:
     import sympy
-    return {i: to_sympy(f.expr, {"t": x[0], "r": x[1]}) for i, f in enumerate(conn.k, start=1)}
+    return {i: to_sympy(f, {"t": x[0], "r": x[1]}) for i, f in enumerate(conn.k, start=1)}
 
 
 def _sympy_gamma(k: dict, x):

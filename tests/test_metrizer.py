@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from berwald import metrizer
-from berwald.geodesic_engine import StepFailure, integrate_ode
+from berwald.geodesic_engine import StepFailure, finsler_spray, integrate_ode
 from berwald.geometry_core import (ConnectionProfile, NonFiniteData, TangentPoint,
                                    curvature_profile, sample_tangent_points)
 from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
@@ -17,7 +17,7 @@ from berwald.metrizer import (DeltaVanishes, ExponentialForm, LambdaEqualsOne,
                               SingularQuadratic, _base_point, build_class3,
                               build_class4, build_class5, build_exponential,
                               build_power_law)
-from berwald.scalar_field import DomainError, ScalarField, compile_fields
+from berwald.scalar_field import DomainError, ScalarField, compile_program
 from berwald.verifier import check_horizontal_constancy, draw_jets, levi_civita_roundtrip
 
 from conftest import (admissible, class5_broken_ricci, class5_curved_block, count_values_at,
@@ -258,6 +258,28 @@ class TestBatchedTransport:
         for _ in range(2):
             assert np.array_equal(list(pot.values(*points[0]).values()), batch[0])
         assert batches == [1, 1]
+
+    def test_nearest_node_is_argmins(self):
+        """`values_at` reads a point from the node that np.argmin of
+        |x - node| picks, the lowest on a tie, in 2000 random cases: grid
+        nodes and uneven ones, one-node axes, exact midpoints and points
+        outside the axis."""
+        rng = np.random.default_rng(12)
+        for case in range(2000):
+            n = int(rng.integers(1, 9))
+            nodes = (np.sort(rng.choice(np.linspace(-2.0, 2.0, 17), n, replace=False)) if case % 2
+                     else np.unique(rng.uniform(-2.0, 2.0, n)))
+            x = np.concatenate([nodes, 0.5 * (nodes[:-1] + nodes[1:]), rng.uniform(-4.0, 4.0, 8),
+                                [-300.0, 300.0]])
+            want = np.argmin(np.abs(x[:, None] - nodes), axis=1)
+            assert metrizer._nearest(x, nodes).tolist() == want.tolist()
+
+    def test_values_before_certify_move_from_the_base_point(self):
+        """Before `certify` the table is the base point alone: a one-node
+        axis each way."""
+        pot = PotentialSystem(["psi"], ["1"], ["2"], (1.0, 1.0), [0.25])
+        assert pot.values_at([(1.0, 1.0), (1.5, 0.5), (3.0, 2.0)])[:, 0].tolist() == pytest.approx(
+            [0.25, -0.25, 4.25], abs=1e-12)
 
     def test_sweeps_that_agree_at_the_probes_only_are_refused(self):
         """d(psi) = -bump(r) dt has curl bump'(r), zero off r in (0.69, 0.89),
@@ -528,8 +550,8 @@ class TestExponential:
         calls = []
         monkeypatch.setattr(ScalarField, "jet", lambda *a: calls.append("field jet"))
         compiled = []
-        monkeypatch.setattr(metrizer, "compile_fields",
-                            lambda fields: compiled.append(len(fields)) or compile_fields(fields))
+        monkeypatch.setattr(metrizer, "compile_program",
+                            lambda fields: compiled.append(len(fields)) or compile_program(fields))
         p = TangentPoint(1.0, 1.5, 1.2, 0.0, 1.0, 0.3, 0.2, 0.1)
         first = form.jet(p)
         assert form.jet(p).metric_tensor().tolist() == first.metric_tensor().tolist()
@@ -824,7 +846,7 @@ class TestDomain:
         ("class3", {"in", "floor"})])
     def test_admissible_agrees_with_hand_written_formulas(self, finsler_forms, name, reasons):
         form = finsler_forms[name]
-        abc = compile_fields(form.conn.curvature_fields()[1])
+        abc = compile_program(form.conn.curvature_fields()[1])
         pts = _domain_candidates(abc, np.random.default_rng(17))
         want = [_reference_domain(form, abc, p) for p in pts]
         assert set(want) == reasons
@@ -860,6 +882,27 @@ class TestJetOneForms:
             want = pots._run(env)
             assert len(want) == 2 * len(pots.names)
             assert form.jet(p, v).out[30:].tolist() == list(want)
+
+    @pytest.mark.parametrize("name", ["ex1", "exponential", "class3"])
+    def test_spray_and_rates_read_the_jet(self, finsler_forms, name):
+        """`finsler_spray` is the jet's `spray`, (1/4) g^{-1} (xdot^c d_c
+        ddot L - d L) from the blocks the verifier reads (to rounding, as g
+        can be ill-conditioned), and its `rates`, P_i tdot + Q_i rdot from
+        the potentials' own one-forms, bit for bit."""
+        form = finsler_forms[name]
+        pts = sample_tangent_points(np.random.default_rng(13), (0.6, 2.4), (0.6, 2.4), 6,
+                                    predicate=admissible(form))
+        _, vals = form.admit(pts)
+        n = len(form.scale_pot.names)
+        for p, v in zip(pts, vals):
+            jet = form.jet(p, v)
+            rhs = p.velocity @ jet.mixed_block() - jet.horizontal_gradient()
+            G, rates = finsler_spray(form, p, v)
+            assert G.tolist() == pytest.approx(
+                (0.25 * np.linalg.solve(jet.metric_tensor(), rhs)).tolist(), rel=1e-8, abs=1e-10)
+            env = dict(v, t=float(p.t), r=float(p.r))
+            pq = np.array(form.scale_pot._run(env))
+            assert rates.tolist() == (pq[:n] * p.tdot + pq[n:] * p.rdot).tolist()
 
 
 class TestClass4:

@@ -11,9 +11,8 @@ from berwald.geometry_core import ConnectionProfile, TangentPoint
 from berwald.metrizer import ExpressionForm, PotentialSystem, partials_program
 from berwald.scalar_field import (FUNCTIONS, BinOp, Call, DomainError, ExpressionError,
                                   ExpressionSyntaxError, Neg, Num, Param, ScalarField,
-                                  UnboundParameter, UnknownIdentifier, Var, compile_expression,
-                                  compile_fields, compile_program, derivative, parse, substitute,
-                                  to_source)
+                                  UnboundParameter, UnknownIdentifier, Var, compile_program,
+                                  derivative, parse, to_source)
 
 from conftest import assert_program_matches_fields, to_sympy
 from oracles import derivative_at_every_node
@@ -21,7 +20,7 @@ from oracles import derivative_at_every_node
 
 def evaluate(e, env):
     """The value of ``e`` in ``env``, from its one-output program."""
-    return compile_expression(e)(env)
+    return compile_program([e])(env)[0]
 
 
 def jet(src, t, r, **params):
@@ -290,7 +289,7 @@ def test_round_trip_fixed_shape(a, b, t, r):
 
 def test_substitute_composition():
     base = parse("t^2 + sin(r)")
-    composed = substitute(base, {"t": parse("t + r"), "r": parse("2*r")})
+    composed = base.substitute({"t": parse("t + r"), "r": parse("2*r")})
     env = {"t": 0.4, "r": 0.9}
     assert evaluate(composed, env) == pytest.approx((0.4 + 0.9) ** 2 + math.sin(1.8))
 
@@ -336,7 +335,7 @@ def test_program_matches_per_field_evaluation_on_random_asts():
         pts += [tuple(rng.uniform(-2.0, 2.0, size=2)), (0.0, 0.0)]
         assert_program_matches_fields(conn, pts)
         walked, params = zip(*(spec.get(j, (Num(0.0), {})) for j in range(1, 13)))
-        assert_array_run_matches(compile_fields(conn.k), walked, params, pts)
+        assert_array_run_matches(compile_program(conn.k), walked, params, pts)
 
 
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
@@ -359,7 +358,7 @@ def _tree_walk(e, env, call=None):
     """Reference evaluator: a recursive walk that evaluates every AST node
     where it occurs, with no sharing; ``call(fn, x)`` replaces math's basis."""
     if isinstance(e, Num):
-        return e.value
+        return e.number
     if isinstance(e, (Var, Param)):
         return env[e.name]
     if isinstance(e, Neg):
@@ -405,7 +404,7 @@ def test_program_equals_a_tree_walk_bit_for_bit():
         parts = [_random_ast(rng, int(rng.integers(1, 5))) for _ in range(4)]
         exprs = parts + [BinOp(op, a, b) for op in "+*/" for a, b in
                          ((parts[0], parts[1]), (parts[2], parts[0]))] + [Num(2.5)]
-        run = compile_fields([ScalarField(e, {"alpha": 1.3}) for e in exprs])
+        run = compile_program([ScalarField(e, {"alpha": 1.3}) for e in exprs])
         t, r = rng.uniform(0.3, 2.0, size=2)
         programs.append((run, exprs))
         points.append((t, r))
@@ -431,7 +430,7 @@ def test_large_array_runs_reuse_registers():
     import tracemalloc
     n = 2 * scalar_field._LEAN_POINTS
     env = {"t": np.linspace(0.5, 1.5, n), "r": np.linspace(1.0, 2.0, n)}
-    chain = compile_fields([ScalarField("t" + " * (r - 0.5)" * 200)])
+    chain = compile_program([ScalarField("t" + " * (r - 0.5)" * 200)])
     tracemalloc.start()
     try:
         chain.on_arrays(env)
@@ -444,7 +443,7 @@ def test_large_array_runs_reuse_registers():
     compared = 0
     for _ in range(10):
         exprs = [_random_ast(rng, 4) for _ in range(6)]
-        run = compile_fields([ScalarField(e, {"alpha": 1.3}) for e in exprs])
+        run = compile_program([ScalarField(e, {"alpha": 1.3}) for e in exprs])
         whole, ok = run.on_arrays(env)
         parts = [run.on_arrays(half) for half in halves]
         assert ok.tolist() == parts[0][1].tolist() + parts[1][1].tolist()
@@ -506,9 +505,9 @@ def test_array_run_fails_exactly_where_the_float_run_does(src, t):
 
 
 def test_program_keeps_signed_zeros_and_number_types_apart():
-    prog = compile_fields([ScalarField(Num(0.0)), ScalarField(Num(-0.0)), ScalarField(Num(1)),
-                           ScalarField(Num(1.0)), ScalarField("a*t", {"a": -0.0}),
-                           ScalarField("a*t", {"a": 0.0})])
+    prog = compile_program([ScalarField(Num(0.0)), ScalarField(Num(-0.0)), ScalarField(Num(1)),
+                            ScalarField(Num(1.0)), ScalarField("a*t", {"a": -0.0}),
+                            ScalarField("a*t", {"a": 0.0})])
     out = prog({"t": 2.0})
     assert [repr(v) for v in out] == ["0.0", "-0.0", "1", "1.0", "-0.0", "0.0"]
 
@@ -690,8 +689,19 @@ class TestInterning:
         def build():
             t, r = ScalarField("t"), ScalarField("r")
             return ((t * r + 1.5) / (2.0 - t)).call("exp") ** 2
-        assert build().expr is build().expr
-        assert (-ScalarField("t")).expr is Neg(Var("t"))
+        assert build() is build()
+        assert -ScalarField("t") is Neg(Var("t"))
+
+    def test_a_field_is_its_node(self):
+        """`ScalarField` returns a node itself, parses text, binds parameters
+        by rewriting, and refuses anything else."""
+        x = parse("a*t + sin(r)")
+        assert ScalarField(x) is x and ScalarField("a*t + sin(r)") is x
+        assert ScalarField(x, {"a": 2.0}) is parse("2*t + sin(r)")
+        assert isinstance(x, ScalarField) and ScalarField.constant(3) is Num(3.0)
+        for bad in (1.5, None, [x]):
+            with pytest.raises(TypeError, match="not a field or expression text"):
+                ScalarField(bad)
 
     def test_shared_chain_is_walked_once(self):
         """A 60-level chain x_{k+1} = x_k * x_k + p is a tree of about 2^60
@@ -702,9 +712,9 @@ class TestInterning:
         for _ in range(60):
             x = BinOp("+", BinOp("*", x, x), p)
         assert scalar_field.parameter_names(x) == {"p"}
-        y = substitute(x, {"p": Num(-0.5)})
+        y = x.substitute({"p": Num(-0.5)})
         assert scalar_field.parameter_names(y) == set()
-        same = y is substitute(x, {"p": Num(-0.5)})
+        same = y is x.substitute({"p": Num(-0.5)})
         shared = y.right is Num(-0.5) and y.left.left is y.left.right
         assert same and shared
         value, slope = compile_program([y, derivative(y, "t")])({"t": 0.25})
@@ -727,7 +737,7 @@ class TestInterning:
         assert time.perf_counter() - start < 0.2
         assert texts[0].startswith("BinOp(op='+', left=BinOp(op='*', left=BinOp(op='+', ")
         assert "left=..." in texts[0] and len(texts[0]) < 2000
-        assert texts[1] == "ScalarField(%s)" % texts[0]
+        assert texts[1] == texts[0]   # a field is its node
         assert repr(parse("sin(-t) + a")) == ("BinOp(op='+', left=Call(fn='sin', arg=Neg("
                                               "arg=Var(name='t'))), right=Param(name='a'))")
 
