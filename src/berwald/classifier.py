@@ -32,6 +32,7 @@ from .geometry_core import (R, T, ConnectionProfile, CurvatureGrid,
                             K10Degenerate, NonFiniteData, UnsupportedConnection,
                             _bracket_rows, curvature_grid, holonomy_rank_details,
                             sample_tangent_points)
+from .scalar_field import _LEAN_POINTS
 
 
 class ClassifierError(RuntimeError):
@@ -97,6 +98,7 @@ class ClassificationReport:
 _PROBE_VELOCITIES = np.array(((1.0, 0.3, 0.2, -0.4), (1.0, -0.5, 0.1, 0.2),
                               (0.7, 1.1, -0.3, 0.15)))
 _PROBE_THETA = 1.0
+_HOLONOMY_SAMPLES = 25   # tangent points the holonomy rank is read from
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -239,12 +241,33 @@ def assign_class(cg: CurvatureGrid, tols: Tolerances = Tolerances()) -> Optional
     raise MixedClass("w-corner regime changes across the grid", {})
 
 
+def _holonomy_samples(grid: list, seed: int) -> list:
+    """The holonomy rank's tangent points: drawn by ``seed`` in the box that
+    ``grid`` spans."""
+    rng = np.random.default_rng(seed)
+    tmin = min(q[0] for q in grid)
+    tmax = max(q[0] for q in grid)
+    rmin = min(q[1] for q in grid)
+    rmax = max(q[1] for q in grid)
+    return sample_tangent_points(rng, (tmin, tmax), (rmin, rmax), _HOLONOMY_SAMPLES)
+
+
 def classify(conn: ConnectionProfile, grid: Sequence[tuple], seed: int = 20240601,
              tols: Tolerances = Tolerances()) -> ClassificationReport:
     """Full classification pipeline; see the module docstring."""
     grid = list(grid)
     report = ClassificationReport()
-    cg = curvature_grid(conn, grid)
+    # The holonomy samples depend only on the seed and the grid's box.  Where
+    # grid and samples together stay below _LEAN_POINTS points, they are drawn
+    # first and share the grid's curvature runs; a larger grid draws them at
+    # the holonomy stage, as the first draw loads numpy.random (6 MB), which
+    # would add to the peak of the grid's checks.  A failure at a sample is
+    # raised at the holonomy stage either way, by the samples' own call.
+    samples, also = None, ()
+    if len(grid) + _HOLONOMY_SAMPLES < _LEAN_POINTS:
+        samples = _holonomy_samples(grid, seed)
+        also = [[(p.t, p.r) for p in samples]]
+    cg = curvature_grid(conn, grid, also=also)
     a = {i: cg.a[:, i - 1, 0] for i in range(1, 6)}
 
     res = check_finsler_constraints(conn, grid, cg)
@@ -270,12 +293,8 @@ def classify(conn: ConnectionProfile, grid: Sequence[tuple], seed: int = 2024060
     report.ricci_asymmetry = float(ric[np.argmax(np.abs(ric))])
     report.evidence["ricci_witness"] = _worst(np.abs(ric) / node_scale, grid)
 
-    rng = np.random.default_rng(seed)
-    tmin = min(q[0] for q in grid)
-    tmax = max(q[0] for q in grid)
-    rmin = min(q[1] for q in grid)
-    rmax = max(q[1] for q in grid)
-    samples = sample_tangent_points(rng, (tmin, tmax), (rmin, rmax), 25)
+    if samples is None:
+        samples = _holonomy_samples(grid, seed)
     rank, raw_rank, _per = holonomy_rank_details(conn, samples, tols.rank_svd)
     report.holonomy_rank = rank
     report.evidence["holonomy_rank_raw"] = raw_rank

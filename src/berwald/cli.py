@@ -507,6 +507,16 @@ def cmd_geodesic(cfg: JobConfig, args, overrides: dict, p0: TangentPoint) -> int
     doc = {"schema": SCHEMA, "command": "geodesic", "seed": cfg.seed,
            "config": cfg.to_dict(), "T": args.T, "n_out": args.n_out,
            "initial_state": p0.state().tolist()}
+    (t_lo, t_hi), (r_lo, r_hi) = cfg.t_range, cfg.r_range
+    if args.both and not (t_lo <= p0.t <= t_hi and r_lo <= p0.r <= r_hi):
+        # the Finsler form's potentials are certified on the grid's box only
+        refused = ("start (t, r) = (%r, %r) lies outside the certified box [%r, %r] x [%r, %r]"
+                   % (p0.t, p0.r, t_lo, t_hi, r_lo, r_hi))
+        print("error: --both: %s" % refused, file=sys.stderr)
+        doc["refused"] = refused
+        doc["exit_status"] = EXIT_FAIL
+        _emit_json(args.json, doc)
+        return EXIT_FAIL
     try:   # a chart exit of either flow ends the command: the spray's or the Finsler form's
         traj = integrate_spray(conn, p0, args.T, args.n_out)
         out_path = args.out

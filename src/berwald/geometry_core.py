@@ -25,7 +25,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .scalar_field import DomainError, Partials, ScalarField, compile_program, derivative
+from .scalar_field import (_LEAN_POINTS, DomainError, Partials, ScalarField, compile_program,
+                           derivative)
 
 T, R, TH, PH = range(4)
 COORD_NAMES = ("t", "r", "theta", "phi")
@@ -112,6 +113,7 @@ class ConnectionProfile:
         self._run = None   # k1..k12 as one program, compiled on first use
         self._curvature_fields = None
         self._curvature_runs = None
+        self._grids = {}   # the bytes of a point set -> its `curvature_grid` and where it ran
 
     def k_field(self, i: int) -> ScalarField:
         return self.k[i - 1]
@@ -313,28 +315,66 @@ def curvature_profile(conn: ConnectionProfile, t: float, r: float) -> CurvatureP
                             GH=g[6:], k=k)
 
 
-def curvature_grid(conn: ConnectionProfile, points: Sequence[tuple]) -> CurvatureGrid:
-    """`curvature_profile` at each (t, r) of ``points``: each program runs
-    once, on arrays of the points (the second on the generic ones only).
-    Where either fails at a point, `curvature_profile` at the first such
-    point raises its located error."""
-    points = list(points)
-    t = np.array([q[0] for q in points], dtype=float)
-    r = np.array([q[1] for q in points], dtype=float)
-    first, second = conn._curvature_programs()
-    out, ok = first.on_arrays({"t": t, "r": r})
-    corner = _corners(out[:, :12])
-    generic = corner == W_CORNER_GENERIC
-    g = np.full((len(points), 10), math.nan)
-    if generic.any():
-        g[generic], ok_generic = second.on_arrays({"t": t[generic], "r": r[generic]})
-        ok[generic] &= ok_generic
+def _points_key(points: Sequence[tuple]) -> tuple:
+    """The (t, r) of ``points`` as two float arrays, and their bytes, which
+    tell -0.0 from 0.0 where a tuple of floats would not."""
+    tr = np.array(points, dtype=float).reshape(-1, 2)
+    return tr[:, 0], tr[:, 1], tr.tobytes()
+
+
+def curvature_grid(conn: ConnectionProfile, points: Sequence[tuple],
+                   also: Sequence[Sequence[tuple]] = ()) -> CurvatureGrid:
+    """`curvature_profile` at each (t, r) of ``points``, as read-only arrays.
+
+    Each program runs once per point set and job: ``conn`` keeps the grid of
+    every point set it has evaluated, and a later call on the same points
+    reads it.  The point sets of ``also`` are evaluated in the same runs, as
+    long as all of them together stay below `_LEAN_POINTS` points, and kept
+    for their own later call.  The first program runs on every point, the
+    second on the generic ones.  Where either fails at a point of
+    ``points``, `curvature_profile` at the first such point raises its
+    located error; a failure in a set of ``also`` is raised by that set's
+    own call."""
+    t, r, key = _points_key(points)
+    if key not in conn._grids:
+        sets = {key: (t, r)}
+        for t2, r2, key2 in map(_points_key, also):
+            if key2 not in conn._grids:
+                sets.setdefault(key2, (t2, r2))
+        if sum(len(q[0]) for q in sets.values()) >= _LEAN_POINTS:
+            sets = {key: (t, r)}
+        _evaluate(conn, sets)
+    cg, ok = conn._grids[key]
     if not ok.all():
         i = int(np.argmin(ok))
         curvature_profile(conn, t[i], r[i])
         raise NonFiniteData("curvature is not finite at (t, r) = (%g, %g)" % (t[i], r[i]))
-    return CurvatureGrid(t, r, out[:, :12], out[:, 12:].reshape(-1, 14, 3), corner,
-                         g[:, :3], g[:, 3:6], g[:, 6:])
+    return cg
+
+
+def _evaluate(conn: ConnectionProfile, sets: dict) -> None:
+    """Run both curvature programs once on all the point sets ``sets``, key
+    -> (t, r) of `_points_key`, and keep with ``conn``, under each key, the
+    set's read-only grid and whether both programs ran at each point."""
+    t = np.concatenate([q[0] for q in sets.values()])
+    r = np.concatenate([q[1] for q in sets.values()])
+    first, second = conn._curvature_programs()
+    out, ok = first.on_arrays({"t": t, "r": r})
+    corner = _corners(out[:, :12])
+    generic = corner == W_CORNER_GENERIC
+    g = np.full((len(t), 10), math.nan)
+    if generic.any():
+        g[generic], ok_generic = second.on_arrays({"t": t[generic], "r": r[generic]})
+        ok[generic] &= ok_generic
+    for arr in (t, r, out, corner, g, ok):
+        arr.flags.writeable = False
+    start = 0
+    for key, (ts, _rs) in sets.items():
+        rows = slice(start, start + len(ts))
+        start = rows.stop
+        conn._grids[key] = (CurvatureGrid(t[rows], r[rows], out[rows, :12],
+                                          out[rows, 12:].reshape(-1, 14, 3), corner[rows],
+                                          g[rows, :3], g[rows, 3:6], g[rows, 6:]), ok[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -516,9 +556,9 @@ def vertical_holonomy_rank(conn: ConnectionProfile, samples: Sequence[TangentPoi
 
 def holonomy_rank_details(conn: ConnectionProfile, samples: Sequence[TangentPoint],
                           tol: float = 1e-8):
-    """(capped rank, raw rank, rank per sample): one `curvature_grid` over the
-    samples' (t, r), every depth-2 bracket matrix in one array pass and one
-    stacked SVD."""
+    """(capped rank, raw rank, rank per sample): the `curvature_grid` of the
+    samples' (t, r) (`classify` evaluates it with its grid's), every depth-2
+    bracket matrix in one array pass and one stacked SVD."""
     samples = list(samples)
     if len(samples) < _MIN_SAMPLES:
         raise InsufficientSamples(

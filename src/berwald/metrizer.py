@@ -10,8 +10,9 @@ with an adaptive scalar ODE leg only where a panel cannot be evaluated or
 does not converge.  Their derivatives come from the defining one-forms
 themselves, so every downstream derivative is analytic in the transported
 values.  Each builder states its one-forms as fields, reads its
-curvature from one `curvature_grid` and certifies its potentials with
-`PotentialSystem.certify`.  Path independence is certified, never assumed,
+curvature from the grid's `curvature_grid` (which `classify` has evaluated
+for the job, and the connection profile keeps) and certifies its potentials
+with `PotentialSystem.certify`.  Path independence is certified, never assumed,
 at every grid node: the curl of the defining form exactly, the agreement of
 two transport routes numerically.
 
@@ -34,8 +35,8 @@ import numpy as np
 from .geometry_core import (ConnectionProfile, CurvatureGrid, NonFiniteData, TangentPoint,
                             W_CORNER_GENERIC, _located, curvature_grid)
 from .geodesic_engine import integrate_ode
-from .scalar_field import (DomainError, ScalarField, Var, compile_program, derivative,
-                           parameter_names)
+from .scalar_field import (_LEAN_POINTS, DomainError, ScalarField, Var, compile_program,
+                           derivative, parameter_names)
 
 
 class MetrizerError(RuntimeError):
@@ -167,7 +168,9 @@ class PotentialSystem:
 
     Transport runs on Chebyshev panels (`_panels`): Picard iteration with
     cumulative Clenshaw-Curtis integration, every gap of every line at once
-    in one array run of the program per pass.  Each line is accepted on its
+    in one array run of the program per pass, t-lines and r-lines together
+    (`_sweeps`) while a run stays below `_LEAN_POINTS` nodes, each line
+    reading its own half of the program.  Each line is accepted on its
     own; one that is not goes gap by gap (`_transport`), each gap a one-panel
     leg that is bisected until it is accepted, and one whose array run fails,
     or that is not accepted after `_BISECTIONS` bisections, is an adaptive
@@ -176,7 +179,8 @@ class PotentialSystem:
 
     The path-independence certificate tables two sweeps from the base point
     at every node of a grid (`table`): t-first, (t0, r0) -> (t, r0) -> (t, r),
-    and r-first, (t0, r0) -> (t0, r) -> (t, r).  The t-first table is the
+    and r-first, (t0, r0) -> (t0, r) -> (t, r), one `_sweeps` call for the
+    two base lines and one for the two sweeps.  The t-first table is the
     one store values are read from: a node's row as it is, any other point
     by two legs from the nearest node (`values_at`), which is sound only
     where the certificate has passed, and its value is a function of (t, r)
@@ -235,69 +239,99 @@ class PotentialSystem:
                                         y[moving])
         return y
 
-    def _lines(self, along_t: bool, fixed, s0: float, y0, nodes) -> np.ndarray:
-        """The states at ``nodes`` (ascending) on the axis lines through
-        ``fixed`` (r for t-lines, t for r-lines) from their states ``y0``, one
-        row per line, at s0: an array (lines, nodes, n).  On each side of s0
-        a line has one panel per gap between consecutive nodes, and every gap
-        of every line moves at once (`_panels`); a line that this does not
-        accept goes gap by gap, the same gap of every such line in one
-        `_transport` call."""
-        nodes = np.asarray(nodes, dtype=float)
-        out = np.empty((len(fixed), len(nodes), len(self.names)))
-        out[:, nodes == s0] = y0[:, None]
-        for side in (np.flatnonzero(nodes > s0), np.flatnonzero(nodes < s0)[::-1]):
-            if not len(side):
-                continue
-            ends = nodes[side]
-            starts = np.concatenate([[s0], ends[:-1]])
-            out[:, side], ok, _ = self._panels(along_t, fixed, np.tile(starts, (len(fixed), 1)),
-                                               np.tile(ends, (len(fixed), 1)), y0)
+    def _sweeps(self, sweeps: Sequence[tuple]) -> list:
+        """The states of each sweep (along_t, fixed, s0, y0, nodes) at its
+        ``nodes`` (ascending) on the axis lines through ``fixed`` (r for
+        t-lines, t for r-lines) from their states ``y0`` at s0, one row per
+        line: an array (lines, nodes, n) per sweep.  On each side of s0 a
+        line has one panel per gap between consecutive nodes, and every gap
+        of every line moves at once (`_panels`): sides of equal gap counts
+        in one call, as long as it stays below `_LEAN_POINTS` nodes.  A line
+        that this does not accept goes gap by gap, the same gap of every
+        such line of a side in one `_transport` call, side after side in
+        the order of the sweeps."""
+        n = len(self.names)
+        outs, sides = [], []   # sides: (sweep, node indices, `_panels` arguments)
+        for k, (along_t, fixed, s0, y0, nodes) in enumerate(sweeps):
+            nodes = np.asarray(nodes, dtype=float)
+            outs.append(np.empty((len(fixed), len(nodes), n)))
+            outs[k][:, nodes == s0] = y0[:, None]
+            for idx in (np.flatnonzero(nodes > s0), np.flatnonzero(nodes < s0)[::-1]):
+                if len(idx) and len(fixed):
+                    ends = np.tile(nodes[idx], (len(fixed), 1))
+                    starts = np.concatenate([np.full((len(fixed), 1), s0), ends[:, :-1]], axis=1)
+                    sides.append((k, idx, (np.full(len(fixed), along_t), fixed, starts, ends, y0)))
+        calls = []   # the sides that each `_panels` call moves, by index
+        for i, (_k, idx, _args) in enumerate(sides):
+            for call in calls:
+                size = _PANEL_N * sum(sides[j][2][2].size for j in call + [i])
+                if len(sides[call[0]][1]) == len(idx) and size < _LEAN_POINTS:
+                    call.append(i)
+                    break
+            else:
+                calls.append([i])
+        accepted = [None] * len(sides)
+        for call in calls:
+            y, ok, _ = self._panels(*map(np.concatenate, zip(*(sides[i][2] for i in call))))
+            first = 0
+            for i in call:
+                k, idx, args = sides[i]
+                rows = slice(first, first + len(args[1]))
+                first = rows.stop
+                outs[k][:, idx], accepted[i] = y[rows], ok[rows]
+        for (k, idx, (along, fixed, starts, ends, y0)), ok in zip(sides, accepted):
             redo = np.flatnonzero(~ok)
             if not len(redo):
                 continue
             y = y0[redo]
-            for j, a, b in zip(side, starts, ends):
-                y = out[redo, j] = self._transport(along_t, fixed[redo], np.full(len(redo), a),
-                                                   np.full(len(redo), b), y)
-        return out
+            for j, a, b in zip(idx, starts[0], ends[0]):
+                y = outs[k][redo, j] = self._transport(along[redo], fixed[redo],
+                                                       np.full(len(redo), a),
+                                                       np.full(len(redo), b), y)
+        return outs
 
-    def _transport(self, along_t: bool, fixed, a, b, ya, depth: int = 0) -> np.ndarray:
+    def _transport(self, along_t, fixed, a, b, ya, depth: int = 0) -> np.ndarray:
         """The states at b from the states ``ya`` at a, one leg per row on
-        the axis line through ``fixed`` (r for a t-leg, t for an r-leg): one
-        `_panels` call, one gap per leg; a leg whose panel fails is an ODE
-        leg, and one that it does not accept is halved, each half again a
-        panel, and is an ODE leg after `_BISECTIONS` halvings.  A leg's panel
-        arithmetic is elementwise, so no leg's state depends on its batch."""
-        y, ok, failed = self._panels(along_t, fixed, a[:, None], b[:, None], ya)
+        the axis line through ``fixed`` (r for a t-leg, t for an r-leg;
+        ``along_t`` says which, per leg or for all): one `_panels` call, one
+        gap per leg; a leg whose panel fails is an ODE leg, and one that it
+        does not accept is halved, each half again a panel, and is an ODE
+        leg after `_BISECTIONS` halvings.  A leg's panel arithmetic is
+        elementwise, so no leg's state depends on its batch."""
+        along = np.broadcast_to(along_t, a.shape)
+        y, ok, failed = self._panels(along, fixed, a[:, None], b[:, None], ya)
         yb = y[:, 0]
         for i in np.flatnonzero(~ok):
             if failed[i] or depth == _BISECTIONS:
-                yb[i] = self._ode_leg(along_t, float(fixed[i]), float(a[i]), float(b[i]), ya[i])
+                yb[i] = self._ode_leg(bool(along[i]), float(fixed[i]), float(a[i]), float(b[i]),
+                                      ya[i])
                 continue
             leg = slice(i, i + 1)
             m = 0.5 * (a[leg] + b[leg])
-            ym = self._transport(along_t, fixed[leg], a[leg], m, ya[leg], depth + 1)
-            yb[i] = self._transport(along_t, fixed[leg], m, b[leg], ym, depth + 1)[0]
+            ym = self._transport(along[leg], fixed[leg], a[leg], m, ya[leg], depth + 1)
+            yb[i] = self._transport(along[leg], fixed[leg], m, b[leg], ym, depth + 1)[0]
         return yb
 
-    def _panels(self, along_t: bool, fixed, starts, ends, y0) -> tuple:
+    def _panels(self, along_t, fixed, starts, ends, y0) -> tuple:
         """Lines of consecutive panels [starts, ends], (lines, gaps), on the
         axis lines through ``fixed`` from their states ``y0`` at the first
         start: Picard iteration Y <- y_a + h S F(s, Y) on each panel's
-        Chebyshev-Lobatto nodes s, h = (end - start)/2, F the P rows (t-lines)
-        or the Q rows (r-lines), one array run per pass for every panel of
-        the lines still iterating.  A panel's y_a is y0 plus the end
-        increments of the panels before it, summed in order; the first guess
-        is y0.  A line stops once the change of its Y is within
-        _TRANSPORT_TOL (1 + |Y|) on every panel (one pass where the half reads
-        no component), and is accepted if h times each panel's Chebyshev tail
-        of F is within that bound too, and not if it still iterates after
-        `_PICARD_PASSES`.  A line fails, and stops, where a run fails at one
-        of its nodes or its Y is not finite.  Returns the states at every
-        panel end (lines, gaps, n), which lines were accepted and which failed."""
+        Chebyshev-Lobatto nodes s, h = (end - start)/2, F the P rows on a
+        t-line or the Q rows on an r-line (``along_t``, per line or for all),
+        one array run per pass for every panel of the lines still iterating.
+        A panel's y_a is y0 plus the end increments of the panels before it,
+        summed in order; the first guess is y0.  A line stops once the change
+        of its Y is within _TRANSPORT_TOL (1 + |Y|) on every panel (one pass
+        where its half reads no component), and is accepted if h times each
+        panel's Chebyshev tail of F is within that bound too, and not if it
+        still iterates after `_PICARD_PASSES`.  A line fails, and stops,
+        where a run fails at one of its nodes or its Y is not finite.
+        Returns the states at every panel end (lines, gaps, n), which lines
+        were accepted and which failed."""
         (lines, gaps), n = starts.shape, len(self.names)
-        reads = self._reads[0 if along_t else 1]
+        along = np.broadcast_to(along_t, (lines,))
+        reads = np.where(along, *self._reads)   # does the line's half read the components?
+        along = np.repeat(along, gaps)
         h, s, fixed = _panel_nodes(np.repeat(fixed, gaps), starts.ravel(), ends.ravel())
         y, (ok, failed) = np.empty((lines, gaps, n)), np.zeros((2, lines), dtype=bool)
         live = np.arange(lines)
@@ -305,7 +339,7 @@ class PotentialSystem:
         with np.errstate(all="ignore"):
             for _ in range(_PICARD_PASSES):
                 rows = (gaps * live[:, None] + np.arange(gaps)).ravel()   # the live panels
-                inc, tail, ran = self._quadrature(along_t, fixed[rows], s[rows], h[rows],
+                inc, tail, ran = self._quadrature(along[rows], fixed[rows], s[rows], h[rows],
                                                   Y.reshape(-1, _PANEL_N, n))
                 inc = inc.reshape(len(live), gaps, _PANEL_N, n)
                 ya = np.cumsum(np.concatenate([y0[live, None], inc[:, :, -1]], axis=1), axis=1)
@@ -314,7 +348,7 @@ class PotentialSystem:
                 failed[live[~ran]] = True
                 bound, accepted = _acceptance(Y, tail.reshape(-1, gaps, n))
                 done = ran & (np.all(np.max(np.abs(Y - prev), axis=2) <= bound, axis=(1, 2))
-                              if reads else True)
+                              | ~reads[live])
                 y[live[done]] = ya[done, 1:]
                 ok[live[done]] = accepted[done].all(axis=1)
                 live, Y = live[ran & ~done], Y[ran & ~done]
@@ -322,16 +356,19 @@ class PotentialSystem:
                     break
         return y, ok, failed
 
-    def _quadrature(self, along_t: bool, fixed, s, h, Y) -> tuple:
+    def _quadrature(self, along_t, fixed, s, h, Y) -> tuple:
         """h S F and h times the Chebyshev tail of F (its largest trailing
         coefficient) on the panels with nodes ``s`` and ``fixed``, shape (k,
-        _PANEL_N), the components at ``Y`` (k, _PANEL_N, n): one array run;
-        and whether it succeeded at every node of a panel, with a finite tail."""
+        _PANEL_N), the components at ``Y`` (k, _PANEL_N, n), F the P rows
+        where ``along_t`` (per panel or for all) and the Q rows elsewhere:
+        one array run; and whether it succeeded at every node of a panel,
+        with a finite tail."""
         n = len(self.names)
-        env = {"t": s, "r": fixed} if along_t else {"t": fixed, "r": s}
+        along = np.reshape(along_t, (-1, 1))
+        env = {"t": np.where(along, s, fixed), "r": np.where(along, fixed, s)}
         env.update(zip(self.names, np.moveaxis(Y, 2, 0)))
         out, ok = self._run.on_arrays(env)
-        rows = _panel_rows(out[..., :n] if along_t else out[..., n:])
+        rows = _panel_rows(np.where(along[..., None], out[..., :n], out[..., n:]))
         tail = np.abs(h)[:, None] * np.max(np.abs(rows[:, _PANEL_N:]), axis=1)
         return (h[:, None, None] * rows[:, :_PANEL_N], tail,
                 ok.all(axis=1) & np.isfinite(tail).all(axis=1))
@@ -362,15 +399,22 @@ class PotentialSystem:
 
     def table(self, ts, rs) -> tuple:
         """The t-first and the r-first sweep from the base point at every node
-        (t_i, r_j), each an array (len(ts), len(rs), n): one leg along the
-        base line of the first axis through every node coordinate, then all
-        legs along the other axis at once (`_lines`)."""
+        (t_i, r_j), each an array (len(ts), len(rs), n): the two base lines
+        through every node coordinate, then all legs along the other axis
+        from them, each phase in one `_sweeps` call.  A sweep's line through
+        the base point is the other base line, which it copies."""
         ts, rs = np.asarray(ts, dtype=float), np.asarray(rs, dtype=float)
         (t0, r0), y0 = self.base, self.base_values[None]
-        base_t = self._lines(True, np.array([r0]), t0, y0, ts)[0]
-        base_r = self._lines(False, np.array([t0]), r0, y0, rs)[0]
-        return (self._lines(False, ts, r0, base_t, rs),
-                self._lines(True, rs, t0, base_r, ts).transpose(1, 0, 2))
+        base_t, base_r = self._sweeps([(True, np.array([r0]), t0, y0, ts),
+                                       (False, np.array([t0]), r0, y0, rs)])
+        ti, ri = ts != t0, rs != r0
+        lines = self._sweeps([(False, ts[ti], r0, base_t[0, ti], rs),
+                              (True, rs[ri], t0, base_r[0, ri], ts)])
+        shape = (len(ts), len(rs), len(self.names))
+        t_first, r_first = np.empty(shape), np.empty(shape)
+        t_first[ti], t_first[~ti] = lines[0], base_r[0]
+        r_first[:, ri], r_first[:, ~ri] = lines[1].transpose(1, 0, 2), base_t[0, :, None]
+        return t_first, r_first
 
     @cached_property
     def _partials_run(self):
@@ -750,11 +794,17 @@ class RiemannForm(ExpressionForm):
     def _coefficient_run(self):
         return partials_program([self.att, self.atr, self.arr, self.aw], self.scale_pot)
 
+    @cached_property
+    def _coefficient_tables(self) -> dict:
+        """The bytes of a `coefficient_table` run's inputs -> its table."""
+        return {}
+
     def coefficient_table(self, points: Sequence[tuple], vals=None) -> np.ndarray:
         """att, atr, arr, aw with their t- and r-partials at each (t, r) of
         ``points``, shape (n, 4, 3), the potentials at their rows ``vals``
-        (None: read with one `values_at`): one array run.  Where it fails at
-        a point, the float run at the first such point raises, named by its
+        (None: read with one `values_at`): one array run per point set and
+        values, whose read-only table the form keeps.  Where it fails at a
+        point, the float run at the first such point raises, named by its
         first output that is not finite."""
         t, r = np.array(points, dtype=float).reshape(-1, 2).T
         env = {"t": t, "r": r}
@@ -762,6 +812,10 @@ class RiemannForm(ExpressionForm):
             if vals is None:
                 vals = self.scale_pot.values_at(points)
             env.update(zip(self.scale_pot.names, vals.T))
+        key = b"".join(np.ascontiguousarray(x, dtype=float).tobytes() for x in env.values())
+        table = self._coefficient_tables.get(key)
+        if table is not None:
+            return table
         out, ok = self._coefficient_run.on_arrays(env)
         if not ok.all():
             i = int(np.argmin(ok))
@@ -770,7 +824,9 @@ class RiemannForm(ExpressionForm):
             at = {k: float(v[i]) for k, v in env.items()}
             _located(name, lambda *_: self._coefficient_run(at), t[i], r[i])
             raise NonFiniteData("%s is not finite at (t, r) = (%g, %g)" % (name, t[i], r[i]))
-        return out.reshape(-1, 4, 3)
+        table = self._coefficient_tables[key] = out.reshape(-1, 4, 3)
+        table.flags.writeable = False
+        return table
 
     def christoffels(self, points: Sequence[tuple]) -> np.ndarray:
         """k1..k12 of the Levi-Civita connection of A at each (t, r) of

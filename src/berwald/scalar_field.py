@@ -654,7 +654,7 @@ _ZERO, _ONE = Num(0.0), Num(1.0)
 
 
 def _is(e, v) -> bool:
-    return isinstance(e, Num) and e.number == v
+    return type(e) is Num and e.number == v
 
 
 def _add(a, b):
@@ -671,6 +671,13 @@ def _mul(a, b):
     return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
 
 
+# d fn(u) / du of each basis function, as a node of x = fn(u) and u
+_OUTER = {"sin": lambda x, u: Call("cos", u), "cos": lambda x, u: Neg(Call("sin", u)),
+          "tan": lambda x, u: BinOp("+", _ONE, BinOp("*", x, x)), "exp": lambda x, u: x,
+          "ln": lambda x, u: BinOp("/", _ONE, u), "sqrt": lambda x, u: BinOp("/", Num(0.5), x),
+          "abs": lambda x, u: BinOp("/", u, x)}
+
+
 def derivative(e: ScalarField, var: str) -> ScalarField:
     """The partial derivative of ``e`` in the variable or parameter ``var``;
     of a tuple of fields, the tuple of their partials.
@@ -682,7 +689,8 @@ def derivative(e: ScalarField, var: str) -> ScalarField:
     and 1*x are folded.  Shared subtrees, also of different members of a
     tuple, are differentiated once.  A subtree that reads no leaf named
     ``var`` is not visited: its partial is `Num(0.0)`, as the rules would
-    fold it.
+    fold it.  So a rule only meets a leaf named ``var``, whose partial is 1,
+    and nodes with children.
     """
     memo = {}
     named = (Var(var), Param(var))
@@ -694,37 +702,30 @@ def derivative(e: ScalarField, var: str) -> ScalarField:
         return y
 
     def rule(x):
-        if isinstance(x, Num):
-            return _ZERO
-        if isinstance(x, (Var, Param)):
-            return _ONE if x.name == var else _ZERO
-        if isinstance(x, Neg):
+        kind = type(x)
+        if kind is BinOp:
+            a, b = x.left, x.right
+            da, db = d(a), d(b)
+            if x.op in "+-":
+                return _add(da, db) if x.op == "+" else _sub(da, db)
+            if x.op == "*":
+                return _add(_mul(da, b), _mul(a, db))
+            if x.op == "/":   # (a / b)' = (a' - (a / b) b') / b
+                if _is(da, 0.0) and _is(db, 0.0):
+                    return _ZERO
+                return BinOp("/", _sub(da, _mul(x, db)), b)
+            if not _is(db, 0.0):   # a^b = exp(b ln a): a^b (a' b / a + ln(a) b')
+                return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
+            if _is(b, 0.0):
+                return _ZERO
+            n1 = Num(b.number - 1.0) if type(b) is Num else BinOp("-", b, _ONE)
+            return _mul(_mul(b, BinOp("^", a, n1)), da)
+        if kind is Call:
+            du = d(x.arg)
+            return _ZERO if _is(du, 0.0) else _mul(_OUTER[x.fn](x, x.arg), du)
+        if kind is Neg:
             return _sub(_ZERO, d(x.arg))
-        if isinstance(x, Call):
-            u, du = x.arg, d(x.arg)
-            if _is(du, 0.0):
-                return _ZERO
-            outer = {"sin": lambda: Call("cos", u), "cos": lambda: Neg(Call("sin", u)),
-                     "tan": lambda: BinOp("+", _ONE, BinOp("*", x, x)), "exp": lambda: x,
-                     "ln": lambda: BinOp("/", _ONE, u),
-                     "sqrt": lambda: BinOp("/", Num(0.5), x), "abs": lambda: BinOp("/", u, x)}
-            return _mul(outer[x.fn](), du)
-        a, b = x.left, x.right
-        da, db = d(a), d(b)
-        if x.op in "+-":
-            return _add(da, db) if x.op == "+" else _sub(da, db)
-        if x.op == "*":
-            return _add(_mul(da, b), _mul(a, db))
-        if x.op == "/":   # (a / b)' = (a' - (a / b) b') / b
-            if _is(da, 0.0) and _is(db, 0.0):
-                return _ZERO
-            return BinOp("/", _sub(da, _mul(x, db)), b)
-        if not _is(db, 0.0):   # a^b = exp(b ln a): a^b (a' b / a + ln(a) b')
-            return _mul(x, _add(_mul(da, BinOp("/", b, a)), _mul(Call("ln", a), db)))
-        if _is(b, 0.0):
-            return _ZERO
-        n1 = Num(b.number - 1.0) if isinstance(b, Num) else BinOp("-", b, _ONE)
-        return _mul(_mul(b, BinOp("^", a, n1)), da)
+        return _ONE   # Var(var) or Param(var)
 
     out = tuple(map(d, e)) if isinstance(e, tuple) else d(e)
     del d, rule   # recursive closures: free the memo now, not at a gc pass

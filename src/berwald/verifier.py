@@ -112,10 +112,17 @@ class SampleJets:
     jet: FormJet
     scale: np.ndarray
     skipped: int
+    _gamma: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def christoffels(self, conn: ConnectionProfile) -> np.ndarray:
-        """Gamma[e, c, d] at each sample (n, 4, 4, 4): k1..k12 in one array run."""
-        return christoffel_table(conn.k_values(*self.states[:, :2].T), self.states[:, 2])
+        """Gamma[e, c, d] at each sample (n, 4, 4, 4), read-only: k1..k12 in
+        one array run, once per connection; the checks that read it share it."""
+        gam = self._gamma.get(conn)
+        if gam is None:
+            gam = christoffel_table(conn.k_values(*self.states[:, :2].T), self.states[:, 2])
+            gam.flags.writeable = False
+            self._gamma[conn] = gam
+        return gam
 
 
 def _jets(evaluator, points: list, vals: list | None = None) -> SampleJets:

@@ -16,6 +16,8 @@ from berwald.geometry_core import TangentPoint
 from conftest import exponential_example
 from generators import make_class3
 
+_EX1_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "ex1.cfg")
+
 EX1_CFG = """
 # power-law connection, non-symmetric Ricci
 [connection]
@@ -389,6 +391,35 @@ class TestGeodesicCommand:
                    "--T", "0.1", "--n-out", "5", "--both", "--out", str(tmp_path / "t.txt")] + tol)
         assert rc == EXIT_FAIL
         assert capsys.readouterr().err == metrize_err
+
+    def test_geodesic_both_refuses_a_start_outside_the_certified_box(self, tmp_path, capsys):
+        """The Finsler form's potentials are certified on the grid's box only."""
+        report = tmp_path / "g.json"
+        rc = main(["geodesic", _EX1_GOLDEN, "--state",
+                   "1e17,2,1.5707963267948966,0,0.2,0.02,0.01,0.004", "--T", "0.1",
+                   "--n-out", "5", "--both", "--out", str(tmp_path / "t.traj"),
+                   "--json", str(report), "--quiet"])
+        assert rc == EXIT_FAIL
+        err = capsys.readouterr().err
+        assert err.startswith("error: --both: start (t, r) = (1e+17, 2.0) lies outside the "
+                              "certified box [0.5, 2.5] x [0.5, 2.5]")
+        doc = json.loads(report.read_text())
+        assert doc["exit_status"] == EXIT_FAIL and "outside the certified box" in doc["refused"]
+        assert not (tmp_path / "t.traj").exists()
+
+    def test_geodesic_both_accepts_a_start_on_the_box_edge(self, tmp_path):
+        rc = main(["geodesic", _EX1_GOLDEN, "--state",
+                   "0.5,2.5,1.5707963267948966,0,0.2,0.02,0.01,0.004", "--T", "0.1",
+                   "--n-out", "5", "--both", "--out", str(tmp_path / "t.traj"), "--quiet"])
+        assert rc == EXIT_OK
+        assert (tmp_path / "t.traj.finsler").exists()
+
+    def test_spray_geodesic_ignores_the_box(self, tmp_path):
+        """The spray reads no potential: it runs from anywhere in the chart."""
+        rc = main(["geodesic", _EX1_GOLDEN, "--state",
+                   "3,2,1.5707963267948966,0,0.2,0.02,0.01,0.004", "--T", "0.1",
+                   "--n-out", "5", "--out", str(tmp_path / "t.traj"), "--quiet"])
+        assert rc == EXIT_OK
 
     def test_both_integrators(self, cfg_file, tmp_path):
         out = tmp_path / "traj.txt"

@@ -323,19 +323,31 @@ class TestBatchedTransport:
     ], ids=["class3", "flat_class4"])
     def test_a_tables_array_runs_do_not_grow_with_the_grid(self, build, monkeypatch):
         """Both systems read their own components; each of their lines moves
-        in one array run per Picard pass, whatever its number of gaps."""
+        in one array run per Picard pass, whatever its number of gaps: every
+        `_panels` call of a table makes as many runs at 5x5 as at 15x15, and
+        a table makes at most two calls per phase (two at 15x15, where a
+        phase's sweeps together reach `_LEAN_POINTS` nodes; one at 5x5)."""
         runs = []
-        quadrature = PotentialSystem._quadrature
+        quadrature, panels = PotentialSystem._quadrature, PotentialSystem._panels
         monkeypatch.setattr(PotentialSystem, "_quadrature",
                             lambda self, *args: runs.append(1) or quadrature(self, *args))
-        counts = []
+
+        def counted(self, *args):
+            start = len(runs)
+            out = panels(self, *args)
+            per_call.append(len(runs) - start)
+            return out
+
+        monkeypatch.setattr(PotentialSystem, "_panels", counted)
+        counts, per_call = [], []
         for n in (5, 15):
             pot = build(default_grid(n))
             ts, rs, _ = pot._table
-            runs.clear()
+            per_call.clear()
             pot.table(ts, rs)
-            counts.append(len(runs))
-        assert counts[0] == counts[1]
+            counts.append(list(per_call))
+        assert len(counts[0]) == 2 and len(counts[1]) == 3
+        assert set(counts[0]) == set(counts[1]) and len(set(counts[0])) == 1
 
     def test_a_line_that_fails_the_whole_line_pass_falls_back_alone(self):
         """psi' = 0.3 chi X, chi' = -0.3 psi X with X = 1 except at (c, 0.9),
@@ -355,7 +367,7 @@ class TestBatchedTransport:
         whole, ok, failed = pot._panels(True, rs, starts, ends, y0)
         assert failed.tolist() == [False, False, True, False]
         assert ok.tolist() == [True, True, False, True]
-        out = pot._lines(True, rs, 0.0, y0, nodes)
+        out = pot._sweeps([(True, rs, 0.0, y0, nodes)])[0]
         assert np.array_equal(out[:, 0], y0)
         assert np.array_equal(out[[0, 1, 3], 1:], whole[[0, 1, 3]])
         y, alone = y0[2:3], []
